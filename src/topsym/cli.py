@@ -7,7 +7,9 @@ is given the positive region is empty and the whole boundary is
 negative, which is the convention for a plain complex.
 
 Exit codes: 0 success, 1 failed --assert-symmetric, 2 input or
-validation error, 3 identity-suite mismatch in ``verify``.
+validation error, 3 identity-suite mismatch in ``verify``, 4 internal
+failure (an inconsistent Morse matching, the recursion limit, or a
+failed internal check), so that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import SimplicialComplex, betti, boundary_subcomplex, build_complex
-from .errors import InputError, PseudomanifoldError
+from .errors import InputError, MatchingError, PseudomanifoldError
 from .exactness import lefschetz_duality_check, les_exactness_check, mayer_vietoris_check
 from .morse import build_matching, morse_betti
 from .spaces import BoundarySplit, builtin_example, truncated_double
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_ASSERT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SUITE_FAILED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,13 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
     The boundary-split invariants are verified here as well, so a
     returned SpaceFile always yields a usable split.
     """
+    space = _decode_space_file(data)
+    space.split()  # surfaces region/boundary violations now
+    return space
+
+
+def _decode_space_file(data: Union[bytes, str]) -> SpaceFile:
+    """Decode a space file and check its fields; the split is not built."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -106,7 +116,7 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
         raise InputError("space file needs a string 'name'")
     if "maximal_simplices" not in raw:
         raise InputError("space file needs 'maximal_simplices'")
-    out = SpaceFile(
+    return SpaceFile(
         name=raw["name"],
         maximal_simplices=_simplex_list(raw["maximal_simplices"], "maximal_simplices"),
         positive_region=(
@@ -120,8 +130,6 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
             else None
         ),
     )
-    out.split()  # surfaces region/boundary violations now
-    return out
 
 
 def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit]) -> Dict:
@@ -153,7 +161,7 @@ def load_space(locator: str) -> Tuple[str, BoundarySplit]:
     """Resolve a catalog name or a space-file path to a named split."""
     if os.path.exists(locator):
         with open(locator, "rb") as handle:
-            space = parse_space_file(handle.read())
+            space = _decode_space_file(handle.read())
         return space.name, space.split()
     if os.sep in locator or locator.endswith(".json"):
         raise InputError("no such file: %s" % locator)
@@ -376,6 +384,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (MatchingError, RecursionError, AssertionError) as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -20,12 +20,17 @@ from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, Reduction
 
 Simplex = Tuple
 Chain = FrozenSet  # GF(2) chain: a set of simplices; addition is symmetric difference
 
 EMPTY_SIMPLEX: Simplex = ()
+
+
+def facets(simplex: Simplex) -> List[Simplex]:
+    """The codimension-1 faces; a vertex has the empty simplex as its facet."""
+    return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
 def _as_simplex(vertices: Iterable) -> Simplex:
@@ -47,8 +52,7 @@ class SimplicialComplex:
                 raise InputError("faces must be nonempty vertex tuples")
             if list(s) != sorted(set(s)):
                 raise InputError("face %r is not strictly ascending" % (s,))
-            for k in range(len(s)):
-                face = s[:k] + s[k + 1 :]
+            for face in facets(s):
                 if face and face not in self.faces:
                     raise InputError("complex is not face-closed at %r" % (s,))
 
@@ -86,13 +90,13 @@ class SimplicialComplex:
         return out
 
     def maximal_simplices(self) -> Tuple[Simplex, ...]:
-        """Simplices that are not a proper face of any other, sorted."""
-        maximal = []
-        for s in self.faces:
-            vs = set(s)
-            if not any(len(t) > len(s) and vs.issubset(t) for t in self.faces):
-                maximal.append(s)
-        return tuple(sorted(maximal))
+        """Simplices that are not a proper face of any other, sorted.
+
+        The complex is face-closed, so every proper face of a simplex is
+        a facet of some simplex.
+        """
+        covered = {f for s in self.faces for f in facets(s)}
+        return tuple(sorted(self.faces - covered))
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.faces
@@ -118,11 +122,6 @@ class SimplicialComplex:
         """Apply a vertex relabeling; ``mapping`` is a dict or callable."""
         get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
         return SimplicialComplex(frozenset(_as_simplex(get(v) for v in s) for s in self.faces))
-
-    def relabel_to_integers(self) -> "SimplicialComplex":
-        """Canonical integer labels: sorted vertex order becomes 0,1,2,..."""
-        mapping = {v: i for i, v in enumerate(sorted(self.vertices))}
-        return self.relabel(mapping)
 
 
 def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
@@ -199,10 +198,6 @@ class BettiTable:
         return BettiTable.from_dict(self.flavor, dims)
 
 
-def _chain_boundary(simplex: Simplex) -> List[Simplex]:
-    return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
-
-
 def boundary_chain(chain: Iterable[Simplex], drop: frozenset, augmented: bool) -> Chain:
     """Boundary of a GF(2) chain, discarding faces in ``drop``.
 
@@ -211,7 +206,7 @@ def boundary_chain(chain: Iterable[Simplex], drop: frozenset, augmented: bool) -
     """
     acc = set()
     for s in chain:
-        for f in _chain_boundary(s):
+        for f in facets(s):
             if f == EMPTY_SIMPLEX and not augmented:
                 continue
             if f in drop:
@@ -224,10 +219,13 @@ class HomologyBasis:
     """Chain complex of a pair with homology bases and class arithmetic.
 
     Cells in degree k are the relative k-cells in sorted order; in
-    augmented (reduced) mode degree -1 holds the empty simplex.  Cycle
-    bases come from the canonical echelon kernel, and the stored
-    homology representatives are the kernel vectors that survive a rank
-    extension over the boundary space, so all bases are reproducible.
+    augmented (reduced) mode degree -1 holds the empty simplex.  Each
+    boundary matrix is column-reduced once, from the top degree down.
+    The cycles of degree k are the canonical kernel of that reduction,
+    and the representatives are, in order, the cycles that stay
+    independent when appended to the reduction of the boundary map from
+    degree k+1.  That reduction then expresses classes, so all bases and
+    witnesses are reproducible.
     """
 
     def __init__(self, pair: ComplexPair, augmented: bool = False):
@@ -245,7 +243,9 @@ class HomologyBasis:
             self._index[k] = {s: i for i, s in enumerate(cells)}
         self._boundary: Dict[int, Gf2Matrix] = {}
         self._reps: Dict[int, List[Chain]] = {}
-        self._boundary_generators: Dict[int, Gf2Matrix] = {}
+        # Degree k -> reduction of the boundary columns from degree k+1,
+        # followed by the degree-k representatives.
+        self._classes: Dict[int, Reduction] = {}
         self._build()
 
     # -- cell bookkeeping ------------------------------------------------
@@ -277,38 +277,29 @@ class HomologyBasis:
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Map from degree-k cells to degree-(k-1) cells."""
         if k not in self._boundary:
-            rows = self.n_cells(k - 1)
-            cols = self.n_cells(k)
             columns = []
             for s in self.cells(k):
                 chain = boundary_chain((s,), self.pair.sub.faces, self.augmented)
-                columns.append(self.chain_to_bits(k - 1, chain) if rows else 0)
-            self._boundary[k] = Gf2Matrix.from_columns(columns, rows) if cols else Gf2Matrix.zero(rows, 0)
+                columns.append(self.chain_to_bits(k - 1, chain))
+            self._boundary[k] = Gf2Matrix.from_columns(columns, self.n_cells(k - 1))
         return self._boundary[k]
 
     def _build(self):
-        prev = None
-        for k in self.degrees():
+        upper = Reduction(())  # nothing above the top degree
+        for k in reversed(self.degrees()):
             mat = self.boundary_matrix(k)
-            if prev is not None and not mat.is_zero() and not prev.mat_mul(mat).is_zero():
+            # A nonzero map has a target above the lowest degree.
+            if not mat.is_zero() and not self.boundary_matrix(k - 1).mat_mul(mat).is_zero():
                 raise AssertionError("boundary composition is nonzero in degree %d" % k)
-            prev = mat
-        for k in self.degrees():
-            self._reps[k] = self._homology_reps(k)
-
-    def _homology_reps(self, k: int) -> List[Chain]:
-        cycles = self.boundary_matrix(k).kernel_basis()
-        bdries = self.boundary_matrix(k + 1) if k + 1 <= self.max_degree else None
-        current = Gf2Matrix(0, self.n_cells(k), ()) if bdries is None else bdries.transpose()
-        current_rank = current.rank()
-        reps = []
-        for v in cycles:
-            grown = current.stack(Gf2Matrix(1, self.n_cells(k), (v,)))
-            if grown.rank() > current_rank:
-                reps.append(self.bits_to_chain(k, v))
-                current = grown
-                current_rank += 1
-        return reps
+            lower = Reduction(mat.columns())
+            reps = []
+            for cycle in lower.kernel:
+                if upper.solve(cycle) is None:
+                    upper.add(cycle)
+                    reps.append(self.bits_to_chain(k, cycle))
+            self._reps[k] = reps
+            self._classes[k] = upper
+            upper = lower
 
     # -- homology --------------------------------------------------------
 
@@ -325,17 +316,6 @@ class HomologyBasis:
     def is_cycle(self, k: int, chain: Chain) -> bool:
         return not boundary_chain(chain, self.pair.sub.faces, self.augmented)
 
-    def _class_matrix(self, k: int) -> Gf2Matrix:
-        """Columns: boundary generators from degree k+1, then homology reps."""
-        if k not in self._boundary_generators:
-            n = self.n_cells(k)
-            cols = []
-            if k + 1 <= self.max_degree:
-                cols.extend(self.boundary_matrix(k + 1).columns())
-            cols.extend(self.chain_to_bits(k, rep) for rep in self._reps.get(k, []))
-            self._boundary_generators[k] = Gf2Matrix.from_columns(cols, n)
-        return self._boundary_generators[k]
-
     def express_class(self, k: int, chain: Chain) -> Tuple[int, Chain]:
         """Coordinates of a cycle's class in the stored basis.
 
@@ -351,11 +331,11 @@ class HomologyBasis:
                 raise InputError("nonzero chain outside the degree range")
             return 0, frozenset()
         target = self.chain_to_bits(k, chain)
-        sol = self._class_matrix(k).solve_preimage(target)
+        sol = self._classes[k].solve(target)
         if sol is None:
             raise AssertionError("cycle class not expressible; basis construction is broken")
-        n_bdry = self.boundary_matrix(k + 1).n_cols if k + 1 <= self.max_degree else 0
-        witness = self.bits_to_chain(k + 1, sol & ((1 << n_bdry) - 1)) if n_bdry else frozenset()
+        n_bdry = self.n_cells(k + 1)
+        witness = self.bits_to_chain(k + 1, sol & ((1 << n_bdry) - 1))
         coeffs = sol >> n_bdry
         # Chain-level verification: chain + sum(reps) = boundary(witness).
         check = set(chain)
@@ -414,7 +394,7 @@ def check_pure(complex_: SimplicialComplex) -> int:
 def _ridge_incidence(complex_: SimplicialComplex, d: int) -> Dict[Simplex, List[Simplex]]:
     incidence: Dict[Simplex, List[Simplex]] = {s: [] for s in complex_.simplices(d - 1)}
     for top in complex_.simplices(d):
-        for f in _chain_boundary(top):
+        for f in facets(top):
             incidence[f].append(top)
     return incidence
 

@@ -1,16 +1,18 @@
 """Exact linear algebra over the two-element field.
 
 Matrices are dense with bit-packed rows: each row is a Python int whose
-bit ``i`` is the entry in column ``i``.  Row operations are single XORs,
-so elimination runs at word speed regardless of matrix width.  Vectors
-use the same encoding.  All arithmetic is exact; there are no tolerances
-anywhere in this package.
+bit ``i`` is the entry in column ``i``.  Vectors use the same encoding.
+All elimination goes through one ``Reduction``: columns are added one at
+a time and reduced against pivots keyed by their lowest set bit, so each
+reduction step is a single XOR at word speed.  The same pass gives the
+rank, a canonical kernel basis and solutions of linear systems.  All
+arithmetic is exact; there are no tolerances anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -24,18 +26,69 @@ def vector_from_bits(bits: Iterable[int]) -> int:
     return v
 
 
-def vector_to_bits(v: int, length: int) -> List[int]:
-    """Unpack a bit-vector int into a list of 0/1 entries."""
-    return [(v >> i) & 1 for i in range(length)]
+def _low(v: int) -> int:
+    """Index of the lowest set bit of a nonzero vector."""
+    return (v & -v).bit_length() - 1
+
+
+class Reduction:
+    """Column reduction over GF(2) with pivots keyed by the lowest set bit.
+
+    Columns are appended one at a time and numbered from zero.  A column
+    independent of the earlier ones is stored, reduced, as a pivot
+    together with the combination of input columns it equals.  A
+    dependent column yields a kernel vector: its own bit plus the
+    independent earlier columns that sum to it.  Every combination is
+    therefore supported on independent columns, which makes the kernel
+    basis and the solutions of ``solve`` unique.
+    """
+
+    def __init__(self, columns: Iterable[int]):
+        self.n_cols = 0
+        self.kernel: List[int] = []
+        self._pivots: Dict[int, Tuple[int, int]] = {}  # low bit -> (reduced column, combination)
+        for col in columns:
+            self.add(col)
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def _reduce(self, v: int) -> Tuple[int, int]:
+        """(residue, combination) with v = residue + the combined columns."""
+        combo = 0
+        while v:
+            pivot = self._pivots.get(_low(v))
+            if pivot is None:
+                break
+            v ^= pivot[0]
+            combo ^= pivot[1]
+        return v, combo
+
+    def add(self, col: int) -> bool:
+        """Append a column; True when it is independent of the earlier ones."""
+        residue, combo = self._reduce(col)
+        combo |= 1 << self.n_cols
+        self.n_cols += 1
+        if residue:
+            self._pivots[_low(residue)] = (residue, combo)
+        else:
+            self.kernel.append(combo)
+        return bool(residue)
+
+    def solve(self, b: int) -> Optional[int]:
+        """The combination of columns summing to ``b``, or None when ``b``
+        is outside their span."""
+        residue, combo = self._reduce(b)
+        return None if residue else combo
 
 
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Immutable matrix over GF(2) with bit-packed rows.
 
-    Reductions never mutate; they return fresh values.  Pivoting is
-    first-nonzero in row order, so every reduction is deterministic
-    given the construction order of the rows.
+    Reductions never mutate; they return fresh values, and they are
+    deterministic given the construction order of the rows and columns.
     """
 
     n_rows: int
@@ -79,23 +132,16 @@ class Gf2Matrix:
         for j, col in enumerate(columns):
             if col >> n_rows:
                 raise InputError("column has bits beyond n_rows")
-            for i in range(n_rows):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
+            while col:
+                rows[_low(col)] |= 1 << j
+                col &= col - 1
         return cls(n_rows, len(columns), tuple(rows))
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def column(self, j: int) -> int:
-        """Column ``j`` as a bit-vector over the rows."""
-        c = 0
-        for i in range(self.n_rows):
-            c |= ((self.rows[i] >> j) & 1) << i
-        return c
-
     def columns(self) -> List[int]:
-        return [self.column(j) for j in range(self.n_cols)]
+        return list(self.transpose().rows)
 
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix.from_columns(list(self.rows), self.n_cols)
@@ -121,8 +167,7 @@ class Gf2Matrix:
             acc = 0
             r = row
             while r:
-                k = (r & -r).bit_length() - 1
-                acc ^= other.rows[k]
+                acc ^= other.rows[_low(r)]
                 r &= r - 1
             out.append(acc)
         return Gf2Matrix(self.n_rows, other.n_cols, tuple(out))
@@ -133,73 +178,29 @@ class Gf2Matrix:
             raise InputError("column counts do not match")
         return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, self.rows + other.rows)
 
-    def _echelon(self) -> tuple:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        work = list(self.rows)
-        pivots = []
-        r = 0
-        for c in range(self.n_cols):
-            pivot = None
-            for i in range(r, len(work)):
-                if (work[i] >> c) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(len(work)):
-                if i != r and ((work[i] >> c) & 1):
-                    work[i] ^= work[r]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        # The row space and the column space have the same dimension.
+        return Reduction(self.rows).rank
 
     def kernel_basis(self) -> List[int]:
-        """Basis of {v : Mv = 0}, one vector per non-pivot column.
+        """Basis of {v : Mv = 0}, one vector per column that depends on
+        the columns before it, in column order.
 
-        Vectors come out in ascending free-column order and are reduced
-        against each other, so the basis is canonical for the matrix.
+        Each vector has its highest bit on that column and its other bits
+        on independent columns, so the basis is canonical for the matrix.
         """
-        work, pivots = self._echelon()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.n_cols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for r, c in enumerate(pivots):
-                if (work[r] >> free) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
+        return Reduction(self.columns()).kernel
 
     def solve_preimage(self, b: int) -> Optional[int]:
         """Some x with Mx = b, or None when b is outside the column space.
 
-        Free variables are set to zero.  The result is re-checked by
-        multiplying back before it is returned.
+        The solution is the unique one supported on independent columns.
+        It is re-checked by multiplying back before it is returned.
         """
         if b >> self.n_rows:
             raise InputError("right-hand side has bits beyond n_rows")
-        # Eliminate on [M | b] with b as one extra column.
-        aug = Gf2Matrix(
-            self.n_rows,
-            self.n_cols + 1,
-            tuple(row | (((b >> i) & 1) << self.n_cols) for i, row in enumerate(self.rows)),
-        )
-        work, pivots = aug._echelon()
-        if self.n_cols in pivots:
-            return None
-        x = 0
-        for r, c in enumerate(pivots):
-            if (work[r] >> self.n_cols) & 1:
-                x |= 1 << c
-        if self.mat_vec(x) != b:
+        x = Reduction(self.columns()).solve(b)
+        if x is not None and self.mat_vec(x) != b:
             raise AssertionError("back-substitution check failed")
         return x
 

@@ -11,16 +11,13 @@ The resulting matching is re-verified from scratch before use.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .complexes import BettiTable, ComplexPair, Simplex
+from .complexes import BettiTable, ComplexPair, Simplex, facets
 from .errors import InputError, MatchingError
 from .gf2 import Gf2Matrix
-
-
-def _facets(simplex: Simplex) -> List[Simplex]:
-    return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,7 @@ class AcyclicMatching:
                 raise MatchingError("matched pair touches the exit subcomplex")
             if low not in cells or high not in cells:
                 raise MatchingError("matched pair uses unknown cells")
-            if low not in _facets(high):
+            if low not in facets(high):
                 raise MatchingError("%r is not a facet of %r" % (low, high))
             if low in used or high in used:
                 raise MatchingError("cell matched twice")
@@ -83,21 +80,18 @@ def _has_cycle(matching: AcyclicMatching) -> bool:
     sub = matching.pair.sub.faces
     arcs: Dict[Simplex, List[Simplex]] = {}
     for low, high in up.items():
-        arcs[low] = [f for f in _facets(high) if f != low and f not in sub and f in up]
-    state: Dict[Simplex, int] = {}
-
-    def visit(node: Simplex) -> bool:
-        state[node] = 1
-        for nxt in arcs.get(node, ()):
-            mark = state.get(nxt)
-            if mark == 1:
-                return True
-            if mark is None and visit(nxt):
-                return True
-        state[node] = 2
-        return False
-
-    return any(state.get(n) is None and visit(n) for n in arcs)
+        arcs[low] = [f for f in facets(high) if f != low and f not in sub and f in up]
+    # Peel facets without incoming arcs; only a cycle survives peeling.
+    incoming = Counter(f for targets in arcs.values() for f in targets)
+    ready = [f for f in arcs if not incoming[f]]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for nxt in arcs[ready.pop()]:
+            incoming[nxt] -= 1
+            if not incoming[nxt]:
+                ready.append(nxt)
+    return peeled < len(arcs)
 
 
 def _cells_in_order(pair: ComplexPair, seed_order) -> List[Simplex]:
@@ -130,10 +124,10 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
     alive = set(order)
     facet_count: Dict[Simplex, int] = {}
     for c in order:
-        facet_count[c] = sum(1 for f in _facets(c) if f and f not in sub)
+        facet_count[c] = sum(1 for f in facets(c) if f and f not in sub)
     cofacets: Dict[Simplex, List[Simplex]] = {c: [] for c in order}
     for c in order:
-        for f in _facets(c):
+        for f in facets(c):
             if f and f not in sub:
                 cofacets[f].append(c)
 
@@ -154,7 +148,7 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
             high = queue.pop(0)
             if high not in alive or facet_count[high] != 1:
                 continue
-            low = next(f for f in _facets(high) if f and f not in sub and f in alive)
+            low = next(f for f in facets(high) if f and f not in sub and f in alive)
             matched.append((low, high))
             alive.discard(high)
             retire(low)
@@ -200,7 +194,7 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     For each critical cell the flow of every facet is accumulated; the
     flow of a facet is its own class when critical, zero when it is
     matched downward, and the combined flow of the sibling facets of its
-    matched cofacet otherwise.  Acyclicity makes the memoized recursion
+    matched cofacet otherwise.  Acyclicity makes the memoized traversal
     finite; a cycle found here means the matching data is corrupt.
     """
     pair = matching.pair
@@ -214,37 +208,48 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
         k: {c: i for i, c in enumerate(by_degree.get(k, ()))} for k in range(max_dim + 1)
     }
     flow_memo: Dict[Simplex, int] = {}
+    # A cell whose sibling flows were requested once and are still
+    # missing when it is met again lies on a gradient path cycle.
+    expanded = set()
 
-    def flow(cell: Simplex, trail: set) -> int:
+    def flow(cell: Simplex) -> int:
         """Bit-vector over critical cells of the same degree."""
-        if cell in flow_memo:
-            return flow_memo[cell]
-        if cell in trail:
-            raise MatchingError("gradient path cycle through %r" % (cell,))
-        k = len(cell) - 1
-        if cell in index[k]:
-            result = 1 << index[k][cell]
-        elif cell in up:
-            trail.add(cell)
-            result = 0
-            for f in _facets(up[cell]):
-                if f != cell and f and f not in sub:
-                    result ^= flow(f, trail)
-            trail.discard(cell)
-        else:
-            # Matched downward: paths entering here die.
-            result = 0
-        flow_memo[cell] = result
-        return result
+        pending = [cell]
+        while pending:
+            top = pending[-1]
+            if top in flow_memo:
+                pending.pop()
+                continue
+            k = len(top) - 1
+            if top in index[k]:
+                result = 1 << index[k][top]
+            elif top in up:
+                siblings = [f for f in facets(up[top]) if f != top and f and f not in sub]
+                missing = [f for f in siblings if f not in flow_memo]
+                if missing:
+                    if top in expanded:
+                        raise MatchingError("gradient path cycle through %r" % (top,))
+                    expanded.add(top)
+                    pending.extend(missing)
+                    continue
+                result = 0
+                for f in siblings:
+                    result ^= flow_memo[f]
+            else:
+                # Matched downward: paths entering here die.
+                result = 0
+            flow_memo[top] = result
+            pending.pop()
+        return flow_memo[cell]
 
     boundaries: Dict[int, Gf2Matrix] = {}
     for k in range(max_dim + 1):
         cols = []
         for cell in by_degree.get(k, ()):
             acc = 0
-            for f in _facets(cell):
+            for f in facets(cell):
                 if f and f not in sub:
-                    acc ^= flow(f, set())
+                    acc ^= flow(f)
             cols.append(acc)
         n_rows = len(by_degree.get(k - 1, ()))
         boundaries[k] = Gf2Matrix.from_columns(cols, n_rows)

@@ -44,7 +44,7 @@ class BoundarySplit:
     negative: SimplicialComplex
 
     def __post_init__(self):
-        boundary = boundary_subcomplex(self.domain)
+        boundary = self.boundary
         for name, region in (("positive", self.positive), ("negative", self.negative)):
             if not region.is_subcomplex_of(boundary):
                 bad = sorted(region.faces - boundary.faces)[0]
@@ -178,7 +178,7 @@ def cone(base: SimplicialComplex) -> SimplicialComplex:
     if len(base) == 0:
         return build_complex([(0,)])
     if not all(isinstance(v, int) for v in base.vertices):
-        raise InputError("cone needs integer vertex labels; relabel_to_integers first")
+        raise InputError("cone needs integer vertex labels; relabel the vertices to integers first")
     apex = max(base.vertices) + 1
     return build_complex([s + (apex,) for s in base.maximal_simplices()])
 

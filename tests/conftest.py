@@ -106,6 +106,26 @@ def largest_independent_subset_size(rows):
     return best
 
 
+def canonical_kernel_by_enumeration(m):
+    """Canonical kernel basis of a small matrix, from all 2^n vectors.
+
+    Column j depends on the columns before it exactly when some kernel
+    vector has its highest bit at j.  For each such j the basis holds the
+    one kernel vector with its highest bit at j and its other bits on
+    independent columns.  Returns (basis, bit mask of the independent
+    columns).  No elimination is involved.
+    """
+    kernel = [v for v in range(1, 1 << m.n_cols) if m.mat_vec(v) == 0]
+    dependent = sorted({v.bit_length() - 1 for v in kernel})
+    independent = sum(1 << j for j in range(m.n_cols) if j not in dependent)
+    basis = []
+    for j in dependent:
+        fits = [v for v in kernel if v.bit_length() - 1 == j and not (v ^ (1 << j)) & ~independent]
+        assert len(fits) == 1
+        basis.append(fits[0])
+    return basis, independent
+
+
 def ridge_incidence(cx):
     """Top-simplex incidence over codimension-1 faces, built from scratch."""
     d = cx.dim

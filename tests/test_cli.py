@@ -8,6 +8,7 @@ from topsym import InputError, betti, builtin_example
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     main,
     parse_space_file,
@@ -116,6 +117,14 @@ class TestCommands:
         path = tmp_path / "bad.json"
         path.write_text('{"name":"x","maximal_simplices":[[0,0]]}')
         assert main(["analyze", str(path)]) == EXIT_INPUT_ERROR
+
+    def test_internal_failure_is_not_a_verdict(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise AssertionError("boundary composition is nonzero in degree 1")
+
+        monkeypatch.setattr("topsym.cli.analyze_action", broken)
+        assert main(["analyze", "reeb_ball_1", "--assert-symmetric"]) == EXIT_INTERNAL_ERROR
+        assert "internal error: AssertionError" in capsys.readouterr().err
 
     def test_analyze_json_structure(self, capsys):
         assert main(["analyze", "brieskorn_2", "--json", "--mod", "2"]) == EXIT_OK

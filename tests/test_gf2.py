@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from conftest import largest_independent_subset_size, rank_by_subset_enumeration
+from conftest import (
+    canonical_kernel_by_enumeration,
+    largest_independent_subset_size,
+    rank_by_subset_enumeration,
+)
 from topsym import Gf2Matrix, InputError, kernel_basis, rank, solve_preimage
 
 
@@ -17,6 +21,20 @@ def hollow_triangle_d1():
             [0, 1, 1],
         ]
     )
+
+
+def random_matrices(seed, count):
+    """Seeded matrices up to 10x10, half of them products of low rank so
+    that kernels of several dimensions occur."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n_rows, n_cols = rng.randint(0, 10), rng.randint(1, 10)
+        m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
+        if i % 2:
+            r = rng.randint(0, 4)
+            a = Gf2Matrix(n_rows, r, tuple(rng.getrandbits(r) for _ in range(n_rows)))
+            m = a.mat_mul(Gf2Matrix(r, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(r))))
+        yield m, rng
 
 
 class TestRank:
@@ -80,6 +98,14 @@ class TestKernel:
             stacked = Gf2Matrix(len(basis), n_cols, tuple(basis))
             assert rank(stacked) == len(basis)
 
+    def test_basis_is_canonical(self):
+        sizes = set()
+        for m, _ in random_matrices(2026, 80):
+            expected, _ = canonical_kernel_by_enumeration(m)
+            assert kernel_basis(m) == expected
+            sizes.add(len(expected))
+        assert max(sizes) >= 5
+
 
 class TestSolvePreimage:
     def test_identity(self):
@@ -109,6 +135,16 @@ class TestSolvePreimage:
             x2 = solve_preimage(m, outside)
             if x2 is not None:
                 assert m.mat_vec(x2) == outside
+
+    def test_solution_is_supported_on_independent_columns(self):
+        for m, rng in random_matrices(1729, 80):
+            _, independent = canonical_kernel_by_enumeration(m)
+            for b in (m.mat_vec(rng.getrandbits(m.n_cols)), rng.getrandbits(m.n_rows)):
+                solutions = [
+                    x for x in range(1 << m.n_cols) if not x & ~independent and m.mat_vec(x) == b
+                ]
+                assert len(solutions) <= 1
+                assert solve_preimage(m, b) == (solutions[0] if solutions else None)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):

@@ -103,6 +103,20 @@ class TestMorseComplex:
         assert all(mat.is_zero() for mat in data.boundaries.values())
 
 
+    def test_gradient_flow_rejects_cyclic_matching(self):
+        # The cyclic matching of the validation test, with a critical
+        # triangle on one of its edges, passed in without validation.
+        cx = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 4)])
+        matched = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
+        used = {x for p in matched for x in p}
+        corrupt = object.__new__(AcyclicMatching)
+        object.__setattr__(corrupt, "pair", ComplexPair.absolute(cx))
+        object.__setattr__(corrupt, "matched", matched)
+        object.__setattr__(corrupt, "critical", tuple(sorted(cx.faces - used, key=lambda s: (len(s), s))))
+        with pytest.raises(MatchingError, match="gradient path cycle"):
+            morse_complex(corrupt)
+
+
 class TestMorseBetti:
     def test_truncated_double_pair_is_all_zero(self):
         pair = corpus_pairs()["disk_half_split_double"]
@@ -117,6 +131,11 @@ class TestMorseBetti:
         torus = full_double(_ring_annulus())
         pair = ComplexPair.absolute(torus)
         assert morse_betti(build_matching(pair)).as_dict() == {0: 1, 1: 2, 2: 1}
+
+    def test_long_circle_needs_no_deep_recursion(self):
+        n = 3000
+        circle = build_complex([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        assert morse_betti(build_matching(ComplexPair.absolute(circle))).as_dict() == {0: 1, 1: 1}
 
     def test_disk_rel_boundary(self):
         assert morse_betti(build_matching(disk_pair_rel_boundary())).as_dict() == {2: 1}
