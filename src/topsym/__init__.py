@@ -28,7 +28,7 @@ from .exactness import (
     les_exactness_check,
     mayer_vietoris_check,
 )
-from .gf2 import Gf2Matrix, kernel_basis, rank, solve_preimage
+from .gf2 import Gf2Matrix
 from .morse import AcyclicMatching, MorseComplexData, build_matching, morse_betti, morse_complex
 from .spaces import (
     BoundarySplit,
@@ -82,15 +82,12 @@ __all__ = [
     "euler_characteristic",
     "full_double",
     "induced_map",
-    "kernel_basis",
     "lefschetz_duality_check",
     "les_exactness_check",
     "mayer_vietoris_check",
     "morse_betti",
     "morse_complex",
-    "rank",
     "roll_up",
-    "solve_preimage",
     "truncated_double",
     "wedge_of_spheres",
 ]

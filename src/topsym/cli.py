@@ -1,10 +1,8 @@
 """Command-line front end: space files in, reports and verdicts out.
 
 Space files are JSON with a name, the maximal simplices, and optional
-closed boundary regions.  When only one region is given the other
-defaults to the closure of its complement in the boundary; when neither
-is given the positive region is empty and the whole boundary is
-negative, which is the convention for a plain complex.
+closed boundary regions.  A missing region is filled in by the rule in
+the ``BoundarySplit`` docstring (``topsym.spaces``).
 
 Exit codes: 0 success, 1 failed --assert-symmetric, 2 input or
 validation error, 3 identity-suite mismatch in ``verify``, 4 internal
@@ -22,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import SimplicialComplex, betti, boundary_subcomplex, build_complex
+from .complexes import SimplicialComplex, betti, build_complex
 from .errors import InputError, MatchingError, PseudomanifoldError
 from .exactness import lefschetz_duality_check, les_exactness_check, mayer_vietoris_check
 from .morse import build_matching, morse_betti
@@ -49,29 +47,11 @@ class SpaceFile:
         return build_complex(self.maximal_simplices)
 
     def split(self) -> BoundarySplit:
-        domain = self.complex()
-        boundary = boundary_subcomplex(domain)
-        positive = _region_complex(self.positive_region)
-        negative = _region_complex(self.negative_region)
-        if positive is None and negative is None:
-            positive = SimplicialComplex.empty()
-            negative = boundary
-        elif negative is None:
-            negative = _complement_closure(boundary, positive)
-        elif positive is None:
-            positive = _complement_closure(boundary, negative)
-        return BoundarySplit(domain, positive, negative)
-
-
-def _region_complex(region) -> Optional[SimplicialComplex]:
-    if region is None:
-        return None
-    return build_complex(region) if region else SimplicialComplex.empty()
-
-
-def _complement_closure(boundary: SimplicialComplex, region: SimplicialComplex) -> SimplicialComplex:
-    rest = [s for s in boundary.faces if s not in region.faces]
-    return SimplicialComplex.from_maximal(rest) if rest else SimplicialComplex.empty()
+        regions = [
+            None if region is None else build_complex(region)
+            for region in (self.positive_region, self.negative_region)
+        ]
+        return BoundarySplit(self.complex(), *regions)
 
 
 def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
@@ -166,9 +146,7 @@ def load_space(locator: str) -> Tuple[str, BoundarySplit]:
     if os.sep in locator or locator.endswith(".json"):
         raise InputError("no such file: %s" % locator)
     obj = builtin_example(locator)
-    if isinstance(obj, BoundarySplit):
-        return locator, obj
-    return locator, BoundarySplit(obj, SimplicialComplex.empty(), boundary_subcomplex(obj))
+    return locator, obj if isinstance(obj, BoundarySplit) else BoundarySplit(obj)
 
 
 # -- report formatting -------------------------------------------------------
@@ -296,15 +274,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_example(args) -> int:
-    obj = builtin_example(args.name)
-    payload = space_file_dict(args.name, obj)
+def _write_space_file(payload: Dict, output: Optional[str]) -> None:
+    """Write to ``output`` when given, else to stdout."""
     text = _dump(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_example(args) -> int:
+    _write_space_file(space_file_dict(args.name, builtin_example(args.name)), args.output)
     return EXIT_OK
 
 
@@ -330,13 +311,7 @@ def cmd_double(args) -> int:
         double.exit_boundary.relabel(mapping),
         double.entry_boundary.relabel(mapping),
     )
-    payload = space_file_dict(name + "_double", glued)
-    text = _dump(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_space_file(space_file_dict(name + "_double", glued), args.output)
     return EXIT_OK
 
 

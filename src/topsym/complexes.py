@@ -42,7 +42,15 @@ def _as_simplex(vertices: Iterable) -> Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices, immutable after construction."""
+    """Face-closed set of simplices, immutable after construction.
+
+    The public constructor ``SimplicialComplex(faces)`` validates its
+    input: every face is a nonempty, strictly ascending tuple and every
+    facet of a face is present.  Complexes derived inside this module
+    (face closures, unions, intersections, induced subcomplexes,
+    relabelings, excisions) are face-closed by construction and are
+    built without the re-check.
+    """
 
     faces: frozenset
 
@@ -58,7 +66,7 @@ class SimplicialComplex:
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
-        return cls(frozenset())
+        return _trusted(frozenset())
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable]) -> "SimplicialComplex":
@@ -68,7 +76,7 @@ class SimplicialComplex:
             s = _as_simplex(m)
             for k in range(1, len(s) + 1):
                 faces.update(itertools.combinations(s, k))
-        return cls(frozenset(faces))
+        return _trusted(frozenset(faces))
 
     @cached_property
     def dim(self) -> int:
@@ -79,9 +87,16 @@ class SimplicialComplex:
     def vertices(self) -> frozenset:
         return frozenset(v for s in self.faces for v in s)
 
+    @cached_property
+    def _by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
+        groups: Dict[int, List[Simplex]] = {}
+        for s in self.faces:
+            groups.setdefault(len(s) - 1, []).append(s)
+        return {k: tuple(sorted(group)) for k, group in groups.items()}
+
     def simplices(self, k: int) -> Tuple[Simplex, ...]:
         """Simplices of dimension ``k`` in sorted order."""
-        return tuple(sorted(s for s in self.faces if len(s) == k + 1))
+        return self._by_degree.get(k, ())
 
     def counts(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -108,20 +123,27 @@ class SimplicialComplex:
         return self.faces <= other.faces
 
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        return SimplicialComplex(self.faces | other.faces)
+        return _trusted(self.faces | other.faces)
 
     def intersection(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        return SimplicialComplex(self.faces & other.faces)
+        return _trusted(self.faces & other.faces)
 
     def induced_on(self, vertex_set) -> "SimplicialComplex":
         """Subcomplex of faces whose vertices all lie in ``vertex_set``."""
         vs = frozenset(vertex_set)
-        return SimplicialComplex(frozenset(s for s in self.faces if vs.issuperset(s)))
+        return _trusted(frozenset(s for s in self.faces if vs.issuperset(s)))
 
     def relabel(self, mapping) -> "SimplicialComplex":
         """Apply a vertex relabeling; ``mapping`` is a dict or callable."""
         get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        return SimplicialComplex(frozenset(_as_simplex(get(v) for v in s) for s in self.faces))
+        return _trusted(frozenset(_as_simplex(get(v) for v in s) for s in self.faces))
+
+
+def _trusted(faces: frozenset) -> SimplicialComplex:
+    """A complex from faces known to be face-closed, without the check."""
+    complex_ = object.__new__(SimplicialComplex)
+    object.__setattr__(complex_, "faces", faces)
+    return complex_
 
 
 def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
@@ -474,6 +496,6 @@ def excise(pair: ComplexPair, simplex: Simplex) -> ComplexPair:
         offender = sorted(star - pair.sub.faces)[0]
         raise InputError("open star leaves the subcomplex at %r" % (offender,))
     return ComplexPair(
-        SimplicialComplex(pair.ambient.faces - star),
-        SimplicialComplex(pair.sub.faces - star),
+        _trusted(pair.ambient.faces - star),
+        _trusted(pair.sub.faces - star),
     )

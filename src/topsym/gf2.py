@@ -209,18 +209,3 @@ class Gf2Matrix:
         for i in range(self.n_rows):
             lines.append("".join(str(self.entry(i, j)) for j in range(self.n_cols)))
         return "\n".join(lines) if lines else "(empty %dx%d)" % (self.n_rows, self.n_cols)
-
-
-def rank(m: Gf2Matrix) -> int:
-    """GF(2) row rank of ``m``."""
-    return m.rank()
-
-
-def kernel_basis(m: Gf2Matrix) -> List[int]:
-    """Canonical basis of the right kernel of ``m``."""
-    return m.kernel_basis()
-
-
-def solve_preimage(m: Gf2Matrix, b: int) -> Optional[int]:
-    """Some solution of Mx = b, or None when none exists."""
-    return m.solve_preimage(b)

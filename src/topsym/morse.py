@@ -11,7 +11,7 @@ The resulting matching is re-verified from scratch before use.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -48,14 +48,6 @@ class AcyclicMatching:
             raise MatchingError("critical cells do not match the unmatched cells")
         if _has_cycle(self):
             raise MatchingError("reversed Hasse digraph has a cycle")
-
-    def partner(self) -> Dict[Simplex, Simplex]:
-        """Map each matched cell to its partner (both directions)."""
-        out: Dict[Simplex, Simplex] = {}
-        for low, high in self.matched:
-            out[low] = high
-            out[high] = low
-        return out
 
     def matched_up(self) -> Dict[Simplex, Simplex]:
         """Facet -> cofacet direction of the matching."""
@@ -119,7 +111,6 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
     matching is validated against all invariants before use.
     """
     order = _cells_in_order(pair, seed_order)
-    position = {c: i for i, c in enumerate(order)}
     sub = pair.sub.faces
     alive = set(order)
     facet_count: Dict[Simplex, int] = {}
@@ -133,7 +124,7 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
 
     matched: List[Tuple[Simplex, Simplex]] = []
     critical: List[Simplex] = []
-    queue = [c for c in order if facet_count[c] == 1]
+    queue = deque(c for c in order if facet_count[c] == 1)
 
     def retire(cell: Simplex):
         alive.discard(cell)
@@ -143,9 +134,14 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
                 if facet_count[up] == 1:
                     queue.append(up)
 
+    # Critical candidates by dimension, then by position in ``order``
+    # (the sort is stable).  Retired cells never revive, so one pointer
+    # walks this list once.
+    by_rank = sorted(order, key=len)
+    next_critical = 0
     while alive:
         while queue:
-            high = queue.pop(0)
+            high = queue.popleft()
             if high not in alive or facet_count[high] != 1:
                 continue
             low = next(f for f in facets(high) if f and f not in sub and f in alive)
@@ -157,7 +153,9 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
             break
         # No free pair: retire the earliest remaining cell of lowest
         # dimension as critical; this unlocks its cofacets.
-        cell = min(alive, key=lambda c: (len(c), position[c]))
+        while by_rank[next_critical] not in alive:
+            next_critical += 1
+        cell = by_rank[next_critical]
         critical.append(cell)
         retire(cell)
 
@@ -199,7 +197,6 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     """
     pair = matching.pair
     up = matching.matched_up()
-    partner = matching.partner()
     sub = pair.sub.faces
     by_degree = matching.critical_by_degree()
     max_dim = pair.ambient.dim

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .complexes import (
     ComplexPair,
@@ -37,14 +37,28 @@ class BoundarySplit:
     ``positive`` and ``negative`` are the closures of the regions where
     the action's contact Hamiltonian is positive resp. negative; their
     intersection is the interface.  Either region may be empty.
+
+    A region left out (None) is filled in from the domain's boundary:
+    when one region is given, the other is the closure of its complement
+    in the boundary; when neither is given, the positive region is empty
+    and the whole boundary is negative.  That is the convention for a
+    plain complex, and what the Reeb flow on a sphere induces on its
+    filling ball.  Space files and catalog entries follow this rule.
     """
 
     domain: SimplicialComplex
-    positive: SimplicialComplex
-    negative: SimplicialComplex
+    positive: Optional[SimplicialComplex] = None
+    negative: Optional[SimplicialComplex] = None
 
     def __post_init__(self):
         boundary = self.boundary
+        if self.positive is None and self.negative is None:
+            object.__setattr__(self, "positive", SimplicialComplex.empty())
+            object.__setattr__(self, "negative", boundary)
+        elif self.negative is None:
+            object.__setattr__(self, "negative", build_complex(boundary.faces - self.positive.faces))
+        elif self.positive is None:
+            object.__setattr__(self, "positive", build_complex(boundary.faces - self.negative.faces))
         for name, region in (("positive", self.positive), ("negative", self.negative)):
             if not region.is_subcomplex_of(boundary):
                 bad = sorted(region.faces - boundary.faces)[0]
@@ -250,11 +264,6 @@ def _circle() -> SimplicialComplex:
     return build_complex([(0, 1), (1, 2), (0, 2)])
 
 
-def _full_boundary_split(domain: SimplicialComplex) -> BoundarySplit:
-    """Split with empty positive region: the boundary is all negative."""
-    return BoundarySplit(domain, SimplicialComplex.empty(), boundary_subcomplex(domain))
-
-
 def _disk_half_split() -> BoundarySplit:
     disk = _hexagon_disk()
     positive = build_complex([(0, 1), (1, 2), (2, 3)])
@@ -319,14 +328,12 @@ def builtin_example(name: str) -> Union[SimplicialComplex, BoundarySplit]:
             n = int(parts[2])
             if n < 1:
                 raise InputError("reeb_ball_n needs n >= 1")
-            return _full_boundary_split(cone(cross_polytope_sphere(2 * n - 1)))
+            return BoundarySplit(cone(cross_polytope_sphere(2 * n - 1)))
         if parts[0] == "brieskorn" and len(parts) == 2:
             n = int(parts[1])
             if n < 2:
                 raise InputError("brieskorn_n needs n >= 2")
-            return BoundarySplit(
-                wedge_of_spheres(n, 2 ** n), SimplicialComplex.empty(), SimplicialComplex.empty()
-            )
+            return BoundarySplit(wedge_of_spheres(n, 2 ** n))  # closed: both regions empty
     except ValueError:
         pass
     raise InputError(

@@ -171,10 +171,12 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
     factor2_total = betti(double.exit_pair())
     rolled = None
     if min_chern is not None:
+        positive_rolled = roll_up(positive_table, min_chern)
+        negative_rolled = roll_up(negative_table, min_chern)
         rolled = RolledVerdicts(
             2 * min_chern,
-            (roll_up(positive_table, min_chern), check_symmetry_rolled(roll_up(positive_table, min_chern))),
-            (roll_up(negative_table, min_chern), check_symmetry_rolled(roll_up(negative_table, min_chern))),
+            (positive_rolled, check_symmetry_rolled(positive_rolled)),
+            (negative_rolled, check_symmetry_rolled(negative_rolled)),
         )
     return ActionReport(
         name=name,

@@ -20,6 +20,7 @@ from topsym import (
     full_double,
 )
 from topsym.complexes import excise
+from topsym.spaces import catalog_splits, truncated_double
 
 
 def table(pair, flavor="relative"):
@@ -48,6 +49,76 @@ class TestBuildComplex:
 
     def test_unsorted_input_is_normalized(self):
         assert build_complex([(2, 0, 1)]) == build_complex([(0, 1, 2)])
+
+
+class TestFaceValidation:
+    """``SimplicialComplex(faces)`` is the entry point for face sets from
+    outside the package and checks all of them."""
+
+    def test_missing_facet_rejected(self):
+        with pytest.raises(InputError, match="not face-closed"):
+            SimplicialComplex(frozenset({(0,), (0, 1)}))
+
+    @pytest.mark.parametrize("face", [(1, 0), (0, 0)])
+    def test_face_not_strictly_ascending_rejected(self, face):
+        with pytest.raises(InputError, match="strictly ascending"):
+            SimplicialComplex(frozenset({(0,), (1,), face}))
+
+    @pytest.mark.parametrize("face", [(), 0, "01", frozenset({0})])
+    def test_empty_or_non_tuple_face_rejected(self, face):
+        with pytest.raises(InputError, match="nonempty vertex tuples"):
+            SimplicialComplex(frozenset({(0,), face}))
+
+
+def derived_complexes():
+    """Every complex the package derives from the corpus pairs and the
+    catalog splits, by name."""
+    out = {}
+    for name, pair in corpus_pairs().items():
+        ambient, sub = pair.ambient, pair.sub
+        verts = sorted(ambient.vertices, key=repr)
+        out[name + "/union"] = ambient.union(sub)
+        out[name + "/intersection"] = ambient.intersection(sub)
+        out[name + "/induced"] = ambient.induced_on(verts[::2])
+        out[name + "/relabel"] = ambient.relabel(lambda v: (len(verts) - verts.index(v),))
+        out[name + "/relabel_sub"] = sub.relabel({v: i for i, v in enumerate(reversed(verts))})
+        try:
+            out[name + "/boundary"] = boundary_subcomplex(ambient)
+        except PseudomanifoldError:
+            pass
+        for simplex in sorted(sub.faces):
+            try:
+                smaller = excise(pair, simplex)
+            except InputError:
+                continue
+            out[name + "/excise_ambient%r" % (simplex,)] = smaller.ambient
+            out[name + "/excise_sub%r" % (simplex,)] = smaller.sub
+    for name, split in catalog_splits().items():
+        out[name + "/split_boundary"] = split.boundary
+        out[name + "/positive"] = split.positive
+        out[name + "/negative"] = split.negative
+        out[name + "/interface"] = split.interface
+        double = truncated_double(split)
+        for part in (
+            "total", "copy_a", "copy_b", "exit_a", "exit_b", "entry_a", "entry_b",
+            "interface_image", "exit_boundary", "entry_boundary",
+        ):
+            out[name + "/double." + part] = getattr(double, part)
+    return out
+
+
+class TestDerivedComplexes:
+    def test_every_derived_complex_passes_validation(self):
+        derived = derived_complexes()
+        assert len(derived) > 100
+        for name, cx in derived.items():
+            assert SimplicialComplex(cx.faces) == cx, name
+
+    def test_simplices_by_degree_match_a_rescan(self):
+        for name, cx in derived_complexes().items():
+            for k in range(-1, cx.dim + 2):
+                rescan = tuple(sorted(s for s in cx.faces if len(s) == k + 1))
+                assert cx.simplices(k) == rescan, (name, k)
 
 
 class TestChainComplex:

@@ -9,7 +9,7 @@ from conftest import (
     largest_independent_subset_size,
     rank_by_subset_enumeration,
 )
-from topsym import Gf2Matrix, InputError, kernel_basis, rank, solve_preimage
+from topsym import Gf2Matrix, InputError
 
 
 def hollow_triangle_d1():
@@ -39,14 +39,14 @@ def random_matrices(seed, count):
 
 class TestRank:
     def test_identity(self):
-        assert rank(Gf2Matrix.identity(3)) == 3
+        assert Gf2Matrix.identity(3).rank() == 3
 
     def test_zero(self):
-        assert rank(Gf2Matrix.zero(4, 7)) == 0
+        assert Gf2Matrix.zero(4, 7).rank() == 0
 
     def test_hollow_triangle_boundary(self):
         m = hollow_triangle_d1()
-        assert rank(m) == rank_by_subset_enumeration(list(m.rows), m.n_cols) == 2
+        assert m.rank() == rank_by_subset_enumeration(list(m.rows), m.n_cols) == 2
 
     def test_matches_literal_subset_search_small(self):
         rng = random.Random(7)
@@ -54,7 +54,7 @@ class TestRank:
             n_rows, n_cols = rng.randint(0, 5), rng.randint(1, 6)
             rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
             m = Gf2Matrix(n_rows, n_cols, tuple(rows))
-            assert rank(m) == largest_independent_subset_size(rows)
+            assert m.rank() == largest_independent_subset_size(rows)
 
     def test_matches_enumeration_random(self):
         rng = random.Random(20260810)
@@ -62,47 +62,47 @@ class TestRank:
             n_rows, n_cols = rng.randint(0, 12), rng.randint(1, 12)
             rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
             m = Gf2Matrix(n_rows, n_cols, tuple(rows))
-            assert rank(m) == rank_by_subset_enumeration(rows, n_cols)
+            assert m.rank() == rank_by_subset_enumeration(rows, n_cols)
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(99)
         for _ in range(50):
             n_rows, n_cols = rng.randint(0, 10), rng.randint(0, 10)
             m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
-            assert rank(m) == rank(m.transpose())
+            assert m.rank() == m.transpose().rank()
 
 
 class TestKernel:
     def test_identity_trivial_kernel(self):
-        assert kernel_basis(Gf2Matrix.identity(2)) == []
+        assert Gf2Matrix.identity(2).kernel_basis() == []
 
     def test_rank_one_row(self):
-        assert kernel_basis(Gf2Matrix.from_rows([[1, 1]])) == [0b11]
+        assert Gf2Matrix.from_rows([[1, 1]]).kernel_basis() == [0b11]
 
     def test_hollow_triangle_kernel_by_enumeration(self):
         m = hollow_triangle_d1()
         # Brute force: the chains killed by the boundary map.
         killed = [v for v in range(8) if m.mat_vec(v) == 0]
         assert killed == [0, 0b111]  # zero and the sum of all three edges
-        assert kernel_basis(m) == [0b111]
+        assert m.kernel_basis() == [0b111]
 
     def test_kernel_vectors_are_solutions_and_independent(self):
         rng = random.Random(5)
         for _ in range(40):
             n_rows, n_cols = rng.randint(0, 9), rng.randint(1, 9)
             m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
-            basis = kernel_basis(m)
-            assert len(basis) == n_cols - rank(m)
+            basis = m.kernel_basis()
+            assert len(basis) == n_cols - m.rank()
             for v in basis:
                 assert m.mat_vec(v) == 0
             stacked = Gf2Matrix(len(basis), n_cols, tuple(basis))
-            assert rank(stacked) == len(basis)
+            assert stacked.rank() == len(basis)
 
     def test_basis_is_canonical(self):
         sizes = set()
         for m, _ in random_matrices(2026, 80):
             expected, _ = canonical_kernel_by_enumeration(m)
-            assert kernel_basis(m) == expected
+            assert m.kernel_basis() == expected
             sizes.add(len(expected))
         assert max(sizes) >= 5
 
@@ -110,16 +110,16 @@ class TestKernel:
 class TestSolvePreimage:
     def test_identity(self):
         m = Gf2Matrix.identity(4)
-        assert solve_preimage(m, 0b1010) == 0b1010
+        assert m.solve_preimage(0b1010) == 0b1010
 
     def test_zero_matrix_unsolvable(self):
-        assert solve_preimage(Gf2Matrix.zero(3, 2), 0b001) is None
+        assert Gf2Matrix.zero(3, 2).solve_preimage(0b001) is None
 
     def test_hollow_triangle_path_by_enumeration(self):
         m = hollow_triangle_d1()
         target = 0b011  # vertex 0 plus vertex 1
         solutions = {v for v in range(8) if m.mat_vec(v) == target}
-        got = solve_preimage(m, target)
+        got = m.solve_preimage(target)
         assert got in solutions
         assert m.mat_vec(got) == target
 
@@ -129,10 +129,10 @@ class TestSolvePreimage:
             n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
             m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
             b = m.mat_vec(rng.getrandbits(n_cols))  # guaranteed solvable
-            x = solve_preimage(m, b)
+            x = m.solve_preimage(b)
             assert x is not None and m.mat_vec(x) == b
             outside = rng.getrandbits(n_rows)
-            x2 = solve_preimage(m, outside)
+            x2 = m.solve_preimage(outside)
             if x2 is not None:
                 assert m.mat_vec(x2) == outside
 
@@ -144,11 +144,11 @@ class TestSolvePreimage:
                     x for x in range(1 << m.n_cols) if not x & ~independent and m.mat_vec(x) == b
                 ]
                 assert len(solutions) <= 1
-                assert solve_preimage(m, b) == (solutions[0] if solutions else None)
+                assert m.solve_preimage(b) == (solutions[0] if solutions else None)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            solve_preimage(Gf2Matrix.identity(2), 0b100)
+            Gf2Matrix.identity(2).solve_preimage(0b100)
 
 
 class TestMatrixBasics:

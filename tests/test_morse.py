@@ -31,6 +31,14 @@ class TestBuildMatching:
         assert len(m.critical[0]) == 3  # a 2-cell
         assert morse_betti(m).as_dict() == {2: 1}
 
+    def test_critical_cell_is_lowest_dimension_then_earliest_in_order(self):
+        # Edges come first in the order, so only the dimension rule makes
+        # the vertex (2,) the first critical cell.
+        order = [(1, 2), (0, 1), (0, 2), (2,), (0,), (1,)]
+        m = build_matching(ComplexPair.absolute(hollow_triangle()), order)
+        assert m.critical == ((2,), (0, 1))
+        assert m.matched == frozenset({((1,), (1, 2)), ((0,), (0, 2))})
+
     def test_validation_rejects_exit_cells(self):
         pair = disk_pair_rel_boundary()
         with pytest.raises(MatchingError):

@@ -210,6 +210,19 @@ class TestSplitInvariants:
         with pytest.raises(InputError):
             BoundarySplit(disk, build_complex([(0, 1)]), build_complex([(1, 2)]))
 
+    def test_missing_region_is_the_closure_of_the_complement(self):
+        # Every catalog split has regions that meet only in the interface,
+        # so either region alone determines the split.
+        for name, split in catalog_splits().items():
+            assert BoundarySplit(split.domain, positive=split.positive) == split, name
+            assert BoundarySplit(split.domain, negative=split.negative) == split, name
+
+    def test_no_region_makes_the_whole_boundary_negative(self):
+        disk = cone(hollow_triangle())
+        split = BoundarySplit(disk)
+        assert len(split.positive) == 0
+        assert split.negative == boundary_subcomplex(disk)
+
 
 class TestRelabelingInvariance:
     def test_split_tables_survive_vertex_permutation(self):
