@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import SimplicialComplex, betti, build_complex
@@ -140,8 +141,12 @@ def _dump(payload: Dict) -> str:
 def load_space(locator: str) -> Tuple[str, BoundarySplit]:
     """Resolve a catalog name or a space-file path to a named split."""
     if os.path.exists(locator):
-        with open(locator, "rb") as handle:
-            space = _decode_space_file(handle.read())
+        try:
+            with open(locator, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise InputError("cannot read %s: %s" % (locator, exc.strerror)) from exc
+        space = _decode_space_file(data)
         return space.name, space.split()
     if os.sep in locator or locator.endswith(".json"):
         raise InputError("no such file: %s" % locator)
@@ -278,8 +283,11 @@ def _write_space_file(payload: Dict, output: Optional[str]) -> None:
     """Write to ``output`` when given, else to stdout."""
     text = _dump(payload)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (output, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
 
@@ -315,7 +323,10 @@ def cmd_double(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="topsym",
         description="Symmetry verdicts and homological identity checks for "

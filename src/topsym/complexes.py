@@ -257,13 +257,7 @@ class HomologyBasis:
         self.augmented = augmented
         self.min_degree = -1 if augmented else 0
         self.max_degree = pair.ambient.dim
-        self._cells: Dict[int, Tuple[Simplex, ...]] = {}
-        self._index: Dict[int, Dict[Simplex, int]] = {}
-        for k in range(self.min_degree, self.max_degree + 1):
-            cells = (EMPTY_SIMPLEX,) if k == -1 else pair.cells(k)
-            self._cells[k] = cells
-            self._index[k] = {s: i for i, s in enumerate(cells)}
-        self._boundary: Dict[int, Gf2Matrix] = {}
+        self._cells, self._index, self._columns = _chain_columns(pair, augmented)
         self._reps: Dict[int, List[Chain]] = {}
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.
@@ -298,22 +292,12 @@ class HomologyBasis:
 
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Map from degree-k cells to degree-(k-1) cells."""
-        if k not in self._boundary:
-            columns = []
-            for s in self.cells(k):
-                chain = boundary_chain((s,), self.pair.sub.faces, self.augmented)
-                columns.append(self.chain_to_bits(k - 1, chain))
-            self._boundary[k] = Gf2Matrix.from_columns(columns, self.n_cells(k - 1))
-        return self._boundary[k]
+        return Gf2Matrix.from_columns(self._columns.get(k, []), self.n_cells(k - 1))
 
     def _build(self):
         upper = Reduction(())  # nothing above the top degree
         for k in reversed(self.degrees()):
-            mat = self.boundary_matrix(k)
-            # A nonzero map has a target above the lowest degree.
-            if not mat.is_zero() and not self.boundary_matrix(k - 1).mat_mul(mat).is_zero():
-                raise AssertionError("boundary composition is nonzero in degree %d" % k)
-            lower = Reduction(mat.columns())
+            lower = Reduction(self._columns[k])
             reps = []
             for cycle in lower.kernel:
                 if upper.solve(cycle) is None:
@@ -369,15 +353,79 @@ class HomologyBasis:
         return coeffs, witness
 
 
+def _boundary_columns(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], drop: frozenset, k: int) -> List[int]:
+    """Boundary of each degree-k cell as a bit-vector over the cells one
+    degree down, numbered by ``below``.
+
+    Facets in the subcomplex ``drop`` are left out, and so is the empty
+    simplex unless it is a cell (reduced homology).  Any other facet
+    that is not a cell is an input error.
+    """
+    columns = []
+    for s in cells:
+        col = 0
+        for f in facets(s):
+            i = below.get(f)
+            if i is not None:
+                col |= 1 << i
+            elif f and f not in drop:
+                raise InputError("chain contains %r, not a degree-%d cell here" % (f, k - 1))
+        columns.append(col)
+    return columns
+
+
+def _chain_columns(
+    pair: ComplexPair, augmented: bool
+) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, Dict[Simplex, int]], Dict[int, List[int]]]:
+    """Cells, cell indexes and boundary columns by degree, with the
+    composition of consecutive boundary maps checked to vanish.
+
+    Degrees run from -1 (the empty simplex, reduced homology only) or 0
+    up to the ambient dimension, and the cells of each degree are
+    sorted.  Column j of degree k is the boundary of the j-th k-cell.
+    """
+    top = pair.ambient.dim
+    cells = {k: (EMPTY_SIMPLEX,) if k == -1 else pair.cells(k) for k in range(-1 if augmented else 0, top + 1)}
+    index = {k: {s: i for i, s in enumerate(group)} for k, group in cells.items()}
+    columns: Dict[int, List[int]] = {}
+    for k in reversed(cells):
+        lower = columns[k] = _boundary_columns(cells[k], index.get(k - 1, {}), pair.sub.faces, k)
+        # Each column of degree k+1 selects the degree-k columns that must cancel.
+        for col in columns.get(k + 1, ()):
+            acc = 0
+            while col:
+                low = col & -col
+                acc ^= lower[low.bit_length() - 1]
+                col ^= low
+            if acc:
+                raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
+    return cells, index, columns
+
+
 def chain_complex(pair: ComplexPair) -> List[Gf2Matrix]:
     """Relative boundary matrices, degree 0 (a 0-row map) up to top degree."""
-    basis = HomologyBasis(pair)
-    return [basis.boundary_matrix(k) for k in basis.degrees()]
+    cells, _, columns = _chain_columns(pair, False)
+    return [Gf2Matrix.from_columns(columns[k], len(cells.get(k - 1, ()))) for k in sorted(columns)]
 
 
 @lru_cache(maxsize=512)
 def _betti_cached(pair: ComplexPair, augmented: bool) -> BettiTable:
-    return HomologyBasis(pair, augmented=augmented).betti()
+    """Betti numbers from ranks alone: dim H_k = n_k - rank d_k - rank d_{k+1}.
+
+    The degrees are reduced from the top down, with clearing: a reduced
+    column of d_{k+1} whose lowest bit is row i is a cycle equal to cell
+    i plus higher cells, so the boundary of cell i lies in the span of
+    the higher columns of d_k, and column i is skipped.
+    """
+    cells, _, columns = _chain_columns(pair, augmented)
+    dims: Dict[int, int] = {}
+    upper = Reduction(())  # nothing above the top degree
+    for k in reversed(cells):
+        cleared = upper.pivot_rows
+        lower = Reduction(col for i, col in enumerate(columns[k]) if i not in cleared)
+        dims[k] = len(cells[k]) - lower.rank - upper.rank
+        upper = lower
+    return BettiTable.from_dict("reduced" if augmented else "relative", dims)
 
 
 def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
@@ -385,8 +433,9 @@ def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
 
     ``relative`` with an empty subcomplex coincides with ``absolute``;
     ``reduced`` appends the augmentation row and requires an empty
-    subcomplex.  Everything involved is immutable, so equal pairs share
-    one cached computation.
+    subcomplex.  Only ranks are taken; ``HomologyBasis`` gives
+    representatives.  Everything involved is immutable, so equal pairs
+    share one cached computation.
     """
     if flavor not in ("absolute", "relative", "reduced"):
         raise InputError("unknown flavor %r" % (flavor,))
@@ -465,6 +514,20 @@ def is_strongly_connected(complex_: SimplicialComplex) -> bool:
     return len(seen) == len(tops)
 
 
+def check_strongly_connected(complex_: SimplicialComplex) -> int:
+    """Dimension of a nonempty, strongly connected complex, else an error.
+
+    On a complex whose boundary has been extracted (purity and ridge
+    incidence at most two, as for the domain of a ``BoundarySplit``)
+    this completes the pseudomanifold check.
+    """
+    if len(complex_) == 0:
+        raise PseudomanifoldError("empty complex")
+    if not is_strongly_connected(complex_):
+        raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")
+    return complex_.dim
+
+
 def check_pseudomanifold(complex_: SimplicialComplex) -> int:
     """Full pseudomanifold check: pure, ridge incidence <= 2, strongly connected.
 
@@ -472,13 +535,8 @@ def check_pseudomanifold(complex_: SimplicialComplex) -> int:
     complexes passing this; boundary extraction needs only the first two
     conditions.
     """
-    if len(complex_) == 0:
-        raise PseudomanifoldError("empty complex")
-    d = check_pure(complex_)
     boundary_subcomplex(complex_)  # purity + incidence
-    if not is_strongly_connected(complex_):
-        raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")
-    return d
+    return check_strongly_connected(complex_)
 
 
 def excise(pair: ComplexPair, simplex: Simplex) -> ComplexPair:

@@ -21,7 +21,7 @@ from .complexes import (
     SimplicialComplex,
     betti,
     boundary_chain,
-    check_pseudomanifold,
+    check_strongly_connected,
 )
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -246,7 +246,9 @@ def lefschetz_duality_check(split: BoundarySplit) -> DualityReport:
     strongly connected) for the assertion to be meaningful, and anything
     else is rejected.
     """
-    d = check_pseudomanifold(split.domain)
+    # Building the split extracted its boundary, which checked purity
+    # and ridge incidence.
+    d = check_strongly_connected(split.domain)
     return DualityReport(
         d,
         betti(split.negative_pair()),

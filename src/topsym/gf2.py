@@ -54,6 +54,11 @@ class Reduction:
     def rank(self) -> int:
         return len(self._pivots)
 
+    @property
+    def pivot_rows(self):
+        """The lowest set bits of the stored reduced columns, one per pivot."""
+        return self._pivots.keys()
+
     def _reduce(self, v: int) -> Tuple[int, int]:
         """(residue, combination) with v = residue + the combined columns."""
         combo = 0

@@ -118,6 +118,16 @@ class TestCommands:
         path.write_text('{"name":"x","maximal_simplices":[[0,0]]}')
         assert main(["analyze", str(path)]) == EXIT_INPUT_ERROR
 
+    def test_directory_as_space_file_is_input_error(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["double", "circle", "-o", str(target)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not target.exists()
+
     def test_internal_failure_is_not_a_verdict(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise AssertionError("boundary composition is nonzero in degree 1")

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_pairs, hollow_triangle
 from topsym import (
     ComplexPair,
+    HomologyBasis,
     InputError,
     PseudomanifoldError,
     SimplicialComplex,
@@ -19,7 +22,9 @@ from topsym import (
     euler_characteristic,
     full_double,
 )
+from topsym import complexes
 from topsym.complexes import excise
+from topsym.morse import build_matching, morse_betti
 from topsym.spaces import catalog_splits, truncated_double
 
 
@@ -190,6 +195,85 @@ class TestBetti:
     def test_reduced_drops_one_component(self):
         two = build_complex([(0,), (1,)])
         assert table(ComplexPair.absolute(two), "reduced") == {0: 1}
+
+
+def reduced_from_absolute(table):
+    """Reduced dims from absolute ones: one component less, or the empty simplex."""
+    dims = table.as_dict()
+    if not dims:
+        return {-1: 1}
+    dims[0] -= 1
+    return {k: d for k, d in dims.items() if d}
+
+
+@st.composite
+def random_pairs(draw):
+    simplex = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
+    ambient = build_complex(draw(st.lists(simplex, min_size=1, max_size=7)))
+    chosen = draw(st.lists(st.sampled_from(sorted(ambient.faces)), max_size=4))
+    return ComplexPair(ambient, build_complex(chosen))
+
+
+class TestRankPass:
+    """``betti`` takes ranks with clearing; ``HomologyBasis`` builds
+    representatives.  Both read the same boundary columns."""
+
+    def check_against_bases_and_morse(self, pair, label):
+        table = betti(pair)
+        assert table.same_dims(HomologyBasis(pair).betti()), label
+        assert table.same_dims(morse_betti(build_matching(pair))), label
+        if len(pair.sub) == 0:
+            reduced = betti(pair, "reduced")
+            assert reduced == HomologyBasis(pair, augmented=True).betti(), label
+            assert reduced.as_dict() == reduced_from_absolute(table), label
+
+    def test_corpus_pairs_agree(self):
+        for name, pair in corpus_pairs().items():
+            self.check_against_bases_and_morse(pair, name)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_pairs_agree(self, pair):
+        self.check_against_bases_and_morse(pair, sorted(pair.ambient.faces))
+
+    def test_betti_builds_no_homology_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("betti built a HomologyBasis")
+
+        monkeypatch.setattr(HomologyBasis, "__init__", refuse)
+        complexes._betti_cached.cache_clear()
+        for pair in corpus_pairs().values():
+            betti(pair)
+            if len(pair.sub) == 0:
+                betti(pair, "reduced")
+
+    def test_missing_cell_is_an_input_error_on_both_paths(self):
+        # Derived complexes skip the face-closure check; the columns keep it.
+        broken = complexes._trusted(frozenset({(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)}))
+        pair = ComplexPair.absolute(broken)
+        message = r"chain contains \(0, 2\), not a degree-1 cell here"
+        with pytest.raises(InputError, match=message):
+            betti(pair)
+        with pytest.raises(InputError, match=message):
+            HomologyBasis(pair)
+
+    def test_corrupt_column_fails_the_composition_check_on_both_paths(self, monkeypatch):
+        build = complexes._boundary_columns
+
+        def corrupt(cells, below, drop, k):
+            columns = build(cells, below, drop, k)
+            if k == 2:
+                columns[0] ^= 1 << (len(below) - 1)  # one edge too many or too few
+            return columns
+
+        monkeypatch.setattr(complexes, "_boundary_columns", corrupt)
+        complexes._betti_cached.cache_clear()
+        pair = ComplexPair.absolute(build_complex([(0, 1, 2), (1, 2, 3)]))
+        message = "boundary composition is nonzero in degree 2"
+        with pytest.raises(AssertionError, match=message):
+            betti(pair)
+        with pytest.raises(AssertionError, match=message):
+            HomologyBasis(pair)
 
 
 class TestBoundarySubcomplex:

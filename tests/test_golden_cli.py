@@ -1,0 +1,52 @@
+"""Committed command-line answers: exit code and standard output.
+
+``golden_cli.json`` holds, for every case below, what ``topsym.cli.main``
+printed and returned when the file was written.  A change that must not
+alter any answer keeps this test green; a change meant to alter an
+answer rewrites the file and shows the difference in review:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from conftest import CORPUS_COMPLEX_NAMES
+from topsym.cli import main
+from topsym.spaces import catalog_splits
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def cases():
+    out = []
+    for name in catalog_splits():
+        out += [["analyze", name, "--json"], ["analyze", name, "--mod", "2", "--json"], ["verify", name, "--json"]]
+    out += [["analyze", name, "--json"] for name in CORPUS_COMPLEX_NAMES]
+    return out
+
+
+def run(argv):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": buffer.getvalue()}
+
+
+@lru_cache(maxsize=None)
+def golden():
+    return {" ".join(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_answer_is_unchanged(argv):
+    assert run(argv) == golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([run(argv) for argv in cases()], indent=1) + "\n", encoding="utf-8")
