@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import SimplicialComplex, betti, build_complex
-from .errors import InputError, MatchingError, PseudomanifoldError
-from .exactness import lefschetz_duality_check, les_exactness_check, mayer_vietoris_check
+from .complexes import SimplicialComplex, betti, build_complex, check_face_count
+from .errors import InputError, MatchingError
+from .exactness import les_exactness_check, mayer_vietoris_check
 from .morse import build_matching, morse_betti
-from .spaces import BoundarySplit, builtin_example, truncated_double
+from .spaces import BoundarySplit, builtin_example
 from .symmetry import ActionReport, SymmetryVerdict, analyze_action
 
 EXIT_OK = 0
@@ -63,6 +63,7 @@ def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
         isinstance(s, list) and s and all(is_vertex(v) for v in s) for s in raw
     ):
         raise InputError("%s must be a list of nonempty integer lists" % label)
+    check_face_count(sum(2 ** len(s) - 1 for s in raw), label)
     return tuple(tuple(s) for s in raw)
 
 
@@ -189,9 +190,9 @@ def report_json(report: ActionReport) -> Dict:
         "factor2": "pass" if report.factor2_passed else "fail",
     }
     if report.rolled is not None:
-        table, verdict = report.rolled.positive
+        table, verdict = report.rolled
         out["rolled"] = {
-            "modulus": report.rolled.modulus,
+            "modulus": table.modulus,
             "entries": list(table.entries),
             "verdict": _verdict_json(verdict),
         }
@@ -228,10 +229,10 @@ def report_text(report: ActionReport) -> str:
         "factor2: %s" % ("pass" if report.factor2_passed else "fail"),
     ]
     if report.rolled is not None:
-        table, verdict = report.rolled.positive
+        table, verdict = report.rolled
         lines.append(
             "rolled mod %d: (%s) %s"
-            % (report.rolled.modulus, ", ".join(str(e) for e in table.entries), _format_verdict(verdict))
+            % (table.modulus, ", ".join(str(e) for e in table.entries), _format_verdict(verdict))
         )
     return "\n".join(lines) + "\n"
 
@@ -240,14 +241,14 @@ def report_text(report: ActionReport) -> str:
 
 
 def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
-    """The five checks behind ``verify``; values are pass/fail/skipped."""
-    results: Dict[str, str] = {}
-    try:
-        results["duality"] = "pass" if lefschetz_duality_check(split).passed else "fail"
-    except PseudomanifoldError:
-        results["duality"] = "skipped"
+    """The five checks behind ``verify``; values are pass/fail/skipped.
 
-    double = truncated_double(split)
+    Duality and the factor-2 identity are read from ``analyze_action``.
+    """
+    report = analyze_action(split)
+    results = {"duality": report.duality_status}
+
+    double = split.double
     pairs = [split.positive_pair(), split.negative_pair(), double.exit_pair()]
 
     results["les"] = "pass" if all(les_exactness_check(p).passed for p in pairs) else "fail"
@@ -255,8 +256,7 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     mv = mayer_vietoris_check(double.total, double.copy_a, double.copy_b, double.exit_a, double.exit_b)
     results["mayer_vietoris"] = "pass" if mv.passed else "fail"
 
-    doubled = betti(split.positive_pair()).scaled(2)
-    results["factor2"] = "pass" if betti(double.exit_pair()).same_dims(doubled) else "fail"
+    results["factor2"] = "pass" if report.factor2_passed else "fail"
 
     results["morse"] = (
         "pass" if all(morse_betti(build_matching(p)).same_dims(betti(p)) for p in pairs) else "fail"
@@ -312,13 +312,8 @@ def cmd_verify(args) -> int:
 
 def cmd_double(args) -> int:
     name, split = load_space(args.space)
-    double = truncated_double(split)
-    mapping = {v: i for i, v in enumerate(sorted(double.total.vertices))}
-    glued = BoundarySplit(
-        double.total.relabel(mapping),
-        double.exit_boundary.relabel(mapping),
-        double.entry_boundary.relabel(mapping),
-    )
+    double = split.double
+    glued = BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
     _write_space_file(space_file_dict(name + "_double", glued), args.output)
     return EXIT_OK
 

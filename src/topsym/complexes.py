@@ -1,9 +1,8 @@
 """Simplicial complexes, pairs, and their homology over the two-element field.
 
 A simplex is a strictly ascending tuple of vertex labels; a complex is a
-face-closed set of simplices.  Vertex labels are integers in user-facing
-data (space files, catalog entries); gluing constructions tag labels with
-tuples internally, which sort and hash just as well.
+face-closed set of simplices.  Vertex labels are integers: space files
+and catalog entries use them, and glued doubles keep them.
 
 Relative homology of a pair (X, A) is computed from the quotient chain
 complex: the cells are the simplices of X not in A, and faces landing in
@@ -27,6 +26,14 @@ Chain = FrozenSet  # GF(2) chain: a set of simplices; addition is symmetric diff
 
 EMPTY_SIMPLEX: Simplex = ()
 
+MAX_FACES = 50_000
+
+
+def check_face_count(count: int, what: str) -> None:
+    """Refuse input that would expand to more than ``MAX_FACES`` faces."""
+    if count > MAX_FACES:
+        raise InputError("%s expands to more than the limit of %d faces" % (what, MAX_FACES))
+
 
 def facets(simplex: Simplex) -> List[Simplex]:
     """The codimension-1 faces; a vertex has the empty simplex as its facet."""
@@ -46,10 +53,10 @@ class SimplicialComplex:
 
     The public constructor ``SimplicialComplex(faces)`` validates its
     input: every face is a nonempty, strictly ascending tuple and every
-    facet of a face is present.  Complexes derived inside this module
+    facet of a face is present.  Complexes derived inside the package
     (face closures, unions, intersections, induced subcomplexes,
-    relabelings, excisions) are face-closed by construction and are
-    built without the re-check.
+    relabelings, excisions, the copies of a glued double) are
+    face-closed by construction and are built without the re-check.
     """
 
     faces: frozenset
@@ -198,10 +205,6 @@ class BettiTable:
 
     def dim(self, k: int) -> int:
         return dict(self.entries).get(k, 0)
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
 
     def total(self) -> int:
         return sum(d for _, d in self.entries)

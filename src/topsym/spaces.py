@@ -16,18 +16,14 @@ from typing import Dict, Optional, Tuple, Union
 
 from .complexes import (
     ComplexPair,
+    Simplex,
     SimplicialComplex,
+    _trusted,
     boundary_subcomplex,
     build_complex,
+    check_face_count,
 )
 from .errors import InputError
-
-# Vertex namespace tags for the two copies of a glued domain.  Shared
-# (identified) vertices sort between the copies, which keeps gluing
-# independent of the original labels.
-_COPY_A = 0
-_SHARED = 1
-_COPY_B = 2
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,11 @@ class BoundarySplit:
     def interface(self) -> SimplicialComplex:
         return self.positive.intersection(self.negative)
 
+    @cached_property
+    def double(self) -> "TruncatedDouble":
+        """The truncated double, built once per split."""
+        return truncated_double(self)
+
     def positive_pair(self) -> ComplexPair:
         return ComplexPair(self.domain, self.positive)
 
@@ -87,7 +88,7 @@ class BoundarySplit:
 
 @dataclass(frozen=True)
 class TruncatedDouble:
-    """Two relabeled copies of a domain glued along the interface.
+    """Two copies of a domain glued along the interface.
 
     ``exit_boundary`` is the union of the two positive-region copies,
     the part of the boundary a gradient flow would leave through;
@@ -116,50 +117,40 @@ class TruncatedDouble:
         return ComplexPair(self.total, self.exit_boundary)
 
 
-def _check_induced(domain: SimplicialComplex, locus: SimplicialComplex, what: str) -> None:
-    induced = domain.induced_on(locus.vertices)
-    if induced.faces != locus.faces:
-        bad = sorted(induced.faces - locus.faces)[0]
-        raise InputError(
-            "%s is not an induced subcomplex: %r is spanned by its vertices "
-            "but lies outside it; retriangulate the domain" % (what, bad)
-        )
-
-
-def _tag_map(shared_vertices, tag: int):
-    shared = frozenset(shared_vertices)
-    return lambda v: (_SHARED, v) if v in shared else (tag, v)
-
-
-def glue_copies(domain: SimplicialComplex, locus: SimplicialComplex) -> Tuple[SimplicialComplex, SimplicialComplex, SimplicialComplex]:
-    """Two copies of ``domain`` identified along ``locus``.
-
-    Returns (glued, copy_a, copy_b).  Vertices outside the locus are
-    tagged per copy; locus vertices are shared.
-    """
-    if not locus.is_subcomplex_of(domain):
-        raise InputError("gluing locus is not a subcomplex of the domain")
-    _check_induced(domain, locus, "gluing locus")
-    a = domain.relabel(_tag_map(locus.vertices, _COPY_A))
-    b = domain.relabel(_tag_map(locus.vertices, _COPY_B))
-    return a.union(b), a, b
-
-
 def truncated_double(split: BoundarySplit) -> TruncatedDouble:
-    """Glue two copies of the domain along the interface of the split."""
-    interface = split.interface
-    total, copy_a, copy_b = glue_copies(split.domain, interface)
-    map_a = _tag_map(interface.vertices, _COPY_A)
-    map_b = _tag_map(interface.vertices, _COPY_B)
+    """Glue two copies of the domain along the interface of the split.
+
+    The glued vertices are the integers 0..n-1: the vertices only in
+    copy A first, then the interface vertices both copies share, then
+    the vertices only in copy B, each run in the order of the domain's
+    labels.
+    """
+    domain, interface = split.domain, split.interface
+    induced = domain.induced_on(interface.vertices)
+    if induced.faces != interface.faces:
+        bad = sorted(induced.faces - interface.faces)[0]
+        raise InputError(
+            "gluing locus is not an induced subcomplex: %r is spanned by its vertices "
+            "but lies outside it; retriangulate the domain" % (bad,)
+        )
+    shared = sorted(interface.vertices)
+    own = sorted(domain.vertices - interface.vertices)
+    labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
+    face_a, face_b = ({s: tuple(sorted(label[v] for v in s)) for s in domain.faces} for label in labels)
+
+    def image(faces: Dict[Simplex, Simplex], region: SimplicialComplex) -> SimplicialComplex:
+        return _trusted(frozenset(faces[s] for s in region.faces))
+
+    copy_a, copy_b = _trusted(frozenset(face_a.values())), _trusted(frozenset(face_b.values()))
     return TruncatedDouble(
-        total=total,
+        total=copy_a.union(copy_b),
         copy_a=copy_a,
         copy_b=copy_b,
-        exit_a=split.positive.relabel(map_a),
-        exit_b=split.positive.relabel(map_b),
-        entry_a=split.negative.relabel(map_a),
-        entry_b=split.negative.relabel(map_b),
-        interface_image=interface.relabel(map_a),
+        exit_a=image(face_a, split.positive),
+        exit_b=image(face_b, split.positive),
+        entry_a=image(face_a, split.negative),
+        entry_b=image(face_b, split.negative),
+        interface_image=image(face_a, interface),
     )
 
 
@@ -168,8 +159,7 @@ def full_double(domain: SimplicialComplex) -> SimplicialComplex:
     boundary = boundary_subcomplex(domain)
     if len(boundary) == 0:
         raise InputError("domain has empty boundary; nothing to glue along")
-    total, _, _ = glue_copies(domain, boundary)
-    return total
+    return truncated_double(BoundarySplit(domain, boundary, boundary)).total
 
 
 def cross_polytope_sphere(d: int) -> SimplicialComplex:
@@ -294,6 +284,36 @@ CATALOG_NAMES = (
 )
 
 
+def _sphere_faces(d: int) -> int:
+    # Each antipodal pair gives a vertex, its partner or neither; the
+    # exponent is capped where the count is past any face limit anyway.
+    return 3 ** min(d + 1, 64) - 1
+
+
+def _wedge_faces(sphere_dim: int, count: int) -> int:
+    # ``count`` simplex boundaries on sphere_dim + 2 vertices, sharing one vertex.
+    return count * (2 ** min(sphere_dim + 2, 64) - 3) + 1
+
+
+def _ball(d: int) -> SimplicialComplex:
+    # A negative d is refused by cross_polytope_sphere.
+    return cone(cross_polytope_sphere(d - 1)) if d else build_complex([(0,)])
+
+
+# Parametrized families: name -> (number of integers, least first integer,
+# face count, builder).  The face count is checked before anything is built;
+# builders look the generators up when called, so a stand-in takes effect.
+_FAMILIES = {
+    "sphere": (1, None, _sphere_faces, lambda d: cross_polytope_sphere(d)),
+    "ball": (1, None, lambda d: 2 * _sphere_faces(d - 1) + 1, _ball),
+    "wedge": (2, None, _wedge_faces, lambda n, count: wedge_of_spheres(n, count)),
+    "reeb_ball": (1, 1, lambda n: 2 * _sphere_faces(2 * n - 1) + 1, lambda n: BoundarySplit(_ball(2 * n))),
+    "brieskorn": (  # closed: both regions empty
+        1, 2, lambda n: _wedge_faces(n, 2 ** min(n, 64)), lambda n: BoundarySplit(wedge_of_spheres(n, 2 ** n))
+    ),
+}
+
+
 def builtin_example(name: str) -> Union[SimplicialComplex, BoundarySplit]:
     """Catalog lookup; parametrized names use trailing integers.
 
@@ -314,28 +334,19 @@ def builtin_example(name: str) -> Union[SimplicialComplex, BoundarySplit]:
     if name in fixed:
         return fixed[name]()
     parts = name.split("_")
+    if parts[:2] == ["reeb", "ball"]:
+        parts[:2] = ["reeb_ball"]
     try:
-        if parts[0] == "sphere" and len(parts) == 2:
-            return cross_polytope_sphere(int(parts[1]))
-        if parts[0] == "ball" and len(parts) == 2:
-            d = int(parts[1])
-            if d < 0:
-                raise InputError("ball dimension must be nonnegative")
-            return build_complex([(0,)]) if d == 0 else cone(cross_polytope_sphere(d - 1))
-        if parts[0] == "wedge" and len(parts) == 3:
-            return wedge_of_spheres(int(parts[1]), int(parts[2]))
-        if parts[:2] == ["reeb", "ball"] and len(parts) == 3:
-            n = int(parts[2])
-            if n < 1:
-                raise InputError("reeb_ball_n needs n >= 1")
-            return BoundarySplit(cone(cross_polytope_sphere(2 * n - 1)))
-        if parts[0] == "brieskorn" and len(parts) == 2:
-            n = int(parts[1])
-            if n < 2:
-                raise InputError("brieskorn_n needs n >= 2")
-            return BoundarySplit(wedge_of_spheres(n, 2 ** n))  # closed: both regions empty
+        params = [int(p) for p in parts[1:]]
     except ValueError:
-        pass
+        params = []
+    family = _FAMILIES.get(parts[0])
+    if family is not None and len(params) == family[0]:
+        _, least, faces, build = family
+        if least is not None and params[0] < least:
+            raise InputError("%s_n needs n >= %d" % (parts[0], least))
+        check_face_count(faces(*params), "catalog entry %r" % name)
+        return build(*params)
     raise InputError(
         "unknown catalog name %r; available: %s" % (name, ", ".join(CATALOG_NAMES))
     )

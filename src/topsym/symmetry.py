@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .complexes import BettiTable, ComplexPair, SimplicialComplex, betti
 from .errors import InputError, PseudomanifoldError
 from .exactness import DualityReport, lefschetz_duality_check
-from .spaces import BoundarySplit, truncated_double
+from .spaces import BoundarySplit
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ def check_symmetry(table: BettiTable) -> SymmetryVerdict:
     otherwise the unique candidate shift is min + max of the support.
     """
     dims = table.as_dict()
-    support = sorted(dims)
-    if not support:
+    if not dims:
         return SymmetryVerdict(True, (0,))
-    candidate = support[0] + support[-1]
-    lo, hi = support[0], support[-1]
+    lo, hi = min(dims), max(dims)
+    candidate = lo + hi
     for k in range(lo, hi + 1):
         left, right = dims.get(k, 0), dims.get(candidate - k, 0)
         if left != right:
@@ -119,13 +118,6 @@ def check_symmetry_rolled(rolled: RolledTable) -> SymmetryVerdict:
 
 
 @dataclass(frozen=True)
-class RolledVerdicts:
-    modulus: int
-    positive: Tuple[RolledTable, SymmetryVerdict]
-    negative: Tuple[RolledTable, SymmetryVerdict]
-
-
-@dataclass(frozen=True)
 class ActionReport:
     """Everything the analysis pipeline establishes about one split."""
 
@@ -137,7 +129,7 @@ class ActionReport:
     duality: Optional[DualityReport]  # None when the domain fails the pseudomanifold check
     factor2_total: BettiTable
     factor2_doubled: BettiTable
-    rolled: Optional[RolledVerdicts]
+    rolled: Optional[Tuple[RolledTable, SymmetryVerdict]]  # positive table rolled when asked
 
     @property
     def factor2_passed(self) -> bool:
@@ -157,7 +149,7 @@ class ActionReport:
 def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: str = "") -> ActionReport:
     """Compute both relative tables, verdicts, duality, and the factor-2 check.
 
-    ``min_chern`` switches on the cyclically rolled verdicts as well.
+    ``min_chern`` switches on the cyclically rolled positive verdict as well.
     Duality is only asserted when the domain passes the full
     pseudomanifold check; otherwise it is reported as skipped.
     """
@@ -167,17 +159,11 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
         duality = lefschetz_duality_check(split)
     except PseudomanifoldError:
         duality = None
-    double = truncated_double(split)
-    factor2_total = betti(double.exit_pair())
+    factor2_total = betti(split.double.exit_pair())
     rolled = None
     if min_chern is not None:
         positive_rolled = roll_up(positive_table, min_chern)
-        negative_rolled = roll_up(negative_table, min_chern)
-        rolled = RolledVerdicts(
-            2 * min_chern,
-            (positive_rolled, check_symmetry_rolled(positive_rolled)),
-            (negative_rolled, check_symmetry_rolled(negative_rolled)),
-        )
+        rolled = (positive_rolled, check_symmetry_rolled(positive_rolled))
     return ActionReport(
         name=name,
         positive_table=positive_table,

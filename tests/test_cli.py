@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from topsym import InputError, betti, builtin_example
+from topsym import InputError, SimplicialComplex, betti, builtin_example
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
@@ -14,6 +14,7 @@ from topsym.cli import (
     parse_space_file,
     space_file_dict,
 )
+from topsym.complexes import MAX_FACES
 
 DISK_FILE = {
     "name": "disk",
@@ -117,6 +118,25 @@ class TestCommands:
         path = tmp_path / "bad.json"
         path.write_text('{"name":"x","maximal_simplices":[[0,0]]}')
         assert main(["analyze", str(path)]) == EXIT_INPUT_ERROR
+
+    def test_space_file_past_the_face_limit_is_refused_unexpanded(self, tmp_path, monkeypatch, capsys):
+        def unbuilt(*args):
+            raise AssertionError("the face limit must be checked before expanding faces")
+
+        monkeypatch.setattr(SimplicialComplex, "from_maximal", classmethod(unbuilt))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "maximal_simplices": [list(range(40))]}))
+        assert main(["analyze", str(path)]) == EXIT_INPUT_ERROR
+        assert "limit of %d faces" % MAX_FACES in capsys.readouterr().err
+
+    def test_catalog_sphere_past_the_face_limit_is_refused_unbuilt(self, monkeypatch, capsys):
+        def unbuilt(*args):
+            raise AssertionError("the face limit must be checked before building")
+
+        monkeypatch.setattr(SimplicialComplex, "from_maximal", classmethod(unbuilt))
+        monkeypatch.setattr("topsym.spaces.cross_polytope_sphere", unbuilt)
+        assert main(["analyze", "sphere_60"]) == EXIT_INPUT_ERROR
+        assert "limit of %d faces" % MAX_FACES in capsys.readouterr().err
 
     def test_directory_as_space_file_is_input_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == EXIT_INPUT_ERROR

@@ -27,6 +27,7 @@ def cases():
     out = []
     for name in catalog_splits():
         out += [["analyze", name, "--json"], ["analyze", name, "--mod", "2", "--json"], ["verify", name, "--json"]]
+    out += [["double", name] for name in catalog_splits()]
     out += [["analyze", name, "--json"] for name in CORPUS_COMPLEX_NAMES]
     return out
 

@@ -19,6 +19,9 @@ from topsym import (
     truncated_double,
     wedge_of_spheres,
 )
+from topsym import spaces
+from topsym.cli import EXIT_OK, main
+from topsym.complexes import MAX_FACES
 from topsym.spaces import BoundarySplit, catalog_splits
 
 
@@ -109,6 +112,42 @@ class TestTruncatedDouble:
             assert betti(ComplexPair(d.copy_a, d.exit_a)).same_dims(original), name
             assert betti(ComplexPair(d.copy_b, d.exit_b)).same_dims(original), name
 
+    def test_vertices_are_integers_in_copy_order(self):
+        # Copy-A-only vertices, then the shared interface, then copy-B-only,
+        # each run in the order of the domain's labels.
+        for name, split in catalog_splits().items():
+            d = truncated_double(split)
+            shared = sorted(split.interface.vertices)
+            own = sorted(split.domain.vertices - split.interface.vertices)
+            label_a = dict(zip(own + shared, range(len(own) + len(shared))))
+            label_b = dict(zip(shared + own, range(len(own), 2 * len(own) + len(shared))))
+            assert d.total.vertices == frozenset(range(2 * len(own) + len(shared))), name
+            assert d.copy_a == split.domain.relabel(label_a), name
+            assert d.copy_b == split.domain.relabel(label_b), name
+            for region, image_a, image_b in (
+                (split.positive, d.exit_a, d.exit_b),
+                (split.negative, d.entry_a, d.entry_b),
+            ):
+                assert image_a == region.relabel(label_a), name
+                assert image_b == region.relabel(label_b), name
+            assert d.interface_image == split.interface.relabel(label_b), name
+
+    def test_each_request_builds_one_double(self, monkeypatch, capsys):
+        # verify runs analyze and then the suites; both read the same double.
+        calls = []
+        original = spaces.truncated_double
+
+        def counted(split):
+            calls.append(split)
+            return original(split)
+
+        monkeypatch.setattr(spaces, "truncated_double", counted)
+        for name in catalog_splits():
+            for command in ("verify", "analyze", "double"):
+                calls.clear()
+                assert main([command, name]) == EXIT_OK, (command, name)
+                assert len(calls) == 1, (command, name)
+
     def test_non_induced_interface_rejected(self):
         # Both boundary vertices of one edge, but not the edge itself.
         strip = build_complex([(0, 1, 2)])
@@ -145,6 +184,11 @@ class TestFullDouble:
             assert len(boundary_subcomplex(closed)) == 0
             incidence = ridge_incidence(closed)
             assert all(len(tops) == 2 for tops in incidence.values())
+
+    def test_double_has_integer_labels_to_cone_over(self):
+        from topsym.spaces import _ring_annulus
+
+        assert table(cone(full_double(_ring_annulus()))) == {0: 1}
 
     def test_closed_domain_rejected(self):
         with pytest.raises(InputError):
@@ -186,6 +230,39 @@ class TestCatalog:
             builtin_example("klein_bagel")
         assert "catalog" in str(err.value)
         assert "sphere_<d>" in str(err.value)
+
+    def test_face_counts_of_parametrized_names(self):
+        # The counts checked against the face limit before anything is built.
+        for d in range(5):
+            assert spaces._sphere_faces(d) == len(cross_polytope_sphere(d)), d
+        for n, count in ((1, 1), (1, 3), (2, 4), (3, 2)):
+            assert spaces._wedge_faces(n, count) == len(wedge_of_spheres(n, count)), (n, count)
+
+    def test_parameter_out_of_range_is_named(self):
+        cases = (
+            ("reeb_ball_0", "reeb_ball_n needs n >= 1"),
+            ("brieskorn_1", "brieskorn_n needs n >= 2"),
+            ("ball_-1", "dimension must be nonnegative"),
+            ("wedge_0_1", "need sphere_dim >= 1"),
+        )
+        for name, message in cases:
+            with pytest.raises(InputError, match=message):
+                builtin_example(name)
+
+    def test_largest_entries_under_the_face_limit_are_built(self):
+        # The largest of their families under the limit.
+        assert len(builtin_example("reeb_ball_4").domain) <= MAX_FACES
+        assert len(builtin_example("brieskorn_6").domain) <= MAX_FACES
+
+    def test_parametrized_names_past_the_face_limit_are_refused(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the face limit must be checked before building")
+
+        monkeypatch.setattr(spaces, "cross_polytope_sphere", unbuilt)
+        monkeypatch.setattr(spaces, "wedge_of_spheres", unbuilt)
+        for name in ("sphere_60", "ball_10", "wedge_30_1", "wedge_1_100000", "reeb_ball_5", "brieskorn_7", "brieskorn_99999"):
+            with pytest.raises(InputError, match="limit of %d faces" % MAX_FACES):
+                builtin_example(name)
 
     def test_parametrized_names(self):
         assert builtin_example("sphere_2") == cross_polytope_sphere(2)

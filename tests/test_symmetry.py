@@ -210,7 +210,7 @@ class TestAnalyzeAction:
     def test_rolled_block(self):
         report = analyze_action(builtin_example("reeb_ball_1"), min_chern=2)
         assert report.rolled is not None
-        table, verdict = report.rolled.positive
+        table, verdict = report.rolled
         assert table.modulus == 4
         assert verdict.symmetric
 
