@@ -4,18 +4,18 @@ A simplex is a strictly ascending tuple of vertex labels; a complex is a
 face-closed set of simplices.  Vertex labels are integers: space files
 and catalog entries use them, and glued doubles keep them.
 
-Relative homology of a pair (X, A) is computed from the quotient chain
-complex: the cells are the simplices of X not in A, and faces landing in
-A are dropped.  Reduced homology augments with the empty simplex, written
-``()``, as the single cell in degree -1; the empty complex therefore has
-a one-dimensional reduced group in degree -1 and nothing else.
+Each complex builds one chain table: sorted cells by degree, the empty
+simplex ``()`` being the only cell in degree -1, and each cell's facets
+as positions one degree down.  A pair (X, A) reads X's table with A's
+cells masked out, the quotient chain complex.  Reduced homology leaves
+degree -1 unmasked: the empty complex has reduced homology {-1: 1}.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
@@ -49,7 +49,7 @@ def _as_simplex(vertices: Iterable) -> Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices, immutable after construction.
+    """Face-closed set of simplices, immutable; the chain table is built on first use.
 
     The public constructor ``SimplicialComplex(faces)`` validates its
     input: every face is a nonempty, strictly ascending tuple and every
@@ -105,11 +105,12 @@ class SimplicialComplex:
         """Simplices of dimension ``k`` in sorted order."""
         return self._by_degree.get(k, ())
 
+    @cached_property
+    def _chain_table(self) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
+        return _build_chain_table(self)
+
     def counts(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for s in self.faces:
-            out[len(s) - 1] = out.get(len(s) - 1, 0) + 1
-        return out
+        return {k: len(group) for k, group in self._by_degree.items()}
 
     def maximal_simplices(self) -> Tuple[Simplex, ...]:
         """Simplices that are not a proper face of any other, sorted.
@@ -182,11 +183,7 @@ class ComplexPair:
         return tuple(s for s in self.ambient.simplices(k) if s not in self.sub.faces)
 
     def cell_counts(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for s in self.ambient.faces:
-            if s not in self.sub.faces:
-                out[len(s) - 1] = out.get(len(s) - 1, 0) + 1
-        return out
+        return {k: n for k in range(self.ambient.dim + 1) if (n := len(self.cells(k)))}
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,8 @@ class HomologyBasis:
         self.augmented = augmented
         self.min_degree = -1 if augmented else 0
         self.max_degree = pair.ambient.dim
-        self._cells, self._index, self._columns = _chain_columns(pair, augmented)
+        self._cells, self._columns = _chain_columns(pair, augmented)
+        self._index = {k: {s: i for i, s in enumerate(group)} for k, group in self._cells.items()}
         self._reps: Dict[int, List[Chain]] = {}
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.
@@ -289,7 +287,11 @@ class HomologyBasis:
 
     def bits_to_chain(self, k: int, bits: int) -> Chain:
         cells = self.cells(k)
-        return frozenset(cells[i] for i in range(len(cells)) if (bits >> i) & 1)
+        chain = []
+        while bits:
+            chain.append(cells[(bits & -bits).bit_length() - 1])
+            bits &= bits - 1
+        return frozenset(chain)
 
     # -- chain complex ---------------------------------------------------
 
@@ -356,97 +358,95 @@ class HomologyBasis:
         return coeffs, witness
 
 
-def _boundary_columns(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], drop: frozenset, k: int) -> List[int]:
-    """Boundary of each degree-k cell as a bit-vector over the cells one
-    degree down, numbered by ``below``.
+def _facet_rows(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], k: int) -> List[List[int]]:
+    """Entry j of list i is the position in ``below`` of the i-th facet of
+    the j-th k-cell.  A facet that is not a cell is an input error."""
+    try:
+        return [[below[s[:i] + s[i + 1 :]] for s in cells] for i in range(k + 1)]
+    except KeyError as exc:
+        raise InputError("chain contains %r, not a degree-%d cell here" % (exc.args[0], k - 1)) from None
 
-    Facets in the subcomplex ``drop`` are left out, and so is the empty
-    simplex unless it is a cell (reduced homology).  Any other facet
-    that is not a cell is an input error.
-    """
-    columns = []
-    for s in cells:
-        col = 0
-        for f in facets(s):
-            i = below.get(f)
-            if i is not None:
-                col |= 1 << i
-            elif f and f not in drop:
-                raise InputError("chain contains %r, not a degree-%d cell here" % (f, k - 1))
-        columns.append(col)
+
+def _columns(rows: List[List[int]], bits: List[int]) -> List[int]:
+    """Each cell's boundary column: the XOR of ``bits[p]`` over its facet positions p."""
+    columns = [0] * len(rows[0])
+    for positions in rows:
+        columns = [c ^ bits[p] for c, p in zip(columns, positions)]
     return columns
 
 
-def _chain_columns(
-    pair: ComplexPair, augmented: bool
-) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, Dict[Simplex, int]], Dict[int, List[int]]]:
-    """Cells, cell indexes and boundary columns by degree, with the
-    composition of consecutive boundary maps checked to vanish.
-
-    Degrees run from -1 (the empty simplex, reduced homology only) or 0
-    up to the ambient dimension, and the cells of each degree are
-    sorted.  Column j of degree k is the boundary of the j-th k-cell.
-    """
-    top = pair.ambient.dim
-    cells = {k: (EMPTY_SIMPLEX,) if k == -1 else pair.cells(k) for k in range(-1 if augmented else 0, top + 1)}
-    index = {k: {s: i for i, s in enumerate(group)} for k, group in cells.items()}
-    columns: Dict[int, List[int]] = {}
-    for k in reversed(cells):
-        lower = columns[k] = _boundary_columns(cells[k], index.get(k - 1, {}), pair.sub.faces, k)
-        # Each column of degree k+1 selects the degree-k columns that must cancel.
-        for col in columns.get(k + 1, ()):
-            acc = 0
-            while col:
-                low = col & -col
-                acc ^= lower[low.bit_length() - 1]
-                col ^= low
-            if acc:
+def _build_chain_table(complex_: SimplicialComplex) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
+    """Sorted cells by degree from -1, facet rows by degree from 0, filled
+    from the top down with each composition of boundary maps checked to
+    vanish, and an empty memo of the Betti tables of pairs on the complex."""
+    cells = {k: complex_.simplices(k) if k >= 0 else (EMPTY_SIMPLEX,) for k in range(-1, complex_.dim + 1)}
+    rows = {}
+    for k in range(complex_.dim, -1, -1):
+        rows[k] = _facet_rows(cells[k], {s: i for i, s in enumerate(cells[k - 1])}, k)
+        if k < complex_.dim:
+            lower = _columns(rows[k], [1 << i for i in range(len(cells[k - 1]))])
+            if any(_columns(rows[k + 1], lower)):
                 raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
-    return cells, index, columns
+    return cells, rows, {}
+
+
+def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[int]]]:
+    """Cells and boundary columns by degree from -1 (reduced homology) or
+    0 up: the ambient's table with the subcomplex's cells masked out and
+    the rest renumbered in order.  Column j is the boundary of cell j."""
+    table, rows, _ = pair.ambient._chain_table
+    sub = pair.sub.faces  # empty in reduced homology
+    cells, columns = ({-1: table[-1]}, {-1: [0]}) if augmented else ({}, {})
+    bits = [1 if augmented else 0]  # each cell's bit one degree down, 0 when masked
+    for k in range(pair.ambient.dim + 1):
+        group, cols = table[k], _columns(rows[k], bits)
+        if k <= pair.sub.dim:
+            keep = [s not in sub for s in group]
+            group, cols = tuple(itertools.compress(group, keep)), list(itertools.compress(cols, keep))
+            bits = [1 << (n - 1) if kept else 0 for kept, n in zip(keep, itertools.accumulate(keep))]
+        else:
+            bits = [1 << i for i in range(len(group))]
+        cells[k], columns[k] = group, cols
+    return cells, columns
 
 
 def chain_complex(pair: ComplexPair) -> List[Gf2Matrix]:
     """Relative boundary matrices, degree 0 (a 0-row map) up to top degree."""
-    cells, _, columns = _chain_columns(pair, False)
+    cells, columns = _chain_columns(pair, False)
     return [Gf2Matrix.from_columns(columns[k], len(cells.get(k - 1, ()))) for k in sorted(columns)]
 
 
-@lru_cache(maxsize=512)
-def _betti_cached(pair: ComplexPair, augmented: bool) -> BettiTable:
-    """Betti numbers from ranks alone: dim H_k = n_k - rank d_k - rank d_{k+1}.
-
-    The degrees are reduced from the top down, with clearing: a reduced
-    column of d_{k+1} whose lowest bit is row i is a cycle equal to cell
-    i plus higher cells, so the boundary of cell i lies in the span of
-    the higher columns of d_k, and column i is skipped.
-    """
-    cells, _, columns = _chain_columns(pair, augmented)
-    dims: Dict[int, int] = {}
-    upper = Reduction(())  # nothing above the top degree
-    for k in reversed(cells):
-        cleared = upper.pivot_rows
-        lower = Reduction(col for i, col in enumerate(columns[k]) if i not in cleared)
-        dims[k] = len(cells[k]) - lower.rank - upper.rank
-        upper = lower
-    return BettiTable.from_dict("reduced" if augmented else "relative", dims)
-
-
 def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
-    """Betti table of a pair in the requested flavor.
+    """Betti table of a pair in the requested flavor, from ranks alone:
+    dim H_k = n_k - rank d_k - rank d_{k+1}.
 
     ``relative`` with an empty subcomplex coincides with ``absolute``;
     ``reduced`` appends the augmentation row and requires an empty
-    subcomplex.  Only ranks are taken; ``HomologyBasis`` gives
-    representatives.  Everything involved is immutable, so equal pairs
-    share one cached computation.
+    subcomplex; ``HomologyBasis`` gives representatives.  The degrees are
+    reduced from the top down, with clearing: a reduced column of d_{k+1}
+    whose lowest bit is row i is a cycle equal to cell i plus higher
+    cells, so the boundary of cell i lies in the span of the higher
+    columns of d_k, and column i is skipped.  The result is kept in the
+    ambient complex's chain table, keyed by the subcomplex's faces and
+    the flavor, so it goes when the complex goes.
     """
     if flavor not in ("absolute", "relative", "reduced"):
         raise InputError("unknown flavor %r" % (flavor,))
-    if flavor == "reduced":
-        if len(pair.sub) > 0:
-            raise InputError("reduced flavor requested on a genuine pair")
-        return _betti_cached(pair, True)
-    return BettiTable(flavor, _betti_cached(pair, False).entries)
+    augmented = flavor == "reduced"
+    if augmented and len(pair.sub) > 0:
+        raise InputError("reduced flavor requested on a genuine pair")
+    memo, key = pair.ambient._chain_table[2], (pair.sub.faces, augmented)
+    if key not in memo:
+        cells, columns = _chain_columns(pair, augmented)
+        dims: Dict[int, int] = {}
+        upper = Reduction(())  # nothing above the top degree
+        for k in reversed(cells):
+            cleared = upper.pivot_rows
+            lower = Reduction(col for i, col in enumerate(columns[k]) if i not in cleared)
+            dims[k] = len(cells[k]) - lower.rank - upper.rank
+            upper = lower
+        memo[key] = BettiTable.from_dict(flavor, dims).entries
+    return BettiTable(flavor, memo[key])
 
 
 def euler_characteristic(pair: ComplexPair) -> int:

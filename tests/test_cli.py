@@ -1,10 +1,12 @@
 """Command-line surface: space files, reports, exit codes."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from topsym import InputError, SimplicialComplex, betti, builtin_example
+from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
@@ -217,3 +219,53 @@ class TestSerialization:
         payload = space_file_dict("annulus_split", builtin_example("annulus_split"))
         assert payload["positive_region"] == [[6, 7], [6, 8], [7, 8]]
         assert payload["negative_region"] == [[0, 1], [0, 2], [1, 2]]
+
+
+class TestRequestLifetime:
+    """Each request builds every complex's chain table once and leaves
+    nothing of its input behind."""
+
+    @pytest.mark.parametrize("space", ["reeb_ball_2", "annulus_split"])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_each_complex_builds_its_chain_table_once(self, monkeypatch, capsys, command, space):
+        built, splits = [], []
+        build, load = complexes._build_chain_table, cli.load_space
+
+        def count(complex_):
+            built.append(complex_)
+            return build(complex_)
+
+        def record(locator):
+            name, split = load(locator)
+            splits.append(split)
+            return name, split
+
+        monkeypatch.setattr(complexes, "_build_chain_table", count)
+        monkeypatch.setattr(cli, "load_space", record)
+        assert main([command, space]) == EXIT_OK
+        capsys.readouterr()
+        split, = splits
+        double = split.double
+        expected = [split.domain, double.total]
+        if command == "verify":
+            expected += [split.positive, split.negative, double.exit_boundary, double.copy_a, double.copy_b]
+        assert len({id(cx) for cx in built}) == len(built)
+        assert sorted(map(id, expected)) == sorted(id(cx) for cx in built if any(cx is e for e in expected))
+        # Besides those, Mayer-Vietoris builds the overlap of the two copies.
+        others = [cx.faces for cx in built if not any(cx is e for e in expected)]
+        assert others == ([double.copy_a.faces & double.copy_b.faces] if command == "verify" else [])
+
+    def test_a_request_keeps_no_complex_alive(self, monkeypatch, capsys):
+        domains = []
+        load = cli.load_space
+
+        def record(locator):
+            name, split = load(locator)
+            domains.append(weakref.ref(split.domain))
+            return name, split
+
+        monkeypatch.setattr(cli, "load_space", record)
+        assert main(["verify", "annulus_split"]) == EXIT_OK
+        capsys.readouterr()
+        gc.collect()
+        assert len(domains) == 1 and domains[0]() is None

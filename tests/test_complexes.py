@@ -23,7 +23,8 @@ from topsym import (
     full_double,
 )
 from topsym import complexes
-from topsym.complexes import excise
+from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, excise
+from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import catalog_splits, truncated_double
 
@@ -214,6 +215,22 @@ def random_pairs(draw):
     return ComplexPair(ambient, build_complex(chosen))
 
 
+def boundary_matrices_by_cell(pair, augmented):
+    """Boundary matrices by degree, one entry at a time from the
+    set-based ``boundary_chain``."""
+    def cells(k):
+        if k == -1:
+            return [EMPTY_SIMPLEX] if augmented else []
+        return sorted(s for s in pair.ambient.faces if len(s) == k + 1 and s not in pair.sub.faces)
+
+    matrices = {}
+    for k in range(-1 if augmented else 0, pair.ambient.dim + 1):
+        boundaries = [boundary_chain([s], pair.sub.faces, augmented) for s in cells(k)]
+        rows = [[int(f in b) for b in boundaries] for f in cells(k - 1)]
+        matrices[k] = Gf2Matrix.from_rows(rows, len(boundaries))
+    return matrices
+
+
 class TestRankPass:
     """``betti`` takes ranks with clearing; ``HomologyBasis`` builds
     representatives.  Both read the same boundary columns."""
@@ -222,10 +239,15 @@ class TestRankPass:
         table = betti(pair)
         assert table.same_dims(HomologyBasis(pair).betti()), label
         assert table.same_dims(morse_betti(build_matching(pair))), label
+        plain = boundary_matrices_by_cell(pair, False)
+        assert chain_complex(pair) == [plain[k] for k in sorted(plain)], label
         if len(pair.sub) == 0:
             reduced = betti(pair, "reduced")
-            assert reduced == HomologyBasis(pair, augmented=True).betti(), label
+            basis = HomologyBasis(pair, augmented=True)
+            assert reduced == basis.betti(), label
             assert reduced.as_dict() == reduced_from_absolute(table), label
+            for k, matrix in boundary_matrices_by_cell(pair, True).items():
+                assert basis.boundary_matrix(k) == matrix, (label, k)
 
     def test_corpus_pairs_agree(self):
         for name, pair in corpus_pairs().items():
@@ -241,8 +263,9 @@ class TestRankPass:
             raise AssertionError("betti built a HomologyBasis")
 
         monkeypatch.setattr(HomologyBasis, "__init__", refuse)
-        complexes._betti_cached.cache_clear()
         for pair in corpus_pairs().values():
+            # A fresh copy of the ambient starts with no stored tables.
+            pair = ComplexPair(SimplicialComplex(pair.ambient.faces), pair.sub)
             betti(pair)
             if len(pair.sub) == 0:
                 betti(pair, "reduced")
@@ -258,16 +281,15 @@ class TestRankPass:
             HomologyBasis(pair)
 
     def test_corrupt_column_fails_the_composition_check_on_both_paths(self, monkeypatch):
-        build = complexes._boundary_columns
+        build = complexes._facet_rows
 
-        def corrupt(cells, below, drop, k):
-            columns = build(cells, below, drop, k)
+        def corrupt(cells, below, k):
+            rows = build(cells, below, k)
             if k == 2:
-                columns[0] ^= 1 << (len(below) - 1)  # one edge too many or too few
-            return columns
+                rows[0][0] = len(below) - 1  # the first triangle's first edge becomes the last edge
+            return rows
 
-        monkeypatch.setattr(complexes, "_boundary_columns", corrupt)
-        complexes._betti_cached.cache_clear()
+        monkeypatch.setattr(complexes, "_facet_rows", corrupt)
         pair = ComplexPair.absolute(build_complex([(0, 1, 2), (1, 2, 3)]))
         message = "boundary composition is nonzero in degree 2"
         with pytest.raises(AssertionError, match=message):
