@@ -185,6 +185,19 @@ class ComplexPair:
     def cell_counts(self) -> Dict[int, int]:
         return {k: n for k in range(self.ambient.dim + 1) if (n := len(self.cells(k)))}
 
+    @cached_property
+    def _hasse(self) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[List[int]]]:
+        return _build_hasse(self)
+
+
+def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[List[int]]]:
+    """The numbered Hasse diagram the Morse code reads: the relative cells
+    sorted by degree, then labels; each cell's number; and each cell's
+    relative facets as numbers, in ``facets`` order."""
+    cells = tuple(itertools.chain.from_iterable(pair.cells(k) for k in range(pair.ambient.dim + 1)))
+    index = {s: i for i, s in enumerate(cells)}
+    return cells, index, [[index[f] for f in facets(s) if f in index] for s in cells]
+
 
 @dataclass(frozen=True)
 class BettiTable:
@@ -246,8 +259,9 @@ class HomologyBasis:
     The cycles of degree k are the canonical kernel of that reduction,
     and the representatives are, in order, the cycles that stay
     independent when appended to the reduction of the boundary map from
-    degree k+1.  That reduction then expresses classes, so all bases and
-    witnesses are reproducible.
+    degree k+1; the scan stops once it has dim H_k of them.  That
+    reduction then expresses classes, so all bases and witnesses are
+    reproducible.
     """
 
     def __init__(self, pair: ComplexPair, augmented: bool = False):
@@ -304,7 +318,10 @@ class HomologyBasis:
         for k in reversed(self.degrees()):
             lower = Reduction(self._columns[k])
             reps = []
+            wanted = len(lower.kernel) - upper.rank  # dim H_k
             for cycle in lower.kernel:
+                if len(reps) == wanted:
+                    break
                 if upper.solve(cycle) is None:
                     upper.add(cycle)
                     reps.append(self.bits_to_chain(k, cycle))
@@ -424,11 +441,13 @@ def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
     ``reduced`` appends the augmentation row and requires an empty
     subcomplex; ``HomologyBasis`` gives representatives.  The degrees are
     reduced from the top down, with clearing: a reduced column of d_{k+1}
-    whose lowest bit is row i is a cycle equal to cell i plus higher
-    cells, so the boundary of cell i lies in the span of the higher
-    columns of d_k, and column i is skipped.  The result is kept in the
-    ambient complex's chain table, keyed by the subcomplex's faces and
-    the flavor, so it goes when the complex goes.
+    whose highest bit is row i is a cycle equal to cell i plus lower
+    cells, so the boundary of cell i lies in the span of the lower
+    columns of d_k, and column i is skipped.  By induction upward over
+    the skipped columns, the kept ones span all of d_k, so its rank is
+    unchanged.  The result is kept in the ambient complex's chain table,
+    keyed by the subcomplex's faces and the flavor, so it goes when the
+    complex goes.
     """
     if flavor not in ("absolute", "relative", "reduced"):
         raise InputError("unknown flavor %r" % (flavor,))

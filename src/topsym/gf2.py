@@ -3,9 +3,9 @@
 Matrices are dense with bit-packed rows: each row is a Python int whose
 bit ``i`` is the entry in column ``i``.  Vectors use the same encoding.
 All elimination goes through one ``Reduction``: columns are added one at
-a time and reduced against pivots keyed by their lowest set bit, so each
-reduction step is a single XOR at word speed.  The same pass gives the
-rank, a canonical kernel basis and solutions of linear systems.  All
+a time and reduced against pivots keyed by their highest set bit, so
+each reduction step is a single XOR at word speed.  The same pass gives
+the rank, a canonical kernel basis and solutions of linear systems.  All
 arithmetic is exact; there are no tolerances anywhere in this package.
 """
 
@@ -32,7 +32,7 @@ def _low(v: int) -> int:
 
 
 class Reduction:
-    """Column reduction over GF(2) with pivots keyed by the lowest set bit.
+    """Column reduction over GF(2) with pivots keyed by the highest set bit.
 
     Columns are appended one at a time and numbered from zero.  A column
     independent of the earlier ones is stored, reduced, as a pivot
@@ -40,13 +40,18 @@ class Reduction:
     dependent column yields a kernel vector: its own bit plus the
     independent earlier columns that sum to it.  Every combination is
     therefore supported on independent columns, which makes the kernel
-    basis and the solutions of ``solve`` unique.
+    basis and the solutions of ``solve`` unique: they depend on the
+    column order and span alone, not on the pivot key.  The highest bit
+    is PHAT's convention (Bauer, Kerber, Reininghaus and Wagner, J. Symb.
+    Comput. 2017).  Keyed on the lowest bit, every edge at the shared
+    vertex of a wedge of spheres starts on that vertex's row and walks
+    the chain of earlier pivots.
     """
 
     def __init__(self, columns: Iterable[int]):
         self.n_cols = 0
         self.kernel: List[int] = []
-        self._pivots: Dict[int, Tuple[int, int]] = {}  # low bit -> (reduced column, combination)
+        self._pivots: Dict[int, Tuple[int, int]] = {}  # high bit -> (reduced column, combination)
         for col in columns:
             self.add(col)
 
@@ -56,14 +61,14 @@ class Reduction:
 
     @property
     def pivot_rows(self):
-        """The lowest set bits of the stored reduced columns, one per pivot."""
+        """The highest set bits of the stored reduced columns, one per pivot."""
         return self._pivots.keys()
 
     def _reduce(self, v: int) -> Tuple[int, int]:
         """(residue, combination) with v = residue + the combined columns."""
         combo = 0
         while v:
-            pivot = self._pivots.get(_low(v))
+            pivot = self._pivots.get(v.bit_length() - 1)
             if pivot is None:
                 break
             v ^= pivot[0]
@@ -76,7 +81,7 @@ class Reduction:
         combo |= 1 << self.n_cols
         self.n_cols += 1
         if residue:
-            self._pivots[_low(residue)] = (residue, combo)
+            self._pivots[residue.bit_length() - 1] = (residue, combo)
         else:
             self.kernel.append(combo)
         return bool(residue)

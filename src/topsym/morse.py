@@ -2,10 +2,20 @@
 
 Cells of the exit subcomplex are excluded from matching and from
 criticality, so the Morse chain complex computes the homology of the
-pair directly.  Matchings come from greedy coreduction: repeatedly pair
-a cell with its unique remaining facet, and when no such pair exists
-retire the first remaining cell (lowest dimension first) as critical.
-The resulting matching is re-verified from scratch before use.
+pair directly.  Matchings come from greedy coreduction (Mischaikow and
+Nanda, Discrete Comput. Geom. 2013): repeatedly pair a cell with its
+unique remaining facet, and when no such pair exists retire the first
+remaining cell (lowest dimension first) as critical.  The resulting
+matching is re-verified from scratch before use.
+
+The coreduction, the validation and the gradient flow read one numbered
+Hasse diagram per pair, built on first use and kept with the pair
+(``ComplexPair._hasse``): the non-exit cells sorted by dimension, then
+labels, and each cell's non-exit facets as cell numbers.  All three
+work on those numbers; simplices come back only in ``matched`` and
+``critical``.  The diagram is built from the pair's cells and
+``facets``, never from the chain table behind ``betti``, so that Morse
+homology stays an independent check of the rank pass.
 """
 
 from __future__ import annotations
@@ -13,9 +23,9 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .complexes import BettiTable, ComplexPair, Simplex, facets
+from .complexes import BettiTable, ComplexPair, Simplex
 from .errors import InputError, MatchingError
 from .gf2 import Gf2Matrix
 
@@ -29,29 +39,26 @@ class AcyclicMatching:
     critical: tuple  # unmatched non-exit cells, sorted
 
     def __post_init__(self):
-        cells = set()
-        for k in range(self.pair.ambient.dim + 1):
-            cells.update(self.pair.cells(k))
+        cells, index, down = self.pair._hasse
+        sub = self.pair.sub.faces
+        up: Dict[int, int] = {}
         used = set()
         for low, high in self.matched:
-            if low in self.pair.sub.faces or high in self.pair.sub.faces:
+            if low in sub or high in sub:
                 raise MatchingError("matched pair touches the exit subcomplex")
-            if low not in cells or high not in cells:
+            facet, cofacet = index.get(low), index.get(high)
+            if facet is None or cofacet is None:
                 raise MatchingError("matched pair uses unknown cells")
-            if low not in facets(high):
+            if facet not in down[cofacet]:
                 raise MatchingError("%r is not a facet of %r" % (low, high))
-            if low in used or high in used:
+            if facet in used or cofacet in used:
                 raise MatchingError("cell matched twice")
-            used.update((low, high))
-        expected_critical = tuple(sorted(cells - used, key=lambda s: (len(s), s)))
-        if tuple(self.critical) != expected_critical:
+            used.update((facet, cofacet))
+            up[facet] = cofacet
+        if tuple(self.critical) != tuple(c for i, c in enumerate(cells) if i not in used):
             raise MatchingError("critical cells do not match the unmatched cells")
-        if _has_cycle(self):
+        if _has_cycle(down, up):
             raise MatchingError("reversed Hasse digraph has a cycle")
-
-    def matched_up(self) -> Dict[Simplex, Simplex]:
-        """Facet -> cofacet direction of the matching."""
-        return {low: high for low, high in self.matched}
 
     def critical_by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
         out: Dict[int, List[Simplex]] = {}
@@ -60,19 +67,17 @@ class AcyclicMatching:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def _has_cycle(matching: AcyclicMatching) -> bool:
+def _has_cycle(down: List[List[int]], up: Dict[int, int]) -> bool:
     """Cycle search in the V-path digraph on matched facets.
 
-    An arc runs from facet a to facet b when a is matched up with some
-    cofacet of which b is a different facet and b is matched up too;
-    acyclicity of the reversed Hasse diagram is equivalent to this
-    digraph being acyclic degree by degree.
+    ``down`` holds each cell's facets and ``up`` maps each matched facet
+    to its cofacet, all as cell numbers.  An arc runs from facet a to
+    facet b when a is matched up with some cofacet of which b is a
+    different facet and b is matched up too; acyclicity of the reversed
+    Hasse diagram is equivalent to this digraph being acyclic degree by
+    degree.
     """
-    up = matching.matched_up()
-    sub = matching.pair.sub.faces
-    arcs: Dict[Simplex, List[Simplex]] = {}
-    for low, high in up.items():
-        arcs[low] = [f for f in facets(high) if f != low and f not in sub and f in up]
+    arcs = {low: [f for f in down[high] if f != low and f in up] for low, high in up.items()}
     # Peel facets without incoming arcs; only a cycle survives peeling.
     incoming = Counter(f for targets in arcs.values() for f in targets)
     ready = [f for f in arcs if not incoming[f]]
@@ -86,21 +91,18 @@ def _has_cycle(matching: AcyclicMatching) -> bool:
     return peeled < len(arcs)
 
 
-def _cells_in_order(pair: ComplexPair, seed_order) -> List[Simplex]:
-    cells: List[Simplex] = []
-    for k in range(pair.ambient.dim + 1):
-        cells.extend(pair.cells(k))
-    cells.sort(key=lambda s: (len(s), s))
-    if seed_order is None:
-        return cells
+def _order(pair: ComplexPair, seed_order) -> List[int]:
+    """The cell numbers in the order the coreduction visits them."""
+    cells, index, _ = pair._hasse
+    order = list(range(len(cells)))
     if isinstance(seed_order, int):
-        rng = random.Random(seed_order)
-        rng.shuffle(cells)
-        return cells
-    explicit = list(seed_order)
-    if sorted(explicit, key=lambda s: (len(s), s)) != cells:
-        raise InputError("explicit order is not a permutation of the non-exit cells")
-    return explicit
+        random.Random(seed_order).shuffle(order)
+    elif seed_order is not None:
+        explicit = [index.get(c, -1) for c in seed_order]
+        if sorted(explicit) != order:
+            raise InputError("explicit order is not a permutation of the non-exit cells")
+        order = explicit
+    return order
 
 
 def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
@@ -110,26 +112,26 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
     an int (seeded shuffle), or an explicit cell sequence.  The returned
     matching is validated against all invariants before use.
     """
-    order = _cells_in_order(pair, seed_order)
-    sub = pair.sub.faces
-    alive = set(order)
-    facet_count: Dict[Simplex, int] = {}
+    cells, _, down = pair._hasse
+    order = _order(pair, seed_order)
+    alive = [True] * len(cells)
+    remaining = len(cells)
+    facet_count = [len(facets) for facets in down]
+    cofacets: List[List[int]] = [[] for _ in cells]
     for c in order:
-        facet_count[c] = sum(1 for f in facets(c) if f and f not in sub)
-    cofacets: Dict[Simplex, List[Simplex]] = {c: [] for c in order}
-    for c in order:
-        for f in facets(c):
-            if f and f not in sub:
-                cofacets[f].append(c)
+        for f in down[c]:
+            cofacets[f].append(c)
 
-    matched: List[Tuple[Simplex, Simplex]] = []
-    critical: List[Simplex] = []
+    matched: List[Tuple[int, int]] = []
+    critical: List[int] = []
     queue = deque(c for c in order if facet_count[c] == 1)
 
-    def retire(cell: Simplex):
-        alive.discard(cell)
+    def retire(cell: int):
+        nonlocal remaining
+        alive[cell] = False
+        remaining -= 1
         for up in cofacets[cell]:
-            if up in alive:
+            if alive[up]:
                 facet_count[up] -= 1
                 if facet_count[up] == 1:
                     queue.append(up)
@@ -137,23 +139,23 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
     # Critical candidates by dimension, then by position in ``order``
     # (the sort is stable).  Retired cells never revive, so one pointer
     # walks this list once.
-    by_rank = sorted(order, key=len)
+    by_rank = sorted(order, key=[len(c) for c in cells].__getitem__)
     next_critical = 0
-    while alive:
+    while remaining:
         while queue:
             high = queue.popleft()
-            if high not in alive or facet_count[high] != 1:
+            if not alive[high] or facet_count[high] != 1:
                 continue
-            low = next(f for f in facets(high) if f and f not in sub and f in alive)
+            low = next(f for f in down[high] if alive[f])
             matched.append((low, high))
-            alive.discard(high)
+            alive[high] = False
             retire(low)
             retire(high)
-        if not alive:
+        if not remaining:
             break
         # No free pair: retire the earliest remaining cell of lowest
         # dimension as critical; this unlocks its cofacets.
-        while by_rank[next_critical] not in alive:
+        while not alive[by_rank[next_critical]]:
             next_critical += 1
         cell = by_rank[next_critical]
         critical.append(cell)
@@ -161,8 +163,8 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
 
     return AcyclicMatching(
         pair,
-        frozenset(matched),
-        tuple(sorted(critical, key=lambda s: (len(s), s))),
+        frozenset((cells[low], cells[high]) for low, high in matched),
+        tuple(cells[c] for c in sorted(critical)),
     )
 
 
@@ -196,36 +198,34 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     finite; a cycle found here means the matching data is corrupt.
     """
     pair = matching.pair
-    up = matching.matched_up()
-    sub = pair.sub.faces
+    cells, index, down = pair._hasse
+    up = {index[low]: index[high] for low, high in matching.matched}
     by_degree = matching.critical_by_degree()
     max_dim = pair.ambient.dim
 
-    index: Dict[int, Dict[Simplex, int]] = {
-        k: {c: i for i, c in enumerate(by_degree.get(k, ()))} for k in range(max_dim + 1)
-    }
-    flow_memo: Dict[Simplex, int] = {}
+    # Flow of each cell: a bit-vector over the critical cells of its
+    # degree, seeded with the critical cells' own bits.
+    flow_memo: List[Optional[int]] = [None] * len(cells)
+    for group in by_degree.values():
+        for i, c in enumerate(group):
+            flow_memo[index[c]] = 1 << i
     # A cell whose sibling flows were requested once and are still
     # missing when it is met again lies on a gradient path cycle.
     expanded = set()
 
-    def flow(cell: Simplex) -> int:
-        """Bit-vector over critical cells of the same degree."""
+    def flow(cell: int) -> int:
         pending = [cell]
         while pending:
             top = pending[-1]
-            if top in flow_memo:
+            if flow_memo[top] is not None:
                 pending.pop()
                 continue
-            k = len(top) - 1
-            if top in index[k]:
-                result = 1 << index[k][top]
-            elif top in up:
-                siblings = [f for f in facets(up[top]) if f != top and f and f not in sub]
-                missing = [f for f in siblings if f not in flow_memo]
+            if top in up:
+                siblings = [f for f in down[up[top]] if f != top]
+                missing = [f for f in siblings if flow_memo[f] is None]
                 if missing:
                     if top in expanded:
-                        raise MatchingError("gradient path cycle through %r" % (top,))
+                        raise MatchingError("gradient path cycle through %r" % (cells[top],))
                     expanded.add(top)
                     pending.extend(missing)
                     continue
@@ -244,9 +244,8 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
         cols = []
         for cell in by_degree.get(k, ()):
             acc = 0
-            for f in facets(cell):
-                if f and f not in sub:
-                    acc ^= flow(f)
+            for f in down[index[cell]]:
+                acc ^= flow(f)
             cols.append(acc)
         n_rows = len(by_degree.get(k - 1, ()))
         boundaries[k] = Gf2Matrix.from_columns(cols, n_rows)

@@ -123,7 +123,8 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     The glued vertices are the integers 0..n-1: the vertices only in
     copy A first, then the interface vertices both copies share, then
     the vertices only in copy B, each run in the order of the domain's
-    labels.
+    labels.  When that leaves copy A's labels as they are, copy A is the
+    domain itself, so the two share one chain table and its Betti tables.
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -141,7 +142,9 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     def image(faces: Dict[Simplex, Simplex], region: SimplicialComplex) -> SimplicialComplex:
         return _trusted(frozenset(faces[s] for s in region.faces))
 
-    copy_a, copy_b = _trusted(frozenset(face_a.values())), _trusted(frozenset(face_b.values()))
+    identity = own + shared == list(range(len(labels[0])))
+    copy_a = domain if identity else _trusted(frozenset(face_a.values()))
+    copy_b = _trusted(frozenset(face_b.values()))
     return TruncatedDouble(
         total=copy_a.union(copy_b),
         copy_a=copy_a,

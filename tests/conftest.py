@@ -1,5 +1,7 @@
 """Shared corpus definitions and independent test oracles."""
 
+import random
+from collections import deque
 from functools import lru_cache
 
 from topsym import (
@@ -10,6 +12,7 @@ from topsym import (
     builtin_example,
     truncated_double,
 )
+from topsym.complexes import facets
 from topsym.spaces import catalog_splits
 
 # Catalog complexes small enough to run every check on.
@@ -163,3 +166,61 @@ def is_orientable_surfacelike(cx):
                         sign[u] = needed
                         stack.append(u)
     return True
+
+
+def _by_dimension(s):
+    return len(s), s
+
+
+def reference_matching(pair, seed_order=None):
+    """Greedy coreduction on simplex tuples: ``(matched, critical)`` as
+    ``build_matching`` must return them.
+
+    Cells are visited sorted by dimension then labels, in a seeded
+    shuffle of that list, or in an explicit order; each cell's facet
+    and cofacet lists are rebuilt from ``facets`` and the exit faces.
+    """
+    sub = pair.sub.faces
+    cells = sorted((s for s in pair.ambient.faces if s not in sub), key=_by_dimension)
+    if isinstance(seed_order, int):
+        random.Random(seed_order).shuffle(cells)
+    elif seed_order is not None:
+        assert sorted(seed_order, key=_by_dimension) == cells
+        cells = list(seed_order)
+    alive = set(cells)
+    facet_count = {c: sum(1 for f in facets(c) if f and f not in sub) for c in cells}
+    cofacets = {c: [] for c in cells}
+    for c in cells:
+        for f in facets(c):
+            if f and f not in sub:
+                cofacets[f].append(c)
+    matched, critical = [], []
+    queue = deque(c for c in cells if facet_count[c] == 1)
+
+    def retire(cell):
+        alive.discard(cell)
+        for up in cofacets[cell]:
+            if up in alive:
+                facet_count[up] -= 1
+                if facet_count[up] == 1:
+                    queue.append(up)
+
+    by_rank = sorted(cells, key=len)
+    next_critical = 0
+    while alive:
+        while queue:
+            high = queue.popleft()
+            if high not in alive or facet_count[high] != 1:
+                continue
+            low = next(f for f in facets(high) if f and f not in sub and f in alive)
+            matched.append((low, high))
+            alive.discard(high)
+            retire(low)
+            retire(high)
+        if not alive:
+            break
+        while by_rank[next_critical] not in alive:
+            next_critical += 1
+        critical.append(by_rank[next_critical])
+        retire(by_rank[next_critical])
+    return frozenset(matched), tuple(sorted(critical, key=_by_dimension))

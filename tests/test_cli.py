@@ -248,12 +248,31 @@ class TestRequestLifetime:
         double = split.double
         expected = [split.domain, double.total]
         if command == "verify":
-            expected += [split.positive, split.negative, double.exit_boundary, double.copy_a, double.copy_b]
+            # Both entries have an empty interface and labels 0..n-1, so
+            # copy A of the double is the domain and shares its table.
+            assert double.copy_a is split.domain
+            expected += [split.positive, split.negative, double.exit_boundary, double.copy_b]
         assert len({id(cx) for cx in built}) == len(built)
         assert sorted(map(id, expected)) == sorted(id(cx) for cx in built if any(cx is e for e in expected))
         # Besides those, Mayer-Vietoris builds the overlap of the two copies.
         others = [cx.faces for cx in built if not any(cx is e for e in expected)]
         assert others == ([double.copy_a.faces & double.copy_b.faces] if command == "verify" else [])
+
+    def test_verify_builds_no_table_twice_for_equal_faces(self, monkeypatch, capsys):
+        built = []
+        build = complexes._build_chain_table
+
+        def count(complex_):
+            built.append(complex_.faces)
+            return build(complex_)
+
+        monkeypatch.setattr(complexes, "_build_chain_table", count)
+        assert main(["verify", "reeb_ball_2"]) == EXIT_OK
+        capsys.readouterr()
+        # The empty positive region, exit boundary and overlap are
+        # distinct objects, each with a one-cell table.
+        nonempty = [faces for faces in built if faces]
+        assert len(nonempty) == 4 and len(set(nonempty)) == len(nonempty)
 
     def test_a_request_keeps_no_complex_alive(self, monkeypatch, capsys):
         domains = []

@@ -1,9 +1,15 @@
 """Discrete Morse matchings and the Morse-to-singular comparison."""
 
-import pytest
+import random
 
-from conftest import corpus_pairs, hollow_triangle
+import pytest
+from hypothesis import given, settings
+
+from conftest import corpus_pairs, hollow_triangle, reference_matching
+from test_complexes import random_pairs
 from topsym import ComplexPair, MatchingError, betti, build_complex, cone, euler_characteristic
+from topsym import cli, complexes
+from topsym.cli import EXIT_OK, main
 from topsym.morse import AcyclicMatching, build_matching, morse_betti, morse_complex
 from topsym.complexes import chain_complex
 
@@ -41,14 +47,14 @@ class TestBuildMatching:
 
     def test_validation_rejects_exit_cells(self):
         pair = disk_pair_rel_boundary()
-        with pytest.raises(MatchingError):
+        with pytest.raises(MatchingError, match="matched pair touches the exit subcomplex"):
             AcyclicMatching(pair, frozenset({((0,), (0, 1))}), ())
 
     def test_validation_rejects_double_matching(self):
         cx = build_complex([(0, 1, 2)])
         pair = ComplexPair.absolute(cx)
         bad = frozenset({((0,), (0, 1)), ((0,), (0, 2))})
-        with pytest.raises(MatchingError):
+        with pytest.raises(MatchingError, match="cell matched twice"):
             AcyclicMatching(pair, bad, tuple(sorted((s for s in cx.faces if s not in {(0,), (0, 1), (0, 2)}), key=lambda s: (len(s), s))))
 
     def test_validation_rejects_cyclic_matching(self):
@@ -63,13 +69,88 @@ class TestBuildMatching:
                 key=lambda s: (len(s), s),
             )
         )
-        with pytest.raises(MatchingError):
+        with pytest.raises(MatchingError, match="reversed Hasse digraph has a cycle"):
             AcyclicMatching(pair, matched, criticals)
 
     def test_explicit_order_must_be_a_permutation(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
         with pytest.raises(Exception):
             build_matching(pair, [(0,), (1,)])
+
+
+class TestNumberedDiagram:
+    """The coreduction on cell numbers returns what the tuple-based
+    reference coreduction returns, and reads one diagram per pair."""
+
+    ORDERS = (None, 0, 1, 7)
+
+    def check_against_reference(self, pair, seed_order, label):
+        m = build_matching(pair, seed_order)
+        assert (m.matched, m.critical) == reference_matching(pair, seed_order), label
+
+    def test_corpus_pairs_match_the_reference(self):
+        rng = random.Random(11)
+        for name, pair in corpus_pairs().items():
+            for seed_order in self.ORDERS:
+                self.check_against_reference(pair, seed_order, (name, seed_order))
+            shuffled = sorted(s for s in pair.ambient.faces if s not in pair.sub.faces)
+            rng.shuffle(shuffled)
+            self.check_against_reference(pair, shuffled, (name, "explicit"))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_pairs_match_the_reference(self, pair):
+        for seed_order in self.ORDERS:
+            self.check_against_reference(pair, seed_order, (sorted(pair.ambient.faces), seed_order))
+
+    def test_verify_builds_one_diagram_per_matched_pair(self, monkeypatch, capsys):
+        built, matched = [], []
+        build, match = complexes._build_hasse, cli.build_matching
+
+        def count(pair):
+            built.append(pair)
+            return build(pair)
+
+        def record(pair, *args):
+            matched.append(pair)
+            return match(pair, *args)
+
+        monkeypatch.setattr(complexes, "_build_hasse", count)
+        monkeypatch.setattr(cli, "build_matching", record)
+        assert main(["verify", "annulus_split"]) == EXIT_OK
+        capsys.readouterr()
+        assert len(matched) == 3
+        assert sorted(map(id, built)) == sorted(map(id, matched))
+
+    def test_morse_reads_each_cells_facets_once(self, monkeypatch):
+        calls = []
+        facets = complexes.facets
+
+        def count(simplex):
+            calls.append(simplex)
+            return facets(simplex)
+
+        monkeypatch.setattr(complexes, "facets", count)
+        pair = corpus_pairs()["reeb_ball_2_double"]
+        pair = ComplexPair(pair.ambient, pair.sub)  # a fresh pair has no diagram yet
+        for seed_order in self.ORDERS:
+            morse_betti(build_matching(pair, seed_order))
+        assert sorted(calls) == sorted(s for s in pair.ambient.faces if s not in pair.sub.faces)
+
+    def test_validation_rejects_unknown_cells(self):
+        pair = ComplexPair.absolute(build_complex([(0, 1)]))
+        with pytest.raises(MatchingError, match="matched pair uses unknown cells"):
+            AcyclicMatching(pair, frozenset({((0,), (0, 5))}), ((1,),))
+
+    def test_validation_rejects_a_non_facet(self):
+        pair = ComplexPair.absolute(build_complex([(0, 1), (1, 2)]))
+        with pytest.raises(MatchingError, match=r"\(0,\) is not a facet of \(1, 2\)"):
+            AcyclicMatching(pair, frozenset({((0,), (1, 2))}), ((1,), (2,), (0, 1)))
+
+    def test_validation_rejects_critical_cells_that_are_matched(self):
+        pair = ComplexPair.absolute(build_complex([(0, 1)]))
+        with pytest.raises(MatchingError, match="critical cells do not match the unmatched cells"):
+            AcyclicMatching(pair, frozenset({((0,), (0, 1))}), ((0,), (1,)))
 
 
 class TestMorseComplex:
