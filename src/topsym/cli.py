@@ -6,8 +6,7 @@ the ``BoundarySplit`` docstring (``topsym.spaces``).
 
 Exit codes: 0 success, 1 failed --assert-symmetric, 2 input or
 validation error, 3 identity-suite mismatch in ``verify``, 4 internal
-failure (an inconsistent Morse matching, the recursion limit, or a
-failed internal check), so that a crash never reads as a verdict.
+failure (any other exception), so that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import SimplicialComplex, betti, build_complex, check_face_count
-from .errors import InputError, MatchingError
+from .errors import InputError
 from .exactness import les_exactness_check, mayer_vietoris_check
 from .morse import build_matching, morse_betti
 from .spaces import BoundarySplit, builtin_example
-from .symmetry import ActionReport, SymmetryVerdict, analyze_action
+from .symmetry import MAX_MIN_CHERN, ActionReport, SymmetryVerdict, analyze_action
 
 EXIT_OK = 0
 EXIT_ASSERT_FAILED = 1
@@ -332,7 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="Betti tables and symmetry verdicts")
     analyze.add_argument("space", help="space file or catalog name")
     analyze.add_argument("--json", action="store_true", help="machine-readable output")
-    analyze.add_argument("--mod", type=int, metavar="N", help="add verdicts rolled modulo 2N")
+    analyze.add_argument("--mod", type=int, metavar="N", help="add verdicts rolled modulo 2N, N <= %d" % MAX_MIN_CHERN)
     analyze.add_argument(
         "--assert-symmetric",
         action="store_true",
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (MatchingError, RecursionError, AssertionError) as exc:
+    except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
 from .gf2 import Gf2Matrix, Reduction
@@ -254,14 +254,9 @@ class HomologyBasis:
     """Chain complex of a pair with homology bases and class arithmetic.
 
     Cells in degree k are the relative k-cells in sorted order; in
-    augmented (reduced) mode degree -1 holds the empty simplex.  Each
-    boundary matrix is column-reduced once, from the top degree down.
-    The cycles of degree k are the canonical kernel of that reduction,
-    and the representatives are, in order, the cycles that stay
-    independent when appended to the reduction of the boundary map from
-    degree k+1; the scan stops once it has dim H_k of them.  That
-    reduction then expresses classes, so all bases and witnesses are
-    reproducible.
+    augmented (reduced) mode degree -1 holds the empty simplex.  The
+    representatives are the kernels of ``_reductions``; appended to the
+    reduction of d_{k+1}, they express classes reproducibly.
     """
 
     def __init__(self, pair: ComplexPair, augmented: bool = False):
@@ -277,7 +272,11 @@ class HomologyBasis:
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.
         self._classes: Dict[int, Reduction] = {}
-        self._build()
+        for k, lower, upper in _reductions(self._columns):
+            if not all(upper.add(cycle) for cycle in lower.kernel):
+                raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
+            self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in lower.kernel]
+            self._classes[k] = upper
 
     # -- cell bookkeeping ------------------------------------------------
 
@@ -312,22 +311,6 @@ class HomologyBasis:
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Map from degree-k cells to degree-(k-1) cells."""
         return Gf2Matrix.from_columns(self._columns.get(k, []), self.n_cells(k - 1))
-
-    def _build(self):
-        upper = Reduction(())  # nothing above the top degree
-        for k in reversed(self.degrees()):
-            lower = Reduction(self._columns[k])
-            reps = []
-            wanted = len(lower.kernel) - upper.rank  # dim H_k
-            for cycle in lower.kernel:
-                if len(reps) == wanted:
-                    break
-                if upper.solve(cycle) is None:
-                    upper.add(cycle)
-                    reps.append(self.bits_to_chain(k, cycle))
-            self._reps[k] = reps
-            self._classes[k] = upper
-            upper = lower
 
     # -- homology --------------------------------------------------------
 
@@ -427,6 +410,33 @@ def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[
     return cells, columns
 
 
+def _reductions(columns: Dict[int, List[int]]) -> Iterator[Tuple[int, Reduction, Reduction]]:
+    """Yield (k, reduction of d_k, reduction of d_{k+1}) from the top
+    degree down, with combinations over cell positions.
+
+    Clearing (Chen and Kerber, EuroCG 2011): a reduced column of d_{k+1}
+    with highest bit i is cell i plus lower cells, so column i of d_k
+    depends on earlier ones and is skipped (``Reduction.skip``).  The
+    kernel of d_k keeps one cycle z_j, cell j plus independent earlier
+    cells, for each dependent column j that is not a pivot row of d_{k+1}.
+    These z_j and the boundaries span all cycles: the cycle of a skipped
+    i is the pivot at row i plus cycles of lower highest bit.  No nonzero
+    sum of z_j is a boundary, as its highest bit is not a pivot row.  So
+    the z_j are a basis of H_k, and each stays independent when appended
+    to the reduction of d_{k+1}.
+    """
+    upper = Reduction(())  # nothing above the top degree
+    for k in reversed(columns):
+        cleared, lower = upper.pivot_rows, Reduction(())
+        for i, col in enumerate(columns[k]):
+            if i in cleared:
+                lower.skip()
+            else:
+                lower.add(col)
+        yield k, lower, upper
+        upper = lower
+
+
 def chain_complex(pair: ComplexPair) -> List[Gf2Matrix]:
     """Relative boundary matrices, degree 0 (a 0-row map) up to top degree."""
     cells, columns = _chain_columns(pair, False)
@@ -434,20 +444,13 @@ def chain_complex(pair: ComplexPair) -> List[Gf2Matrix]:
 
 
 def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
-    """Betti table of a pair in the requested flavor, from ranks alone:
-    dim H_k = n_k - rank d_k - rank d_{k+1}.
+    """Betti table of a pair in the requested flavor: dim H_k is the
+    length of the kernel ``_reductions`` leaves in degree k.
 
     ``relative`` with an empty subcomplex coincides with ``absolute``;
     ``reduced`` appends the augmentation row and requires an empty
-    subcomplex; ``HomologyBasis`` gives representatives.  The degrees are
-    reduced from the top down, with clearing: a reduced column of d_{k+1}
-    whose highest bit is row i is a cycle equal to cell i plus lower
-    cells, so the boundary of cell i lies in the span of the lower
-    columns of d_k, and column i is skipped.  By induction upward over
-    the skipped columns, the kept ones span all of d_k, so its rank is
-    unchanged.  The result is kept in the ambient complex's chain table,
-    keyed by the subcomplex's faces and the flavor, so it goes when the
-    complex goes.
+    subcomplex.  The table is kept in the ambient's chain table, keyed
+    by the subcomplex's faces and the flavor, so it goes with the complex.
     """
     if flavor not in ("absolute", "relative", "reduced"):
         raise InputError("unknown flavor %r" % (flavor,))
@@ -456,14 +459,7 @@ def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
         raise InputError("reduced flavor requested on a genuine pair")
     memo, key = pair.ambient._chain_table[2], (pair.sub.faces, augmented)
     if key not in memo:
-        cells, columns = _chain_columns(pair, augmented)
-        dims: Dict[int, int] = {}
-        upper = Reduction(())  # nothing above the top degree
-        for k in reversed(cells):
-            cleared = upper.pivot_rows
-            lower = Reduction(col for i, col in enumerate(columns[k]) if i not in cleared)
-            dims[k] = len(cells[k]) - lower.rank - upper.rank
-            upper = lower
+        dims = {k: len(lower.kernel) for k, lower, _ in _reductions(_chain_columns(pair, augmented)[1])}
         memo[key] = BettiTable.from_dict(flavor, dims).entries
     return BettiTable(flavor, memo[key])
 

@@ -86,6 +86,12 @@ class Reduction:
             self.kernel.append(combo)
         return bool(residue)
 
+    def skip(self) -> None:
+        """Number a column without reducing it.  For a column that depends
+        on the earlier ones this drops only its kernel vector: the pivots,
+        the other kernel vectors and ``solve`` are as if it were added."""
+        self.n_cols += 1
+
     def solve(self, b: int) -> Optional[int]:
         """The combination of columns summing to ``b``, or None when ``b``
         is outside their span."""
@@ -213,9 +219,3 @@ class Gf2Matrix:
         if x is not None and self.mat_vec(x) != b:
             raise AssertionError("back-substitution check failed")
         return x
-
-    def __str__(self) -> str:
-        lines = []
-        for i in range(self.n_rows):
-            lines.append("".join(str(self.entry(i, j)) for j in range(self.n_cols)))
-        return "\n".join(lines) if lines else "(empty %dx%d)" % (self.n_rows, self.n_cols)

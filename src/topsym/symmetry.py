@@ -86,10 +86,15 @@ class RolledTable:
         return sum(self.entries)
 
 
+MAX_MIN_CHERN = 1000  # the cyclic verdict makes up to (2N)^2 comparisons
+
+
 def roll_up(table: BettiTable, min_chern: int) -> RolledTable:
     """Sum table dimensions over residues modulo twice ``min_chern``."""
     if min_chern < 1:
         raise InputError("minimal Chern number must be at least 1")
+    if min_chern > MAX_MIN_CHERN:
+        raise InputError("minimal Chern number must be at most %d" % MAX_MIN_CHERN)
     modulus = 2 * min_chern
     entries = [0] * modulus
     for k, d in table.entries:
@@ -154,16 +159,16 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
     pseudomanifold check; otherwise it is reported as skipped.
     """
     positive_table = betti(split.positive_pair())
+    rolled = None
+    if min_chern is not None:
+        positive_rolled = roll_up(positive_table, min_chern)
+        rolled = (positive_rolled, check_symmetry_rolled(positive_rolled))
     negative_table = betti(split.negative_pair())
     try:
         duality = lefschetz_duality_check(split)
     except PseudomanifoldError:
         duality = None
     factor2_total = betti(split.double.exit_pair())
-    rolled = None
-    if min_chern is not None:
-        positive_rolled = roll_up(positive_table, min_chern)
-        rolled = (positive_rolled, check_symmetry_rolled(positive_rolled))
     return ActionReport(
         name=name,
         positive_table=positive_table,

@@ -4,6 +4,8 @@ import random
 from collections import deque
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from topsym import (
     ComplexPair,
     SimplicialComplex,
@@ -12,7 +14,8 @@ from topsym import (
     builtin_example,
     truncated_double,
 )
-from topsym.complexes import facets
+from topsym.complexes import boundary_chain, facets
+from topsym.gf2 import Reduction
 from topsym.spaces import catalog_splits
 
 # Catalog complexes small enough to run every check on.
@@ -64,6 +67,16 @@ def random_subcomplex(cx, rng):
     if not chosen:
         return SimplicialComplex.empty()
     return SimplicialComplex.from_maximal(chosen)
+
+
+@st.composite
+def random_pairs(draw):
+    """Pairs on at most 7 vertices: a complex from up to 7 simplices and
+    the closure of up to 4 of its faces."""
+    simplex = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
+    ambient = build_complex(draw(st.lists(simplex, min_size=1, max_size=7)))
+    chosen = draw(st.lists(st.sampled_from(sorted(ambient.faces)), max_size=4))
+    return ComplexPair(ambient, build_complex(chosen))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -224,3 +237,45 @@ def reference_matching(pair, seed_order=None):
         critical.append(by_rank[next_critical])
         retire(by_rank[next_critical])
     return frozenset(matched), tuple(sorted(critical, key=_by_dimension))
+
+
+def reference_basis(pair, augmented=False):
+    """Representatives by a greedy scan, and class expressions read from
+    it: ``(reps, express)`` as ``HomologyBasis`` must give them.
+
+    Cells and boundary columns are rebuilt from ``boundary_chain``.  Each
+    boundary map is reduced in full, with no clearing.  In degree k the
+    representatives are, in order, the kernel vectors of d_k that are
+    independent of the columns of d_{k+1} and the representatives before
+    them, each tested with ``solve``.  ``express(k, cycle)`` returns the
+    coefficients over the representatives and the witness chain.
+    """
+    sub = pair.sub.faces
+    cells = {-1: [()]} if augmented else {}
+    for k in range(pair.ambient.dim + 1):
+        cells[k] = sorted(s for s in pair.ambient.faces if len(s) == k + 1 and s not in sub)
+
+    def to_bits(k, chain):
+        return sum(1 << cells[k].index(s) for s in chain)
+
+    def to_chain(k, bits):
+        return frozenset(s for i, s in enumerate(cells.get(k, ())) if bits >> i & 1)
+
+    reps, classes = {}, {}
+    upper = Reduction(())
+    for k in sorted(cells, reverse=True):
+        lower = Reduction([to_bits(k - 1, boundary_chain([s], sub, augmented)) for s in cells[k]])
+        reps[k] = []
+        for cycle in lower.kernel:
+            if upper.solve(cycle) is None:
+                upper.add(cycle)
+                reps[k].append(to_chain(k, cycle))
+        classes[k] = upper
+        upper = lower
+
+    def express(k, cycle):
+        solution = classes[k].solve(to_bits(k, cycle))
+        n_above = len(cells.get(k + 1, ()))
+        return solution >> n_above, to_chain(k + 1, solution & ((1 << n_above) - 1))
+
+    return reps, express

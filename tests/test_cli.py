@@ -17,6 +17,7 @@ from topsym.cli import (
     space_file_dict,
 )
 from topsym.complexes import MAX_FACES
+from topsym.symmetry import MAX_MIN_CHERN
 
 DISK_FILE = {
     "name": "disk",
@@ -157,6 +158,22 @@ class TestCommands:
         monkeypatch.setattr("topsym.cli.analyze_action", broken)
         assert main(["analyze", "reeb_ball_1", "--assert-symmetric"]) == EXIT_INTERNAL_ERROR
         assert "internal error: AssertionError" in capsys.readouterr().err
+
+    def test_any_other_exception_is_an_internal_failure(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise KeyError((0, 1))
+
+        monkeypatch.setattr("topsym.cli.analyze_action", broken)
+        assert main(["analyze", "reeb_ball_1", "--assert-symmetric"]) == EXIT_INTERNAL_ERROR
+        assert capsys.readouterr().err == "internal error: KeyError: (0, 1)\n"
+
+    def test_huge_modulus_is_refused_before_the_rolled_table(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rolled table was built")
+
+        monkeypatch.setattr("topsym.symmetry.RolledTable", refuse)
+        assert main(["analyze", "disk_half_split", "--mod", "1000000000000"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: minimal Chern number must be at most %d\n" % MAX_MIN_CHERN
 
     def test_analyze_json_structure(self, capsys):
         assert main(["analyze", "brieskorn_2", "--json", "--mod", "2"]) == EXIT_OK

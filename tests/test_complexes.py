@@ -4,9 +4,8 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import corpus_pairs, hollow_triangle
+from conftest import corpus_pairs, hollow_triangle, random_pairs, reference_basis
 from topsym import (
     ComplexPair,
     HomologyBasis,
@@ -207,14 +206,6 @@ def reduced_from_absolute(table):
     return {k: d for k, d in dims.items() if d}
 
 
-@st.composite
-def random_pairs(draw):
-    simplex = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
-    ambient = build_complex(draw(st.lists(simplex, min_size=1, max_size=7)))
-    chosen = draw(st.lists(st.sampled_from(sorted(ambient.faces)), max_size=4))
-    return ComplexPair(ambient, build_complex(chosen))
-
-
 def boundary_matrices_by_cell(pair, augmented):
     """Boundary matrices by degree, one entry at a time from the
     set-based ``boundary_chain``."""
@@ -269,6 +260,29 @@ class TestRankPass:
             betti(pair)
             if len(pair.sub) == 0:
                 betti(pair, "reduced")
+
+    def check_against_reference(self, pair, label):
+        rng = random.Random(repr(label))
+        for augmented in (False, True) if len(pair.sub) == 0 else (False,):
+            basis = HomologyBasis(pair, augmented)
+            reps, express = reference_basis(pair, augmented)
+            assert {k: basis.representatives(k) for k in basis.degrees()} == reps, (label, augmented)
+            for k in basis.degrees():
+                above = basis.cells(k + 1)
+                boundary = boundary_chain(
+                    [s for s in above if rng.random() < 0.5], pair.sub.faces, augmented
+                )
+                for cycle in reps[k] + [rep ^ boundary for rep in reps[k]] + [boundary]:
+                    assert basis.express_class(k, cycle) == express(k, cycle), (label, augmented, k)
+
+    def test_corpus_bases_match_the_greedy_reference(self):
+        for name, pair in corpus_pairs().items():
+            self.check_against_reference(pair, name)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_bases_match_the_greedy_reference(self, pair):
+        self.check_against_reference(pair, sorted(pair.ambient.faces))
 
     def test_missing_cell_is_an_input_error_on_both_paths(self):
         # Derived complexes skip the face-closure check; the columns keep it.

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from conftest import corpus_complexes, corpus_pairs, hollow_triangle, random_subcomplex
+from hypothesis import given, settings
+
+from conftest import corpus_complexes, corpus_pairs, hollow_triangle, random_pairs, random_subcomplex
 from topsym import (
     ComplexPair,
     InputError,
@@ -144,6 +146,37 @@ class TestLesExactness:
             report = les_exactness_check(ComplexPair(ambient, sub))
             assert report.passed, report.first_failure
             checked += 1
+
+
+class TestRandomPairs:
+    """The long exact sequence of random pairs, against witnesses checked
+    chain by chain."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_les_is_exact(self, pair):
+        report = les_exactness_check(pair)
+        assert report.passed, report.first_failure
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_connecting_map_witnesses_hold_in_every_degree(self, pair):
+        # Each relative (d+1)-class goes to the class of its boundary: the
+        # boundary plus the chosen degree-d representatives of the
+        # subcomplex bounds the witness.
+        for d in range(-1, pair.ambient.dim + 1):
+            m = connecting_map(pair, d)
+            matrix = m.matrix(d + 1)
+            sources, targets = m.source.representatives(d + 1), m.target.representatives(d)
+            assert (matrix.n_rows, matrix.n_cols) == (len(targets), len(sources))
+            assert len(m.witnesses.get(d + 1, ())) == len(sources)
+            for j, (rep, witness) in enumerate(zip(sources, m.witnesses.get(d + 1, ()))):
+                image = set(boundary_chain(rep, frozenset(), augmented=True))
+                for i, target in enumerate(targets):
+                    if matrix.entry(i, j):
+                        image ^= target
+                assert frozenset(image) == boundary_chain(witness, frozenset(), augmented=True)
+                assert witness <= pair.sub.faces
 
 
 class TestMayerVietoris:

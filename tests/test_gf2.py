@@ -10,6 +10,7 @@ from conftest import (
     rank_by_subset_enumeration,
 )
 from topsym import Gf2Matrix, InputError
+from topsym.gf2 import Reduction
 
 
 def hollow_triangle_d1():
@@ -149,6 +150,29 @@ class TestSolvePreimage:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
             Gf2Matrix.identity(2).solve_preimage(0b100)
+
+
+class TestSkip:
+    def test_skipping_a_dependent_column_changes_only_its_kernel_vector(self):
+        skipped = 0
+        for m, rng in random_matrices(31, 80):
+            columns = m.columns()
+            full = Reduction(columns)
+            targets = [m.mat_vec(rng.getrandbits(m.n_cols)) for _ in range(3)] + [rng.getrandbits(m.n_rows)]
+            for vector in full.kernel:
+                j = vector.bit_length() - 1
+                partial = Reduction(())
+                for i, col in enumerate(columns):
+                    if i == j:
+                        partial.skip()
+                    else:
+                        partial.add(col)
+                assert partial.n_cols == full.n_cols
+                assert partial._pivots == full._pivots
+                assert partial.kernel == [v for v in full.kernel if v != vector]
+                assert [partial.solve(b) for b in targets] == [full.solve(b) for b in targets]
+                skipped += 1
+        assert skipped >= 100
 
 
 class TestMatrixBasics:

@@ -14,6 +14,7 @@ from topsym import (
 from topsym.complexes import BettiTable
 from topsym.spaces import catalog_splits
 from topsym.symmetry import (
+    MAX_MIN_CHERN,
     RolledTable,
     analyze_action,
     check_sphere_action,
@@ -145,6 +146,11 @@ class TestRollUp:
     def test_zero_modulus_rejected(self):
         with pytest.raises(InputError):
             roll_up(make_table({0: 1}), 0)
+
+    def test_minimal_chern_number_is_bounded(self):
+        assert len(roll_up(make_table({0: 1}), MAX_MIN_CHERN).entries) == 2 * MAX_MIN_CHERN
+        with pytest.raises(InputError, match="at most %d" % MAX_MIN_CHERN):
+            roll_up(make_table({0: 1}), MAX_MIN_CHERN + 1)
 
 
 class TestCheckSymmetryRolled:
