@@ -1,7 +1,9 @@
 """Committed command-line answers: exit code and standard output.
 
 ``golden_cli.json`` holds, for every case below, what ``topsym.cli.main``
-printed and returned when the file was written.  A change that must not
+printed and returned when the file was written.  Space-file cases are
+keyed by a path relative to ``tests/`` and run from that directory.
+A change that must not
 alter any answer keeps this test green; a change meant to alter an
 answer rewrites the file and shows the difference in review:
 
@@ -10,6 +12,7 @@ answer rewrites the file and shows the difference in review:
 
 import io
 import json
+import os
 from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -20,7 +23,11 @@ from conftest import CORPUS_COMPLEX_NAMES
 from topsym.cli import main
 from topsym.spaces import catalog_splits
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden_cli.json"
+# A disk with a positive arc, the same arc as the negative region, no
+# region, both regions; an annulus with its outer circle positive.
+SPACE_FILES = ("disk_positive", "disk_negative", "annulus_outer", "disk_bare", "disk_both")
 
 
 def cases():
@@ -29,13 +36,20 @@ def cases():
         out += [["analyze", name, "--json"], ["analyze", name, "--mod", "2", "--json"], ["verify", name, "--json"]]
     out += [["double", name] for name in catalog_splits()]
     out += [["analyze", name, "--json"] for name in CORPUS_COMPLEX_NAMES]
+    for name in SPACE_FILES:
+        path = "spaces/%s.json" % name
+        out += [["analyze", path, "--json"], ["analyze", path], ["verify", path, "--json"], ["double", path]]
     return out
 
 
 def run(argv):
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(argv)
+    buffer, cwd = io.StringIO(), os.getcwd()
+    os.chdir(HERE)
+    try:
+        with redirect_stdout(buffer):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": buffer.getvalue()}
 
 
