@@ -5,8 +5,10 @@ closed boundary regions.  A missing region is filled in by the rule in
 the ``BoundarySplit`` docstring (``topsym.spaces``).
 
 Exit codes: 0 success, 1 failed --assert-symmetric, 2 input or
-validation error, 3 identity-suite mismatch in ``verify``, 4 internal
-failure (any other exception), so that a crash never reads as a verdict.
+validation error, every malformed space file included (see
+``parse_space_file``), 3 identity-suite mismatch in ``verify``, 4
+internal failure (any other exception), so that a crash never reads as
+a verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -36,22 +38,24 @@ EXIT_INTERNAL_ERROR = 4
 
 @dataclass(frozen=True)
 class SpaceFile:
-    """Parsed space file: a named complex with optional boundary regions."""
+    """Parsed space file: a named complex with optional boundary regions,
+    and the split they give, built and validated on construction."""
 
     name: str
     maximal_simplices: Tuple[Tuple[int, ...], ...]
     positive_region: Optional[Tuple[Tuple[int, ...], ...]]
     negative_region: Optional[Tuple[Tuple[int, ...], ...]]
+    _split: BoundarySplit = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        regions = [None if r is None else build_complex(r) for r in (self.positive_region, self.negative_region)]
+        object.__setattr__(self, "_split", BoundarySplit(build_complex(self.maximal_simplices), *regions))
 
     def complex(self) -> SimplicialComplex:
-        return build_complex(self.maximal_simplices)
+        return self._split.domain
 
     def split(self) -> BoundarySplit:
-        regions = [
-            None if region is None else build_complex(region)
-            for region in (self.positive_region, self.negative_region)
-        ]
-        return BoundarySplit(self.complex(), *regions)
+        return self._split
 
 
 def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
@@ -67,18 +71,14 @@ def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
 
 
 def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
-    """Decode and structurally validate a space file.
+    """Decode a space file, check its fields and build its split.
 
-    The boundary-split invariants are verified here as well, so a
-    returned SpaceFile always yields a usable split.
+    Every malformed file is an ``InputError`` (exit 2): text that is not
+    UTF-8 or not JSON, JSON nested too deeply or holding an integer past
+    Python's digit limit, a name that is not Unicode text, a field of the
+    wrong shape, too many faces, or regions that do not split the
+    boundary.  A returned SpaceFile always yields a usable split.
     """
-    space = _decode_space_file(data)
-    space.split()  # surfaces region/boundary violations now
-    return space
-
-
-def _decode_space_file(data: Union[bytes, str]) -> SpaceFile:
-    """Decode a space file and check its fields; the split is not built."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -88,6 +88,8 @@ def _decode_space_file(data: Union[bytes, str]) -> SpaceFile:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON at byte offset %d: %s" % (exc.pos, exc.msg)) from exc
+    except (RecursionError, ValueError) as exc:
+        raise InputError("space file cannot be decoded: %s" % exc) from exc
     if not isinstance(raw, dict):
         raise InputError("space file must be a JSON object")
     unknown = set(raw) - {"name", "maximal_simplices", "positive_region", "negative_region"}
@@ -95,22 +97,14 @@ def _decode_space_file(data: Union[bytes, str]) -> SpaceFile:
         raise InputError("unknown space-file fields: %s" % ", ".join(sorted(unknown)))
     if not isinstance(raw.get("name"), str):
         raise InputError("space file needs a string 'name'")
+    try:
+        raw["name"].encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError("space-file 'name' is not Unicode text") from None
     if "maximal_simplices" not in raw:
         raise InputError("space file needs 'maximal_simplices'")
-    return SpaceFile(
-        name=raw["name"],
-        maximal_simplices=_simplex_list(raw["maximal_simplices"], "maximal_simplices"),
-        positive_region=(
-            _simplex_list(raw["positive_region"], "positive_region")
-            if "positive_region" in raw
-            else None
-        ),
-        negative_region=(
-            _simplex_list(raw["negative_region"], "negative_region")
-            if "negative_region" in raw
-            else None
-        ),
-    )
+    keys = ("maximal_simplices", "positive_region", "negative_region")
+    return SpaceFile(raw["name"], *(_simplex_list(raw[key], key) if key in raw else None for key in keys))
 
 
 def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit]) -> Dict:
@@ -146,7 +140,7 @@ def load_space(locator: str) -> Tuple[str, BoundarySplit]:
                 data = handle.read()
         except OSError as exc:
             raise InputError("cannot read %s: %s" % (locator, exc.strerror)) from exc
-        space = _decode_space_file(data)
+        space = parse_space_file(data)
         return space.name, space.split()
     if os.sep in locator or locator.endswith(".json"):
         raise InputError("no such file: %s" % locator)

@@ -49,7 +49,8 @@ def _as_simplex(vertices: Iterable) -> Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices, immutable; the chain table is built on first use.
+    """Face-closed set of simplices, immutable; the chain table and the
+    ridge incidence are built on first use.
 
     The public constructor ``SimplicialComplex(faces)`` validates its
     input: every face is a nonempty, strictly ascending tuple and every
@@ -104,6 +105,10 @@ class SimplicialComplex:
     def simplices(self, k: int) -> Tuple[Simplex, ...]:
         """Simplices of dimension ``k`` in sorted order."""
         return self._by_degree.get(k, ())
+
+    @cached_property
+    def _ridges(self) -> Dict[Simplex, List[Simplex]]:
+        return _build_ridge_incidence(self)
 
     @cached_property
     def _chain_table(self) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
@@ -480,12 +485,18 @@ def check_pure(complex_: SimplicialComplex) -> int:
     return d
 
 
-def _ridge_incidence(complex_: SimplicialComplex, d: int) -> Dict[Simplex, List[Simplex]]:
+def _build_ridge_incidence(complex_: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
+    """Each codimension-1 simplex, in sorted order, with the sorted top
+    simplices it is a facet of; empty below dimension 1."""
+    d = complex_.dim
+    if d < 1:
+        return {}
     incidence: Dict[Simplex, List[Simplex]] = {s: [] for s in complex_.simplices(d - 1)}
     for top in complex_.simplices(d):
         for f in facets(top):
             incidence[f].append(top)
     return incidence
+
 
 def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 simplices lying in exactly one top simplex.
@@ -495,45 +506,21 @@ def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     """
     if len(complex_) == 0:
         return SimplicialComplex.empty()
-    d = check_pure(complex_)
-    if d == 0:
-        return SimplicialComplex.empty()
+    check_pure(complex_)
     free = []
-    for ridge, tops in _ridge_incidence(complex_, d).items():
+    for ridge, tops in complex_._ridges.items():
         if len(tops) > 2:
             raise PseudomanifoldError(
                 "simplex %r lies in %d top simplices" % (ridge, len(tops))
             )
         if len(tops) == 1:
             free.append(ridge)
-    return SimplicialComplex.from_maximal(free) if free else SimplicialComplex.empty()
-
-
-def is_strongly_connected(complex_: SimplicialComplex) -> bool:
-    """Whether top simplices are connected through codimension-1 faces."""
-    d = complex_.dim
-    tops = complex_.simplices(d)
-    if len(tops) <= 1:
-        return True
-    if d == 0:
-        return False
-    adjacency: Dict[Simplex, List[Simplex]] = {t: [] for t in tops}
-    for tops_here in _ridge_incidence(complex_, d).values():
-        for a, b in itertools.combinations(tops_here, 2):
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    seen = {tops[0]}
-    queue = [tops[0]]
-    while queue:
-        for nxt in adjacency[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(tops)
+    return SimplicialComplex.from_maximal(free)
 
 
 def check_strongly_connected(complex_: SimplicialComplex) -> int:
-    """Dimension of a nonempty, strongly connected complex, else an error.
+    """Dimension of a nonempty complex whose top simplices are connected
+    through codimension-1 faces, else an error.
 
     On a complex whose boundary has been extracted (purity and ridge
     incidence at most two, as for the domain of a ``BoundarySplit``)
@@ -541,7 +528,15 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
     """
     if len(complex_) == 0:
         raise PseudomanifoldError("empty complex")
-    if not is_strongly_connected(complex_):
+    tops, incidence = complex_.simplices(complex_.dim), complex_._ridges
+    seen, stack = {tops[0]}, [tops[0]]
+    while stack:
+        for ridge in facets(stack.pop()):
+            for nxt in incidence.get(ridge, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    if len(seen) != len(tops):
         raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")
     return complex_.dim
 

@@ -11,7 +11,7 @@ the middle dimension", which together say image = kernel as subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .complexes import (
     BettiTable,
@@ -57,11 +57,13 @@ def _map_on_homology(
     source: HomologyBasis,
     target: HomologyBasis,
     push: Callable[[int, Chain], Chain],
+    degrees: Iterable[int],
     degree_shift: int = 0,
 ) -> HomologyMap:
+    """The map in the given source degrees; the others read as zero."""
     matrices: Dict[int, Gf2Matrix] = {}
     witnesses: Dict[int, Tuple[Chain, ...]] = {}
-    for k in source.degrees():
+    for k in degrees:
         n_target = target.betti_dim(k + degree_shift)
         cols: List[int] = []
         wits: List[Chain] = []
@@ -84,7 +86,7 @@ def induced_map(source_pair: ComplexPair, target_pair: ComplexPair) -> HomologyM
     source = HomologyBasis(source_pair)
     target = HomologyBasis(target_pair)
     drop = target_pair.sub.faces
-    return _map_on_homology(source, target, lambda k, c: frozenset(s for s in c if s not in drop))
+    return _map_on_homology(source, target, lambda k, c: frozenset(s for s in c if s not in drop), source.degrees())
 
 
 def connecting_map(pair: ComplexPair, degree: int) -> HomologyMap:
@@ -96,12 +98,10 @@ def connecting_map(pair: ComplexPair, degree: int) -> HomologyMap:
     """
     source = HomologyBasis(pair)
     target = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
-    full = _connecting(source, target)
-    k = degree + 1
-    return HomologyMap(source, target, -1, {k: full.matrix(k)}, {k: full.witnesses.get(k, ())})
+    return _connecting(source, target, (degree + 1,))
 
 
-def _connecting(source: HomologyBasis, target: HomologyBasis) -> HomologyMap:
+def _connecting(source: HomologyBasis, target: HomologyBasis, degrees: Iterable[int]) -> HomologyMap:
     def push(k: int, chain: Chain) -> Chain:
         image = boundary_chain(chain, frozenset(), augmented=True)
         outside = [s for s in image if s != () and s not in source.pair.sub.faces]
@@ -109,7 +109,7 @@ def _connecting(source: HomologyBasis, target: HomologyBasis) -> HomologyMap:
             raise AssertionError("relative cycle has boundary outside the subcomplex: %r" % (outside[0],))
         return image
 
-    return _map_on_homology(source, target, push, degree_shift=-1)
+    return _map_on_homology(source, target, push, degrees, degree_shift=-1)
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,11 @@ def les_exactness_check(pair: ComplexPair) -> LesReport:
     amb_h = HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
     rel_h = HomologyBasis(pair)
 
-    into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c)
+    into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c, sub_h.degrees())
     onto_relative = _map_on_homology(
-        amb_h, rel_h, lambda k, c: frozenset(s for s in c if s != () and s not in pair.sub.faces)
+        amb_h, rel_h, lambda k, c: frozenset(s for s in c if s != () and s not in pair.sub.faces), amb_h.degrees()
     )
-    connect = _connecting(rel_h, sub_h)
+    connect = _connecting(rel_h, sub_h, rel_h.degrees())
 
     slots = []
     # One degree above the top dimension, all groups vanish; starting

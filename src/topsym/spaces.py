@@ -40,6 +40,9 @@ class BoundarySplit:
     and the whole boundary is negative.  That is the convention for a
     plain complex, and what the Reeb flow on a sphere induces on its
     filling ball.  Space files and catalog entries follow this rule.
+    The complement is closed from the boundary's top simplices outside
+    the given region: the faces outside a subcomplex are closed upward,
+    and the boundary is pure, so each of them lies in such a top simplex.
     """
 
     domain: SimplicialComplex
@@ -51,16 +54,17 @@ class BoundarySplit:
         if self.positive is None and self.negative is None:
             object.__setattr__(self, "positive", SimplicialComplex.empty())
             object.__setattr__(self, "negative", boundary)
-        elif self.negative is None:
-            object.__setattr__(self, "negative", build_complex(boundary.faces - self.positive.faces))
-        elif self.positive is None:
-            object.__setattr__(self, "positive", build_complex(boundary.faces - self.negative.faces))
+        elif self.positive is None or self.negative is None:
+            missing, given = ("negative", self.positive) if self.negative is None else ("positive", self.negative)
+            tops = boundary.simplices(boundary.dim)
+            object.__setattr__(self, missing, build_complex(s for s in tops if s not in given.faces))
         for name, region in (("positive", self.positive), ("negative", self.negative)):
             if not region.is_subcomplex_of(boundary):
                 bad = sorted(region.faces - boundary.faces)[0]
                 raise InputError("%s region simplex %r is not on the boundary" % (name, bad))
-        if self.positive.union(self.negative).faces != boundary.faces:
-            missing = sorted(boundary.faces - self.positive.union(self.negative).faces)[0]
+        covered = self.positive.faces | self.negative.faces
+        if covered != boundary.faces:
+            missing = sorted(boundary.faces - covered)[0]
             raise InputError("regions do not cover the boundary; %r is uncovered" % (missing,))
 
     @cached_property

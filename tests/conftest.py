@@ -1,5 +1,6 @@
 """Shared corpus definitions and independent test oracles."""
 
+import itertools
 import random
 from collections import deque
 from functools import lru_cache
@@ -15,8 +16,9 @@ from topsym import (
     truncated_double,
 )
 from topsym.complexes import boundary_chain, facets
+from topsym.errors import PseudomanifoldError
 from topsym.gf2 import Reduction
-from topsym.spaces import catalog_splits
+from topsym.spaces import BoundarySplit, catalog_splits
 
 # Catalog complexes small enough to run every check on.
 CORPUS_COMPLEX_NAMES = (
@@ -77,6 +79,39 @@ def random_pairs(draw):
     ambient = build_complex(draw(st.lists(simplex, min_size=1, max_size=7)))
     chosen = draw(st.lists(st.sampled_from(sorted(ambient.faces)), max_size=4))
     return ComplexPair(ambient, build_complex(chosen))
+
+
+# Catalog domains that random splits are grown on; ball_4 is also the
+# domain of reeb_ball_2, and the split entries give the disk and annulus.
+SPLIT_DOMAIN_NAMES = ("ball_2", "ball_3", "ball_4", "disk_half_split", "annulus_split")
+
+
+@lru_cache(maxsize=None)
+def split_domains():
+    """Each domain with its boundary's top simplices and their ridge incidence."""
+    objects = [builtin_example(name) for name in SPLIT_DOMAIN_NAMES]
+    out = []
+    for domain in (obj.domain if isinstance(obj, BoundarySplit) else obj for obj in objects):
+        boundary = boundary_subcomplex(domain)
+        out.append((domain, boundary.simplices(boundary.dim), ridge_incidence(boundary)))
+    return tuple(out)
+
+
+@st.composite
+def grown_regions(draw):
+    """A catalog domain, a region of its boundary and an injective
+    relabeling of its vertices.  The region is the closure of boundary
+    top simplices grown from one of them across shared ridges."""
+    domain, tops, incidence = draw(st.sampled_from(split_domains()))
+    grown = [draw(st.sampled_from(tops))]
+    for _ in range(draw(st.integers(0, len(tops) - 1))):
+        frontier = sorted({u for t in grown for f in facets(t) for u in incidence[f]} - set(grown))
+        if not frontier:  # the grown tops fill a component of the boundary
+            break
+        grown.append(draw(st.sampled_from(frontier)))
+    vertices = sorted(domain.vertices)
+    offset, images = draw(st.integers(0, 99)), draw(st.permutations(range(len(vertices))))
+    return domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
 
 
 # -- independent oracles -----------------------------------------------------
@@ -151,6 +186,37 @@ def ridge_incidence(cx):
             face = top[:k] + top[k + 1 :]
             incidence.setdefault(face, []).append(top)
     return incidence
+
+
+def reference_check_strongly_connected(cx):
+    """``check_strongly_connected`` by adjacency lists over every pair of
+    top simplices on a ridge and a breadth-first search: the dimension,
+    or the same ``PseudomanifoldError``."""
+    if len(cx) == 0:
+        raise PseudomanifoldError("empty complex")
+    d = cx.dim
+    tops = cx.simplices(d)
+    adjacency = {t: [] for t in tops}
+    for tops_here in ridge_incidence(cx).values() if d > 0 else ():
+        for a, b in itertools.combinations(tops_here, 2):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    seen = {tops[0]}
+    queue = deque([tops[0]])
+    while queue:
+        for nxt in adjacency[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if len(seen) != len(tops):
+        raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")
+    return d
+
+
+def reference_fill(boundary, region):
+    """The region a split fills in opposite ``region``: the closure of
+    every boundary face outside it."""
+    return build_complex(boundary.faces - region.faces)
 
 
 def is_orientable_surfacelike(cx):

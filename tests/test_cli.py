@@ -2,7 +2,9 @@
 
 import gc
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,10 @@ from topsym.cli import (
     space_file_dict,
 )
 from topsym.complexes import MAX_FACES
+from topsym.spaces import BoundarySplit
 from topsym.symmetry import MAX_MIN_CHERN
+
+SPACES = Path(__file__).with_name("spaces")
 
 DISK_FILE = {
     "name": "disk",
@@ -67,6 +72,36 @@ class TestParseSpaceFile:
         split = parse_space_file(json.dumps(raw).encode()).split()
         assert len(split.positive) == 0
         assert split.negative == split.boundary
+
+
+class TestMalformedSpaceFiles:
+    """Files that ``json.loads`` or the text report cannot take are
+    input errors, not internal failures."""
+
+    def refused(self, tmp_path, capsys, text, *flags):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["analyze", str(path), *flags])
+        err = capsys.readouterr().err
+        return code, err.startswith("error: ")
+
+    def test_deeply_nested_simplices(self, tmp_path, capsys):
+        depth = 100_000
+        text = '{"name": "deep", "maximal_simplices": %s%s}' % ("[" * depth, "]" * depth)
+        assert self.refused(tmp_path, capsys, text) == (EXIT_INPUT_ERROR, True)
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="no integer-digit limit below 5000 digits",
+    )
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        text = '{"name": "long", "maximal_simplices": [[%s]]}' % ("7" * 5000)
+        assert self.refused(tmp_path, capsys, text) == (EXIT_INPUT_ERROR, True)
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_name_that_is_not_unicode_text(self, tmp_path, capsys, flags):
+        text = '{"name": "\\ud800", "maximal_simplices": [[0]]}'
+        assert self.refused(tmp_path, capsys, text, *flags) == (EXIT_INPUT_ERROR, True)
 
 
 class TestCommands:
@@ -290,6 +325,42 @@ class TestRequestLifetime:
         # distinct objects, each with a one-cell table.
         nonempty = [faces for faces in built if faces]
         assert len(nonempty) == 4 and len(set(nonempty)) == len(nonempty)
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_space_file_builds_each_ridge_incidence_once(self, monkeypatch, capsys, command):
+        built, splits = [], []
+        build, load = complexes._build_ridge_incidence, cli.load_space
+
+        def count(complex_):
+            built.append(complex_)
+            return build(complex_)
+
+        def record(locator):
+            name, split = load(locator)
+            splits.append(split)
+            return name, split
+
+        monkeypatch.setattr(complexes, "_build_ridge_incidence", count)
+        monkeypatch.setattr(cli, "load_space", record)
+        assert main([command, str(SPACES / "disk_positive.json")]) == EXIT_OK
+        capsys.readouterr()
+        split, = splits
+        # Extracting the boundary and the connectivity check of duality
+        # both read the domain's incidence.
+        assert [cx for cx in built if cx is split.domain] == [split.domain]
+        assert len({id(cx) for cx in built}) == len(built)
+
+    def test_parsed_space_file_builds_one_split(self, monkeypatch):
+        built = []
+        validate = BoundarySplit.__post_init__
+
+        def count(split):
+            built.append(split)
+            validate(split)
+
+        monkeypatch.setattr(BoundarySplit, "__post_init__", count)
+        split = parse_space_file((SPACES / "disk_positive.json").read_bytes()).split()
+        assert len(built) == 1 and built[0] is split
 
     def test_a_request_keeps_no_complex_alive(self, monkeypatch, capsys):
         domains = []

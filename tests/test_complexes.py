@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_pairs, hollow_triangle, random_pairs, reference_basis
+from conftest import (
+    corpus_pairs,
+    hollow_triangle,
+    random_pairs,
+    reference_basis,
+    reference_check_strongly_connected,
+)
 from topsym import (
     ComplexPair,
     HomologyBasis,
@@ -22,7 +28,7 @@ from topsym import (
     full_double,
 )
 from topsym import complexes
-from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, excise
+from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_connected, excise
 from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import catalog_splits, truncated_double
@@ -342,6 +348,39 @@ class TestBoundarySubcomplex:
         cx = build_complex([(0, 1, 2), (3, 4)])
         with pytest.raises(PseudomanifoldError):
             boundary_subcomplex(cx)
+
+
+def connectivity(check, cx):
+    """The dimension ``check`` returns, or the message it raises."""
+    try:
+        return check(cx)
+    except PseudomanifoldError as exc:
+        return str(exc)
+
+
+class TestStrongConnectivity:
+    """The walk over each complex's ridge incidence against adjacency
+    lists over pairs of top simplices and a breadth-first search."""
+
+    def test_corpus_agrees_with_the_reference(self):
+        extras = [
+            SimplicialComplex.empty(),
+            build_complex([(0,)]),
+            build_complex([(0,), (1,)]),
+            build_complex([(0, 1, 2), (2, 3, 4)]),  # two triangles on a vertex
+            build_complex([(0, 1, 2), (3, 4)]),
+        ]
+        outcomes = []
+        for cx in [pair.ambient for pair in corpus_pairs().values()] + extras:
+            outcomes.append(connectivity(check_strongly_connected, cx))
+            assert outcomes[-1] == connectivity(reference_check_strongly_connected, cx), sorted(cx.faces)
+        assert {type(outcome) for outcome in outcomes} == {int, str}
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_ambients_agree_with_the_reference(self, pair):
+        cx = pair.ambient
+        assert connectivity(check_strongly_connected, cx) == connectivity(reference_check_strongly_connected, cx)
 
 
 class TestEuler:

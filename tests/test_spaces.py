@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import hollow_triangle, is_orientable_surfacelike, ridge_incidence
+from conftest import grown_regions, hollow_triangle, is_orientable_surfacelike, reference_fill, ridge_incidence
 from topsym import (
     ComplexPair,
     InputError,
     SimplicialComplex,
+    analyze_action,
     betti,
     boundary_subcomplex,
     build_complex,
@@ -16,11 +18,12 @@ from topsym import (
     cone,
     cross_polytope_sphere,
     full_double,
+    mayer_vietoris_check,
     truncated_double,
     wedge_of_spheres,
 )
 from topsym import spaces
-from topsym.cli import EXIT_OK, main
+from topsym.cli import EXIT_OK, main, report_json
 from topsym.complexes import MAX_FACES
 from topsym.spaces import BoundarySplit, catalog_splits
 
@@ -299,6 +302,34 @@ class TestSplitInvariants:
         split = BoundarySplit(disk)
         assert len(split.positive) == 0
         assert split.negative == boundary_subcomplex(disk)
+
+
+class TestRandomSplits:
+    """Splits of catalog domains with a region grown across boundary ridges."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(grown_regions())
+    def test_missing_region_is_the_closed_complement(self, drawn):
+        domain, region, _ = drawn
+        expected = reference_fill(boundary_subcomplex(domain), region)
+        assert BoundarySplit(domain, region).negative == expected
+        assert BoundarySplit(domain, None, region).positive == expected
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(grown_regions())
+    def test_identities_hold_and_the_report_survives_relabeling(self, drawn):
+        domain, region, mapping = drawn
+        split = BoundarySplit(domain, region)
+        try:
+            double = split.double
+        except InputError:  # the interface is not an induced subcomplex
+            assume(False)
+        report = analyze_action(split, name="grown")
+        assert report.factor2_passed and report.duality_status == "pass"
+        mv = mayer_vietoris_check(double.total, double.copy_a, double.copy_b, double.exit_a, double.exit_b)
+        assert mv.passed is True
+        relabeled = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
+        assert report_json(analyze_action(relabeled, name="grown")) == report_json(report)
 
 
 class TestRelabelingInvariance:

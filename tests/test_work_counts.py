@@ -6,7 +6,8 @@ that brings back the old work fails here rather than only in the bench.
 
 import pytest
 
-from topsym import ComplexPair, HomologyBasis, builtin_example, gf2
+from conftest import corpus_pairs
+from topsym import ComplexPair, HomologyBasis, betti, builtin_example, connecting_map, gf2
 from topsym.cli import EXIT_OK, main
 
 
@@ -77,3 +78,22 @@ def test_basis_with_homology_makes_no_solve_call(monkeypatch, name, augmented):
     # tested against the boundaries.
     basis = check_basis_work(monkeypatch, ComplexPair.absolute(builtin_example(name)), augmented)
     assert basis.betti().total() > 0
+
+
+def test_connecting_map_expresses_only_its_source_degree(monkeypatch):
+    # connecting_map(pair, d) maps H_{d+1}(pair) into reduced H_d(sub):
+    # one class expression per relative representative in degree d + 1.
+    calls = []
+    express = HomologyBasis.express_class
+
+    def counted(self, k, chain):
+        calls.append(k)
+        return express(self, k, chain)
+
+    monkeypatch.setattr(HomologyBasis, "express_class", counted)
+    for name, pair in corpus_pairs().items():
+        table = betti(pair)
+        for d in range(-2, pair.ambient.dim + 1):
+            calls.clear()
+            connecting_map(pair, d)
+            assert calls == [d] * table.dim(d + 1), (name, d)
