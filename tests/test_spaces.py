@@ -307,7 +307,7 @@ class TestSplitInvariants:
 class TestRandomSplits:
     """Splits of catalog domains with a region grown across boundary ridges."""
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(grown_regions())
     def test_missing_region_is_the_closed_complement(self, drawn):
         domain, region, _ = drawn
@@ -315,7 +315,7 @@ class TestRandomSplits:
         assert BoundarySplit(domain, region).negative == expected
         assert BoundarySplit(domain, None, region).positive == expected
 
-    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(grown_regions())
     def test_identities_hold_and_the_report_survives_relabeling(self, drawn):
         domain, region, mapping = drawn
