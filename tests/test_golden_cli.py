@@ -35,6 +35,7 @@ def cases():
     for name in catalog_splits():
         out += [["analyze", name, "--json"], ["analyze", name, "--mod", "2", "--json"], ["verify", name, "--json"]]
     out += [["double", name] for name in catalog_splits()]
+    out += [["example", name] for name in (*catalog_splits(), "torus")]
     out += [["analyze", name, "--json"] for name in CORPUS_COMPLEX_NAMES]
     for name in SPACE_FILES:
         path = "spaces/%s.json" % name
