@@ -108,18 +108,19 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
 
 
 def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit]) -> Dict:
-    """Serializable space-file payload with deterministic ordering."""
+    """Serializable space-file payload with deterministic ordering.
+
+    A split's domain is pure, as extracting its boundary checked, so its
+    maximal simplices are its top simplices; the regions may be impure.
+    """
     if isinstance(obj, BoundarySplit):
         return {
             "name": name,
-            "maximal_simplices": [list(s) for s in sorted(obj.domain.maximal_simplices())],
-            "positive_region": [list(s) for s in sorted(obj.positive.maximal_simplices())],
-            "negative_region": [list(s) for s in sorted(obj.negative.maximal_simplices())],
+            "maximal_simplices": [list(s) for s in obj.domain.simplices(obj.domain.dim)],
+            "positive_region": [list(s) for s in obj.positive.maximal_simplices()],
+            "negative_region": [list(s) for s in obj.negative.maximal_simplices()],
         }
-    return {
-        "name": name,
-        "maximal_simplices": [list(s) for s in sorted(obj.maximal_simplices())],
-    }
+    return {"name": name, "maximal_simplices": [list(s) for s in obj.maximal_simplices()]}
 
 
 _INT_LIST = re.compile(r"\[\s*((?:-?\d+,\s*)*-?\d+)\s*\]")

@@ -354,10 +354,10 @@ class HomologyBasis:
         witness = self.bits_to_chain(k + 1, sol & ((1 << n_bdry) - 1))
         coeffs = sol >> n_bdry
         # Chain-level verification: chain + sum(reps) = boundary(witness).
-        check = set(chain)
-        for i, rep in enumerate(self._reps.get(k, [])):
-            if (coeffs >> i) & 1:
-                check.symmetric_difference_update(rep)
+        check, reps, bits = set(chain), self._reps[k], coeffs
+        while bits:
+            check.symmetric_difference_update(reps[(bits & -bits).bit_length() - 1])
+            bits &= bits - 1
         if frozenset(check) != boundary_chain(witness, self.pair.sub.faces, self.augmented):
             raise AssertionError("class expression witness failed")
         return coeffs, witness

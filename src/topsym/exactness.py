@@ -145,17 +145,14 @@ class LesReport:
         return None
 
 
-def _slot(degree: int, at: str, middle: int, incoming: Gf2Matrix, outgoing: Gf2Matrix) -> SlotCheck:
-    composed_zero = outgoing.mat_mul(incoming).is_zero()
-    return SlotCheck(degree, at, middle, incoming.rank(), outgoing.rank(), composed_zero)
-
-
 def les_exactness_check(pair: ComplexPair) -> LesReport:
     """Verify the reduced long exact sequence of the pair, slot by slot.
 
     The sequence runs ... -> H~_k(sub) -> H~_k(ambient) -> H_k(pair) ->
     H~_{k-1}(sub) -> ... and is checked at every group from the top
-    degree down to the augmentation degree.
+    degree down to the augmentation degree.  It is laid out as one list
+    of maps; each map's rank is taken once, and the slot at the target
+    of map i reads maps i and i + 1.
     """
     sub_h = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
     amb_h = HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
@@ -167,20 +164,19 @@ def les_exactness_check(pair: ComplexPair) -> LesReport:
     )
     connect = _connecting(rel_h, sub_h, rel_h.degrees())
 
-    slots = []
     # One degree above the top dimension, all groups vanish; starting
     # there covers the subcomplex slot in the top degree as well.
-    for k in range(pair.ambient.dim + 1, -2, -1):
-        slots.append(
-            _slot(k, "ambient", amb_h.betti_dim(k), into_ambient.matrix(k), onto_relative.matrix(k))
-        )
-        slots.append(
-            _slot(k, "pair", rel_h.betti_dim(k), onto_relative.matrix(k), connect.matrix(k))
-        )
-        slots.append(
-            _slot(k - 1, "sub", sub_h.betti_dim(k - 1), connect.matrix(k), into_ambient.matrix(k - 1))
-        )
-    return LesReport(pair, tuple(slots))
+    degrees = range(pair.ambient.dim + 1, -2, -1)
+    maps = [m.matrix(k) for k in degrees for m in (into_ambient, onto_relative, connect)]
+    maps.append(into_ambient.matrix(-2))
+    ranks = [m.rank() for m in maps]
+    # Map i runs into group i; the last map only closes the last slot.
+    groups = [g for k in degrees for g in ((k, "ambient", amb_h), (k, "pair", rel_h), (k - 1, "sub", sub_h))]
+    slots = tuple(
+        SlotCheck(d, at, h.betti_dim(d), ranks[i], ranks[i + 1], maps[i + 1].mat_mul(maps[i]).is_zero())
+        for i, (d, at, h) in enumerate(groups)
+    )
+    return LesReport(pair, slots)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ work on those numbers; simplices come back only in ``matched`` and
 ``critical``.  The diagram is built from the pair's cells and
 ``facets``, never from the chain table behind ``betti``, so that Morse
 homology stays an independent check of the rank pass.
+
+Validation's V-path order (``_v_path_order``, a Kahn peeling of the
+matched facets) also orders the gradient flow: walked in reverse, each
+matched facet's flow is a sum of flows already known.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class AcyclicMatching:
             up[facet] = cofacet
         if tuple(self.critical) != tuple(c for i, c in enumerate(cells) if i not in used):
             raise MatchingError("critical cells do not match the unmatched cells")
-        if _has_cycle(down, up):
+        if _v_path_order(down, up) is None:
             raise MatchingError("reversed Hasse digraph has a cycle")
 
     def critical_by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
@@ -67,28 +71,30 @@ class AcyclicMatching:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def _has_cycle(down: List[List[int]], up: Dict[int, int]) -> bool:
-    """Cycle search in the V-path digraph on matched facets.
+def _v_path_order(down: List[List[int]], up: Dict[int, int]) -> Optional[List[int]]:
+    """The matched facets of the V-path digraph in peeling order, or None
+    when the digraph has a cycle.
 
     ``down`` holds each cell's facets and ``up`` maps each matched facet
     to its cofacet, all as cell numbers.  An arc runs from facet a to
     facet b when a is matched up with some cofacet of which b is a
     different facet and b is matched up too; acyclicity of the reversed
     Hasse diagram is equivalent to this digraph being acyclic degree by
-    degree.
+    degree.  Each facet comes before every facet its arcs reach (Kahn).
     """
     arcs = {low: [f for f in down[high] if f != low and f in up] for low, high in up.items()}
     # Peel facets without incoming arcs; only a cycle survives peeling.
     incoming = Counter(f for targets in arcs.values() for f in targets)
     ready = [f for f in arcs if not incoming[f]]
-    peeled = 0
+    order = []
     while ready:
-        peeled += 1
-        for nxt in arcs[ready.pop()]:
+        low = ready.pop()
+        order.append(low)
+        for nxt in arcs[low]:
             incoming[nxt] -= 1
             if not incoming[nxt]:
                 ready.append(nxt)
-    return peeled < len(arcs)
+    return order if len(order) == len(arcs) else None
 
 
 def _order(pair: ComplexPair, seed_order) -> List[int]:
@@ -176,12 +182,8 @@ class MorseComplexData:
     boundaries: Dict[int, Gf2Matrix]  # degree k -> map into degree k-1
 
     def betti(self) -> BettiTable:
-        dims: Dict[int, int] = {}
-        degrees = sorted(self.critical)
-        for k in degrees:
-            mat = self.boundaries[k]
-            nxt = self.boundaries.get(k + 1)
-            dims[k] = (mat.n_cols - mat.rank()) - (nxt.rank() if nxt is not None else 0)
+        ranks = {k: mat.rank() for k, mat in self.boundaries.items()}
+        dims = {k: self.boundaries[k].n_cols - ranks[k] - ranks.get(k + 1, 0) for k in self.critical}
         return BettiTable.from_dict("relative", dims)
 
     def counts(self) -> Dict[int, int]:
@@ -194,50 +196,31 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     For each critical cell the flow of every facet is accumulated; the
     flow of a facet is its own class when critical, zero when it is
     matched downward, and the combined flow of the sibling facets of its
-    matched cofacet otherwise.  Acyclicity makes the memoized traversal
-    finite; a cycle found here means the matching data is corrupt.
+    matched cofacet otherwise.  The flows of matched-up facets are
+    filled in reverse V-path order, so every sibling's flow is final
+    when it is read; a cycle means the matching data is corrupt.
     """
     pair = matching.pair
     cells, index, down = pair._hasse
     up = {index[low]: index[high] for low, high in matching.matched}
     by_degree = matching.critical_by_degree()
     max_dim = pair.ambient.dim
+    order = _v_path_order(down, up)
+    if order is None:
+        raise MatchingError("gradient path cycle among the matched cells")
 
     # Flow of each cell: a bit-vector over the critical cells of its
-    # degree, seeded with the critical cells' own bits.
-    flow_memo: List[Optional[int]] = [None] * len(cells)
+    # degree.  A matched-up facet's own flow is still 0 when its
+    # cofacet's facets are summed.
+    flow = [0] * len(cells)
     for group in by_degree.values():
         for i, c in enumerate(group):
-            flow_memo[index[c]] = 1 << i
-    # A cell whose sibling flows were requested once and are still
-    # missing when it is met again lies on a gradient path cycle.
-    expanded = set()
-
-    def flow(cell: int) -> int:
-        pending = [cell]
-        while pending:
-            top = pending[-1]
-            if flow_memo[top] is not None:
-                pending.pop()
-                continue
-            if top in up:
-                siblings = [f for f in down[up[top]] if f != top]
-                missing = [f for f in siblings if flow_memo[f] is None]
-                if missing:
-                    if top in expanded:
-                        raise MatchingError("gradient path cycle through %r" % (cells[top],))
-                    expanded.add(top)
-                    pending.extend(missing)
-                    continue
-                result = 0
-                for f in siblings:
-                    result ^= flow_memo[f]
-            else:
-                # Matched downward: paths entering here die.
-                result = 0
-            flow_memo[top] = result
-            pending.pop()
-        return flow_memo[cell]
+            flow[index[c]] = 1 << i
+    for low in reversed(order):
+        acc = 0
+        for f in down[up[low]]:
+            acc ^= flow[f]
+        flow[low] = acc
 
     boundaries: Dict[int, Gf2Matrix] = {}
     for k in range(max_dim + 1):
@@ -245,7 +228,7 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
         for cell in by_degree.get(k, ()):
             acc = 0
             for f in down[index[cell]]:
-                acc ^= flow(f)
+                acc ^= flow[f]
             cols.append(acc)
         n_rows = len(by_degree.get(k - 1, ()))
         boundaries[k] = Gf2Matrix.from_columns(cols, n_rows)

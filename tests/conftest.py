@@ -16,8 +16,8 @@ from topsym import (
     truncated_double,
 )
 from topsym.complexes import boundary_chain, facets
-from topsym.errors import PseudomanifoldError
-from topsym.gf2 import Reduction
+from topsym.errors import MatchingError, PseudomanifoldError
+from topsym.gf2 import Gf2Matrix, Reduction
 from topsym.spaces import BoundarySplit, catalog_splits
 
 # Catalog complexes small enough to run every check on.
@@ -303,6 +303,64 @@ def reference_matching(pair, seed_order=None):
         critical.append(by_rank[next_critical])
         retire(by_rank[next_critical])
     return frozenset(matched), tuple(sorted(critical, key=_by_dimension))
+
+
+def reference_morse_boundaries(matching):
+    """Critical cells by degree and the Morse boundary matrices, as
+    ``morse_complex`` must give them, from a memoized depth-first flow.
+
+    The flow of a facet is its own bit when critical, zero when matched
+    downward, and otherwise the sum of the flows of the other facets of
+    its matched cofacet.  An explicit stack fills the memo on demand; a
+    cell met again while its siblings are still missing lies on a
+    gradient path cycle.
+    """
+    pair = matching.pair
+    cells, index, down = pair._hasse
+    up = {index[low]: index[high] for low, high in matching.matched}
+    by_degree = matching.critical_by_degree()
+    memo = [None] * len(cells)
+    for group in by_degree.values():
+        for i, c in enumerate(group):
+            memo[index[c]] = 1 << i
+    expanded = set()
+
+    def flow(cell):
+        pending = [cell]
+        while pending:
+            top = pending[-1]
+            if memo[top] is not None:
+                pending.pop()
+                continue
+            if top in up:
+                siblings = [f for f in down[up[top]] if f != top]
+                missing = [f for f in siblings if memo[f] is None]
+                if missing:
+                    if top in expanded:
+                        raise MatchingError("gradient path cycle through %r" % (cells[top],))
+                    expanded.add(top)
+                    pending.extend(missing)
+                    continue
+                result = 0
+                for f in siblings:
+                    result ^= memo[f]
+            else:
+                result = 0  # matched downward: paths entering here die
+            memo[top] = result
+            pending.pop()
+        return memo[cell]
+
+    critical, boundaries = {}, {}
+    for k in range(pair.ambient.dim + 1):
+        critical[k] = by_degree.get(k, ())
+        cols = []
+        for cell in critical[k]:
+            acc = 0
+            for f in down[index[cell]]:
+                acc ^= flow(f)
+            cols.append(acc)
+        boundaries[k] = Gf2Matrix.from_columns(cols, len(by_degree.get(k - 1, ())))
+    return critical, boundaries
 
 
 def reference_basis(pair, augmented=False):

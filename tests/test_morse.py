@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_pairs, hollow_triangle, reference_matching
+from conftest import corpus_pairs, hollow_triangle, reference_matching, reference_morse_boundaries
 from test_complexes import random_pairs
 from topsym import ComplexPair, MatchingError, betti, build_complex, cone, euler_characteristic
 from topsym import cli, complexes
 from topsym.cli import EXIT_OK, main
-from topsym.morse import AcyclicMatching, build_matching, morse_betti, morse_complex
+from topsym.morse import AcyclicMatching, _v_path_order, build_matching, morse_betti, morse_complex
 from topsym.complexes import chain_complex
 
 
@@ -80,13 +80,17 @@ class TestBuildMatching:
 
 class TestNumberedDiagram:
     """The coreduction on cell numbers returns what the tuple-based
-    reference coreduction returns, and reads one diagram per pair."""
+    reference coreduction returns, the flow in reverse V-path order gives
+    the boundaries of the memoized depth-first reference flow, and both
+    read one diagram per pair."""
 
     ORDERS = (None, 0, 1, 7)
 
     def check_against_reference(self, pair, seed_order, label):
         m = build_matching(pair, seed_order)
         assert (m.matched, m.critical) == reference_matching(pair, seed_order), label
+        data = morse_complex(m)
+        assert (data.critical, data.boundaries) == reference_morse_boundaries(m), label
 
     def test_corpus_pairs_match_the_reference(self):
         rng = random.Random(11)
@@ -151,6 +155,39 @@ class TestNumberedDiagram:
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
         with pytest.raises(MatchingError, match="critical cells do not match the unmatched cells"):
             AcyclicMatching(pair, frozenset({((0,), (0, 1))}), ((0,), (1,)))
+
+
+def v_path_digraph(matching):
+    """The cell numbers of the pair's diagram: each cell's facets, and
+    each matched facet's cofacet."""
+    _, index, down = matching.pair._hasse
+    return down, {index[low]: index[high] for low, high in matching.matched}
+
+
+class TestVPathOrder:
+    """``_v_path_order``: the order that proves a matching acyclic and
+    that the gradient flow walks in reverse."""
+
+    ORDERS = TestNumberedDiagram.ORDERS
+
+    def test_v_path_order_lists_each_facet_before_the_facets_it_reaches(self):
+        for name, pair in corpus_pairs().items():
+            for seed_order in self.ORDERS:
+                down, up = v_path_digraph(build_matching(pair, seed_order))
+                order = _v_path_order(down, up)
+                assert sorted(order) == sorted(up), (name, seed_order)
+                position = {f: i for i, f in enumerate(order)}
+                for low, high in up.items():
+                    reached = [f for f in down[high] if f != low and f in up]
+                    assert all(position[low] < position[f] for f in reached), (name, seed_order, low)
+
+    def test_v_path_order_is_none_on_a_cycle(self):
+        # The cyclic matching of test_validation_rejects_cyclic_matching.
+        cyclic = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
+        corrupt = object.__new__(AcyclicMatching)
+        object.__setattr__(corrupt, "pair", ComplexPair.absolute(build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3)])))
+        object.__setattr__(corrupt, "matched", cyclic)
+        assert _v_path_order(*v_path_digraph(corrupt)) is None
 
 
 class TestMorseComplex:

@@ -7,8 +7,19 @@ that brings back the old work fails here rather than only in the bench.
 import pytest
 
 from conftest import corpus_pairs
-from topsym import ComplexPair, HomologyBasis, betti, builtin_example, connecting_map, gf2
-from topsym.cli import EXIT_OK, main
+from topsym import (
+    ComplexPair,
+    HomologyBasis,
+    SimplicialComplex,
+    betti,
+    builtin_example,
+    connecting_map,
+    gf2,
+    les_exactness_check,
+)
+from topsym.cli import EXIT_OK, main, space_file_dict
+from topsym.morse import build_matching, morse_betti
+from topsym.spaces import catalog_splits
 
 
 def count_reduction_work(monkeypatch):
@@ -97,3 +108,80 @@ def test_connecting_map_expresses_only_its_source_degree(monkeypatch):
             calls.clear()
             connecting_map(pair, d)
             assert calls == [d] * table.dim(d + 1), (name, d)
+
+
+def count_ranks(monkeypatch):
+    """Count the calls of ``Gf2Matrix.rank``."""
+    calls = []
+    rank = gf2.Gf2Matrix.rank
+
+    def counted(self):
+        calls.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(gf2.Gf2Matrix, "rank", counted)
+    return calls
+
+
+def test_les_takes_each_maps_rank_once(monkeypatch):
+    # From one degree above the top down to the augmentation degree the
+    # sequence has three maps per degree and one more into degree -2.
+    calls = count_ranks(monkeypatch)
+    counts = {}
+    for name in ("annulus_split_pos", "disk_half_split_double", "torus", "disk_rel_boundary"):
+        pair = corpus_pairs()[name]
+        calls.clear()
+        les_exactness_check(pair)
+        counts[name] = len(calls)
+        assert counts[name] == 1 + 3 * (pair.ambient.dim + 3), name
+    assert counts["annulus_split_pos"] == 16
+
+
+def test_morse_betti_takes_each_boundarys_rank_once(monkeypatch):
+    pair = corpus_pairs()["annulus_split_pos"]
+    matching = build_matching(pair)
+    calls = count_ranks(monkeypatch)
+    morse_betti(matching)
+    assert len(calls) == pair.ambient.dim + 1 == 3
+
+
+def test_split_space_file_scans_only_the_regions_for_maximal_simplices(monkeypatch):
+    # The domain of a split is pure; its top simplices are its maximal ones.
+    scanned = []
+    maximal = SimplicialComplex.maximal_simplices
+
+    def recorded(self):
+        scanned.append(self)
+        return maximal(self)
+
+    monkeypatch.setattr(SimplicialComplex, "maximal_simplices", recorded)
+    for name, split in catalog_splits().items():
+        scanned.clear()
+        space_file_dict(name, split)
+        assert [id(c) for c in scanned] == [id(split.positive), id(split.negative)], name
+
+
+class CountedList(list):
+    """A list that counts the items read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedList.reads += 1
+        return list.__getitem__(self, i)
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            CountedList.reads += 1
+            yield item
+
+
+def test_expressing_a_representative_reads_only_that_representative():
+    basis = HomologyBasis(ComplexPair.absolute(builtin_example("wedge_2_40")))
+    reps = basis.representatives(2)
+    assert len(reps) == 40
+    basis._reps[2] = CountedList(reps)
+    for i in (0, 17, 39):
+        CountedList.reads = 0
+        assert basis.express_class(2, reps[i]) == (1 << i, frozenset())
+        assert CountedList.reads == 1, i
