@@ -2,7 +2,11 @@
 
 Space files are JSON with a name, the maximal simplices, and optional
 closed boundary regions.  A missing region is filled in by the rule in
-the ``BoundarySplit`` docstring (``topsym.spaces``).
+the ``BoundarySplit`` docstring (``topsym.spaces``).  Space files and
+``--json`` reports are written as indented JSON with sorted keys and
+each list of integers on one line (``_dump``); every string, number and
+list of simplices in them is encoded by ``json.dumps``, so names are
+written exactly as given.
 
 Exit codes: 0 success, 1 failed --assert-symmetric, 2 input or
 validation error, every malformed space file included (see
@@ -16,10 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import SimplicialComplex, betti, build_complex, check_face_count
@@ -59,15 +63,17 @@ class SpaceFile:
 
 
 def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
-    def is_vertex(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if not isinstance(raw, list) or not all(
-        isinstance(s, list) and s and all(is_vertex(v) for v in s) for s in raw
+    # JSON decodes integers to exact ``int`` and true/false to ``bool``,
+    # so testing types keeps booleans out.
+    if not (
+        isinstance(raw, list)
+        and set(map(type, raw)) <= {list}
+        and all(raw)
+        and set(map(type, chain.from_iterable(raw))) <= {int}
     ):
         raise InputError("%s must be a list of nonempty integer lists" % label)
     check_face_count(sum(2 ** len(s) - 1 for s in raw), label)
-    return tuple(tuple(s) for s in raw)
+    return tuple(map(tuple, raw))
 
 
 def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
@@ -116,21 +122,37 @@ def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit]) -> 
     if isinstance(obj, BoundarySplit):
         return {
             "name": name,
-            "maximal_simplices": [list(s) for s in obj.domain.simplices(obj.domain.dim)],
-            "positive_region": [list(s) for s in obj.positive.maximal_simplices()],
-            "negative_region": [list(s) for s in obj.negative.maximal_simplices()],
+            "maximal_simplices": list(map(list, obj.domain.simplices(obj.domain.dim))),
+            "positive_region": list(map(list, obj.positive.maximal_simplices())),
+            "negative_region": list(map(list, obj.negative.maximal_simplices())),
         }
-    return {"name": name, "maximal_simplices": [list(s) for s in obj.maximal_simplices()]}
+    return {"name": name, "maximal_simplices": list(map(list, obj.maximal_simplices()))}
 
 
-_INT_LIST = re.compile(r"\[\s*((?:-?\d+,\s*)*-?\d+)\s*\]")
+def _layout(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` lays it
+    out at ``indent``, except that each list of integers takes one line.
+
+    Strings, numbers and integer lists come from ``json.dumps`` itself,
+    and a list of integer lists, such as the simplices of a space file,
+    is encoded by one call of it and broken into lines between items.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        body = (",\n" + inner).join(json.dumps(key) + ": " + _layout(value[key], inner) for key in sorted(value))
+        return "{\n%s%s\n%s}" % (inner, body, indent)
+    if not (isinstance(value, list) and value) or set(map(type, value)) == {int}:
+        return json.dumps(value)
+    if set(map(type, value)) == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        body = json.dumps(value)[1:-1].replace("], [", "],\n%s[" % inner)
+    else:
+        body = (",\n" + inner).join(_layout(item, inner) for item in value)
+    return "[\n%s%s\n%s]" % (inner, body, indent)
 
 
 def _dump(payload: Dict) -> str:
-    """Indented JSON with innermost integer lists collapsed to one line."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    text = _INT_LIST.sub(lambda m: "[" + re.sub(r",\s*", ", ", m.group(1)) + "]", text)
-    return text + "\n"
+    """Indented JSON with each list of integers on one line."""
+    return _layout(payload, "") + "\n"
 
 
 def load_space(locator: str) -> Tuple[str, BoundarySplit]:

@@ -9,13 +9,26 @@ simplex ``()`` being the only cell in degree -1, and each cell's facets
 as positions one degree down.  A pair (X, A) reads X's table with A's
 cells masked out, the quotient chain complex.  Reduced homology leaves
 degree -1 unmasked: the empty complex has reduced homology {-1: 1}.
+
+Passes over every face (closure, maximal simplices, purity, boundary
+extraction, the chain table's facet rows) take the facets of one
+degree's sorted cells at once from ``_faces_of``, which runs
+``combinations`` over the cells.  Each cell's facets come out from the
+one that drops its last vertex to the one that drops its first, so the
+facets that drop vertex i of every cell are a stride slice.  The
+validating constructor and the strong-connectivity walk take one
+simplex's facets from it.  ``facets`` remains for chain boundaries,
+whose chains may hold the empty simplex, and for the Morse diagram, so
+that Morse homology shares no facet code with the chain table it checks.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
@@ -40,6 +53,20 @@ def facets(simplex: Simplex) -> List[Simplex]:
     return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
+def _faces_of(cells: Iterable[Simplex], size: int) -> Iterator[Simplex]:
+    """The faces with ``size`` vertices of each cell in turn, as
+    ``combinations`` lists them.  For cells of ``size + 1`` vertices these
+    are the facets, from the one that drops the last vertex to the one
+    that drops the first."""
+    return chain.from_iterable(map(combinations, cells, repeat(size)))
+
+
+def _closure(simplices: List[Simplex]) -> "SimplicialComplex":
+    """Face closure of strictly ascending simplices."""
+    top = max(map(len, simplices), default=0)
+    return _trusted(frozenset(chain.from_iterable(_faces_of(simplices, k) for k in range(1, top + 1))))
+
+
 def _as_simplex(vertices: Iterable) -> Simplex:
     s = tuple(sorted(vertices))
     if len(set(s)) != len(s):
@@ -49,8 +76,8 @@ def _as_simplex(vertices: Iterable) -> Simplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices, immutable; the chain table and the
-    ridge incidence are built on first use.
+    """Face-closed set of simplices, immutable; the chain table is built
+    on first use.
 
     The public constructor ``SimplicialComplex(faces)`` validates its
     input: every face is a nonempty, strictly ascending tuple and every
@@ -68,9 +95,8 @@ class SimplicialComplex:
                 raise InputError("faces must be nonempty vertex tuples")
             if list(s) != sorted(set(s)):
                 raise InputError("face %r is not strictly ascending" % (s,))
-            for face in facets(s):
-                if face and face not in self.faces:
-                    raise InputError("complex is not face-closed at %r" % (s,))
+            if len(s) > 1 and not self.faces.issuperset(_faces_of((s,), len(s) - 1)):
+                raise InputError("complex is not face-closed at %r" % (s,))
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
@@ -78,37 +104,26 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable]) -> "SimplicialComplex":
-        """Face closure of the given simplices."""
-        faces = set()
-        for m in maximal:
-            s = _as_simplex(m)
-            for k in range(1, len(s) + 1):
-                faces.update(itertools.combinations(s, k))
-        return _trusted(frozenset(faces))
+        """Face closure of the given simplices; ``maximal`` is read once."""
+        return _closure(list(map(_as_simplex, maximal)))
 
     @cached_property
     def dim(self) -> int:
         """Top dimension present; -1 for the empty complex."""
-        return max((len(s) - 1 for s in self.faces), default=-1)
+        return max(map(len, self.faces), default=0) - 1
 
     @cached_property
     def vertices(self) -> frozenset:
-        return frozenset(v for s in self.faces for v in s)
+        return frozenset(chain.from_iterable(self.faces))
 
     @cached_property
     def _by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
-        groups: Dict[int, List[Simplex]] = {}
-        for s in self.faces:
-            groups.setdefault(len(s) - 1, []).append(s)
-        return {k: tuple(sorted(group)) for k, group in groups.items()}
+        by_size = groupby(sorted(sorted(self.faces), key=len), len)
+        return {size - 1: tuple(group) for size, group in by_size}
 
     def simplices(self, k: int) -> Tuple[Simplex, ...]:
         """Simplices of dimension ``k`` in sorted order."""
         return self._by_degree.get(k, ())
-
-    @cached_property
-    def _ridges(self) -> Dict[Simplex, List[Simplex]]:
-        return _build_ridge_incidence(self)
 
     @cached_property
     def _chain_table(self) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
@@ -123,8 +138,10 @@ class SimplicialComplex:
         The complex is face-closed, so every proper face of a simplex is
         a facet of some simplex.
         """
-        covered = {f for s in self.faces for f in facets(s)}
-        return tuple(sorted(self.faces - covered))
+        return tuple(sorted(self._maximal()))
+
+    def _maximal(self) -> frozenset:
+        return self.faces.difference(*(_faces_of(self.simplices(k), k) for k in range(1, self.dim + 1)))
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.faces
@@ -144,7 +161,7 @@ class SimplicialComplex:
     def induced_on(self, vertex_set) -> "SimplicialComplex":
         """Subcomplex of faces whose vertices all lie in ``vertex_set``."""
         vs = frozenset(vertex_set)
-        return _trusted(frozenset(s for s in self.faces if vs.issuperset(s)))
+        return _trusted(frozenset(filter(vs.issuperset, self.faces)))
 
     def relabel(self, mapping) -> "SimplicialComplex":
         """Apply a vertex relabeling; ``mapping`` is a dict or callable."""
@@ -185,7 +202,7 @@ class ComplexPair:
 
     def cells(self, k: int) -> Tuple[Simplex, ...]:
         """Relative k-cells: simplices of ambient not in sub, sorted."""
-        return tuple(s for s in self.ambient.simplices(k) if s not in self.sub.faces)
+        return tuple(filterfalse(self.sub.faces.__contains__, self.ambient.simplices(k)))
 
     def cell_counts(self) -> Dict[int, int]:
         return {k: n for k in range(self.ambient.dim + 1) if (n := len(self.cells(k)))}
@@ -199,7 +216,7 @@ def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, 
     """The numbered Hasse diagram the Morse code reads: the relative cells
     sorted by degree, then labels; each cell's number; and each cell's
     relative facets as numbers, in ``facets`` order."""
-    cells = tuple(itertools.chain.from_iterable(pair.cells(k) for k in range(pair.ambient.dim + 1)))
+    cells = tuple(chain.from_iterable(pair.cells(k) for k in range(pair.ambient.dim + 1)))
     index = {s: i for i, s in enumerate(cells)}
     return cells, index, [[index[f] for f in facets(s) if f in index] for s in cells]
 
@@ -364,19 +381,24 @@ class HomologyBasis:
 
 
 def _facet_rows(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], k: int) -> List[List[int]]:
-    """Entry j of list i is the position in ``below`` of the i-th facet of
-    the j-th k-cell.  A facet that is not a cell is an input error."""
+    """Entry j of list i is the position in ``below`` of the facet of the
+    j-th k-cell that drops vertex i.  A facet that is not a cell is an
+    input error, reported at the first one in that row order."""
     try:
-        return [[below[s[:i] + s[i + 1 :]] for s in cells] for i in range(k + 1)]
-    except KeyError as exc:
-        raise InputError("chain contains %r, not a degree-%d cell here" % (exc.args[0], k - 1)) from None
+        flat = list(map(below.__getitem__, _faces_of(cells, k)))
+    except KeyError:
+        flat = list(_faces_of(cells, k))
+        rows = (flat[k - i :: k + 1] for i in range(k + 1))
+        missing = next(f for f in chain.from_iterable(rows) if f not in below)
+        raise InputError("chain contains %r, not a degree-%d cell here" % (missing, k - 1)) from None
+    return [flat[k - i :: k + 1] for i in range(k + 1)]
 
 
 def _columns(rows: List[List[int]], bits: List[int]) -> List[int]:
     """Each cell's boundary column: the XOR of ``bits[p]`` over its facet positions p."""
     columns = [0] * len(rows[0])
     for positions in rows:
-        columns = [c ^ bits[p] for c, p in zip(columns, positions)]
+        columns = list(map(operator.xor, columns, map(bits.__getitem__, positions)))
     return columns
 
 
@@ -387,7 +409,7 @@ def _build_chain_table(complex_: SimplicialComplex) -> Tuple[Dict[int, Tuple[Sim
     cells = {k: complex_.simplices(k) if k >= 0 else (EMPTY_SIMPLEX,) for k in range(-1, complex_.dim + 1)}
     rows = {}
     for k in range(complex_.dim, -1, -1):
-        rows[k] = _facet_rows(cells[k], {s: i for i, s in enumerate(cells[k - 1])}, k)
+        rows[k] = _facet_rows(cells[k], dict(zip(cells[k - 1], count())), k)
         if k < complex_.dim:
             lower = _columns(rows[k], [1 << i for i in range(len(cells[k - 1]))])
             if any(_columns(rows[k + 1], lower)):
@@ -406,9 +428,9 @@ def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[
     for k in range(pair.ambient.dim + 1):
         group, cols = table[k], _columns(rows[k], bits)
         if k <= pair.sub.dim:
-            keep = [s not in sub for s in group]
-            group, cols = tuple(itertools.compress(group, keep)), list(itertools.compress(cols, keep))
-            bits = [1 << (n - 1) if kept else 0 for kept, n in zip(keep, itertools.accumulate(keep))]
+            keep = list(map(operator.not_, map(sub.__contains__, group)))
+            group, cols = tuple(compress(group, keep)), list(compress(cols, keep))
+            bits = list(map(operator.lshift, keep, accumulate(keep, initial=0)))
         else:
             bits = [1 << i for i in range(len(group))]
         cells[k], columns[k] = group, cols
@@ -475,26 +497,28 @@ def euler_characteristic(pair: ComplexPair) -> int:
 
 
 def check_pure(complex_: SimplicialComplex) -> int:
-    """Top dimension if every maximal simplex attains it, else an error."""
+    """Top dimension if every maximal simplex attains it, else an error
+    at the smallest one that does not."""
     d = complex_.dim
-    for s in complex_.maximal_simplices():
-        if len(s) - 1 != d:
-            raise PseudomanifoldError(
-                "complex is not pure: maximal simplex %r has dimension %d < %d" % (s, len(s) - 1, d)
-            )
+    low = complex_._maximal().difference(complex_.simplices(d))
+    if low:
+        s = min(low)
+        raise PseudomanifoldError(
+            "complex is not pure: maximal simplex %r has dimension %d < %d" % (s, len(s) - 1, d)
+        )
     return d
 
 
 def _build_ridge_incidence(complex_: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
-    """Each codimension-1 simplex, in sorted order, with the sorted top
-    simplices it is a facet of; empty below dimension 1."""
+    """Each codimension-1 simplex that lies in a top simplex, with the
+    sorted top simplices it is a facet of; empty below dimension 1."""
     d = complex_.dim
     if d < 1:
         return {}
-    incidence: Dict[Simplex, List[Simplex]] = {s: [] for s in complex_.simplices(d - 1)}
-    for top in complex_.simplices(d):
-        for f in facets(top):
-            incidence[f].append(top)
+    tops = complex_.simplices(d)
+    incidence: Dict[Simplex, List[Simplex]] = {}
+    for ridge, top in zip(_faces_of(tops, d), chain.from_iterable(map(repeat, tops, repeat(d + 1)))):
+        incidence.setdefault(ridge, []).append(top)
     return incidence
 
 
@@ -502,20 +526,19 @@ def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 simplices lying in exactly one top simplex.
 
     Requires a pure complex in which every codimension-1 simplex lies in
-    at most two top simplices.
+    at most two top simplices; otherwise the error names the smallest
+    offender.
     """
     if len(complex_) == 0:
         return SimplicialComplex.empty()
-    check_pure(complex_)
-    free = []
-    for ridge, tops in complex_._ridges.items():
-        if len(tops) > 2:
-            raise PseudomanifoldError(
-                "simplex %r lies in %d top simplices" % (ridge, len(tops))
-            )
-        if len(tops) == 1:
-            free.append(ridge)
-    return SimplicialComplex.from_maximal(free)
+    d = check_pure(complex_)
+    if d < 1:
+        return SimplicialComplex.empty()
+    in_tops = Counter(_faces_of(complex_.simplices(d), d))
+    if max(in_tops.values(), default=0) > 2:
+        ridge = min(r for r, n in in_tops.items() if n > 2)
+        raise PseudomanifoldError("simplex %r lies in %d top simplices" % (ridge, in_tops[ridge]))
+    return _closure(list(compress(in_tops, map((1).__eq__, in_tops.values()))))
 
 
 def check_strongly_connected(complex_: SimplicialComplex) -> int:
@@ -528,10 +551,10 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
     """
     if len(complex_) == 0:
         raise PseudomanifoldError("empty complex")
-    tops, incidence = complex_.simplices(complex_.dim), complex_._ridges
+    tops, incidence = complex_.simplices(complex_.dim), _build_ridge_incidence(complex_)
     seen, stack = {tops[0]}, [tops[0]]
     while stack:
-        for ridge in facets(stack.pop()):
+        for ridge in _faces_of((stack.pop(),), complex_.dim):
             for nxt in incidence.get(ridge, ()):
                 if nxt not in seen:
                     seen.add(nxt)

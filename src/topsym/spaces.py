@@ -57,7 +57,7 @@ class BoundarySplit:
         elif self.positive is None or self.negative is None:
             missing, given = ("negative", self.positive) if self.negative is None else ("positive", self.negative)
             tops = boundary.simplices(boundary.dim)
-            object.__setattr__(self, missing, build_complex(s for s in tops if s not in given.faces))
+            object.__setattr__(self, missing, build_complex(itertools.filterfalse(given.faces.__contains__, tops)))
         for name, region in (("positive", self.positive), ("negative", self.negative)):
             if not region.is_subcomplex_of(boundary):
                 bad = sorted(region.faces - boundary.faces)[0]
@@ -141,10 +141,15 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     shared = sorted(interface.vertices)
     own = sorted(domain.vertices - interface.vertices)
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
-    face_a, face_b = ({s: tuple(sorted(label[v] for v in s)) for s in domain.faces} for label in labels)
+    # Each face's image: its vertices mapped through the labels, sorted.
+    domain_faces = list(domain.faces)
+    face_a, face_b = (
+        dict(zip(domain_faces, map(tuple, map(sorted, map(map, itertools.repeat(label.__getitem__), domain_faces)))))
+        for label in labels
+    )
 
     def image(faces: Dict[Simplex, Simplex], region: SimplicialComplex) -> SimplicialComplex:
-        return _trusted(frozenset(faces[s] for s in region.faces))
+        return _trusted(frozenset(map(faces.__getitem__, region.faces)))
 
     identity = own + shared == list(range(len(labels[0])))
     copy_a = domain if identity else _trusted(frozenset(face_a.values()))

@@ -1,7 +1,9 @@
 """Shared corpus definitions and independent test oracles."""
 
 import itertools
+import json
 import random
+import re
 from collections import deque
 from functools import lru_cache
 
@@ -16,7 +18,7 @@ from topsym import (
     truncated_double,
 )
 from topsym.complexes import boundary_chain, facets
-from topsym.errors import MatchingError, PseudomanifoldError
+from topsym.errors import InputError, MatchingError, PseudomanifoldError
 from topsym.gf2 import Gf2Matrix, Reduction
 from topsym.spaces import BoundarySplit, catalog_splits
 
@@ -186,6 +188,90 @@ def ridge_incidence(cx):
             face = top[:k] + top[k + 1 :]
             incidence.setdefault(face, []).append(top)
     return incidence
+
+
+# -- per-face loops, kept as references for the passes that replaced them ----
+
+
+def reference_closure(maximal):
+    """Faces of ``SimplicialComplex.from_maximal``: every nonempty subset of
+    each simplex, one simplex and one size at a time."""
+    faces = set()
+    for m in maximal:
+        s = tuple(sorted(m))
+        if len(set(s)) != len(s):
+            raise InputError("simplex has repeated vertices: %r" % (m,))
+        for k in range(1, len(s) + 1):
+            faces.update(itertools.combinations(s, k))
+    return frozenset(faces)
+
+
+def reference_maximal_simplices(cx):
+    """``maximal_simplices``: the faces that are no face's facet, sorted."""
+    covered = {f for s in cx.faces for f in facets(s)}
+    return tuple(sorted(cx.faces - covered))
+
+
+def reference_boundary_faces(cx):
+    """Faces of ``boundary_subcomplex``, or the same ``PseudomanifoldError``:
+    purity from ``reference_maximal_simplices``, then the ridges of
+    ``ridge_incidence`` in sorted order."""
+    if len(cx) == 0:
+        return frozenset()
+    d = cx.dim
+    for s in reference_maximal_simplices(cx):
+        if len(s) - 1 != d:
+            raise PseudomanifoldError(
+                "complex is not pure: maximal simplex %r has dimension %d < %d" % (s, len(s) - 1, d)
+            )
+    incidence = ridge_incidence(cx) if d >= 1 else {}
+    free = []
+    for ridge in sorted(incidence):
+        if len(incidence[ridge]) > 2:
+            raise PseudomanifoldError("simplex %r lies in %d top simplices" % (ridge, len(incidence[ridge])))
+        if len(incidence[ridge]) == 1:
+            free.append(ridge)
+    return reference_closure(free)
+
+
+def reference_facet_rows(cells, below, k):
+    """``_facet_rows`` by slicing: row i holds, for each k-cell, the
+    position of the facet that drops vertex i."""
+    try:
+        return [[below[s[:i] + s[i + 1 :]] for s in cells] for i in range(k + 1)]
+    except KeyError as exc:
+        raise InputError("chain contains %r, not a degree-%d cell here" % (exc.args[0], k - 1)) from None
+
+
+def reference_double_faces(split):
+    """The faces of each part of ``truncated_double(split)``, relabeled
+    face by face with a dict comprehension."""
+    domain, interface = split.domain, split.interface
+    shared = sorted(interface.vertices)
+    own = sorted(domain.vertices - interface.vertices)
+    labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
+    face_a, face_b = ({s: tuple(sorted(label[v] for v in s)) for s in domain.faces} for label in labels)
+    parts = {"copy_a": face_a.values(), "copy_b": face_b.values()}
+    for part, region in (("exit", split.positive), ("entry", split.negative)):
+        parts[part + "_a"] = (face_a[s] for s in region.faces)
+        parts[part + "_b"] = (face_b[s] for s in region.faces)
+    parts["interface_image"] = (face_a[s] for s in interface.faces)
+    parts = {part: frozenset(faces) for part, faces in parts.items()}
+    parts["total"] = parts["copy_a"] | parts["copy_b"]
+    return parts
+
+
+_INT_LIST = re.compile(r"\[\s*((?:-?\d+,\s*)*-?\d+)\s*\]")
+
+
+def reference_dump(payload):
+    """The space-file and report writer as indented JSON with each
+    innermost integer list collapsed by a regular expression.  The
+    expression also rewrites text inside strings, so it agrees with
+    ``cli._dump`` only on payloads whose strings hold no brackets."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _INT_LIST.sub(lambda m: "[" + re.sub(r",\s*", ", ", m.group(1)) + "]", text)
+    return text + "\n"
 
 
 def reference_check_strongly_connected(cx):

@@ -2,15 +2,24 @@
 
 The tier-1 suite does not collect ``bench/``, so a rename that breaks
 ``bench/run.py --trace 1`` has to fail here.  The check only resolves
-the names; it installs no wrapper.
+the names; it installs no wrapper.  A seeded round of each workload
+also runs here, through ``topsym.cli.main`` in this process.
 """
 
+import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
+
+from topsym.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = BENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -25,3 +34,20 @@ def test_every_traced_target_resolves():
     for key, cls, name, _ in methods:
         # ``install`` reads methods from the class dictionary itself.
         assert name in vars(cls), (key, cls.__name__, name)
+
+
+@pytest.mark.parametrize("workload", ["analyze-mix", "verify-mix", "double-large"])
+def test_one_seeded_round_of_each_workload_gets_the_closed_form_answer(monkeypatch, tmp_path, capsys, workload):
+    # The requests the benchmark sends, checked as the benchmark checks
+    # them, so a writer or loader change it would count as a wrong answer
+    # fails here first.
+    monkeypatch.syspath_prepend(str(BENCH))
+    client, workloads = importlib.import_module("client"), importlib.import_module("workloads")
+    for index in range(len(workloads.SLOTS[workload])):
+        space = workloads.space_for(workload, 5, index)
+        name = "%s-%d" % (space.family, index)
+        path, double_path = tmp_path / (name + ".json"), tmp_path / (name + "_double.json")
+        path.write_text(json.dumps(space.file_dict(name)), encoding="utf-8")
+        code = main(client.ARGV[workloads.COMMANDS[workload]](str(path), str(double_path)))
+        stdout = capsys.readouterr().out
+        assert workloads.check_answer(workload, space, name, code, stdout, str(double_path)) is None, name

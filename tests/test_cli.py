@@ -261,6 +261,20 @@ class TestCommands:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("name", ["w[1,2]", "w[1,  2]", "[ 7 ]"])
+    def test_names_with_brackets_are_written_as_given(self, tmp_path, capsys, name):
+        raw = json.loads((SPACES / "disk_positive.json").read_text())
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(dict(raw, name=name)))
+        for command in ("analyze", "verify"):
+            assert main([command, str(path), "--json"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert '\n  "name": %s,\n' % json.dumps(name) in out
+            assert json.loads(out)["name"] == name
+        target = tmp_path / "double.json"
+        assert main(["double", str(path), "-o", str(target)]) == EXIT_OK
+        assert parse_space_file(target.read_bytes()).name == name + "_double"
+
     def test_space_file_dict_orders_simplices(self):
         payload = space_file_dict("torus", builtin_example("torus"))
         simplices = payload["maximal_simplices"]
@@ -345,8 +359,8 @@ class TestRequestLifetime:
         assert main([command, str(SPACES / "disk_positive.json")]) == EXIT_OK
         capsys.readouterr()
         split, = splits
-        # Extracting the boundary and the connectivity check of duality
-        # both read the domain's incidence.
+        # Boundary extraction counts ridges without the incidence; the
+        # connectivity check of duality builds the domain's, once.
         assert [cx for cx in built if cx is split.domain] == [split.domain]
         assert len({id(cx) for cx in built}) == len(built)
 

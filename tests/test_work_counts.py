@@ -4,6 +4,8 @@ Each count is a property of the algorithm, not of the host, so a change
 that brings back the old work fails here rather than only in the bench.
 """
 
+from pathlib import Path
+
 import pytest
 
 from conftest import corpus_pairs
@@ -13,6 +15,7 @@ from topsym import (
     SimplicialComplex,
     betti,
     builtin_example,
+    complexes,
     connecting_map,
     gf2,
     les_exactness_check,
@@ -20,6 +23,8 @@ from topsym import (
 from topsym.cli import EXIT_OK, main, space_file_dict
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import catalog_splits
+
+SPACES = Path(__file__).with_name("spaces")
 
 
 def count_reduction_work(monkeypatch):
@@ -185,3 +190,25 @@ def test_expressing_a_representative_reads_only_that_representative():
         CountedList.reads = 0
         assert basis.express_class(2, reps[i]) == (1 << i, frozenset())
         assert CountedList.reads == 1, i
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--json"], ["analyze", "--mod", "2", "--json"], ["analyze"], ["double"]],
+)
+def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time(monkeypatch, capsys, argv):
+    # Closure, boundary extraction, chain tables and the double enumerate
+    # the facets of a whole degree at once; ``facets`` is left to class
+    # expressions and Morse matchings.
+    calls = []
+    facets = complexes.facets
+
+    def counted(simplex):
+        calls.append(simplex)
+        return facets(simplex)
+
+    monkeypatch.setattr(complexes, "facets", counted)
+    for path in sorted(SPACES.glob("*.json")):
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK, path
+        capsys.readouterr()
+        assert calls == [], (argv, path.name)
