@@ -16,7 +16,6 @@ from .complexes import (
     betti,
     boundary_subcomplex,
     build_complex,
-    chain_complex,
     euler_characteristic,
 )
 from .errors import InputError, MatchingError, PseudomanifoldError
@@ -72,7 +71,6 @@ __all__ = [
     "build_complex",
     "build_matching",
     "builtin_example",
-    "chain_complex",
     "check_sphere_action",
     "check_symmetry",
     "check_symmetry_rolled",

@@ -166,7 +166,7 @@ class SimplicialComplex:
     def relabel(self, mapping) -> "SimplicialComplex":
         """Apply a vertex relabeling; ``mapping`` is a dict or callable."""
         get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        return _trusted(frozenset(_as_simplex(get(v) for v in s) for s in self.faces))
+        return _trusted(frozenset(_as_simplex(tuple(map(get, s))) for s in self.faces))
 
 
 def _trusted(faces: frozenset) -> SimplicialComplex:
@@ -462,12 +462,6 @@ def _reductions(columns: Dict[int, List[int]]) -> Iterator[Tuple[int, Reduction,
                 lower.add(col)
         yield k, lower, upper
         upper = lower
-
-
-def chain_complex(pair: ComplexPair) -> List[Gf2Matrix]:
-    """Relative boundary matrices, degree 0 (a 0-row map) up to top degree."""
-    cells, columns = _chain_columns(pair, False)
-    return [Gf2Matrix.from_columns(columns[k], len(cells.get(k - 1, ()))) for k in sorted(columns)]
 
 
 def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:

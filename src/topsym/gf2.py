@@ -1,7 +1,7 @@
 """Exact linear algebra over the two-element field.
 
-Matrices are dense with bit-packed rows: each row is a Python int whose
-bit ``i`` is the entry in column ``i``.  Vectors use the same encoding.
+Matrices are dense with bit-packed columns: each column is a Python int
+whose bit ``i`` is the entry in row ``i``.  Vectors use the same encoding.
 All elimination goes through one ``Reduction``: columns are added one at
 a time and reduced against pivots keyed by their highest set bit, so
 each reduction step is a single XOR at word speed.  The same pass gives
@@ -15,20 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-
-
-def vector_from_bits(bits: Iterable[int]) -> int:
-    """Pack an iterable of 0/1 entries into a bit-vector int."""
-    v = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << i
-    return v
-
-
-def _low(v: int) -> int:
-    """Index of the lowest set bit of a nonzero vector."""
-    return (v & -v).bit_length() - 1
 
 
 class Reduction:
@@ -101,102 +87,70 @@ class Reduction:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """Immutable matrix over GF(2) with bit-packed rows.
+    """Immutable matrix over GF(2) with bit-packed columns.
 
-    Reductions never mutate; they return fresh values, and they are
-    deterministic given the construction order of the rows and columns.
+    Column j is an int whose bit i is the entry in row i, the form in
+    which boundary maps and homology maps are built, and the form
+    ``Reduction`` reduces.  Reductions never mutate; they return fresh
+    values, and they are deterministic given the order of the columns.
     """
 
     n_rows: int
     n_cols: int
-    rows: tuple
+    columns: tuple
 
     def __post_init__(self):
         if self.n_rows < 0 or self.n_cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        if len(self.rows) != self.n_rows:
-            raise InputError("row count does not match n_rows")
-        mask = (1 << self.n_cols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise InputError("row has bits beyond n_cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], n_cols: Optional[int] = None) -> "Gf2Matrix":
-        """Build from explicit 0/1 entries, one inner sequence per row."""
-        if n_cols is None:
-            n_cols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != n_cols:
-                raise InputError("ragged rows")
-            packed.append(vector_from_bits(row))
-        return cls(len(packed), n_cols, tuple(packed))
+        if len(self.columns) != self.n_cols:
+            raise InputError("column count does not match n_cols")
+        if any(col >> self.n_rows for col in self.columns):
+            raise InputError("column has bits beyond n_rows")
 
     @classmethod
     def zero(cls, n_rows: int, n_cols: int) -> "Gf2Matrix":
-        return cls(n_rows, n_cols, (0,) * n_rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls(n_rows, n_cols, (0,) * n_cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], n_rows: int) -> "Gf2Matrix":
         """Build from bit-vector columns (bit ``i`` of a column = row ``i``)."""
-        rows = [0] * n_rows
-        for j, col in enumerate(columns):
-            if col >> n_rows:
-                raise InputError("column has bits beyond n_rows")
-            while col:
-                rows[_low(col)] |= 1 << j
-                col &= col - 1
-        return cls(n_rows, len(columns), tuple(rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def columns(self) -> List[int]:
-        return list(self.transpose().rows)
+        return cls(n_rows, len(columns), tuple(columns))
 
     def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix.from_columns(list(self.rows), self.n_cols)
+        rows = [0] * self.n_rows
+        for j, col in enumerate(self.columns):
+            while col:
+                rows[(col & -col).bit_length() - 1] |= 1 << j
+                col &= col - 1
+        return Gf2Matrix(self.n_cols, self.n_rows, tuple(rows))
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not any(self.columns)
 
     def mat_vec(self, v: int) -> int:
-        """Matrix-vector product; returns a bit-vector over the rows."""
+        """Matrix-vector product: the XOR of the columns at the set bits of ``v``."""
         if v >> self.n_cols:
             raise InputError("vector has bits beyond n_cols")
         out = 0
-        for i, row in enumerate(self.rows):
-            out |= ((row & v).bit_count() & 1) << i
+        while v:
+            out ^= self.columns[(v & -v).bit_length() - 1]
+            v &= v - 1
         return out
 
     def mat_mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.n_cols != other.n_rows:
             raise InputError("inner dimensions do not match")
-        # (AB) rows: row i of A selects rows of B to XOR together.
-        out = []
-        for row in self.rows:
-            acc = 0
-            r = row
-            while r:
-                acc ^= other.rows[_low(r)]
-                r &= r - 1
-            out.append(acc)
-        return Gf2Matrix(self.n_rows, other.n_cols, tuple(out))
+        return Gf2Matrix(self.n_rows, other.n_cols, tuple(map(self.mat_vec, other.columns)))
 
     def stack(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """Rows of self followed by rows of other."""
         if self.n_cols != other.n_cols:
             raise InputError("column counts do not match")
-        return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, self.rows + other.rows)
+        columns = (top | bottom << self.n_rows for top, bottom in zip(self.columns, other.columns))
+        return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, tuple(columns))
 
     def rank(self) -> int:
-        # The row space and the column space have the same dimension.
-        return Reduction(self.rows).rank
+        return Reduction(self.columns).rank
 
     def kernel_basis(self) -> List[int]:
         """Basis of {v : Mv = 0}, one vector per column that depends on
@@ -205,7 +159,7 @@ class Gf2Matrix:
         Each vector has its highest bit on that column and its other bits
         on independent columns, so the basis is canonical for the matrix.
         """
-        return Reduction(self.columns()).kernel
+        return Reduction(self.columns).kernel
 
     def solve_preimage(self, b: int) -> Optional[int]:
         """Some x with Mx = b, or None when b is outside the column space.
@@ -215,7 +169,7 @@ class Gf2Matrix:
         """
         if b >> self.n_rows:
             raise InputError("right-hand side has bits beyond n_rows")
-        x = Reduction(self.columns()).solve(b)
+        x = Reduction(self.columns).solve(b)
         if x is not None and self.mat_vec(x) != b:
             raise AssertionError("back-substitution check failed")
         return x

@@ -86,9 +86,6 @@ class BoundarySplit:
     def negative_pair(self) -> ComplexPair:
         return ComplexPair(self.domain, self.negative)
 
-    def swapped(self) -> "BoundarySplit":
-        return BoundarySplit(self.domain, self.negative, self.positive)
-
 
 @dataclass(frozen=True)
 class TruncatedDouble:

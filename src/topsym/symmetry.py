@@ -146,10 +146,6 @@ class ActionReport:
             return "skipped"
         return "pass" if self.duality.passed else "fail"
 
-    @property
-    def verdicts_agree(self) -> bool:
-        return self.positive_verdict.symmetric == self.negative_verdict.symmetric
-
 
 def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: str = "") -> ActionReport:
     """Compute both relative tables, verdicts, duality, and the factor-2 check.

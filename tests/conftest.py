@@ -119,30 +119,33 @@ def grown_regions(draw):
 # -- independent oracles -----------------------------------------------------
 
 
-def rank_by_subset_enumeration(rows, n_cols):
-    """Rank as the size of the largest independent row subset.
+def subset_xors(vectors):
+    """The XOR of every subset of ``vectors``, indexed by its bit mask."""
+    xors = [0] * (1 << len(vectors))
+    for mask in range(1, 1 << len(vectors)):
+        low = mask & -mask
+        xors[mask] = xors[mask ^ low] ^ vectors[low.bit_length() - 1]
+    return xors
 
-    Enumerates the XOR of every one of the 2^m row subsets; the span
+
+def rank_by_subset_enumeration(columns):
+    """Rank as the size of the largest independent column subset.
+
+    Enumerates the XOR of every one of the 2^m column subsets; the span
     size is a power of two whose exponent is the answer.  No
     elimination is involved.
     """
-    m = len(rows)
-    xors = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        xors[mask] = xors[mask ^ low] ^ rows[low.bit_length() - 1]
-    span = set(xors)
-    size = len(span)
+    size = len(set(subset_xors(columns)))
     assert size & (size - 1) == 0
     return size.bit_length() - 1
 
 
-def largest_independent_subset_size(rows):
-    """Literal search over subsets; only viable for a handful of rows."""
-    m = len(rows)
+def largest_independent_subset_size(columns):
+    """Literal search over subsets; only viable for a handful of columns."""
+    m = len(columns)
     best = 0
     for mask in range(1 << m):
-        chosen = [rows[i] for i in range(m) if (mask >> i) & 1]
+        chosen = [columns[i] for i in range(m) if (mask >> i) & 1]
         seen = set()
         ok = True
         for sub in range(1 << len(chosen)):
@@ -166,9 +169,10 @@ def canonical_kernel_by_enumeration(m):
     vector has its highest bit at j.  For each such j the basis holds the
     one kernel vector with its highest bit at j and its other bits on
     independent columns.  Returns (basis, bit mask of the independent
-    columns).  No elimination is involved.
+    columns).  No elimination and no matrix product is involved.
     """
-    kernel = [v for v in range(1, 1 << m.n_cols) if m.mat_vec(v) == 0]
+    images = subset_xors(m.columns)
+    kernel = [v for v in range(1, 1 << m.n_cols) if not images[v]]
     dependent = sorted({v.bit_length() - 1 for v in kernel})
     independent = sum(1 << j for j in range(m.n_cols) if j not in dependent)
     basis = []

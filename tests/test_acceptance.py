@@ -126,9 +126,9 @@ def test_gf2_rank_oracle():
         for _ in range(200):
             n_rows = rng.randint(0, 12)
             n_cols = rng.randint(1, 12)
-            rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
-            m = Gf2Matrix(n_rows, n_cols, tuple(rows))
-            assert m.rank() == rank_by_subset_enumeration(rows, n_cols)
+            columns = [rng.getrandbits(n_rows) for _ in range(n_cols)]
+            m = Gf2Matrix(n_rows, n_cols, tuple(columns))
+            assert m.rank() == rank_by_subset_enumeration(columns)
 
 
 def test_rolled_grading_consistency():

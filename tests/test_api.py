@@ -1,0 +1,57 @@
+"""The public API is the literal list below.
+
+Adding or removing a name from ``topsym.__all__`` has to change this
+list too, so a public-API change is always an explicit line in a diff.
+"""
+
+import topsym
+
+PUBLIC_NAMES = [
+    "AcyclicMatching",
+    "BettiTable",
+    "BoundarySplit",
+    "ComplexPair",
+    "Gf2Matrix",
+    "HomologyBasis",
+    "HomologyMap",
+    "InputError",
+    "MatchingError",
+    "MorseComplexData",
+    "PseudomanifoldError",
+    "RolledTable",
+    "SimplicialComplex",
+    "SymmetryVerdict",
+    "TruncatedDouble",
+    "analyze_action",
+    "betti",
+    "boundary_subcomplex",
+    "build_complex",
+    "build_matching",
+    "builtin_example",
+    "check_sphere_action",
+    "check_symmetry",
+    "check_symmetry_rolled",
+    "cone",
+    "connecting_map",
+    "cross_polytope_sphere",
+    "euler_characteristic",
+    "full_double",
+    "induced_map",
+    "lefschetz_duality_check",
+    "les_exactness_check",
+    "mayer_vietoris_check",
+    "morse_betti",
+    "morse_complex",
+    "roll_up",
+    "truncated_double",
+    "wedge_of_spheres",
+]
+
+
+def test_all_is_the_literal_list():
+    assert sorted(topsym.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC_NAMES:
+        assert getattr(topsym, name, None) is not None, name

@@ -15,13 +15,16 @@ from topsym.gf2 import Reduction
 
 def hollow_triangle_d1():
     # Rows: vertices 0,1,2; columns: edges (0,1),(0,2),(1,2).
-    return Gf2Matrix.from_rows(
-        [
-            [1, 1, 0],
-            [1, 0, 1],
-            [0, 1, 1],
-        ]
-    )
+    return Gf2Matrix.from_columns([0b011, 0b101, 0b110], 3)
+
+
+def random_columns(rng, n_rows, n_cols):
+    return tuple(rng.getrandbits(n_rows) for _ in range(n_cols))
+
+
+def entries(m):
+    """Entry (i, j) is bit i of column j, as nested lists of rows."""
+    return [[col >> i & 1 for col in m.columns] for i in range(m.n_rows)]
 
 
 def random_matrices(seed, count):
@@ -30,55 +33,55 @@ def random_matrices(seed, count):
     rng = random.Random(seed)
     for i in range(count):
         n_rows, n_cols = rng.randint(0, 10), rng.randint(1, 10)
-        m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
+        m = Gf2Matrix(n_rows, n_cols, random_columns(rng, n_rows, n_cols))
         if i % 2:
             r = rng.randint(0, 4)
-            a = Gf2Matrix(n_rows, r, tuple(rng.getrandbits(r) for _ in range(n_rows)))
-            m = a.mat_mul(Gf2Matrix(r, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(r))))
+            a = Gf2Matrix(n_rows, r, random_columns(rng, n_rows, r))
+            m = a.mat_mul(Gf2Matrix(r, n_cols, random_columns(rng, r, n_cols)))
         yield m, rng
 
 
 class TestRank:
     def test_identity(self):
-        assert Gf2Matrix.identity(3).rank() == 3
+        assert Gf2Matrix.from_columns([0b001, 0b010, 0b100], 3).rank() == 3
 
     def test_zero(self):
         assert Gf2Matrix.zero(4, 7).rank() == 0
 
     def test_hollow_triangle_boundary(self):
         m = hollow_triangle_d1()
-        assert m.rank() == rank_by_subset_enumeration(list(m.rows), m.n_cols) == 2
+        assert m.rank() == rank_by_subset_enumeration(list(m.columns)) == 2
 
     def test_matches_literal_subset_search_small(self):
         rng = random.Random(7)
         for _ in range(30):
             n_rows, n_cols = rng.randint(0, 5), rng.randint(1, 6)
-            rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
-            m = Gf2Matrix(n_rows, n_cols, tuple(rows))
-            assert m.rank() == largest_independent_subset_size(rows)
+            columns = random_columns(rng, n_rows, n_cols)
+            m = Gf2Matrix(n_rows, n_cols, columns)
+            assert m.rank() == largest_independent_subset_size(columns)
 
     def test_matches_enumeration_random(self):
         rng = random.Random(20260810)
         for _ in range(60):
             n_rows, n_cols = rng.randint(0, 12), rng.randint(1, 12)
-            rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
-            m = Gf2Matrix(n_rows, n_cols, tuple(rows))
-            assert m.rank() == rank_by_subset_enumeration(rows, n_cols)
+            columns = random_columns(rng, n_rows, n_cols)
+            m = Gf2Matrix(n_rows, n_cols, columns)
+            assert m.rank() == rank_by_subset_enumeration(columns)
 
     def test_rank_equals_transpose_rank(self):
         rng = random.Random(99)
         for _ in range(50):
             n_rows, n_cols = rng.randint(0, 10), rng.randint(0, 10)
-            m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
+            m = Gf2Matrix(n_rows, n_cols, random_columns(rng, n_rows, n_cols))
             assert m.rank() == m.transpose().rank()
 
 
 class TestKernel:
     def test_identity_trivial_kernel(self):
-        assert Gf2Matrix.identity(2).kernel_basis() == []
+        assert Gf2Matrix.from_columns([0b01, 0b10], 2).kernel_basis() == []
 
     def test_rank_one_row(self):
-        assert Gf2Matrix.from_rows([[1, 1]]).kernel_basis() == [0b11]
+        assert Gf2Matrix.from_columns([0b1, 0b1], 1).kernel_basis() == [0b11]
 
     def test_hollow_triangle_kernel_by_enumeration(self):
         m = hollow_triangle_d1()
@@ -91,13 +94,12 @@ class TestKernel:
         rng = random.Random(5)
         for _ in range(40):
             n_rows, n_cols = rng.randint(0, 9), rng.randint(1, 9)
-            m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
+            m = Gf2Matrix(n_rows, n_cols, random_columns(rng, n_rows, n_cols))
             basis = m.kernel_basis()
             assert len(basis) == n_cols - m.rank()
             for v in basis:
                 assert m.mat_vec(v) == 0
-            stacked = Gf2Matrix(len(basis), n_cols, tuple(basis))
-            assert stacked.rank() == len(basis)
+            assert Gf2Matrix.from_columns(basis, n_cols).rank() == len(basis)
 
     def test_basis_is_canonical(self):
         sizes = set()
@@ -110,7 +112,7 @@ class TestKernel:
 
 class TestSolvePreimage:
     def test_identity(self):
-        m = Gf2Matrix.identity(4)
+        m = Gf2Matrix.from_columns([0b0001, 0b0010, 0b0100, 0b1000], 4)
         assert m.solve_preimage(0b1010) == 0b1010
 
     def test_zero_matrix_unsolvable(self):
@@ -128,7 +130,7 @@ class TestSolvePreimage:
         rng = random.Random(13)
         for _ in range(60):
             n_rows, n_cols = rng.randint(1, 10), rng.randint(1, 10)
-            m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(n_rows)))
+            m = Gf2Matrix(n_rows, n_cols, random_columns(rng, n_rows, n_cols))
             b = m.mat_vec(rng.getrandbits(n_cols))  # guaranteed solvable
             x = m.solve_preimage(b)
             assert x is not None and m.mat_vec(x) == b
@@ -149,14 +151,14 @@ class TestSolvePreimage:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            Gf2Matrix.identity(2).solve_preimage(0b100)
+            Gf2Matrix.from_columns([0b01, 0b10], 2).solve_preimage(0b100)
 
 
 class TestSkip:
     def test_skipping_a_dependent_column_changes_only_its_kernel_vector(self):
         skipped = 0
         for m, rng in random_matrices(31, 80):
-            columns = m.columns()
+            columns = m.columns
             full = Reduction(columns)
             targets = [m.mat_vec(rng.getrandbits(m.n_cols)) for _ in range(3)] + [rng.getrandbits(m.n_rows)]
             for vector in full.kernel:
@@ -177,14 +179,18 @@ class TestSkip:
 
 class TestMatrixBasics:
     def test_rows_validated(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="column count does not match n_cols"):
             Gf2Matrix(1, 2, (0b100,))
+        with pytest.raises(InputError, match="column has bits beyond n_rows"):
+            Gf2Matrix(1, 1, (0b10,))
+        with pytest.raises(InputError, match="column has bits beyond n_rows"):
+            Gf2Matrix.from_columns([0b01, 0b100], 2)
 
     def test_mat_mul_associates_with_vectors(self):
         rng = random.Random(3)
         for _ in range(25):
-            a = Gf2Matrix(4, 5, tuple(rng.getrandbits(5) for _ in range(4)))
-            b = Gf2Matrix(5, 3, tuple(rng.getrandbits(3) for _ in range(5)))
+            a = Gf2Matrix(4, 5, random_columns(rng, 4, 5))
+            b = Gf2Matrix(5, 3, random_columns(rng, 5, 3))
             v = rng.getrandbits(3)
             assert a.mat_mul(b).mat_vec(v) == a.mat_vec(b.mat_vec(v))
 
@@ -194,4 +200,40 @@ class TestMatrixBasics:
 
     def test_from_columns_matches_entries(self):
         m = Gf2Matrix.from_columns([0b01, 0b10, 0b11], 2)
-        assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == [[1, 0, 1], [0, 1, 1]]
+        assert entries(m) == [[1, 0, 1], [0, 1, 1]]
+
+    def test_transpose_matches_entries(self):
+        m = Gf2Matrix.from_columns([0b01, 0b10, 0b11], 2)
+        assert entries(m.transpose()) == [[1, 0], [0, 1], [1, 1]]
+        rng = random.Random(41)
+        for _ in range(30):
+            n_rows, n_cols = rng.randint(0, 6), rng.randint(0, 6)
+            m = Gf2Matrix(n_rows, n_cols, random_columns(rng, n_rows, n_cols))
+            grid = entries(m)
+            assert entries(m.transpose()) == [[grid[i][j] for i in range(n_rows)] for j in range(n_cols)]
+
+    def test_mat_mul_matches_entries(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            a = Gf2Matrix(n, k, random_columns(rng, n, k))
+            b = Gf2Matrix(k, m, random_columns(rng, k, m))
+            ea, eb = entries(a), entries(b)
+            expected = [[sum(ea[i][t] & eb[t][j] for t in range(k)) & 1 for j in range(m)] for i in range(n)]
+            assert entries(a.mat_mul(b)) == expected
+
+    def test_stack_matches_entries(self):
+        top = Gf2Matrix.from_columns([0b1, 0b0], 1)
+        bottom = Gf2Matrix.from_columns([0b10, 0b01], 2)
+        stacked = top.stack(bottom)
+        assert (stacked.n_rows, stacked.n_cols) == (3, 2)
+        assert entries(stacked) == [[1, 0], [0, 1], [1, 0]]
+        rng = random.Random(47)
+        for _ in range(30):
+            n_cols = rng.randint(0, 6)
+            a_rows, b_rows = rng.randint(0, 6), rng.randint(0, 6)
+            a = Gf2Matrix(a_rows, n_cols, random_columns(rng, a_rows, n_cols))
+            b = Gf2Matrix(b_rows, n_cols, random_columns(rng, b_rows, n_cols))
+            assert entries(a.stack(b)) == entries(a) + entries(b)
+        with pytest.raises(InputError, match="column counts do not match"):
+            top.stack(Gf2Matrix.zero(1, 3))

@@ -197,7 +197,7 @@ class TestAnalyzeAction:
         assert report.positive_verdict.shifts == (0,)
         assert report.duality_status == "pass"
         assert report.factor2_passed
-        assert report.verdicts_agree
+        assert report.positive_verdict.symmetric == report.negative_verdict.symmetric
 
     def test_disk_half_split_all_vacuous(self):
         report = analyze_action(builtin_example("disk_half_split"))
@@ -229,4 +229,4 @@ class TestAnalyzeAction:
             except Exception:
                 continue
             report = analyze_action(split)
-            assert report.verdicts_agree, name
+            assert report.positive_verdict.symmetric == report.negative_verdict.symmetric, name
