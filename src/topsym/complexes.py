@@ -7,8 +7,10 @@ and catalog entries use them, and glued doubles keep them.
 Each complex builds one chain table: sorted cells by degree, the empty
 simplex ``()`` being the only cell in degree -1, and each cell's facets
 as positions one degree down.  A pair (X, A) reads X's table with A's
-cells masked out, the quotient chain complex.  Reduced homology leaves
-degree -1 unmasked: the empty complex has reduced homology {-1: 1}.
+cells masked out, the quotient chain complex, and hands its boundary
+columns to ``Reduction`` as the positions of their unmasked facets.
+Reduced homology leaves degree -1 unmasked: the empty complex has
+reduced homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
 extraction, the chain table's facet rows) take the facets of one
@@ -32,7 +34,7 @@ from itertools import accumulate, chain, combinations, compress, count, filterfa
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
-from .gf2 import Gf2Matrix, Reduction
+from .gf2 import Column, Gf2Matrix, Reduction, column_bits
 
 Simplex = Tuple
 Chain = FrozenSet  # GF(2) chain: a set of simplices; addition is symmetric difference
@@ -294,11 +296,14 @@ class HomologyBasis:
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.
         self._classes: Dict[int, Reduction] = {}
-        for k, lower, upper in _reductions(self._columns):
-            if not all(upper.add(cycle) for cycle in lower.kernel):
+        upper = Reduction()  # nothing above the top degree
+        for k, lower in _reductions(self._columns):
+            rank = upper.rank
+            upper.extend(lower.kernel)
+            if upper.rank - rank != len(lower.kernel):
                 raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
             self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in lower.kernel]
-            self._classes[k] = upper
+            self._classes[k], upper = upper, lower
 
     # -- cell bookkeeping ------------------------------------------------
 
@@ -332,7 +337,7 @@ class HomologyBasis:
 
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Map from degree-k cells to degree-(k-1) cells."""
-        return Gf2Matrix.from_columns(self._columns.get(k, []), self.n_cells(k - 1))
+        return Gf2Matrix.from_columns(list(map(column_bits, self._columns.get(k, []))), self.n_cells(k - 1))
 
     # -- homology --------------------------------------------------------
 
@@ -394,79 +399,91 @@ def _facet_rows(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], k: int) -
     return [flat[k - i :: k + 1] for i in range(k + 1)]
 
 
-def _columns(rows: List[List[int]], bits: List[int]) -> List[int]:
-    """Each cell's boundary column: the XOR of ``bits[p]`` over its facet positions p."""
-    columns = [0] * len(rows[0])
-    for positions in rows:
-        columns = list(map(operator.xor, columns, map(bits.__getitem__, positions)))
-    return columns
+def _identities_hold(upper: List[List[int]], lower: List[List[int]]) -> bool:
+    """The simplicial identities between the facet rows of two adjacent
+    degrees: for j < i, facet j of facet i of each cell is facet i - 1 of
+    its facet j.  Summed over i and j they give d o d = 0."""
+    facet = [operator.itemgetter(*row) for row in upper]  # facet[i](row) reads row at each cell's facet i
+    return all(facet[i](lower[j]) == facet[j](lower[i - 1]) for i in range(len(upper)) for j in range(i))
 
 
 def _build_chain_table(complex_: SimplicialComplex) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
     """Sorted cells by degree from -1, facet rows by degree from 0, filled
-    from the top down with each composition of boundary maps checked to
-    vanish, and an empty memo of the Betti tables of pairs on the complex."""
+    from the top down, and an empty memo of the Betti tables of pairs on
+    the complex.  Each composition of boundary maps is checked to vanish
+    as it is filled, through the simplicial identities on facet positions,
+    so no boundary column is ever built here."""
     cells = {k: complex_.simplices(k) if k >= 0 else (EMPTY_SIMPLEX,) for k in range(-1, complex_.dim + 1)}
     rows = {}
     for k in range(complex_.dim, -1, -1):
         rows[k] = _facet_rows(cells[k], dict(zip(cells[k - 1], count())), k)
-        if k < complex_.dim:
-            lower = _columns(rows[k], [1 << i for i in range(len(cells[k - 1]))])
-            if any(_columns(rows[k + 1], lower)):
-                raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
+        if k < complex_.dim and not _identities_hold(rows[k + 1], rows[k]):
+            raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
     return cells, rows, {}
 
 
-def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[int]]]:
+def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[Column]]]:
     """Cells and boundary columns by degree from -1 (reduced homology) or
     0 up: the ambient's table with the subcomplex's cells masked out and
-    the rest renumbered in order.  Column j is the boundary of cell j."""
+    the rest renumbered in order.  Column j is the boundary of cell j, as
+    the positions of its unmasked facets one degree down, from the
+    highest; ``Reduction`` turns it into bits only if it meets a pivot."""
     table, rows, _ = pair.ambient._chain_table
     sub = pair.sub.faces  # empty in reduced homology
-    cells, columns = ({-1: table[-1]}, {-1: [0]}) if augmented else ({}, {})
-    bits = [1 if augmented else 0]  # each cell's bit one degree down, 0 when masked
+    cells, columns = ({-1: table[-1]}, {-1: [()]}) if augmented else ({}, {})
+    renumber = None  # each cell's position one degree down, -1 when masked; None when none is
     for k in range(pair.ambient.dim + 1):
-        group, cols = table[k], _columns(rows[k], bits)
+        group, facet_rows = table[k], rows[k]
         if k <= pair.sub.dim:
             keep = list(map(operator.not_, map(sub.__contains__, group)))
-            group, cols = tuple(compress(group, keep)), list(compress(cols, keep))
-            bits = list(map(operator.lshift, keep, accumulate(keep, initial=0)))
+            group, facet_rows = tuple(compress(group, keep)), [compress(row, keep) for row in facet_rows]
+        if k == 0 and not augmented:
+            cols = [()] * len(group)  # no degree -1 below the vertices
+        elif renumber is None:
+            cols = list(zip(*facet_rows))
         else:
-            bits = [1 << i for i in range(len(group))]
+            cols = list(zip(*(map(renumber.__getitem__, row) for row in facet_rows)))
+            for j in list(compress(count(), map(operator.contains, cols, repeat(-1)))):
+                cols[j] = tuple(filter((-1).__lt__, cols[j]))  # drop the masked facets
         cells[k], columns[k] = group, cols
+        renumber = None
+        if k <= pair.sub.dim:
+            renumber = list(accumulate(keep, initial=0))  # kept cells before each cell
+            for i in compress(count(), map(operator.not_, keep)):
+                renumber[i] = -1
     return cells, columns
 
 
-def _reductions(columns: Dict[int, List[int]]) -> Iterator[Tuple[int, Reduction, Reduction]]:
-    """Yield (k, reduction of d_k, reduction of d_{k+1}) from the top
-    degree down, with combinations over cell positions.
+def _reductions(columns: Dict[int, List[Column]], track: bool = True) -> Iterator[Tuple[int, Reduction]]:
+    """Yield (k, reduction of d_k) from the top degree down; with
+    ``track`` the combinations are over cell positions, without it the
+    reductions are rank-only.  Only the pivot rows of d_{k+1} are kept
+    while d_k is reduced, so a caller that lets each reduction go holds
+    one degree's pivots at a time.
 
     Clearing (Chen and Kerber, EuroCG 2011): a reduced column of d_{k+1}
-    with highest bit i is cell i plus lower cells, so column i of d_k
-    depends on earlier ones and is skipped (``Reduction.skip``).  The
-    kernel of d_k keeps one cycle z_j, cell j plus independent earlier
-    cells, for each dependent column j that is not a pivot row of d_{k+1}.
-    These z_j and the boundaries span all cycles: the cycle of a skipped
-    i is the pivot at row i plus cycles of lower highest bit.  No nonzero
-    sum of z_j is a boundary, as its highest bit is not a pivot row.  So
-    the z_j are a basis of H_k, and each stays independent when appended
-    to the reduction of d_{k+1}.
+    with highest row i is cell i plus lower cells, so column i of d_k
+    depends on earlier ones and is handed to ``Reduction.extend`` as
+    cleared.  The kernel of d_k keeps one cycle z_j, cell j plus
+    independent earlier cells, for each dependent column j that is not a
+    pivot row of d_{k+1}.  These z_j and the boundaries span all cycles:
+    the cycle of a cleared i is the pivot at row i plus cycles of lower
+    highest row.  No nonzero sum of z_j is a boundary, as its highest row
+    is not a pivot row.  So the z_j are a basis of H_k, and each stays
+    independent when appended to the reduction of d_{k+1}.
     """
-    upper = Reduction(())  # nothing above the top degree
+    cleared = frozenset()  # nothing above the top degree
     for k in reversed(columns):
-        cleared, lower = upper.pivot_rows, Reduction(())
-        for i, col in enumerate(columns[k]):
-            if i in cleared:
-                lower.skip()
-            else:
-                lower.add(col)
-        yield k, lower, upper
-        upper = lower
+        lower = Reduction(track=track)
+        lower.extend(columns[k], cleared)
+        cleared = frozenset(lower.pivot_rows)
+        yield k, lower
 
 
 def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
     """Betti table of a pair in the requested flavor: dim H_k is the
-    length of the kernel ``_reductions`` leaves in degree k.
+    nullity left in degree k by the rank-only ``_reductions``, which
+    keep no combinations.
 
     ``relative`` with an empty subcomplex coincides with ``absolute``;
     ``reduced`` appends the augmentation row and requires an empty
@@ -480,7 +497,10 @@ def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
         raise InputError("reduced flavor requested on a genuine pair")
     memo, key = pair.ambient._chain_table[2], (pair.sub.faces, augmented)
     if key not in memo:
-        dims = {k: len(lower.kernel) for k, lower, _ in _reductions(_chain_columns(pair, augmented)[1])}
+        dims = {}
+        for k, lower in _reductions(_chain_columns(pair, augmented)[1], track=False):
+            dims[k] = lower.nullity
+            del lower  # its pivots go before the next degree is reduced
         memo[key] = BettiTable.from_dict(flavor, dims).entries
     return BettiTable(flavor, memo[key])
 

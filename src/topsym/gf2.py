@@ -2,44 +2,73 @@
 
 Matrices are dense with bit-packed columns: each column is a Python int
 whose bit ``i`` is the entry in row ``i``.  Vectors use the same encoding.
-All elimination goes through one ``Reduction``: columns are added one at
-a time and reduced against pivots keyed by their highest set bit, so
-each reduction step is a single XOR at word speed.  The same pass gives
-the rank, a canonical kernel basis and solutions of linear systems.  All
-arithmetic is exact; there are no tolerances anywhere in this package.
+All elimination goes through one ``Reduction``: columns are added in
+batches and reduced against pivots keyed by their highest row, so each
+reduction step is a single XOR at word speed.  A batch may also hand in
+a column as the tuple of its nonzero rows, the sparse form of a boundary
+column (Bauer, Kerber, Reininghaus and Wagner, J. Symb. Comput. 2017).
+Such a column becomes an int only when it meets a pivot; stored as a
+pivot, it becomes one only when a later column meets it.  The same pass
+gives the rank, and when it tracks combinations, a canonical kernel
+basis and solutions of linear systems.  All arithmetic is exact; there
+are no tolerances anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
+# A column as a bit vector, or as the tuple of its nonzero rows from the
+# highest down, the form in which a chain table hands out boundaries.
+Column = Union[int, Tuple[int, ...]]
+
+
+def column_bits(col: Column) -> int:
+    """The bit vector of a column.  A tuple's bits are set relative to its
+    lowest row and shifted into place once, so only the last step builds
+    an int as long as the column."""
+    if type(col) is int:
+        return col
+    if not col:
+        return 0
+    low, bits = col[-1], 0
+    for row in col:
+        bits |= 1 << (row - low)
+    return bits << low
+
 
 class Reduction:
-    """Column reduction over GF(2) with pivots keyed by the highest set bit.
+    """Column reduction over GF(2) with pivots keyed by the highest row.
 
-    Columns are appended one at a time and numbered from zero.  A column
-    independent of the earlier ones is stored, reduced, as a pivot
-    together with the combination of input columns it equals.  A
-    dependent column yields a kernel vector: its own bit plus the
-    independent earlier columns that sum to it.  Every combination is
-    therefore supported on independent columns, which makes the kernel
-    basis and the solutions of ``solve`` unique: they depend on the
-    column order and span alone, not on the pivot key.  The highest bit
-    is PHAT's convention (Bauer, Kerber, Reininghaus and Wagner, J. Symb.
-    Comput. 2017).  Keyed on the lowest bit, every edge at the shared
-    vertex of a wedge of spheres starts on that vertex's row and walks
-    the chain of earlier pivots.
+    Columns are appended in batches and numbered from zero.  A column
+    independent of the earlier ones is stored, reduced, as a pivot.  A
+    dependent column adds one to the nullity.  With ``track`` the pass
+    also keeps, for each pivot, the combination of input columns it
+    equals, and for each dependent column a kernel vector: its own bit
+    plus the independent earlier columns that sum to it.  Every
+    combination is therefore supported on independent columns, which
+    makes the kernel basis and the solutions of ``solve`` unique: they
+    depend on the column order and span alone, not on the pivot key.
+    Without ``track`` the pass is the same, pivot step for pivot step,
+    and keeps no combination: the rank-only mode.
+
+    The highest row is PHAT's convention (Bauer, Kerber, Reininghaus and
+    Wagner, J. Symb. Comput. 2017).  Keyed on the lowest row, every edge
+    at the shared vertex of a wedge of spheres starts on that vertex's
+    row and walks the chain of earlier pivots.
     """
 
-    def __init__(self, columns: Iterable[int]):
+    def __init__(self, columns: Sequence[Column] = (), track: bool = True):
         self.n_cols = 0
-        self.kernel: List[int] = []
-        self._pivots: Dict[int, Tuple[int, int]] = {}  # high bit -> (reduced column, combination)
-        for col in columns:
-            self.add(col)
+        self.nullity = 0
+        self.kernel: List[int] = []  # kept with ``track`` only
+        self._track = track
+        self._pivots: Dict[int, Column] = {}  # highest row -> reduced column
+        self._combos: Dict[int, int] = {}  # highest row -> combination, with ``track``
+        self.extend(columns)
 
     @property
     def rank(self) -> int:
@@ -47,41 +76,64 @@ class Reduction:
 
     @property
     def pivot_rows(self):
-        """The highest set bits of the stored reduced columns, one per pivot."""
+        """The highest rows of the stored reduced columns, one per pivot."""
         return self._pivots.keys()
 
-    def _reduce(self, v: int) -> Tuple[int, int]:
-        """(residue, combination) with v = residue + the combined columns."""
-        combo = 0
+    def _reduce(self, v: int, combo: int) -> Tuple[int, int]:
+        """(residue, combination) with v = residue + the combined columns,
+        given the combination ``v`` already stands for."""
+        pivots, combos, track = self._pivots, self._combos, self._track
         while v:
-            pivot = self._pivots.get(v.bit_length() - 1)
+            low = v.bit_length() - 1
+            pivot = pivots.get(low)
             if pivot is None:
                 break
-            v ^= pivot[0]
-            combo ^= pivot[1]
+            if type(pivot) is not int:
+                pivot = pivots[low] = column_bits(pivot)
+            v ^= pivot
+            if track:
+                combo ^= combos[low]
         return v, combo
 
-    def add(self, col: int) -> bool:
-        """Append a column; True when it is independent of the earlier ones."""
-        residue, combo = self._reduce(col)
-        combo |= 1 << self.n_cols
-        self.n_cols += 1
-        if residue:
-            self._pivots[residue.bit_length() - 1] = (residue, combo)
-        else:
-            self.kernel.append(combo)
-        return bool(residue)
+    def extend(self, columns: Sequence[Column], cleared=()) -> None:
+        """Append columns, numbered on from ``n_cols``.
 
-    def skip(self) -> None:
-        """Number a column without reducing it.  For a column that depends
-        on the earlier ones this drops only its kernel vector: the pivots,
-        the other kernel vectors and ``solve`` are as if it were added."""
-        self.n_cols += 1
+        Each column is an int or a tuple of rows from the highest down.  A
+        column whose number is in ``cleared`` is numbered but not
+        reduced.  For a column that depends on the earlier ones this drops
+        only its kernel vector: the pivots, the other kernel vectors and
+        ``solve`` are as if it were added.
+        """
+        pivots, combos, kernel, track = self._pivots, self._combos, self.kernel, self._track
+        start, nullity = self.n_cols, self.nullity
+        for j, col in enumerate(columns, start):
+            if j in cleared:
+                continue
+            if type(col) is int:
+                low = col.bit_length() - 1
+            else:
+                low = col[0] if col else -1
+            if low in pivots:
+                col, combo = self._reduce(column_bits(col), 1 << j if track else 0)
+                low = col.bit_length() - 1
+            elif track:
+                combo = 1 << j
+            if low < 0:
+                nullity += 1
+                if track:
+                    kernel.append(combo)
+            else:
+                pivots[low] = col
+                if track:
+                    combos[low] = combo
+        self.n_cols, self.nullity = start + len(columns), nullity
 
     def solve(self, b: int) -> Optional[int]:
         """The combination of columns summing to ``b``, or None when ``b``
-        is outside their span."""
-        residue, combo = self._reduce(b)
+        is outside their span.  Needs ``track``."""
+        if not self._track:
+            raise AssertionError("solve needs the combinations of a tracked reduction")
+        residue, combo = self._reduce(b, 0)
         return None if residue else combo
 
 
@@ -150,7 +202,7 @@ class Gf2Matrix:
         return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, tuple(columns))
 
     def rank(self) -> int:
-        return Reduction(self.columns).rank
+        return Reduction(self.columns, track=False).rank
 
     def kernel_basis(self) -> List[int]:
         """Basis of {v : Mv = 0}, one vector per column that depends on

@@ -247,6 +247,25 @@ def reference_facet_rows(cells, below, k):
         raise InputError("chain contains %r, not a degree-%d cell here" % (exc.args[0], k - 1)) from None
 
 
+def reference_composition_check(cells, rows):
+    """The d o d = 0 check of a chain table by dense columns: each degree's
+    boundary columns are XORs of one-hot ints, the next degree's columns
+    are XORs of those, and every composition must be zero.  Degrees go
+    from the top down, and the error names the upper degree, as in
+    ``_build_chain_table``."""
+
+    def columns(facet_rows, bits):
+        out = [0] * len(facet_rows[0])
+        for positions in facet_rows:
+            out = [col ^ bits[p] for col, p in zip(out, positions)]
+        return out
+
+    for k in range(len(rows) - 2, -1, -1):
+        lower = columns(rows[k], [1 << i for i in range(len(cells[k - 1]))])
+        if any(columns(rows[k + 1], lower)):
+            raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
+
+
 def reference_double_faces(split):
     """The faces of each part of ``truncated_double(split)``, relabeled
     face by face with a dict comprehension."""
@@ -482,7 +501,7 @@ def reference_basis(pair, augmented=False):
         reps[k] = []
         for cycle in lower.kernel:
             if upper.solve(cycle) is None:
-                upper.add(cycle)
+                upper.extend([cycle])
                 reps[k].append(to_chain(k, cycle))
         classes[k] = upper
         upper = lower

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    corpus_complexes,
     corpus_pairs,
+    grown_regions,
     hollow_triangle,
     random_pairs,
     reference_basis,
     reference_check_strongly_connected,
+    reference_composition_check,
 )
 from topsym import (
     ComplexPair,
@@ -30,7 +33,7 @@ from topsym import complexes
 from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_connected, excise
 from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
-from topsym.spaces import catalog_splits, truncated_double
+from topsym.spaces import BoundarySplit, catalog_splits, truncated_double
 
 
 def table(pair, flavor="relative"):
@@ -321,6 +324,101 @@ class TestRankPass:
             betti(pair)
         with pytest.raises(AssertionError, match=message):
             HomologyBasis(pair)
+
+
+class TestRankOnly:
+    """``betti`` reduces rank-only, the elimination of ``HomologyBasis``
+    without combinations; its tables must be the dims of both bases."""
+
+    def check(self, pair, label):
+        fresh = ComplexPair(SimplicialComplex(pair.ambient.faces), pair.sub)  # no stored Betti tables
+        for augmented in (False, True) if len(pair.sub) == 0 else (False,):
+            table = betti(fresh, "reduced" if augmented else "relative")
+            assert table.same_dims(HomologyBasis(pair, augmented).betti()), (label, augmented)
+            reps, _ = reference_basis(pair, augmented)
+            assert table.as_dict() == {k: len(r) for k, r in reps.items() if r}, (label, augmented)
+
+    def test_corpus_pairs(self):
+        for name, pair in corpus_pairs().items():
+            self.check(pair, name)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_pairs(self, pair):
+        self.check(pair, sorted(pair.ambient.faces))
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(grown_regions())
+    def test_grown_regions(self, drawn):
+        domain, region, mapping = drawn
+        split = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
+        self.check(split.positive_pair(), sorted(split.positive.faces))
+        self.check(split.negative_pair(), sorted(split.negative.faces))
+
+
+def composition_message(fn, *args):
+    """The message of the composition check's error, or None when it passes."""
+    try:
+        fn(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+class TestCompositionCheck:
+    """``_build_chain_table`` checks d o d = 0 through the simplicial
+    identities on facet positions; ``reference_composition_check`` is the
+    dense XOR check it replaced."""
+
+    def check_both(self, cx):
+        cells, rows, _ = complexes._build_chain_table(cx)
+        reference_composition_check(cells, rows)
+
+    def test_corpus_and_catalog_complexes_pass_both_checks(self):
+        for cx in corpus_complexes().values():
+            self.check_both(cx)
+        for split in catalog_splits().values():
+            self.check_both(split.domain)
+            self.check_both(truncated_double(split).total)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_complexes_pass_both_checks(self, pair):
+        self.check_both(pair.ambient)
+        self.check_both(pair.sub)
+
+    @pytest.mark.parametrize("name", ["ball_3", "projective_plane", "sphere_3"])
+    def test_identities_reject_every_corruption_the_dense_check_rejects(self, monkeypatch, name):
+        # Each entry of each facet row in turn is set to every other
+        # position one degree down.  Every cell of these complexes lies in
+        # a top cell, so the dense check rejects each such corruption.
+        cx = corpus_complexes()[name]
+        cells, rows, _ = complexes._build_chain_table(cx)
+        build, target = complexes._facet_rows, {}
+
+        def corrupt(cells_k, below, k):
+            out = build(cells_k, below, k)
+            if k == target["k"]:
+                out[target["i"]][target["c"]] = target["p"]
+            return out
+
+        monkeypatch.setattr(complexes, "_facet_rows", corrupt)
+        rejected, corruptions = 0, 0
+        for k in range(1, cx.dim + 1):
+            for i, row in enumerate(rows[k]):
+                for c, clean in enumerate(row):
+                    for p in range(len(cells[k - 1])):
+                        if p == clean:
+                            continue
+                        row[c] = p
+                        corruptions += 1
+                        dense = composition_message(reference_composition_check, cells, rows)
+                        row[c] = clean
+                        if dense is not None:
+                            target.update(k=k, i=i, c=c, p=p)
+                            assert composition_message(complexes._build_chain_table, cx) == dense, (k, i, c, p)
+                            rejected += 1
+        assert rejected == corruptions > 0
 
 
 class TestBoundarySubcomplex:

@@ -10,7 +10,7 @@ from conftest import (
     rank_by_subset_enumeration,
 )
 from topsym import Gf2Matrix, InputError
-from topsym.gf2 import Reduction
+from topsym.gf2 import Reduction, column_bits
 
 
 def hollow_triangle_d1():
@@ -164,17 +164,45 @@ class TestSkip:
             for vector in full.kernel:
                 j = vector.bit_length() - 1
                 partial = Reduction(())
-                for i, col in enumerate(columns):
-                    if i == j:
-                        partial.skip()
-                    else:
-                        partial.add(col)
+                partial.extend(columns, {j})
                 assert partial.n_cols == full.n_cols
                 assert partial._pivots == full._pivots
+                assert partial._combos == full._combos
                 assert partial.kernel == [v for v in full.kernel if v != vector]
                 assert [partial.solve(b) for b in targets] == [full.solve(b) for b in targets]
                 skipped += 1
         assert skipped >= 100
+
+
+def sparse(col):
+    """A bit-vector column as the tuple of its rows from the highest down."""
+    return tuple(i for i in reversed(range(col.bit_length())) if col >> i & 1)
+
+
+class TestSparseColumnsAndRankOnly:
+    def test_column_bits_inverts_sparse(self):
+        for m, _ in random_matrices(41, 60):
+            assert [column_bits(sparse(col)) for col in m.columns] == list(m.columns)
+        assert column_bits(()) == 0 and column_bits(0b101) == 0b101
+
+    def test_sparse_columns_reduce_as_their_bits(self):
+        for m, rng in random_matrices(43, 80):
+            targets = [m.mat_vec(rng.getrandbits(m.n_cols)) for _ in range(3)] + [rng.getrandbits(m.n_rows)]
+            dense, tuples = Reduction(m.columns), Reduction([sparse(col) for col in m.columns])
+            assert tuples.kernel == dense.kernel and tuples._combos == dense._combos
+            assert [tuples.solve(b) for b in targets] == [dense.solve(b) for b in targets]
+            assert {row: column_bits(col) for row, col in tuples._pivots.items()} == dense._pivots
+
+    def test_rank_only_mode_keeps_the_pivots_and_no_combination(self):
+        for m, _ in random_matrices(47, 80):
+            tracked = Reduction(m.columns)
+            for columns in (m.columns, [sparse(col) for col in m.columns]):
+                rank_only = Reduction(columns, track=False)
+                assert rank_only.pivot_rows == tracked.pivot_rows
+                assert rank_only.nullity == len(tracked.kernel) == tracked.nullity
+                assert rank_only.kernel == [] and rank_only._combos == {}
+            with pytest.raises(AssertionError, match="solve needs"):
+                rank_only.solve(0)
 
 
 class TestMatrixBasics:

@@ -4,6 +4,7 @@ Each count is a property of the algorithm, not of the host, so a change
 that brings back the old work fails here rather than only in the bench.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,9 @@ SPACES = Path(__file__).with_name("spaces")
 
 
 def count_reduction_work(monkeypatch):
-    """Count the columns added to every ``Reduction``, the pivot steps
-    (each XOR of a stored pivot into a column being reduced) and the
-    ``solve`` calls."""
+    """Count the columns reduced by every ``Reduction`` (those handed to
+    ``extend`` and not cleared), the pivot steps (each XOR of a stored
+    pivot into a column being reduced) and the ``solve`` calls."""
     counts = {"columns": 0, "steps": 0, "solves": 0}
 
     class Pivots(dict):
@@ -39,19 +40,19 @@ def count_reduction_work(monkeypatch):
             counts["steps"] += pivot is not None
             return pivot
 
-    add, solve = gf2.Reduction.add, gf2.Reduction.solve
+    extend, solve = gf2.Reduction.extend, gf2.Reduction.solve
 
-    def counted_add(self, col):
+    def counted_extend(self, columns, cleared=()):
         if type(self._pivots) is dict:
             self._pivots = Pivots(self._pivots)
-        counts["columns"] += 1
-        return add(self, col)
+        counts["columns"] += sum(j not in cleared for j in range(self.n_cols, self.n_cols + len(columns)))
+        return extend(self, columns, cleared)
 
     def counted_solve(self, b):
         counts["solves"] += 1
         return solve(self, b)
 
-    monkeypatch.setattr(gf2.Reduction, "add", counted_add)
+    monkeypatch.setattr(gf2.Reduction, "extend", counted_extend)
     monkeypatch.setattr(gf2.Reduction, "solve", counted_solve)
     return counts
 
@@ -94,6 +95,49 @@ def test_basis_with_homology_makes_no_solve_call(monkeypatch, name, augmented):
     # tested against the boundaries.
     basis = check_basis_work(monkeypatch, ComplexPair.absolute(builtin_example(name)), augmented)
     assert basis.betti().total() > 0
+
+
+def reduction_pairs():
+    """Corpus pairs, and the pairs of ``reeb_ball_2``, in each flavor."""
+    pairs = dict(corpus_pairs())
+    split = builtin_example("reeb_ball_2")
+    pairs.update(reeb_pos=split.positive_pair(), reeb_double=split.double.exit_pair())
+    for name, pair in pairs.items():
+        for augmented in (False, True) if len(pair.sub) == 0 else (False,):
+            yield (name, augmented), pair, augmented
+
+
+def test_rank_only_pass_reduces_the_same_columns_with_the_same_pivot_steps(monkeypatch):
+    # ``betti`` runs ``_reductions`` without combinations, ``HomologyBasis``
+    # with them; the elimination itself must be the same.
+    counts = count_reduction_work(monkeypatch)
+    for label, pair, augmented in reduction_pairs():
+        columns = complexes._chain_columns(pair, augmented)[1]
+        passes = {}
+        for track in (False, True):
+            counts.update(columns=0, steps=0, solves=0)
+            shapes = [(k, sorted(lower.pivot_rows), lower.nullity) for k, lower in complexes._reductions(columns, track)]
+            passes[track] = dict(counts), shapes
+        assert passes[False] == passes[True], label
+        assert passes[True][0]["columns"] > 0, label
+
+
+def test_wedge_of_spheres_builds_no_quadratic_column_list():
+    # 9000 edges over 4501 vertices and 6000 triangles over 9000 edges:
+    # dense columns, or a list of one-hot ints per degree, peak at 8 MB
+    # for the chain table and 19 MB for the Betti table.
+    fresh = complexes._trusted(builtin_example("wedge_2_1500").faces)
+    tracemalloc.start()
+    try:
+        fresh._chain_table
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert betti(ComplexPair.absolute(fresh)).as_dict() == {0: 1, 2: 1500}
+        betti_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_peak <= 3 << 20
+    assert betti_peak <= 10 << 20
 
 
 def test_connecting_map_expresses_only_its_source_degree(monkeypatch):
