@@ -4,13 +4,16 @@ A simplex is a strictly ascending tuple of vertex labels; a complex is a
 face-closed set of simplices.  Vertex labels are integers: space files
 and catalog entries use them, and glued doubles keep them.
 
-Each complex builds one chain table: sorted cells by degree, the empty
+Each complex has one chain table: sorted cells by degree, the empty
 simplex ``()`` being the only cell in degree -1, and each cell's facets
-as positions one degree down.  A pair (X, A) reads X's table with A's
-cells masked out, the quotient chain complex, and hands its boundary
-columns to ``Reduction`` as the positions of their unmasked facets.
-Reduced homology leaves degree -1 unmasked: the empty complex has
-reduced homology {-1: 1}.
+as positions one degree down.  A complex builds it from its faces, but
+the total of a truncated double derives it from its domain's table
+through the two copies' labelings (``glued``); the d o d identities
+are checked on either.  A pair (X, A) reads X's table with A's cells
+masked out, the quotient chain complex, and hands its boundary columns
+to ``Reduction`` as the positions of their unmasked facets.  Reduced
+homology leaves degree -1 unmasked: the empty complex has reduced
+homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
 extraction, the chain table's facet rows) take the facets of one
@@ -129,7 +132,8 @@ class SimplicialComplex:
 
     @cached_property
     def _chain_table(self) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
-        return _build_chain_table(self)
+        derive = self.__dict__.pop("_derive_chain_table", None)  # made once, so let go of its inputs
+        return _build_chain_table(self) if derive is None else derive(self)
 
     def counts(self) -> Dict[int, int]:
         return {k: len(group) for k, group in self._by_degree.items()}
@@ -171,10 +175,14 @@ class SimplicialComplex:
         return _trusted(frozenset(_as_simplex(tuple(map(get, s))) for s in self.faces))
 
 
-def _trusted(faces: frozenset) -> SimplicialComplex:
-    """A complex from faces known to be face-closed, without the check."""
+def _trusted(faces: frozenset, derive=None) -> SimplicialComplex:
+    """A complex from faces known to be face-closed, without the check;
+    ``derive(complex)``, when given, makes its chain table in place of
+    ``_build_chain_table``."""
     complex_ = object.__new__(SimplicialComplex)
     object.__setattr__(complex_, "faces", faces)
+    if derive is not None:
+        complex_.__dict__["_derive_chain_table"] = derive
     return complex_
 
 

@@ -8,7 +8,8 @@ reduction step is a single XOR at word speed.  A batch may also hand in
 a column as the tuple of its nonzero rows, the sparse form of a boundary
 column (Bauer, Kerber, Reininghaus and Wagner, J. Symb. Comput. 2017).
 Such a column becomes an int only when it meets a pivot; stored as a
-pivot, it becomes one only when a later column meets it.  The same pass
+pivot, it becomes one only when a later column meets it, and only a
+reduction that tracks combinations keeps that int.  The same pass
 gives the rank, and when it tracks combinations, a canonical kernel
 basis and solutions of linear systems.  All arithmetic is exact; there
 are no tolerances anywhere in this package.
@@ -53,7 +54,9 @@ class Reduction:
     makes the kernel basis and the solutions of ``solve`` unique: they
     depend on the column order and span alone, not on the pivot key.
     Without ``track`` the pass is the same, pivot step for pivot step,
-    and keeps no combination: the rank-only mode.
+    and keeps no combination: the rank-only mode.  It also keeps a pivot
+    stored as a tuple as it is, converting it anew each time a column
+    meets it, since few pivots are met twice and no ``solve`` follows.
 
     The highest row is PHAT's convention (Bauer, Kerber, Reininghaus and
     Wagner, J. Symb. Comput. 2017).  Keyed on the lowest row, every edge
@@ -89,7 +92,9 @@ class Reduction:
             if pivot is None:
                 break
             if type(pivot) is not int:
-                pivot = pivots[low] = column_bits(pivot)
+                pivot = column_bits(pivot)
+                if track:  # ``solve`` meets the same pivots again
+                    pivots[low] = pivot
             v ^= pivot
             if track:
                 combo ^= combos[low]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Optional, Tuple, Union
 
 from .complexes import (
@@ -24,6 +24,7 @@ from .complexes import (
     check_face_count,
 )
 from .errors import InputError
+from .glued import _double_chain_table, _relabeled_cells
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,13 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     the vertices only in copy B, each run in the order of the domain's
     labels.  When that leaves copy A's labels as they are, copy A is the
     domain itself, so the two share one chain table and its Betti tables.
+
+    The interface is induced, so a cell of copy A that copy B lacks holds
+    a vertex of copy A's own, whose label is below every label of copy B:
+    each degree's cells of the total sort as copy A's cells that hold an
+    own vertex, then all of copy B's.  That lets the total derive its
+    chain table from the domain's when something first asks for it
+    (``glued``).
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -138,12 +146,10 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     shared = sorted(interface.vertices)
     own = sorted(domain.vertices - interface.vertices)
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
-    # Each face's image: its vertices mapped through the labels, sorted.
-    domain_faces = list(domain.faces)
-    face_a, face_b = (
-        dict(zip(domain_faces, map(tuple, map(sorted, map(map, itertools.repeat(label.__getitem__), domain_faces)))))
-        for label in labels
-    )
+    groups = [domain.simplices(k) for k in range(domain.dim + 1)]
+    images = [_relabeled_cells(groups, label) for label in labels]
+    chained = itertools.chain.from_iterable
+    face_a, face_b = (dict(zip(chained(groups), chained(i))) for i in images)
 
     def image(faces: Dict[Simplex, Simplex], region: SimplicialComplex) -> SimplicialComplex:
         return _trusted(frozenset(map(faces.__getitem__, region.faces)))
@@ -152,7 +158,7 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     copy_a = domain if identity else _trusted(frozenset(face_a.values()))
     copy_b = _trusted(frozenset(face_b.values()))
     return TruncatedDouble(
-        total=copy_a.union(copy_b),
+        total=_trusted(copy_a.faces | copy_b.faces, partial(_double_chain_table, domain, labels, images, len(own))),
         copy_a=copy_a,
         copy_b=copy_b,
         exit_a=image(face_a, split.positive),

@@ -88,23 +88,42 @@ def random_pairs(draw):
 SPLIT_DOMAIN_NAMES = ("ball_2", "ball_3", "ball_4", "disk_half_split", "annulus_split")
 
 
+def with_boundary_tops(domain):
+    """A domain with its boundary's top simplices and their ridge incidence."""
+    boundary = boundary_subcomplex(domain)
+    return domain, boundary.simplices(boundary.dim), ridge_incidence(boundary)
+
+
 @lru_cache(maxsize=None)
 def split_domains():
-    """Each domain with its boundary's top simplices and their ridge incidence."""
+    """Each catalog domain of ``SPLIT_DOMAIN_NAMES`` with its boundary tops."""
     objects = [builtin_example(name) for name in SPLIT_DOMAIN_NAMES]
-    out = []
-    for domain in (obj.domain if isinstance(obj, BoundarySplit) else obj for obj in objects):
-        boundary = boundary_subcomplex(domain)
-        out.append((domain, boundary.simplices(boundary.dim), ridge_incidence(boundary)))
-    return tuple(out)
+    return tuple(with_boundary_tops(obj.domain if isinstance(obj, BoundarySplit) else obj) for obj in objects)
+
+
+def band_annulus(n):
+    """An annulus of one band between the n-gons 0..n-1 and n..2n-1."""
+    return build_complex(
+        triangle for i in range(n) for triangle in ((i, (i + 1) % n, n + (i + 1) % n), (i, n + i, n + (i + 1) % n))
+    )
+
+
+@lru_cache(maxsize=None)
+def annulus_domains():
+    """Band annuli with their boundary tops.  An arc of a ring from two
+    edges to all but two is an induced region whose ends are the
+    interface; the catalog annulus has triangles for rings, on which no
+    arc is."""
+    return tuple(with_boundary_tops(band_annulus(n)) for n in (6, 8))
 
 
 @st.composite
-def grown_regions(draw):
-    """A catalog domain, a region of its boundary and an injective
-    relabeling of its vertices.  The region is the closure of boundary
-    top simplices grown from one of them across shared ridges."""
-    domain, tops, incidence = draw(st.sampled_from(split_domains()))
+def grown_regions(draw, domains=None):
+    """A domain (one of ``domains``, by default of ``split_domains``), a
+    region of its boundary and an injective relabeling of its vertices.
+    The region is the closure of boundary top simplices grown from one of
+    them across shared ridges."""
+    domain, tops, incidence = draw(st.sampled_from(domains or split_domains()))
     grown = [draw(st.sampled_from(tops))]
     for _ in range(draw(st.integers(0, len(tops) - 1))):
         frontier = sorted({u for t in grown for f in facets(t) for u in incidence[f]} - set(grown))

@@ -3,7 +3,9 @@
 The tier-1 suite does not collect ``bench/``, so a rename that breaks
 ``bench/run.py --trace 1`` has to fail here.  The check only resolves
 the names; it installs no wrapper.  A seeded round of each workload
-also runs here, through ``topsym.cli.main`` in this process.
+also runs here, through ``topsym.cli.main`` in this process, and the
+doubles of the homology workloads' inputs are checked to derive the
+chain table their faces build.
 """
 
 import importlib
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from topsym.cli import main
+from topsym import complexes
+from topsym.cli import main, parse_space_file
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -51,3 +54,17 @@ def test_one_seeded_round_of_each_workload_gets_the_closed_form_answer(monkeypat
         code = main(client.ARGV[workloads.COMMANDS[workload]](str(path), str(double_path)))
         stdout = capsys.readouterr().out
         assert workloads.check_answer(workload, space, name, code, stdout, str(double_path)) is None, name
+
+
+@pytest.mark.parametrize("workload", ["analyze-mix", "verify-mix"])
+def test_one_seeded_round_derives_each_double_table_as_built(monkeypatch, workload):
+    # The double's chain table is derived from the domain's on every
+    # request of these workloads; on their inputs it must be the table
+    # built from the double's faces.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for index in range(len(workloads.SLOTS[workload])):
+        space = workloads.space_for(workload, 5, index)
+        split = parse_space_file(json.dumps(space.file_dict("x")).encode()).split()
+        total = split.double.total
+        assert total._chain_table == complexes._build_chain_table(complexes._trusted(total.faces)), index

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes
+from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes, spaces
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
@@ -287,58 +287,70 @@ class TestSerialization:
         assert payload["negative_region"] == [[0, 1], [0, 2], [1, 2]]
 
 
+def count_chain_tables(monkeypatch):
+    """Record each complex whose chain table is built from its faces, and
+    each double's total whose table is derived from its domain's."""
+    built, derived = [], []
+    build, derive = complexes._build_chain_table, spaces._double_chain_table
+
+    def counted_build(complex_):
+        built.append(complex_)
+        return build(complex_)
+
+    def counted_derive(*args):
+        derived.append(args[-1])
+        return derive(*args)
+
+    monkeypatch.setattr(complexes, "_build_chain_table", counted_build)
+    monkeypatch.setattr(spaces, "_double_chain_table", counted_derive)
+    return built, derived
+
+
 class TestRequestLifetime:
-    """Each request builds every complex's chain table once and leaves
+    """Each request makes every complex's chain table once and leaves
     nothing of its input behind."""
 
     @pytest.mark.parametrize("space", ["reeb_ball_2", "annulus_split"])
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_each_complex_builds_its_chain_table_once(self, monkeypatch, capsys, command, space):
-        built, splits = [], []
-        build, load = complexes._build_chain_table, cli.load_space
-
-        def count(complex_):
-            built.append(complex_)
-            return build(complex_)
+        splits = []
+        built, derived = count_chain_tables(monkeypatch)
+        load = cli.load_space
 
         def record(locator):
             name, split = load(locator)
             splits.append(split)
             return name, split
 
-        monkeypatch.setattr(complexes, "_build_chain_table", count)
         monkeypatch.setattr(cli, "load_space", record)
         assert main([command, space]) == EXIT_OK
         capsys.readouterr()
         split, = splits
         double = split.double
-        expected = [split.domain, double.total]
+        # The double's total derives its table from the domain's.
+        assert len(derived) == 1 and derived[0] is double.total
+        expected = [split.domain]
         if command == "verify":
             # Both entries have an empty interface and labels 0..n-1, so
             # copy A of the double is the domain and shares its table.
             assert double.copy_a is split.domain
             expected += [split.positive, split.negative, double.exit_boundary, double.copy_b]
-        assert len({id(cx) for cx in built}) == len(built)
+        made = built + derived
+        assert len({id(cx) for cx in made}) == len(made)
         assert sorted(map(id, expected)) == sorted(id(cx) for cx in built if any(cx is e for e in expected))
         # Besides those, Mayer-Vietoris builds the overlap of the two copies.
         others = [cx.faces for cx in built if not any(cx is e for e in expected)]
         assert others == ([double.copy_a.faces & double.copy_b.faces] if command == "verify" else [])
 
     def test_verify_builds_no_table_twice_for_equal_faces(self, monkeypatch, capsys):
-        built = []
-        build = complexes._build_chain_table
-
-        def count(complex_):
-            built.append(complex_.faces)
-            return build(complex_)
-
-        monkeypatch.setattr(complexes, "_build_chain_table", count)
+        built, derived = count_chain_tables(monkeypatch)
         assert main(["verify", "reeb_ball_2"]) == EXIT_OK
         capsys.readouterr()
         # The empty positive region, exit boundary and overlap are
         # distinct objects, each with a one-cell table.
-        nonempty = [faces for faces in built if faces]
+        nonempty = [cx.faces for cx in built + derived if cx.faces]
         assert len(nonempty) == 4 and len(set(nonempty)) == len(nonempty)
+        assert len(derived) == 1
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_space_file_builds_each_ridge_incidence_once(self, monkeypatch, capsys, command):
@@ -375,6 +387,36 @@ class TestRequestLifetime:
         monkeypatch.setattr(BoundarySplit, "__post_init__", count)
         split = parse_space_file((SPACES / "disk_positive.json").read_bytes()).split()
         assert len(built) == 1 and built[0] is split
+
+    @pytest.mark.parametrize("space", ["annulus_split", "reeb_ball_2", "disk_positive.json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["analyze", "--json"], ["verify"], ["verify", "--json"], ["double"], ["double", "-o"]],
+        ids=" ".join,
+    )
+    def test_a_request_frees_its_domain_by_reference_counting(self, monkeypatch, capsys, tmp_path, argv, space):
+        # No reference cycle may hold the loaded domain: a cycle through
+        # the split and its double would keep each request's complexes
+        # alive until the next collection.
+        domains = []
+        load = cli.load_space
+
+        def record(locator):
+            name, split = load(locator)
+            domains.append(weakref.ref(split.domain))
+            return name, split
+
+        monkeypatch.setattr(cli, "load_space", record)
+        locator = str(SPACES / space) if space.endswith(".json") else space
+        args = [argv[0], locator] + argv[1:] + ([str(tmp_path / "double.json")] if argv[1:] == ["-o"] else [])
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(args) == EXIT_OK
+            capsys.readouterr()
+            assert len(domains) == 1 and domains[0]() is None
+        finally:
+            gc.enable()
 
     def test_a_request_keeps_no_complex_alive(self, monkeypatch, capsys):
         domains = []

@@ -1,11 +1,21 @@
 """Generators, gluing constructions, and the catalog."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import grown_regions, hollow_triangle, is_orientable_surfacelike, reference_fill, ridge_incidence
+from conftest import (
+    annulus_domains,
+    grown_regions,
+    hollow_triangle,
+    is_orientable_surfacelike,
+    reference_composition_check,
+    reference_fill,
+    ridge_incidence,
+)
 from topsym import (
     ComplexPair,
     InputError,
@@ -22,10 +32,12 @@ from topsym import (
     truncated_double,
     wedge_of_spheres,
 )
-from topsym import spaces
+from topsym import cli, complexes, glued, spaces
 from topsym.cli import EXIT_OK, main, report_json
 from topsym.complexes import MAX_FACES
 from topsym.spaces import BoundarySplit, catalog_splits
+
+SPACES = Path(__file__).with_name("spaces")
 
 
 def table(cx_or_pair):
@@ -350,3 +362,127 @@ class TestRelabelingInvariance:
             assert betti(doubled.exit_pair()).same_dims(
                 betti(truncated_double(split).exit_pair())
             ), name
+
+
+def space_file_splits():
+    return {path.name: cli.load_space(str(path))[1] for path in sorted(SPACES.glob("*.json"))}
+
+
+def relabeled_split(split, mapping):
+    return BoundarySplit(*(cx.relabel(mapping) for cx in (split.domain, split.positive, split.negative)))
+
+
+def reorders_a_cell(split):
+    """Whether either copy's labeling of the double reorders the vertices
+    of some domain cell, found face by face."""
+    shared = sorted(split.interface.vertices)
+    own = sorted(split.domain.vertices - split.interface.vertices)
+    labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
+    images = ([label[v] for v in s] for label in labels for s in split.domain.faces)
+    return any(image != sorted(image) for image in images)
+
+
+def composition_message(fn, *args):
+    """The message of the composition check's error, or None when it passes."""
+    try:
+        fn(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+class TestDerivedChainTable:
+    """The double's total derives its chain table from the domain's; the
+    oracle is ``_build_chain_table`` on the same faces."""
+
+    def check(self, monkeypatch, split):
+        derived = []
+        derive = spaces._double_chain_table
+
+        def counted(*args):
+            derived.append(args[-1])
+            return derive(*args)
+
+        monkeypatch.setattr(spaces, "_double_chain_table", counted)
+        total = truncated_double(split).total
+        cells, rows, memo = total._chain_table
+        assert derived == [total]
+        fresh = complexes._trusted(total.faces)
+        assert (cells, rows, memo) == complexes._build_chain_table(fresh)
+        for k in range(-1, total.dim + 2):
+            grouped = tuple(sorted(s for s in total.faces if len(s) == k + 1))
+            assert total.simplices(k) == grouped, k
+        assert total.counts() == fresh.counts()
+
+    def test_catalog_and_space_file_splits(self, monkeypatch):
+        splits = {**catalog_splits(), **space_file_splits()}
+        assert len(splits) == 11
+        for name, split in splits.items():
+            self.check(monkeypatch, split)
+
+    def test_seeded_relabelings(self, monkeypatch):
+        rng, interface, reordered = random.Random(14), 0, 0
+        for name, split in {**catalog_splits(), **space_file_splits()}.items():
+            vertices = sorted(split.domain.vertices)
+            for _ in range(4):
+                mapping = dict(zip(vertices, rng.sample(range(3 * len(vertices)), len(vertices))))
+                relabeled = relabeled_split(split, mapping)
+                interface += len(relabeled.interface) > 0
+                reordered += reorders_a_cell(relabeled)
+                self.check(monkeypatch, relabeled)
+        assert reordered == interface == 16
+
+    def test_grown_annulus_splits(self, monkeypatch):
+        seen = {"draws": 0, "interface": 0, "reordered": 0}
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(grown_regions(annulus_domains()))
+        def check(drawn):
+            domain, region, mapping = drawn
+            split = relabeled_split(BoundarySplit(domain, region), mapping)
+            try:
+                split.double
+            except InputError:  # an arc of one edge, or all but one, is not induced
+                return
+            seen["draws"] += 1
+            seen["interface"] += len(split.interface) > 0
+            seen["reordered"] += reorders_a_cell(split)
+            self.check(monkeypatch, split)
+
+        check()
+        # The permuted-facet path runs on every draw with an interface.
+        assert seen["draws"] >= 60 and seen["reordered"] == seen["interface"] >= 20, seen
+
+    @pytest.mark.parametrize("name", ["disk_half_split", "disk_both.json"])
+    def test_corrupted_derived_rows_fail_the_composition_check(self, monkeypatch, name):
+        # Every entry of every derived facet row in turn is moved to
+        # another position one degree down; the identities reject each
+        # corruption with the message the dense check gives.
+        split = cli.load_space(str(SPACES / name) if name.endswith(".json") else name)[1]
+        split = relabeled_split(split, {v: 40 - 3 * v for v in split.domain.vertices})
+        assert reorders_a_cell(split)
+        total = truncated_double(split).total
+        derive = total.__dict__["_derive_chain_table"]
+        cells, rows, _ = complexes._build_chain_table(complexes._trusted(total.faces))
+        build, target = glued._double_rows, {}
+
+        def corrupt(domain_rows, layout, layout_below):
+            out = build(domain_rows, layout, layout_below)
+            if len(domain_rows) - 1 == target["k"]:
+                out[target["i"]][target["c"]] = target["p"]
+            return out
+
+        monkeypatch.setattr(glued, "_double_rows", corrupt)
+        corruptions = 0
+        for k in range(1, max(rows) + 1):
+            for i, row in enumerate(rows[k]):
+                for c, clean in enumerate(row):
+                    p = (clean + 1) % len(cells[k - 1])
+                    row[c] = p
+                    dense = composition_message(reference_composition_check, cells, rows)
+                    row[c] = clean
+                    target.update(k=k, i=i, c=c, p=p)
+                    assert dense is not None
+                    assert composition_message(lambda: complexes._trusted(total.faces, derive)._chain_table) == dense
+                    corruptions += 1
+        assert corruptions > 50

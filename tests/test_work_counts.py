@@ -16,10 +16,12 @@ from topsym import (
     SimplicialComplex,
     betti,
     builtin_example,
+    cli,
     complexes,
     connecting_map,
     gf2,
     les_exactness_check,
+    spaces,
 )
 from topsym.cli import EXIT_OK, main, space_file_dict
 from topsym.morse import build_matching, morse_betti
@@ -256,3 +258,43 @@ def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK, path
         capsys.readouterr()
         assert calls == [], (argv, path.name)
+
+
+@pytest.mark.parametrize("space", ["annulus_split", "disk_half_split", "reeb_ball_2", "disk_positive.json"])
+def test_analyze_looks_up_facets_only_for_the_domains_table(monkeypatch, capsys, space):
+    # The double's table is derived from the domain's through the face
+    # maps, so only the domain's cells go through the facet lookup.
+    calls, splits = [], []
+    facet_rows, load = complexes._facet_rows, cli.load_space
+
+    def counted(cells, below, k):
+        calls.append((k, cells))
+        return facet_rows(cells, below, k)
+
+    def record(locator):
+        name, split = load(locator)
+        splits.append(split)
+        return name, split
+
+    monkeypatch.setattr(complexes, "_facet_rows", counted)
+    monkeypatch.setattr(cli, "load_space", record)
+    assert main(["analyze", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    domain = splits[0].domain
+    assert [k for k, _ in calls] == list(range(domain.dim, -1, -1))
+    assert all(cells is domain.simplices(k) for k, cells in calls)
+
+
+def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
+    # Gluing and writing the double take no homology, so no table.
+    made = []
+
+    def refuse(*args):
+        made.append(args)
+        raise AssertionError("a chain table was made")
+
+    monkeypatch.setattr(complexes, "_build_chain_table", refuse)
+    monkeypatch.setattr(spaces, "_double_chain_table", refuse)
+    for space in ["annulus_split", "disk_half_split", "reeb_ball_2", *sorted(SPACES.glob("*.json"))]:
+        assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
+        assert made == [], space
