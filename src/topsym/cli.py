@@ -328,7 +328,11 @@ def cmd_verify(args) -> int:
 
 def cmd_double(args) -> int:
     name, split = load_space(args.space)
+    if shared := split.interface.simplices(split.domain.dim - 1):
+        message = "positive and negative regions share boundary simplex %r, which the double glues into its interior"
+        raise InputError(message % (shared[0],))
     double = split.double
+    # Validated again, so that no file is written that topsym would refuse to load.
     glued = BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
     _write_space_file(space_file_dict(name + "_double", glued), args.output)
     return EXIT_OK

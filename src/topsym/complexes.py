@@ -8,12 +8,12 @@ Each complex has one chain table: sorted cells by degree, the empty
 simplex ``()`` being the only cell in degree -1, and each cell's facets
 as positions one degree down.  A complex builds it from its faces, but
 the total of a truncated double derives it from its domain's table
-through the two copies' labelings (``glued``); the d o d identities
-are checked on either.  A pair (X, A) reads X's table with A's cells
-masked out, the quotient chain complex, and hands its boundary columns
-to ``Reduction`` as the positions of their unmasked facets.  Reduced
-homology leaves degree -1 unmasked: the empty complex has reduced
-homology {-1: 1}.
+through the two copies' labelings (``glued``); ``_chain_table`` checks
+the d o d identities on either (``_check_identities``).  A pair (X, A)
+reads X's table with A's cells masked out, the quotient chain complex,
+and hands its boundary columns to ``Reduction`` as the positions of
+their unmasked facets.  Reduced homology leaves degree -1 unmasked: the
+empty complex has reduced homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
 extraction, the chain table's facet rows) take the facets of one
@@ -132,8 +132,11 @@ class SimplicialComplex:
 
     @cached_property
     def _chain_table(self) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
+        """Cells and facet rows by degree, checked, and a memo of Betti tables."""
         derive = self.__dict__.pop("_derive_chain_table", None)  # made once, so let go of its inputs
-        return _build_chain_table(self) if derive is None else derive(self)
+        cells, rows = _build_chain_table(self) if derive is None else derive(self)
+        _check_identities(rows)
+        return cells, rows, {}
 
     def counts(self) -> Dict[int, int]:
         return {k: len(group) for k, group in self._by_degree.items()}
@@ -407,27 +410,23 @@ def _facet_rows(cells: Tuple[Simplex, ...], below: Dict[Simplex, int], k: int) -
     return [flat[k - i :: k + 1] for i in range(k + 1)]
 
 
-def _identities_hold(upper: List[List[int]], lower: List[List[int]]) -> bool:
-    """The simplicial identities between the facet rows of two adjacent
-    degrees: for j < i, facet j of facet i of each cell is facet i - 1 of
-    its facet j.  Summed over i and j they give d o d = 0."""
-    facet = [operator.itemgetter(*row) for row in upper]  # facet[i](row) reads row at each cell's facet i
-    return all(facet[i](lower[j]) == facet[j](lower[i - 1]) for i in range(len(upper)) for j in range(i))
+def _check_identities(rows: Dict[int, List[List[int]]]) -> None:
+    """Check d o d = 0 from the top degree down on the facet rows: for
+    j < i, facet j of facet i of each cell is facet i - 1 of its facet j.
+    Summed over i and j these identities give d o d = 0."""
+    for k in range(max(rows, default=0), 0, -1):
+        upper, lower = rows[k], rows[k - 1]
+        facet = [operator.itemgetter(*row) for row in upper]  # facet[i](row) reads row at each cell's facet i
+        if not all(facet[i](lower[j]) == facet[j](lower[i - 1]) for i in range(len(upper)) for j in range(i)):
+            raise AssertionError("boundary composition is nonzero in degree %d" % k)
 
 
-def _build_chain_table(complex_: SimplicialComplex) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]], Dict]:
-    """Sorted cells by degree from -1, facet rows by degree from 0, filled
-    from the top down, and an empty memo of the Betti tables of pairs on
-    the complex.  Each composition of boundary maps is checked to vanish
-    as it is filled, through the simplicial identities on facet positions,
-    so no boundary column is ever built here."""
+def _build_chain_table(complex_: SimplicialComplex) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[List[int]]]]:
+    """Sorted cells by degree from -1 and facet rows by degree from 0,
+    filled from the top down."""
     cells = {k: complex_.simplices(k) if k >= 0 else (EMPTY_SIMPLEX,) for k in range(-1, complex_.dim + 1)}
-    rows = {}
-    for k in range(complex_.dim, -1, -1):
-        rows[k] = _facet_rows(cells[k], dict(zip(cells[k - 1], count())), k)
-        if k < complex_.dim and not _identities_hold(rows[k + 1], rows[k]):
-            raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
-    return cells, rows, {}
+    rows = {k: _facet_rows(cells[k], dict(zip(cells[k - 1], count())), k) for k in range(complex_.dim, -1, -1)}
+    return cells, rows
 
 
 def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[Simplex, ...]], Dict[int, List[Column]]]:

@@ -14,9 +14,9 @@ and only they can have their vertices reordered by a labeling.
 A cell's facet rows are its domain cell's, mapped to positions in the
 total.  Where a labeling reorders the cell's vertices, facet i of the
 image is the image of the domain facet that drops the vertex the sorted
-image holds at i.  The d o d identities are checked on the derived rows
-as ``complexes._build_chain_table`` checks its own, with the same
-message, so the derived table equals the built one or the request fails.
+image holds at i.  ``SimplicialComplex._chain_table`` checks the d o d
+identities on the derived rows as on built ones, so the derived table
+equals the built one or the request fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import bisect
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import EMPTY_SIMPLEX, Simplex, SimplicialComplex, _identities_hold
+from .complexes import EMPTY_SIMPLEX, Simplex, SimplicialComplex
 
 
 def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> List[list]:
@@ -43,9 +43,9 @@ def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -
 
 
 def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, total: SimplicialComplex):
-    """The total's chain table from the domain's, the copies' labelings
-    and the images of the domain's cells (``_relabeled_cells``); its
-    cells also seed the total's ``_by_degree``."""
+    """The total's cells and facet rows from the domain's, the copies'
+    labelings and the images of the domain's cells (``_relabeled_cells``);
+    its cells also seed the total's ``_by_degree``."""
     domain_cells, domain_rows, _ = domain._chain_table
     has_shared = n_own < len(domain.simplices(0))
     cells = {-1: (EMPTY_SIMPLEX,)}
@@ -73,13 +73,9 @@ def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, t
         positions_b = _positions(order_b, len(order_a), len(group))
         positions_a = _positions(order_a, 0, len(group), positions_b)
         layout[k] = ((order_a, positions_a, moved[0]), (order_b, positions_b, moved[1]))
-    rows = {}
-    for k in range(domain.dim, -1, -1):
-        rows[k] = _double_rows(domain_rows[k], layout[k], layout[k - 1])
-        if k < domain.dim and not _identities_hold(rows[k + 1], rows[k]):
-            raise AssertionError("boundary composition is nonzero in degree %d" % (k + 1))
+    rows = {k: _double_rows(domain_rows[k], layout[k], layout[k - 1]) for k in range(domain.dim, -1, -1)}
     total.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
-    return cells, rows, {}
+    return cells, rows
 
 
 def _double_rows(domain_rows: List[List[int]], layout, layout_below) -> List[List[int]]:

@@ -17,8 +17,9 @@ work on those numbers; simplices come back only in ``matched`` and
 ``facets``, never from the chain table behind ``betti``, so that Morse
 homology stays an independent check of the rank pass.
 
-Validation's V-path order (``_v_path_order``, a Kahn peeling of the
-matched facets) also orders the gradient flow: walked in reverse, each
+A matching is numbered and its V-path digraph peeled once, when it is
+made (``AcyclicMatching._gradient``).  The peeling order proves it
+acyclic and also orders the gradient flow: walked in reverse, each
 matched facet's flow is a sum of flows already known.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import BettiTable, ComplexPair, Simplex
@@ -36,13 +38,20 @@ from .gf2 import Gf2Matrix
 
 @dataclass(frozen=True)
 class AcyclicMatching:
-    """A discrete gradient on the non-exit cells of a pair."""
+    """A discrete gradient on the non-exit cells of a pair, validated as it
+    is numbered into the gradient the flow reads (``_gradient``)."""
 
     pair: ComplexPair
     matched: frozenset  # pairs (facet, cofacet)
-    critical: tuple  # unmatched non-exit cells, sorted
 
     def __post_init__(self):
+        self._gradient
+
+    @cached_property
+    def _gradient(self) -> Tuple[Dict[int, int], List[int], List[int]]:
+        """The matched pairs as cell numbers, each facet to its cofacet;
+        the matched facets in V-path order; and the critical cells, the
+        unmatched ones, as ascending numbers."""
         cells, index, down = self.pair._hasse
         sub = self.pair.sub.faces
         up: Dict[int, int] = {}
@@ -59,16 +68,15 @@ class AcyclicMatching:
                 raise MatchingError("cell matched twice")
             used.update((facet, cofacet))
             up[facet] = cofacet
-        if tuple(self.critical) != tuple(c for i, c in enumerate(cells) if i not in used):
-            raise MatchingError("critical cells do not match the unmatched cells")
-        if _v_path_order(down, up) is None:
-            raise MatchingError("reversed Hasse digraph has a cycle")
+        order = _v_path_order(down, up)
+        if order is None:
+            raise MatchingError("gradient path cycle among the matched cells: the reversed Hasse digraph has a cycle")
+        return up, order, [i for i in range(len(cells)) if i not in used]
 
-    def critical_by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
-        out: Dict[int, List[Simplex]] = {}
-        for c in self.critical:
-            out.setdefault(len(c) - 1, []).append(c)
-        return {k: tuple(v) for k, v in out.items()}
+    @cached_property
+    def critical(self) -> Tuple[Simplex, ...]:
+        """The unmatched non-exit cells, sorted by dimension, then labels."""
+        return tuple(map(self.pair._hasse[0].__getitem__, self._gradient[2]))
 
 
 def _v_path_order(down: List[List[int]], up: Dict[int, int]) -> Optional[List[int]]:
@@ -129,7 +137,6 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
             cofacets[f].append(c)
 
     matched: List[Tuple[int, int]] = []
-    critical: List[int] = []
     queue = deque(c for c in order if facet_count[c] == 1)
 
     def retire(cell: int):
@@ -163,15 +170,9 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
         # dimension as critical; this unlocks its cofacets.
         while not alive[by_rank[next_critical]]:
             next_critical += 1
-        cell = by_rank[next_critical]
-        critical.append(cell)
-        retire(cell)
+        retire(by_rank[next_critical])
 
-    return AcyclicMatching(
-        pair,
-        frozenset((cells[low], cells[high]) for low, high in matched),
-        tuple(cells[c] for c in sorted(critical)),
-    )
+    return AcyclicMatching(pair, frozenset((cells[low], cells[high]) for low, high in matched))
 
 
 @dataclass(frozen=True)
@@ -191,31 +192,29 @@ class MorseComplexData:
 
 
 def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
-    """Boundary maps counting alternating gradient paths modulo 2.
+    """Boundary maps counting alternating gradient paths modulo 2, read
+    from the matching's validated gradient.
 
     For each critical cell the flow of every facet is accumulated; the
     flow of a facet is its own class when critical, zero when it is
     matched downward, and the combined flow of the sibling facets of its
     matched cofacet otherwise.  The flows of matched-up facets are
     filled in reverse V-path order, so every sibling's flow is final
-    when it is read; a cycle means the matching data is corrupt.
+    when it is read.
     """
-    pair = matching.pair
-    cells, index, down = pair._hasse
-    up = {index[low]: index[high] for low, high in matching.matched}
-    by_degree = matching.critical_by_degree()
-    max_dim = pair.ambient.dim
-    order = _v_path_order(down, up)
-    if order is None:
-        raise MatchingError("gradient path cycle among the matched cells")
+    cells, _, down = matching.pair._hasse
+    up, order, critical = matching._gradient
+    max_dim = matching.pair.ambient.dim
 
     # Flow of each cell: a bit-vector over the critical cells of its
     # degree.  A matched-up facet's own flow is still 0 when its
     # cofacet's facets are summed.
     flow = [0] * len(cells)
-    for group in by_degree.values():
-        for i, c in enumerate(group):
-            flow[index[c]] = 1 << i
+    by_degree: Dict[int, List[int]] = {k: [] for k in range(max_dim + 1)}
+    for c in critical:
+        group = by_degree[len(cells[c]) - 1]
+        flow[c] = 1 << len(group)
+        group.append(c)
     for low in reversed(order):
         acc = 0
         for f in down[up[low]]:
@@ -223,11 +222,11 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
         flow[low] = acc
 
     boundaries: Dict[int, Gf2Matrix] = {}
-    for k in range(max_dim + 1):
+    for k, group in by_degree.items():
         cols = []
-        for cell in by_degree.get(k, ()):
+        for c in group:
             acc = 0
-            for f in down[index[cell]]:
+            for f in down[c]:
                 acc ^= flow[f]
             cols.append(acc)
         n_rows = len(by_degree.get(k - 1, ()))
@@ -235,7 +234,7 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     for k in range(1, max_dim + 1):
         if not boundaries[k - 1].mat_mul(boundaries[k]).is_zero():
             raise MatchingError("Morse boundary composition is nonzero in degree %d" % k)
-    crit = {k: by_degree.get(k, ()) for k in range(max_dim + 1)}
+    crit = {k: tuple(map(cells.__getitem__, group)) for k, group in by_degree.items()}
     return MorseComplexData(crit, boundaries)
 
 

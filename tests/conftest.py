@@ -446,7 +446,9 @@ def reference_morse_boundaries(matching):
     pair = matching.pair
     cells, index, down = pair._hasse
     up = {index[low]: index[high] for low, high in matching.matched}
-    by_degree = matching.critical_by_degree()
+    by_degree = {}
+    for c in matching.critical:
+        by_degree.setdefault(len(c) - 1, []).append(c)
     memo = [None] * len(cells)
     for group in by_degree.values():
         for i, c in enumerate(group):
@@ -480,7 +482,7 @@ def reference_morse_boundaries(matching):
 
     critical, boundaries = {}, {}
     for k in range(pair.ambient.dim + 1):
-        critical[k] = by_degree.get(k, ())
+        critical[k] = tuple(by_degree.get(k, ()))
         cols = []
         for cell in critical[k]:
             acc = 0

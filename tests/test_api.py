@@ -4,6 +4,8 @@ Adding or removing a name from ``topsym.__all__`` has to change this
 list too, so a public-API change is always an explicit line in a diff.
 """
 
+import dataclasses
+
 import topsym
 
 PUBLIC_NAMES = [
@@ -55,3 +57,8 @@ def test_all_is_the_literal_list():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert getattr(topsym, name, None) is not None, name
+
+
+def test_acyclic_matching_is_its_pair_and_matched_cells():
+    # The critical cells follow from these two, so they are not a field.
+    assert tuple(f.name for f in dataclasses.fields(topsym.AcyclicMatching)) == ("pair", "matched")

@@ -67,4 +67,4 @@ def test_one_seeded_round_derives_each_double_table_as_built(monkeypatch, worklo
         space = workloads.space_for(workload, 5, index)
         split = parse_space_file(json.dumps(space.file_dict("x")).encode()).split()
         total = split.double.total
-        assert total._chain_table == complexes._build_chain_table(complexes._trusted(total.faces)), index
+        assert total._chain_table == complexes._trusted(total.faces)._chain_table, index

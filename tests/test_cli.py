@@ -30,6 +30,20 @@ DISK_FILE = {
     "positive_region": [[0, 1]],
 }
 
+HEXAGON_SHARING_AN_EDGE = {
+    "name": "hexagon",
+    "maximal_simplices": [[0, 1, 6], [1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [0, 5, 6]],
+    "positive_region": [[0, 1], [1, 2], [2, 3]],
+    "negative_region": [[2, 3], [3, 4], [4, 5], [0, 5]],
+}
+
+OCTAGON_SHARING_TWO_EDGES = {
+    "name": "octagon",
+    "maximal_simplices": [[0, 1, 8], [1, 2, 8], [2, 3, 8], [3, 4, 8], [4, 5, 8], [5, 6, 8], [6, 7, 8], [0, 7, 8]],
+    "positive_region": [[0, 1], [1, 2], [2, 3], [3, 4]],
+    "negative_region": [[3, 4], [4, 5], [5, 6], [6, 7], [0, 7], [0, 1]],
+}
+
 
 class TestParseSpaceFile:
     def test_two_triangle_disk_with_one_region(self):
@@ -258,6 +272,41 @@ class TestCommands:
         space = parse_space_file(capsys.readouterr().out)
         assert space.positive_region == ()
         assert space.negative_region == ()
+
+    @pytest.mark.parametrize(
+        "payload, shared", [(HEXAGON_SHARING_AN_EDGE, "(2, 3)"), (OCTAGON_SHARING_TWO_EDGES, "(0, 1)")]
+    )
+    def test_double_refuses_regions_that_share_a_boundary_simplex(self, tmp_path, capsys, payload, shared):
+        # The double would glue a shared edge into its interior, so its
+        # regions would not lie on its boundary; the smallest one is named.
+        # The file itself is a valid split.
+        path, output = tmp_path / "shared.json", tmp_path / "double.json"
+        path.write_text(json.dumps(payload))
+        for command in ("analyze", "verify"):
+            assert main([command, str(path)]) == EXIT_OK, command
+        capsys.readouterr()
+        assert main(["double", str(path), "-o", str(output)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: positive and negative regions share boundary simplex %s, "
+            "which the double glues into its interior\n" % shared
+        )
+        assert not output.exists()
+
+    def test_glued_regions_of_a_shared_boundary_simplex_would_not_load(self):
+        # What ``double`` would write without validating the glued split:
+        # topsym refuses to load it, at a label of the double.
+        split = parse_space_file(json.dumps(HEXAGON_SHARING_AN_EDGE)).split()
+        double = split.double
+        payload = {
+            "name": "hexagon_double",
+            "maximal_simplices": list(map(list, double.total.maximal_simplices())),
+            "positive_region": list(map(list, double.exit_boundary.maximal_simplices())),
+            "negative_region": list(map(list, double.entry_boundary.maximal_simplices())),
+        }
+        with pytest.raises(InputError, match=r"positive region simplex \(5, 6\) is not on the boundary"):
+            parse_space_file(json.dumps(payload)).split()
+        with pytest.raises(InputError, match="is not on the boundary"):
+            BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
 
 
 class TestSerialization:

@@ -366,12 +366,12 @@ def composition_message(fn, *args):
 
 
 class TestCompositionCheck:
-    """``_build_chain_table`` checks d o d = 0 through the simplicial
-    identities on facet positions; ``reference_composition_check`` is the
-    dense XOR check it replaced."""
+    """``SimplicialComplex._chain_table`` checks d o d = 0 through the
+    simplicial identities on facet positions; ``reference_composition_check``
+    is the dense XOR check it replaced."""
 
     def check_both(self, cx):
-        cells, rows, _ = complexes._build_chain_table(cx)
+        cells, rows, _ = complexes._trusted(cx.faces)._chain_table
         reference_composition_check(cells, rows)
 
     def test_corpus_and_catalog_complexes_pass_both_checks(self):
@@ -393,7 +393,7 @@ class TestCompositionCheck:
         # position one degree down.  Every cell of these complexes lies in
         # a top cell, so the dense check rejects each such corruption.
         cx = corpus_complexes()[name]
-        cells, rows, _ = complexes._build_chain_table(cx)
+        cells, rows = complexes._build_chain_table(cx)
         build, target = complexes._facet_rows, {}
 
         def corrupt(cells_k, below, k):
@@ -416,7 +416,7 @@ class TestCompositionCheck:
                         row[c] = clean
                         if dense is not None:
                             target.update(k=k, i=i, c=c, p=p)
-                            assert composition_message(complexes._build_chain_table, cx) == dense, (k, i, c, p)
+                            assert composition_message(lambda: complexes._trusted(cx.faces)._chain_table) == dense, (k, i, c, p)
                             rejected += 1
         assert rejected == corruptions > 0
 

@@ -47,14 +47,14 @@ class TestBuildMatching:
     def test_validation_rejects_exit_cells(self):
         pair = disk_pair_rel_boundary()
         with pytest.raises(MatchingError, match="matched pair touches the exit subcomplex"):
-            AcyclicMatching(pair, frozenset({((0,), (0, 1))}), ())
+            AcyclicMatching(pair, frozenset({((0,), (0, 1))}))
 
     def test_validation_rejects_double_matching(self):
         cx = build_complex([(0, 1, 2)])
         pair = ComplexPair.absolute(cx)
         bad = frozenset({((0,), (0, 1)), ((0,), (0, 2))})
         with pytest.raises(MatchingError, match="cell matched twice"):
-            AcyclicMatching(pair, bad, tuple(sorted((s for s in cx.faces if s not in {(0,), (0, 1), (0, 2)}), key=lambda s: (len(s), s))))
+            AcyclicMatching(pair, bad)
 
     def test_validation_rejects_cyclic_matching(self):
         # Two triangles sharing two edges force a closed V-path when
@@ -62,14 +62,8 @@ class TestBuildMatching:
         cx = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         pair = ComplexPair.absolute(cx)
         matched = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
-        criticals = tuple(
-            sorted(
-                (s for s in cx.faces if s not in {x for p in matched for x in p}),
-                key=lambda s: (len(s), s),
-            )
-        )
         with pytest.raises(MatchingError, match="reversed Hasse digraph has a cycle"):
-            AcyclicMatching(pair, matched, criticals)
+            AcyclicMatching(pair, matched)
 
     def test_explicit_order_must_be_a_permutation(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
@@ -143,17 +137,12 @@ class TestNumberedDiagram:
     def test_validation_rejects_unknown_cells(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
         with pytest.raises(MatchingError, match="matched pair uses unknown cells"):
-            AcyclicMatching(pair, frozenset({((0,), (0, 5))}), ((1,),))
+            AcyclicMatching(pair, frozenset({((0,), (0, 5))}))
 
     def test_validation_rejects_a_non_facet(self):
         pair = ComplexPair.absolute(build_complex([(0, 1), (1, 2)]))
         with pytest.raises(MatchingError, match=r"\(0,\) is not a facet of \(1, 2\)"):
-            AcyclicMatching(pair, frozenset({((0,), (1, 2))}), ((1,), (2,), (0, 1)))
-
-    def test_validation_rejects_critical_cells_that_are_matched(self):
-        pair = ComplexPair.absolute(build_complex([(0, 1)]))
-        with pytest.raises(MatchingError, match="critical cells do not match the unmatched cells"):
-            AcyclicMatching(pair, frozenset({((0,), (0, 1))}), ((0,), (1,)))
+            AcyclicMatching(pair, frozenset({((0,), (1, 2))}))
 
 
 def v_path_digraph(matching):
@@ -195,7 +184,8 @@ class TestMorseComplex:
         cells = []
         for k in range(pair.ambient.dim + 1):
             cells.extend(pair.cells(k))
-        empty = AcyclicMatching(pair, frozenset(), tuple(sorted(cells, key=lambda s: (len(s), s))))
+        empty = AcyclicMatching(pair, frozenset())
+        assert empty.critical == tuple(sorted(cells, key=lambda s: (len(s), s)))
         data = morse_complex(empty)
         basis = HomologyBasis(pair)
         for k in basis.degrees():
@@ -211,7 +201,8 @@ class TestMorseComplex:
                 key=lambda s: (len(s), s),
             )
         )
-        m = AcyclicMatching(pair, matched, criticals)
+        m = AcyclicMatching(pair, matched)
+        assert m.critical == criticals
         data = morse_complex(m)
         assert data.counts() == {0: 2, 1: 2}
         # Both surviving edges flow onto the same two vertices, checked

@@ -21,6 +21,7 @@ from topsym import (
     connecting_map,
     gf2,
     les_exactness_check,
+    morse,
     spaces,
 )
 from topsym.cli import EXIT_OK, main, space_file_dict
@@ -194,6 +195,49 @@ def test_morse_betti_takes_each_boundarys_rank_once(monkeypatch):
     calls = count_ranks(monkeypatch)
     morse_betti(matching)
     assert len(calls) == pair.ambient.dim + 1 == 3
+
+
+def test_a_matching_peels_its_v_path_digraph_once(monkeypatch):
+    # Validation peels it and the gradient flow walks the same order.
+    calls = []
+    peel = morse._v_path_order
+
+    def counted(down, up):
+        calls.append(up)
+        return peel(down, up)
+
+    monkeypatch.setattr(morse, "_v_path_order", counted)
+    for name, pair in corpus_pairs().items():
+        for seed_order in (None, 0, 1):
+            calls.clear()
+            morse_betti(build_matching(pair, seed_order))
+            assert len(calls) == 1, (name, seed_order)
+
+
+@pytest.mark.parametrize("space", ["annulus_split", "reeb_ball_2", "disk_both.json"])
+def test_verify_checks_the_identities_once_per_chain_table(monkeypatch, capsys, space):
+    # Built or derived, each table is checked once, by ``_chain_table``.
+    made, checked = [], []
+    check = complexes._check_identities
+
+    def counted(make):
+        def counted_make(*args):
+            cells, rows = make(*args)
+            made.append(rows)
+            return cells, rows
+
+        return counted_make
+
+    def counted_check(rows):
+        checked.append(rows)
+        return check(rows)
+
+    monkeypatch.setattr(complexes, "_build_chain_table", counted(complexes._build_chain_table))
+    monkeypatch.setattr(spaces, "_double_chain_table", counted(spaces._double_chain_table))
+    monkeypatch.setattr(complexes, "_check_identities", counted_check)
+    assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    assert len(made) >= 5 and list(map(id, checked)) == list(map(id, made))
 
 
 def test_split_space_file_scans_only_the_regions_for_maximal_simplices(monkeypatch):
