@@ -23,7 +23,8 @@ one that drops its last vertex to the one that drops its first, so the
 facets that drop vertex i of every cell are a stride slice.  The
 validating constructor and the strong-connectivity walk take one
 simplex's facets from it.  ``facets`` remains for chain boundaries,
-whose chains may hold the empty simplex, and for the Morse diagram, so
+whose chains may hold the empty simplex.  The Morse diagram
+(``_build_hasse``) runs its own whole-degree ``combinations`` pass, so
 that Morse homology shares no facet code with the chain table it checks.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
@@ -221,17 +222,32 @@ class ComplexPair:
         return {k: n for k in range(self.ambient.dim + 1) if (n := len(self.cells(k)))}
 
     @cached_property
-    def _hasse(self) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[List[int]]]:
+    def _hasse(self) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[Tuple[int, ...]]]:
         return _build_hasse(self)
 
 
-def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[List[int]]]:
+def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[Tuple[int, ...]]]:
     """The numbered Hasse diagram the Morse code reads: the relative cells
     sorted by degree, then labels; each cell's number; and each cell's
-    relative facets as numbers, in ``facets`` order."""
-    cells = tuple(chain.from_iterable(pair.cells(k) for k in range(pair.ambient.dim + 1)))
-    index = {s: i for i, s in enumerate(cells)}
-    return cells, index, [[index[f] for f in facets(s) if f in index] for s in cells]
+    relative facets as numbers, in ``facets`` order.
+
+    Each degree's facets come from one ``combinations`` pass over its
+    cells taken last to first, so the reversed list holds each cell's
+    facets from the one that drops its first vertex.  A facet that is no
+    cell lies in the subcomplex or is the empty simplex, so only degrees
+    up to one above the subcomplex's top need filtering."""
+    groups = [pair.cells(k) for k in range(pair.ambient.dim + 1)]
+    cells = tuple(chain.from_iterable(groups))
+    index = dict(zip(cells, count()))
+    down: List[Tuple[int, ...]] = []
+    for k, group in enumerate(groups):
+        numbers = list(map(index.get, chain.from_iterable(map(combinations, reversed(group), repeat(k)))))
+        numbers.reverse()
+        rows = zip(*[iter(numbers)] * (k + 1))
+        if k <= pair.sub.dim + 1:
+            rows = map(tuple, map(filter, repeat(partial(operator.is_not, None)), rows))
+        down.extend(rows)
+    return cells, index, down
 
 
 @dataclass(frozen=True)

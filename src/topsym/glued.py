@@ -1,4 +1,5 @@
-"""The chain table of a truncated double's total, derived from its domain's.
+"""The chain tables of a truncated double's total and copy B, derived
+from their domain's.
 
 The total is two copies of the domain glued along an induced interface
 (``spaces.truncated_double``).  Copy A labels its own vertices below
@@ -9,7 +10,8 @@ an own vertex, then all of copy B's, each part sorted.  Within either
 copy the cells with only own vertices keep the domain's order, as do
 those with only shared vertices, which belong to copy B and come first
 there; only the cells with both kinds of vertex are placed by search,
-and only they can have their vertices reordered by a labeling.
+and only they can have their vertices reordered by a labeling.  Copy B
+alone is the second part of that layout.
 
 A cell's facet rows are its domain cell's, mapped to positions in the
 total.  Where a labeling reorders the cell's vertices, facet i of the
@@ -42,10 +44,12 @@ def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -
     return [list(map(tuple, map(sorted, group))) for group in relabeled]
 
 
-def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, total: SimplicialComplex):
-    """The total's cells and facet rows from the domain's, the copies'
-    labelings and the images of the domain's cells (``_relabeled_cells``);
-    its cells also seed the total's ``_by_degree``."""
+def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, copy_b_only: bool, complex_):
+    """The cells and facet rows of the total, or of copy B alone, from the
+    domain's, the copies' labelings and the images of the domain's cells
+    (``_relabeled_cells``); the cells also seed the complex's
+    ``_by_degree``.  Copy B alone is laid out as in the total with copy
+    A's part left empty."""
     domain_cells, domain_rows, _ = domain._chain_table
     has_shared = n_own < len(domain.simplices(0))
     cells = {-1: (EMPTY_SIMPLEX,)}
@@ -69,12 +73,14 @@ def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, t
                 [(c, u) for c in mixed if (u := tuple(map(label.__getitem__, group[c]))) != image[c]]
                 for label, image in zip(labels, (images_a, images_b))
             )
+        if copy_b_only:
+            order_a, moved = (), ((), moved[1])
         cells[k] = (*map(images_a.__getitem__, order_a), *map(images_b.__getitem__, order_b))
         positions_b = _positions(order_b, len(order_a), len(group))
         positions_a = _positions(order_a, 0, len(group), positions_b)
         layout[k] = ((order_a, positions_a, moved[0]), (order_b, positions_b, moved[1]))
     rows = {k: _double_rows(domain_rows[k], layout[k], layout[k - 1]) for k in range(domain.dim, -1, -1)}
-    total.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
+    complex_.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
     return cells, rows
 
 

@@ -13,9 +13,10 @@ Hasse diagram per pair, built on first use and kept with the pair
 (``ComplexPair._hasse``): the non-exit cells sorted by dimension, then
 labels, and each cell's non-exit facets as cell numbers.  All three
 work on those numbers; simplices come back only in ``matched`` and
-``critical``.  The diagram is built from the pair's cells and
-``facets``, never from the chain table behind ``betti``, so that Morse
-homology stays an independent check of the rank pass.
+``critical``.  The diagram is built from the pair's cells by its own
+``combinations`` pass over each degree, never from ``_faces_of`` or the
+chain table behind ``betti``, so that Morse homology stays an
+independent check of the rank pass.
 
 A matching is numbered and its V-path digraph peeled once, when it is
 made (``AcyclicMatching._gradient``).  The peeling order proves it
@@ -25,11 +26,13 @@ matched facet's flow is a sum of flows already known.
 
 from __future__ import annotations
 
+import operator
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import BettiTable, ComplexPair, Simplex
 from .errors import InputError, MatchingError
@@ -53,25 +56,25 @@ class AcyclicMatching:
         the matched facets in V-path order; and the critical cells, the
         unmatched ones, as ascending numbers."""
         cells, index, down = self.pair._hasse
-        sub = self.pair.sub.faces
         up: Dict[int, int] = {}
-        used = set()
+        used = bytearray(len(cells))
         for low, high in self.matched:
-            if low in sub or high in sub:
-                raise MatchingError("matched pair touches the exit subcomplex")
             facet, cofacet = index.get(low), index.get(high)
-            if facet is None or cofacet is None:
+            if facet is None or cofacet is None:  # an exit cell, or no cell at all
+                sub = self.pair.sub.faces
+                if low in sub or high in sub:
+                    raise MatchingError("matched pair touches the exit subcomplex")
                 raise MatchingError("matched pair uses unknown cells")
             if facet not in down[cofacet]:
                 raise MatchingError("%r is not a facet of %r" % (low, high))
-            if facet in used or cofacet in used:
+            if used[facet] or used[cofacet]:
                 raise MatchingError("cell matched twice")
-            used.update((facet, cofacet))
+            used[facet] = used[cofacet] = 1
             up[facet] = cofacet
         order = _v_path_order(down, up)
         if order is None:
             raise MatchingError("gradient path cycle among the matched cells: the reversed Hasse digraph has a cycle")
-        return up, order, [i for i in range(len(cells)) if i not in used]
+        return up, order, list(compress(range(len(cells)), map(operator.not_, used)))
 
     @cached_property
     def critical(self) -> Tuple[Simplex, ...]:
@@ -79,7 +82,7 @@ class AcyclicMatching:
         return tuple(map(self.pair._hasse[0].__getitem__, self._gradient[2]))
 
 
-def _v_path_order(down: List[List[int]], up: Dict[int, int]) -> Optional[List[int]]:
+def _v_path_order(down: List[Tuple[int, ...]], up: Dict[int, int]) -> Optional[List[int]]:
     """The matched facets of the V-path digraph in peeling order, or None
     when the digraph has a cycle.
 
@@ -90,30 +93,38 @@ def _v_path_order(down: List[List[int]], up: Dict[int, int]) -> Optional[List[in
     Hasse diagram is equivalent to this digraph being acyclic degree by
     degree.  Each facet comes before every facet its arcs reach (Kahn).
     """
-    arcs = {low: [f for f in down[high] if f != low and f in up] for low, high in up.items()}
-    # Peel facets without incoming arcs; only a cycle survives peeling.
-    incoming = Counter(f for targets in arcs.values() for f in targets)
-    ready = [f for f in arcs if not incoming[f]]
+    # Each matched facet is counted once as a facet of its own cofacet,
+    # on top of its incoming arcs, so it is ready at a count of one and
+    # peeling it takes that count to zero.  Only a cycle survives peeling.
+    counts = dict.fromkeys(up, 0)
+    for high in up.values():
+        for f in down[high]:
+            if f in counts:
+                counts[f] += 1
+    ready = [f for f in up if counts[f] == 1]
     order = []
     while ready:
         low = ready.pop()
         order.append(low)
-        for nxt in arcs[low]:
-            incoming[nxt] -= 1
-            if not incoming[nxt]:
-                ready.append(nxt)
-    return order if len(order) == len(arcs) else None
+        for nxt in down[up[low]]:
+            if nxt in counts:
+                n = counts[nxt] - 1
+                counts[nxt] = n
+                if n == 1:
+                    ready.append(nxt)
+    return order if len(order) == len(up) else None
 
 
-def _order(pair: ComplexPair, seed_order) -> List[int]:
+def _order(pair: ComplexPair, seed_order) -> Sequence[int]:
     """The cell numbers in the order the coreduction visits them."""
     cells, index, _ = pair._hasse
-    order = list(range(len(cells)))
+    order = range(len(cells))
     if isinstance(seed_order, int):
+        order = list(order)
         random.Random(seed_order).shuffle(order)
     elif seed_order is not None:
         explicit = [index.get(c, -1) for c in seed_order]
-        if sorted(explicit) != order:
+        if sorted(explicit) != list(order):
             raise InputError("explicit order is not a permutation of the non-exit cells")
         order = explicit
     return order
@@ -128,51 +139,50 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
     """
     cells, _, down = pair._hasse
     order = _order(pair, seed_order)
-    alive = [True] * len(cells)
-    remaining = len(cells)
-    facet_count = [len(facets) for facets in down]
+    # Each cell's count of facets not yet retired.  A retired cell's
+    # count is set to -1 and only falls from there, so it never reads one
+    # again: the count alone tells which cells are retired.
+    facet_count = list(map(len, down))
     cofacets: List[List[int]] = [[] for _ in cells]
     for c in order:
         for f in down[c]:
             cofacets[f].append(c)
 
-    matched: List[Tuple[int, int]] = []
+    lows, highs = [], []  # the facet and the cofacet of each matched pair
     queue = deque(c for c in order if facet_count[c] == 1)
-
-    def retire(cell: int):
-        nonlocal remaining
-        alive[cell] = False
-        remaining -= 1
-        for up in cofacets[cell]:
-            if alive[up]:
-                facet_count[up] -= 1
-                if facet_count[up] == 1:
-                    queue.append(up)
-
     # Critical candidates by dimension, then by position in ``order``
-    # (the sort is stable).  Retired cells never revive, so one pointer
-    # walks this list once.
-    by_rank = sorted(order, key=[len(c) for c in cells].__getitem__)
-    next_critical = 0
-    while remaining:
-        while queue:
+    # (the sort is stable; the diagram's own order is sorted already).
+    # Retired cells never revive, so one iterator walks this list once.
+    candidates = iter(order if seed_order is None else sorted(order, key=list(map(len, cells)).__getitem__))
+    while True:
+        if queue:
             high = queue.popleft()
-            if not alive[high] or facet_count[high] != 1:
+            if facet_count[high] != 1:
                 continue
-            low = next(f for f in down[high] if alive[f])
-            matched.append((low, high))
-            alive[high] = False
-            retire(low)
-            retire(high)
-        if not remaining:
-            break
-        # No free pair: retire the earliest remaining cell of lowest
-        # dimension as critical; this unlocks its cofacets.
-        while not alive[by_rank[next_critical]]:
-            next_critical += 1
-        retire(by_rank[next_critical])
+            for low in down[high]:
+                if facet_count[low] >= 0:
+                    break
+            lows.append(low)
+            highs.append(high)
+            facet_count[low] = facet_count[high] = -1
+            retired = cofacets[low] + cofacets[high]
+        else:
+            # No free pair: retire the earliest remaining cell of lowest
+            # dimension as critical; this unlocks its cofacets.
+            for cell in candidates:
+                if facet_count[cell] >= 0:
+                    break
+            else:
+                break
+            facet_count[cell] = -1
+            retired = cofacets[cell]
+        for up in retired:
+            n = facet_count[up] - 1
+            facet_count[up] = n
+            if n == 1:
+                queue.append(up)
 
-    return AcyclicMatching(pair, frozenset((cells[low], cells[high]) for low, high in matched))
+    return AcyclicMatching(pair, frozenset(zip(map(cells.__getitem__, lows), map(cells.__getitem__, highs))))
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,9 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     The interface is induced, so a cell of copy A that copy B lacks holds
     a vertex of copy A's own, whose label is below every label of copy B:
     each degree's cells of the total sort as copy A's cells that hold an
-    own vertex, then all of copy B's.  That lets the total derive its
-    chain table from the domain's when something first asks for it
-    (``glued``).
+    own vertex, then all of copy B's.  That lets the total, and copy B
+    alone, derive their chain tables from the domain's when something
+    first asks for them (``glued``).
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -156,9 +156,10 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
 
     identity = own + shared == list(range(len(labels[0])))
     copy_a = domain if identity else _trusted(frozenset(face_a.values()))
-    copy_b = _trusted(frozenset(face_b.values()))
+    derive = partial(_double_chain_table, domain, labels, images, len(own))
+    copy_b = _trusted(frozenset(face_b.values()), partial(derive, True))
     return TruncatedDouble(
-        total=_trusted(copy_a.faces | copy_b.faces, partial(_double_chain_table, domain, labels, images, len(own))),
+        total=_trusted(copy_a.faces | copy_b.faces, partial(derive, False)),
         copy_a=copy_a,
         copy_b=copy_b,
         exit_a=image(face_a, split.positive),

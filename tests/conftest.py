@@ -379,6 +379,15 @@ def _by_dimension(s):
     return len(s), s
 
 
+def reference_hasse(pair):
+    """``ComplexPair._hasse`` one cell at a time: the relative cells sorted
+    by dimension, then labels; each cell's number; and each cell's
+    relative facets as numbers, in ``facets`` order."""
+    cells = tuple(sorted((s for s in pair.ambient.faces if s not in pair.sub.faces), key=_by_dimension))
+    index = {s: i for i, s in enumerate(cells)}
+    return cells, index, [[index[f] for f in facets(s) if f in index] for s in cells]
+
+
 def reference_matching(pair, seed_order=None):
     """Greedy coreduction on simplex tuples: ``(matched, critical)`` as
     ``build_matching`` must return them.

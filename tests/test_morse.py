@@ -5,10 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_pairs, hollow_triangle, reference_matching, reference_morse_boundaries
+from conftest import corpus_pairs, hollow_triangle, reference_hasse, reference_matching, reference_morse_boundaries
 from test_complexes import random_pairs
-from topsym import ComplexPair, HomologyBasis, MatchingError, betti, build_complex, cone, euler_characteristic
-from topsym import cli, complexes
+from topsym import (
+    ComplexPair,
+    HomologyBasis,
+    MatchingError,
+    SimplicialComplex,
+    betti,
+    build_complex,
+    builtin_example,
+    cone,
+    euler_characteristic,
+)
+from topsym import cli, complexes, glued
 from topsym.cli import EXIT_OK, main
 from topsym.morse import AcyclicMatching, _v_path_order, build_matching, morse_betti, morse_complex
 
@@ -119,20 +129,21 @@ class TestNumberedDiagram:
         assert len(matched) == 3
         assert sorted(map(id, built)) == sorted(map(id, matched))
 
-    def test_morse_reads_each_cells_facets_once(self, monkeypatch):
-        calls = []
-        facets = complexes.facets
+    def test_morse_needs_no_chain_table_and_no_shared_facet_code(self, monkeypatch):
+        # Fresh complexes have no chain table, so reading one would build it.
+        fresh = [
+            (name, ComplexPair(SimplicialComplex(pair.ambient.faces), SimplicialComplex(pair.sub.faces)), betti(pair))
+            for name, pair in corpus_pairs().items()
+        ]
 
-        def count(simplex):
-            calls.append(simplex)
-            return facets(simplex)
+        def refuse(*args):
+            raise AssertionError("Morse homology read the code behind betti")
 
-        monkeypatch.setattr(complexes, "facets", count)
-        pair = corpus_pairs()["reeb_ball_2_double"]
-        pair = ComplexPair(pair.ambient, pair.sub)  # a fresh pair has no diagram yet
-        for seed_order in self.ORDERS:
-            morse_betti(build_matching(pair, seed_order))
-        assert sorted(calls) == sorted(s for s in pair.ambient.faces if s not in pair.sub.faces)
+        monkeypatch.setattr(complexes, "_faces_of", refuse)
+        monkeypatch.setattr(complexes, "_build_chain_table", refuse)
+        monkeypatch.setattr(glued, "_double_chain_table", refuse)
+        for name, pair, table in fresh:
+            assert morse_betti(build_matching(pair)) == table, name
 
     def test_validation_rejects_unknown_cells(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
@@ -143,6 +154,41 @@ class TestNumberedDiagram:
         pair = ComplexPair.absolute(build_complex([(0, 1), (1, 2)]))
         with pytest.raises(MatchingError, match=r"\(0,\) is not a facet of \(1, 2\)"):
             AcyclicMatching(pair, frozenset({((0,), (1, 2))}))
+
+
+class TestHasseDiagram:
+    """The whole-degree facet pass gives the diagram that one ``facets``
+    call per cell gives."""
+
+    def check_against_reference(self, pair, label):
+        cells, index, down = ComplexPair(pair.ambient, pair.sub)._hasse  # a fresh pair has no diagram yet
+        assert (cells, index, list(map(list, down))) == reference_hasse(pair), label
+
+    def test_corpus_pairs(self):
+        for name, pair in corpus_pairs().items():
+            self.check_against_reference(pair, name)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_pairs(self, pair):
+        self.check_against_reference(pair, sorted(pair.ambient.faces))
+
+    def test_edge_cases(self):
+        ball = builtin_example("ball_3")
+        ridge = build_complex([ball.simplices(2)[0]])  # the subcomplex reaches degree dim - 1
+        top = build_complex([ball.simplices(3)[0]])  # ... and degree dim
+        points = build_complex([(0,), (1,), (2,)])
+        pairs = {
+            "empty sub": ComplexPair.absolute(ball),
+            "sub of degree dim - 1": ComplexPair(ball, ridge),
+            "sub of degree dim": ComplexPair(ball, top),
+            "whole complex as sub": ComplexPair(ball, ball),
+            "0-dimensional": ComplexPair.absolute(points),
+            "0-dimensional with a sub": ComplexPair(points, build_complex([(1,)])),
+            "empty complex": ComplexPair.absolute(SimplicialComplex.empty()),
+        }
+        for label, pair in pairs.items():
+            self.check_against_reference(pair, label)
 
 
 def v_path_digraph(matching):

@@ -392,8 +392,8 @@ def composition_message(fn, *args):
 
 
 class TestDerivedChainTable:
-    """The double's total derives its chain table from the domain's; the
-    oracle is ``_build_chain_table`` on the same faces."""
+    """The double's total and copy B derive their chain tables from the
+    domain's; the oracle is ``_build_chain_table`` on the same faces."""
 
     def check(self, monkeypatch, split):
         derived = []
@@ -404,15 +404,17 @@ class TestDerivedChainTable:
             return derive(*args)
 
         monkeypatch.setattr(spaces, "_double_chain_table", counted)
-        total = truncated_double(split).total
-        cells, rows, memo = total._chain_table
-        assert derived == [total]
-        fresh = complexes._trusted(total.faces)
-        assert (cells, rows) == complexes._build_chain_table(fresh) and memo == {}
-        for k in range(-1, total.dim + 2):
-            grouped = tuple(sorted(s for s in total.faces if len(s) == k + 1))
-            assert total.simplices(k) == grouped, k
-        assert total.counts() == fresh.counts()
+        double = truncated_double(split)
+        parts = [double.total, double.copy_b]
+        for part in parts:
+            cells, rows, memo = part._chain_table
+            fresh = complexes._trusted(part.faces)
+            assert (cells, rows) == complexes._build_chain_table(fresh) and memo == {}
+            for k in range(-1, part.dim + 2):
+                grouped = tuple(sorted(s for s in part.faces if len(s) == k + 1))
+                assert part.simplices(k) == grouped, k
+            assert part.counts() == fresh.counts()
+        assert list(map(id, derived)) == list(map(id, parts))
 
     def test_catalog_and_space_file_splits(self, monkeypatch):
         splits = {**catalog_splits(), **space_file_splits()}

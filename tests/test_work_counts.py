@@ -4,7 +4,9 @@ Each count is a property of the algorithm, not of the host, so a change
 that brings back the old work fails here rather than only in the bench.
 """
 
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -288,8 +290,8 @@ def test_expressing_a_representative_reads_only_that_representative():
 )
 def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time(monkeypatch, capsys, argv):
     # Closure, boundary extraction, chain tables and the double enumerate
-    # the facets of a whole degree at once; ``facets`` is left to class
-    # expressions and Morse matchings.
+    # the facets of a whole degree at once; ``facets`` is left to the
+    # chain boundaries of class expressions.
     calls = []
     facets = complexes.facets
 
@@ -302,6 +304,24 @@ def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK, path
         capsys.readouterr()
         assert calls == [], (argv, path.name)
+
+
+def test_verify_on_a_space_file_takes_facets_only_for_chain_boundaries(monkeypatch, capsys):
+    # The Morse diagram has its own whole-degree pass, so only
+    # ``boundary_chain`` asks for one simplex's facets.
+    callers = Counter()
+    facets = complexes.facets
+
+    def counted(simplex):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return facets(simplex)
+
+    monkeypatch.setattr(complexes, "facets", counted)
+    for path in sorted(SPACES.glob("*.json")):
+        callers.clear()
+        assert main(["verify", str(path)]) == EXIT_OK, path
+        capsys.readouterr()
+        assert list(callers) == ["boundary_chain"], (path.name, callers)
 
 
 @pytest.mark.parametrize("space", ["annulus_split", "disk_half_split", "reeb_ball_2", "disk_positive.json"])
