@@ -1,31 +1,29 @@
-"""The chain tables of a truncated double's total and copy B, derived
-from their domain's.
+"""The chain tables of a truncated double's parts, derived from their
+domain's.
 
-The total is two copies of the domain glued along an induced interface
-(``spaces.truncated_double``).  Copy A labels its own vertices below
-``n_own`` and the shared ones from there, each run in the domain's
-order; copy B gives the shared ones the same labels and its own ones the
-labels above.  So each degree of the total is copy A's cells that hold
-an own vertex, then all of copy B's, each part sorted.  Within either
-copy the cells with only own vertices keep the domain's order, as do
-those with only shared vertices, which belong to copy B and come first
-there; only the cells with both kinds of vertex are placed by search,
-and only they can have their vertices reordered by a labeling.  Copy B
-alone is the second part of that layout.
+Each copy of the domain in the double (``spaces.truncated_double``) is
+the domain relabeled, and ``_relabeled`` gives the domain's cells and
+facet rows under a labeling.  Copy A labels its own vertices below
+``n_own`` and the shared ones from there, copy B the shared ones alike
+and its own ones above, each run in the domain's order.  So a copy keeps
+the domain's order among its cells on one side, and one split of each
+degree (``_splits``) orders both copies: only the cells with vertices on
+both sides are placed by search, and only they can have their vertices
+reordered.  Then facet i of the image is the image of the domain facet
+that drops the vertex the sorted image holds at i.
 
-A cell's facet rows are its domain cell's, mapped to positions in the
-total.  Where a labeling reorders the cell's vertices, facet i of the
-image is the image of the domain facet that drops the vertex the sorted
-image holds at i.  ``SimplicialComplex._chain_table`` checks the d o d
-identities on the derived rows as on built ones, so the derived table
-equals the built one or the request fails.
+A copy maps its cells' facets to its own positions.  The interface is
+induced, so each degree of the total is copy A's cells that hold an own
+vertex, then copy B's: the total maps copy B's facets to copy B's
+positions moved up by copy A's part, and copy A's shared facets to their
+places in copy B.  ``_chain_table`` checks the identities on the rows.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import EMPTY_SIMPLEX, Simplex, SimplicialComplex
 
@@ -44,72 +42,73 @@ def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -
     return [list(map(tuple, map(sorted, group))) for group in relabeled]
 
 
-def _double_chain_table(domain: SimplicialComplex, labels, images, n_own: int, copy_b_only: bool, complex_):
-    """The cells and facet rows of the total, or of copy B alone, from the
-    domain's, the copies' labelings and the images of the domain's cells
-    (``_relabeled_cells``); the cells also seed the complex's
-    ``_by_degree``.  Copy B alone is laid out as in the total with copy
-    A's part left empty."""
-    domain_cells, domain_rows, _ = domain._chain_table
-    has_shared = n_own < len(domain.simplices(0))
-    cells = {-1: (EMPTY_SIMPLEX,)}
-    # Degree -> per copy: the domain positions of the copy's cells in the
-    # total's order, each domain cell's position in the total, and each
-    # cell whose vertices the labeling reorders, with its unsorted image.
-    layout = {-1: (((), [0], ()), (range(1), [0], ()))}
+def _splits(images, t: int):
+    """Per degree, the positions of the cells whose images lie all below
+    ``t``, all from ``t`` on, and on both sides."""
+    for image in images:
+        split = [], [], []
+        for c, s in enumerate(image):
+            split[0 if s[-1] < t else 1 if s[0] >= t else 2].append(c)
+        yield split
+
+
+def _relabeled(domain: SimplicialComplex, label: Dict[int, int], images, splits):
+    """Per degree, the domain positions of the cells in the order of their
+    images, and the domain's facet rows, those of a cell whose vertices
+    the labeling reorders permuted.  Each of ``splits`` lists first the
+    side the labeling puts first; a labeling that keeps the order of all
+    vertices reads no split and keeps the domain's rows."""
+    cells, rows = domain._chain_table[:2]
+    keeps_order = sorted(label) == sorted(label, key=label.__getitem__)
     for k in range(domain.dim + 1):
-        group, images_a, images_b = domain_cells[k], images[0][k], images[1][k]
-        order_a = order_b = range(len(group))
-        moved = ((), ())
-        if has_shared:
-            own, shared, mixed = [], [], []
-            for c, image in enumerate(images_a):
-                (own if image[-1] < n_own else shared if image[0] >= n_own else mixed).append(c)
-            order_a, order_b = own, shared + own
-            for c in mixed:
-                bisect.insort(order_a, c, key=images_a.__getitem__)
-                bisect.insort(order_b, c, key=images_b.__getitem__)
-            moved = tuple(
-                [(c, u) for c in mixed if (u := tuple(map(label.__getitem__, group[c]))) != image[c]]
-                for label, image in zip(labels, (images_a, images_b))
-            )
-        if copy_b_only:
-            order_a, moved = (), ((), moved[1])
-        cells[k] = (*map(images_a.__getitem__, order_a), *map(images_b.__getitem__, order_b))
-        positions_b = _positions(order_b, len(order_a), len(group))
-        positions_a = _positions(order_a, 0, len(group), positions_b)
-        layout[k] = ((order_a, positions_a, moved[0]), (order_b, positions_b, moved[1]))
-    rows = {k: _double_rows(domain_rows[k], layout[k], layout[k - 1]) for k in range(domain.dim, -1, -1)}
+        if keeps_order:
+            yield list(range(len(cells[k]))), rows[k]  # a list: iterating a range makes its ints anew
+            continue
+        first, last, mixed = next(splits)
+        order, permuted = first + last, list(map(list, rows[k]))
+        for c in mixed:
+            bisect.insort(order, c, key=images[k].__getitem__)
+            unsorted = tuple(map(label.__getitem__, cells[k][c]))
+            if unsorted != images[k][c]:
+                for i, j in enumerate(sorted(range(k + 1), key=unsorted.__getitem__)):
+                    permuted[i][c] = rows[k][j][c]
+        yield order, permuted
+
+
+def _placed(order, positions: List[int], start: int = 0) -> List[int]:
+    """``positions`` with the cells of ``order`` at their places there,
+    counted from ``start``."""
+    for p, c in enumerate(order, start):
+        positions[c] = p
+    return positions
+
+
+def _copy_table(domain: SimplicialComplex, label: Dict[int, int], images, t: int, complex_: SimplicialComplex):
+    """Cells and facet rows of the copy that ``label`` makes of the domain,
+    its labels below ``t`` on one side; the cells seed ``_by_degree``."""
+    cells, rows, below = {-1: (EMPTY_SIMPLEX,)}, {}, [0]
+    for k, (order, permuted) in enumerate(_relabeled(domain, label, images, _splits(images, t))):
+        cells[k] = tuple(map(images[k].__getitem__, order))
+        rows[k] = [[below[row[c]] for c in order] for row in permuted]
+        below = _placed(order, [0] * len(order))
     complex_.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
     return cells, rows
 
 
-def _double_rows(domain_rows: List[List[int]], layout, layout_below) -> List[List[int]]:
-    """The facet rows of one degree of the total: each copy's part of a
-    domain row, read at the copy's cells in the total's order and mapped
-    to positions one degree down, with the reordered cells' facets
-    permuted."""
-    parts = [(order, positions, moved, below) for (order, positions, moved), (_, below, _) in zip(layout, layout_below)]
-    rows = [
-        list(itertools.chain.from_iterable(
-            map(below.__getitem__, row) if type(order) is range else [below[row[c]] for c in order]
-            for order, _, _, below in parts
-        ))
-        for row in domain_rows
-    ]
-    for _, positions, moved, below in parts:
-        for c, unsorted in moved:
-            for i, j in enumerate(sorted(range(len(domain_rows)), key=unsorted.__getitem__)):
-                rows[i][positions[c]] = below[domain_rows[j][c]]
-    return rows
-
-
-def _positions(order, start: int, n: int, others: Optional[List[int]] = None) -> List[int]:
-    """Each of n domain cells' position in the total: start + t for the
-    t-th cell of ``order``, its entry in ``others`` for any other cell."""
-    if type(order) is range:  # every cell, in the domain's order
-        return list(range(start, start + n))
-    positions = [0] * n if others is None else list(others)
-    for t, c in enumerate(order, start):
-        positions[c] = t
-    return positions
+def _total_table(copy_a: tuple, copy_b: tuple, complex_: SimplicialComplex):
+    """Cells and facet rows of the total, from the ``_copy_table``
+    arguments of both copies; the cells seed ``_by_degree``."""
+    (domain, label_a, images_a, n_own), (_, label_b, images_b, _) = copy_a, copy_b
+    splits_a, splits_b = itertools.tee(_splits(images_a, n_own))  # copy B labels the shared side first
+    swapped = ((last, first, mixed) for first, last, mixed in splits_b)
+    copies = zip(_relabeled(domain, label_a, images_a, splits_a), _relabeled(domain, label_b, images_b, swapped))
+    cells, rows, below_a, below_b = {-1: (EMPTY_SIMPLEX,)}, {}, [0], [0]
+    for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(copies):
+        cells_a = tuple(map(images_a[k].__getitem__, order_a))
+        order_a = order_a[: bisect.bisect_left(cells_a, (n_own,))]  # copy A's shared cells come last
+        cells[k] = cells_a[: len(order_a)] + tuple(map(images_b[k].__getitem__, order_b))
+        rows[k] = [[below_a[r[c]] for c in order_a] + [below_b[s[c]] for c in order_b] for r, s in zip(rows_a, rows_b)]
+        below_b = _placed(order_b, [0] * len(order_b), len(order_a))
+        below_a = _placed(order_a, list(below_b))
+    complex_.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
+    return cells, rows

@@ -24,7 +24,7 @@ from .complexes import (
     check_face_count,
 )
 from .errors import InputError
-from .glued import _double_chain_table, _relabeled_cells
+from .glued import _copy_table, _relabeled_cells, _total_table
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,10 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     labels.  When that leaves copy A's labels as they are, copy A is the
     domain itself, so the two share one chain table and its Betti tables.
 
-    The interface is induced, so a cell of copy A that copy B lacks holds
-    a vertex of copy A's own, whose label is below every label of copy B:
-    each degree's cells of the total sort as copy A's cells that hold an
-    own vertex, then all of copy B's.  That lets the total, and copy B
-    alone, derive their chain tables from the domain's when something
-    first asks for them (``glued``).
+    Each copy is the domain relabeled, so copy B, copy A when it is not
+    the domain, and the total, whose cells are copy A's that hold an own
+    vertex and then copy B's, derive their chain tables from the domain's
+    when something first asks for them (``glued``).
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -155,11 +153,12 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
         return _trusted(frozenset(map(faces.__getitem__, region.faces)))
 
     identity = own + shared == list(range(len(labels[0])))
-    copy_a = domain if identity else _trusted(frozenset(face_a.values()))
-    derive = partial(_double_chain_table, domain, labels, images, len(own))
-    copy_b = _trusted(frozenset(face_b.values()), partial(derive, True))
+    # Copy A labels its shared vertices from len(own) on, copy B its own ones from len(labels[0]) on.
+    copies = [(domain, label, i, t) for label, i, t in zip(labels, images, (len(own), len(labels[0])))]
+    copy_a = domain if identity else _trusted(frozenset(face_a.values()), partial(_copy_table, *copies[0]))
+    copy_b = _trusted(frozenset(face_b.values()), partial(_copy_table, *copies[1]))
     return TruncatedDouble(
-        total=_trusted(copy_a.faces | copy_b.faces, partial(derive, False)),
+        total=_trusted(copy_a.faces | copy_b.faces, partial(_total_table, *copies)),
         copy_a=copy_a,
         copy_b=copy_b,
         exit_a=image(face_a, split.positive),

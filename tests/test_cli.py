@@ -338,21 +338,25 @@ class TestSerialization:
 
 def count_chain_tables(monkeypatch):
     """Record each complex whose chain table is built from its faces, and
-    each part of a double (the total, copy B) whose table is derived from
+    each part of a double (a copy, the total) whose table is derived from
     its domain's."""
     built, derived = [], []
-    build, derive = complexes._build_chain_table, spaces._double_chain_table
+    build = complexes._build_chain_table
 
     def counted_build(complex_):
         built.append(complex_)
         return build(complex_)
 
-    def counted_derive(*args):
-        derived.append(args[-1])
-        return derive(*args)
+    def counted(derive):
+        def counted_derive(*args):
+            derived.append(args[-1])
+            return derive(*args)
+
+        return counted_derive
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted_build)
-    monkeypatch.setattr(spaces, "_double_chain_table", counted_derive)
+    for name in ("_copy_table", "_total_table"):
+        monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
     return built, derived
 
 
@@ -393,6 +397,30 @@ class TestRequestLifetime:
         # Besides those, Mayer-Vietoris builds the overlap of the two copies.
         others = [cx.faces for cx in built if not any(cx is e for e in expected)]
         assert others == ([double.copy_a.faces & double.copy_b.faces] if command == "verify" else [])
+
+    def test_verify_derives_every_table_of_a_relabeled_double(self, monkeypatch, capsys):
+        # The file's labels are not 0..n-1 and its interface is nonempty,
+        # so copy A is not the domain; still no copy of the double, nor
+        # the total, builds its table from its faces.
+        splits = []
+        built, derived = count_chain_tables(monkeypatch)
+        load = cli.load_space
+
+        def record(locator):
+            name, split = load(locator)
+            splits.append(split)
+            return name, split
+
+        monkeypatch.setattr(cli, "load_space", record)
+        assert main(["verify", str(SPACES / "disk_both.json")]) == EXIT_OK
+        capsys.readouterr()
+        split, = splits
+        double = split.double
+        assert sorted(split.domain.vertices) != list(range(len(split.domain.vertices)))
+        assert len(split.interface) > 0 and double.copy_a is not split.domain
+        parts = [double.total, double.copy_a, double.copy_b]
+        assert sorted(map(id, derived)) == sorted(map(id, parts))
+        assert not [cx for cx in built if cx.faces in (double.copy_a.faces, double.copy_b.faces, double.total.faces)]
 
     def test_verify_builds_no_table_twice_for_equal_faces(self, monkeypatch, capsys):
         built, derived = count_chain_tables(monkeypatch)

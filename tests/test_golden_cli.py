@@ -13,6 +13,8 @@ answer rewrites the file and shows the difference in review:
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -62,6 +64,28 @@ def golden():
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_answer_is_unchanged(argv):
     assert run(argv) == golden()[" ".join(argv)]
+
+
+def test_dump_outputs_gives_one_record_per_input_and_command():
+    # ``dump_outputs.py`` is the identity dump two checkouts are diffed
+    # with; where it runs a case of this file, it must agree with it.
+    paths = ["spaces/%s.json" % name for name in SPACE_FILES]
+    script = subprocess.run(
+        [sys.executable, str(HERE / "dump_outputs.py"), *(str(HERE / path) for path in paths)],
+        capture_output=True, text=True, check=True,
+    )
+    records = list(map(json.loads, script.stdout.splitlines()))
+    commands = ["analyze", "analyze --json", "verify", "verify --json", "double"]
+    cases = [(path, command) for path in paths for command in commands]
+    assert [(r["input"], r["command"]) for r in records] == [(os.path.basename(p), c) for p, c in cases]
+    compared = 0
+    for (path, command), record in zip(cases, records):
+        name, *options = command.split()
+        entry = golden().get(" ".join([name, path, *options]))
+        if entry is not None:
+            assert (record["exit"], record["stdout"]) == (entry["exit"], entry["stdout"]), (path, command)
+            compared += 1
+    assert compared == 4 * len(paths)  # every command but plain ``verify`` is a case here
 
 
 if __name__ == "__main__":

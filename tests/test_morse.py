@@ -141,9 +141,13 @@ class TestNumberedDiagram:
 
         monkeypatch.setattr(complexes, "_faces_of", refuse)
         monkeypatch.setattr(complexes, "_build_chain_table", refuse)
-        monkeypatch.setattr(glued, "_double_chain_table", refuse)
+        for name in ("_relabeled", "_copy_table", "_total_table"):
+            monkeypatch.setattr(glued, name, refuse)
         for name, pair, table in fresh:
             assert morse_betti(build_matching(pair)) == table, name
+        # The refusals guard the derivation a double's total runs.
+        with pytest.raises(AssertionError, match="behind betti"):
+            builtin_example("annulus_split").double.total._chain_table
 
     def test_validation_rejects_unknown_cells(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))

@@ -32,7 +32,7 @@ from topsym import (
     truncated_double,
     wedge_of_spheres,
 )
-from topsym import cli, complexes, glued, spaces
+from topsym import cli, complexes, spaces
 from topsym.cli import EXIT_OK, main, report_json
 from topsym.complexes import MAX_FACES
 from topsym.spaces import BoundarySplit, catalog_splits
@@ -392,20 +392,24 @@ def composition_message(fn, *args):
 
 
 class TestDerivedChainTable:
-    """The double's total and copy B derive their chain tables from the
-    domain's; the oracle is ``_build_chain_table`` on the same faces."""
+    """The double's total, copy B, and copy A when it is not the domain
+    derive their chain tables from the domain's; the oracle is
+    ``_build_chain_table`` on the same faces."""
 
     def check(self, monkeypatch, split):
         derived = []
-        derive = spaces._double_chain_table
 
-        def counted(*args):
-            derived.append(args[-1])
-            return derive(*args)
+        def counted(derive):
+            def counted_derive(*args):
+                derived.append(args[-1])
+                return derive(*args)
 
-        monkeypatch.setattr(spaces, "_double_chain_table", counted)
+            return counted_derive
+
+        for name in ("_copy_table", "_total_table"):
+            monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
         double = truncated_double(split)
-        parts = [double.total, double.copy_b]
+        parts = [double.total, double.copy_b] + ([double.copy_a] if double.copy_a is not split.domain else [])
         for part in parts:
             cells, rows, memo = part._chain_table
             fresh = complexes._trusted(part.faces)
@@ -415,15 +419,17 @@ class TestDerivedChainTable:
                 assert part.simplices(k) == grouped, k
             assert part.counts() == fresh.counts()
         assert list(map(id, derived)) == list(map(id, parts))
+        return double.copy_a is not split.domain
 
     def test_catalog_and_space_file_splits(self, monkeypatch):
         splits = {**catalog_splits(), **space_file_splits()}
         assert len(splits) == 11
-        for name, split in splits.items():
-            self.check(monkeypatch, split)
+        derived_a = [name for name, split in splits.items() if self.check(monkeypatch, split)]
+        # Elsewhere copy A's labels, own vertices first, are the domain's.
+        assert derived_a == ["disk_half_split", *(f"disk_{n}.json" for n in ("bare", "both", "negative", "positive"))]
 
     def test_seeded_relabelings(self, monkeypatch):
-        rng, interface, reordered = random.Random(14), 0, 0
+        rng, interface, reordered, derived_a = random.Random(14), 0, 0, 0
         for name, split in {**catalog_splits(), **space_file_splits()}.items():
             vertices = sorted(split.domain.vertices)
             for _ in range(4):
@@ -431,11 +437,11 @@ class TestDerivedChainTable:
                 relabeled = relabeled_split(split, mapping)
                 interface += len(relabeled.interface) > 0
                 reordered += reorders_a_cell(relabeled)
-                self.check(monkeypatch, relabeled)
-        assert reordered == interface == 16
+                derived_a += self.check(monkeypatch, relabeled)
+        assert reordered == interface == 16 and derived_a == 44
 
     def test_grown_annulus_splits(self, monkeypatch):
-        seen = {"draws": 0, "interface": 0, "reordered": 0}
+        seen = {"draws": 0, "interface": 0, "reordered": 0, "derived_a": 0}
 
         @settings(max_examples=150, derandomize=True, database=None, deadline=None)
         @given(grown_regions(annulus_domains()))
@@ -449,32 +455,32 @@ class TestDerivedChainTable:
             seen["draws"] += 1
             seen["interface"] += len(split.interface) > 0
             seen["reordered"] += reorders_a_cell(split)
-            self.check(monkeypatch, split)
+            seen["derived_a"] += self.check(monkeypatch, split)
 
         check()
         # The permuted-facet path runs on every draw with an interface.
         assert seen["draws"] >= 60 and seen["reordered"] == seen["interface"] >= 20, seen
+        assert seen["derived_a"] >= seen["interface"], seen
 
     @pytest.mark.parametrize("name", ["disk_half_split", "disk_both.json"])
-    def test_corrupted_derived_rows_fail_the_composition_check(self, monkeypatch, name):
+    @pytest.mark.parametrize("part", ["total", "copy_a", "copy_b"])
+    def test_corrupted_derived_rows_fail_the_composition_check(self, name, part):
         # Every entry of every derived facet row in turn is moved to
         # another position one degree down; the identities reject each
         # corruption with the message the dense check gives.
         split = cli.load_space(str(SPACES / name) if name.endswith(".json") else name)[1]
         split = relabeled_split(split, {v: 40 - 3 * v for v in split.domain.vertices})
         assert reorders_a_cell(split)
-        total = truncated_double(split).total
-        derive = total.__dict__["_derive_chain_table"]
-        cells, rows = complexes._build_chain_table(complexes._trusted(total.faces))
-        build, target = glued._double_rows, {}
+        faces = getattr(truncated_double(split), part).faces
+        derive = getattr(truncated_double(split), part).__dict__["_derive_chain_table"]
+        cells, rows = complexes._build_chain_table(complexes._trusted(faces))
+        target = {}
 
-        def corrupt(domain_rows, layout, layout_below):
-            out = build(domain_rows, layout, layout_below)
-            if len(domain_rows) - 1 == target["k"]:
-                out[target["i"]][target["c"]] = target["p"]
-            return out
+        def corrupt(complex_):
+            derived_cells, derived_rows = derive(complex_)
+            derived_rows[target["k"]][target["i"]][target["c"]] = target["p"]
+            return derived_cells, derived_rows
 
-        monkeypatch.setattr(glued, "_double_rows", corrupt)
         corruptions = 0
         for k in range(1, max(rows) + 1):
             for i, row in enumerate(rows[k]):
@@ -485,6 +491,6 @@ class TestDerivedChainTable:
                     row[c] = clean
                     target.update(k=k, i=i, c=c, p=p)
                     assert dense is not None
-                    assert composition_message(lambda: complexes._trusted(total.faces, derive)._chain_table) == dense
+                    assert composition_message(lambda: complexes._trusted(faces, corrupt)._chain_table) == dense
                     corruptions += 1
-        assert corruptions > 50
+        assert corruptions > (50 if part == "total" else 40)

@@ -235,7 +235,8 @@ def test_verify_checks_the_identities_once_per_chain_table(monkeypatch, capsys, 
         return check(rows)
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted(complexes._build_chain_table))
-    monkeypatch.setattr(spaces, "_double_chain_table", counted(spaces._double_chain_table))
+    for name in ("_copy_table", "_total_table"):
+        monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
     monkeypatch.setattr(complexes, "_check_identities", counted_check)
     assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
@@ -358,7 +359,11 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
         raise AssertionError("a chain table was made")
 
     monkeypatch.setattr(complexes, "_build_chain_table", refuse)
-    monkeypatch.setattr(spaces, "_double_chain_table", refuse)
+    for name in ("_copy_table", "_total_table"):
+        monkeypatch.setattr(spaces, name, refuse)
     for space in ["annulus_split", "disk_half_split", "reeb_ball_2", *sorted(SPACES.glob("*.json"))]:
         assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
         assert made == [], space
+    # The refusals guard the derivation that analyze and verify run.
+    with pytest.raises(AssertionError, match="a chain table was made"):
+        builtin_example("annulus_split").double.total._chain_table
