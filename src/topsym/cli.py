@@ -260,14 +260,15 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     """The five checks behind ``verify``; values are pass/fail/skipped.
 
     Duality and the factor-2 identity are read from ``analyze_action``.
+    The long exact sequences run first, so that ``analyze_action`` and
+    Morse read the three pairs' Betti tables their bases recorded.
     """
-    report = analyze_action(split)
-    results = {"duality": report.duality_status}
-
     double = split.double
     pairs = [split.positive_pair(), split.negative_pair(), double.exit_pair()]
+    les = "pass" if all(les_exactness_check(p).passed for p in pairs) else "fail"
 
-    results["les"] = "pass" if all(les_exactness_check(p).passed for p in pairs) else "fail"
+    report = analyze_action(split)
+    results = {"duality": report.duality_status, "les": les}
 
     mv = mayer_vietoris_check(double.total, double.copy_a, double.copy_b, double.exit_a, double.exit_b)
     results["mayer_vietoris"] = "pass" if mv.passed else "fail"

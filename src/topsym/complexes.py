@@ -22,10 +22,11 @@ degree's sorted cells at once from ``_faces_of``, which runs
 one that drops its last vertex to the one that drops its first, so the
 facets that drop vertex i of every cell are a stride slice.  The
 validating constructor and the strong-connectivity walk take one
-simplex's facets from it.  ``facets`` remains for chain boundaries,
-whose chains may hold the empty simplex.  The Morse diagram
-(``_build_hasse``) runs its own whole-degree ``combinations`` pass, so
-that Morse homology shares no facet code with the chain table it checks.
+simplex's facets from it, and a chain boundary (``boundary_chain``)
+adds each simplex's ``combinations`` to its sum in one call.  The Morse
+diagram (``_build_hasse``) runs its own whole-degree ``combinations``
+pass, so that Morse homology shares no facet code with the chain table
+it checks.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def check_face_count(count: int, what: str) -> None:
     """Refuse input that would expand to more than ``MAX_FACES`` faces."""
     if count > MAX_FACES:
         raise InputError("%s expands to more than the limit of %d faces" % (what, MAX_FACES))
-
-
-def facets(simplex: Simplex) -> List[Simplex]:
-    """The codimension-1 faces; a vertex has the empty simplex as its facet."""
-    return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
 def _faces_of(cells: Iterable[Simplex], size: int) -> Iterator[Simplex]:
@@ -229,7 +225,7 @@ class ComplexPair:
 def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[Tuple[int, ...]]]:
     """The numbered Hasse diagram the Morse code reads: the relative cells
     sorted by degree, then labels; each cell's number; and each cell's
-    relative facets as numbers, in ``facets`` order.
+    relative facets as numbers, from the one that drops its first vertex.
 
     Each degree's facets come from one ``combinations`` pass over its
     cells taken last to first, so the reversed list holds each cell's
@@ -288,16 +284,16 @@ def boundary_chain(chain: Iterable[Simplex], drop: frozenset, augmented: bool) -
     """Boundary of a GF(2) chain, discarding faces in ``drop``.
 
     With ``augmented`` the empty simplex appears as the face of each
-    vertex, which realizes the augmentation map.
+    vertex, which realizes the augmentation map.  Faces are dropped
+    after the sum, as dropping cells is linear.
     """
     acc = set()
     for s in chain:
-        for f in facets(s):
-            if f == EMPTY_SIMPLEX and not augmented:
-                continue
-            if f in drop:
-                continue
-            acc.symmetric_difference_update((f,))
+        if s:  # the empty simplex has no facets
+            acc.symmetric_difference_update(combinations(s, len(s) - 1))
+    acc.difference_update(drop)
+    if not augmented:
+        acc.discard(EMPTY_SIMPLEX)
     return frozenset(acc)
 
 
@@ -308,6 +304,8 @@ class HomologyBasis:
     augmented (reduced) mode degree -1 holds the empty simplex.  The
     representatives are the kernels of ``_reductions``; appended to the
     reduction of d_{k+1}, they express classes reproducibly.
+    The basis records its Betti table where ``betti`` reads it, and a
+    table ``betti`` recorded first must be the same.
     """
 
     def __init__(self, pair: ComplexPair, augmented: bool = False):
@@ -331,6 +329,9 @@ class HomologyBasis:
                 raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
             self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in lower.kernel]
             self._classes[k], upper = upper, lower
+        memo, entries = pair.ambient._chain_table[2], self.betti().entries
+        if memo.setdefault((pair.sub.faces, augmented), entries) != entries:
+            raise AssertionError("the basis and the rank-only pass give different Betti tables")
 
     # -- cell bookkeeping ------------------------------------------------
 

@@ -159,9 +159,7 @@ def les_exactness_check(pair: ComplexPair) -> LesReport:
     rel_h = HomologyBasis(pair)
 
     into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c, sub_h.degrees())
-    onto_relative = _map_on_homology(
-        amb_h, rel_h, lambda k, c: frozenset(s for s in c if s != () and s not in pair.sub.faces), amb_h.degrees()
-    )
+    onto_relative = _map_on_homology(amb_h, rel_h, lambda k, c: c.difference(pair.sub.faces, ((),)), amb_h.degrees())
     connect = _connecting(rel_h, sub_h, rel_h.degrees())
 
     # One degree above the top dimension, all groups vanish; starting

@@ -17,7 +17,7 @@ from topsym import (
     builtin_example,
     truncated_double,
 )
-from topsym.complexes import boundary_chain, facets
+from topsym.complexes import boundary_chain
 from topsym.errors import InputError, MatchingError, PseudomanifoldError
 from topsym.gf2 import Gf2Matrix, Reduction
 from topsym.spaces import BoundarySplit, catalog_splits
@@ -214,6 +214,27 @@ def ridge_incidence(cx):
 
 
 # -- per-face loops, kept as references for the passes that replaced them ----
+
+
+def facets(simplex):
+    """The codimension-1 faces, one slice each; a vertex has the empty
+    simplex as its facet."""
+    return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
+
+
+def reference_boundary_chain(chain, drop, augmented):
+    """``boundary_chain`` one facet at a time: each facet of each simplex
+    that is not dropped, and not the empty simplex unless ``augmented``,
+    is added to the sum as it comes."""
+    acc = set()
+    for s in chain:
+        for f in facets(s):
+            if f == () and not augmented:
+                continue
+            if f in drop:
+                continue
+            acc.symmetric_difference_update((f,))
+    return frozenset(acc)
 
 
 def reference_closure(maximal):

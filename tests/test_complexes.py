@@ -11,7 +11,9 @@ from conftest import (
     grown_regions,
     hollow_triangle,
     random_pairs,
+    random_subcomplex,
     reference_basis,
+    reference_boundary_chain,
     reference_check_strongly_connected,
     reference_composition_check,
 )
@@ -211,6 +213,45 @@ class TestBetti:
         assert table(ComplexPair.absolute(two), "reduced") == {0: 1}
 
 
+class TestBoundaryChain:
+    """``boundary_chain`` sums each simplex's facets in one call and drops
+    faces after the sum; the reference drops them facet by facet."""
+
+    CHAINS = [
+        (),
+        ((),),
+        ((), (4,)),
+        ((0,), (1,)),
+        ((0,), (1,), (0, 1)),
+        ((0, 1), (1, 2), (0, 2)),
+        ((), (2,), (0, 1), (0, 1, 2)),
+        ((0, 1, 2), (1, 2, 3), (0, 2, 3), (3,)),
+        ((0, 1, 2, 3), (0, 1, 2), (0,)),
+    ]
+    DROPS = [frozenset(), frozenset({()}), frozenset({(0,), (1, 2)}), frozenset({(), (0, 1), (2,), (1, 2, 3)})]
+
+    def check(self, chain, drop, augmented):
+        got = boundary_chain(chain, drop, augmented)
+        assert type(got) is frozenset
+        assert got == reference_boundary_chain(chain, drop, augmented), (sorted(chain), sorted(drop), augmented)
+
+    def test_hand_chains_agree_with_the_facet_by_facet_sum(self):
+        for chain in self.CHAINS:
+            for drop in self.DROPS:
+                for augmented in (False, True):
+                    self.check(frozenset(chain), drop, augmented)
+
+    def test_random_chains_on_the_corpus_agree_with_the_facet_by_facet_sum(self):
+        for name, cx in corpus_complexes().items():
+            rng = random.Random(name)
+            faces = sorted(cx.faces)
+            for _ in range(20):
+                chain = frozenset(s for s in faces if rng.random() < 0.3) | ({()} if rng.random() < 0.3 else set())
+                drop = random_subcomplex(cx, rng).faces | ({()} if rng.random() < 0.3 else set())
+                for augmented in (False, True):
+                    self.check(chain, drop, augmented)
+
+
 def reduced_from_absolute(table):
     """Reduced dims from absolute ones: one component less, or the empty simplex."""
     dims = table.as_dict()
@@ -354,6 +395,51 @@ class TestRankOnly:
         split = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
         self.check(split.positive_pair(), sorted(split.positive.faces))
         self.check(split.negative_pair(), sorted(split.negative.faces))
+
+
+class TestBasisRecordsItsBettiTable:
+    """A basis records its table where ``betti`` reads it, and refuses a
+    different table recorded there first."""
+
+    CASES = [("annulus_split_pos", False), ("disk_half_split_double", False), ("torus", False), ("torus", True)]
+
+    @staticmethod
+    def fresh(name):
+        """A copy of a corpus pair whose ambient has no stored tables."""
+        pair = corpus_pairs()[name]
+        return ComplexPair(complexes._trusted(pair.ambient.faces), complexes._trusted(pair.sub.faces))
+
+    @pytest.mark.parametrize("name, augmented", CASES)
+    def test_a_wrong_table_recorded_first_is_refused(self, name, augmented):
+        right = betti(self.fresh(name), "reduced" if augmented else "relative").entries
+        wrongs = [(*right, (9, 1))]
+        if right:
+            (k, d), *rest = right
+            wrongs += [((k, d + 1), *rest), tuple(rest)]
+        for wrong in wrongs:
+            pair = self.fresh(name)
+            pair.ambient._chain_table[2][(pair.sub.faces, augmented)] = wrong
+            with pytest.raises(AssertionError, match="the basis and the rank-only pass give different Betti tables"):
+                HomologyBasis(pair, augmented)
+
+    @pytest.mark.parametrize("name, augmented", CASES)
+    def test_a_table_betti_recorded_first_passes(self, name, augmented):
+        pair = self.fresh(name)
+        table = betti(pair, "reduced" if augmented else "relative")
+        assert HomologyBasis(pair, augmented).betti().same_dims(table)
+
+    @pytest.mark.parametrize("name, augmented", CASES)
+    def test_betti_reads_the_table_a_basis_recorded(self, monkeypatch, name, augmented):
+        pair = self.fresh(name)
+        basis = HomologyBasis(pair, augmented)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("betti reduced a pair its basis had recorded")
+
+        monkeypatch.setattr(complexes, "_reductions", refuse)
+        flavor = "reduced" if augmented else "relative"
+        assert betti(pair, flavor).same_dims(basis.betti())
+        assert betti(ComplexPair(pair.ambient, pair.sub), flavor).same_dims(basis.betti())
 
 
 def composition_message(fn, *args):

@@ -4,7 +4,6 @@ Each count is a property of the algorithm, not of the host, so a change
 that brings back the old work fails here rather than only in the bench.
 """
 
-import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -21,6 +20,7 @@ from topsym import (
     cli,
     complexes,
     connecting_map,
+    exactness,
     gf2,
     les_exactness_check,
     morse,
@@ -291,38 +291,113 @@ def test_expressing_a_representative_reads_only_that_representative():
 )
 def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time(monkeypatch, capsys, argv):
     # Closure, boundary extraction, chain tables and the double enumerate
-    # the facets of a whole degree at once; ``facets`` is left to the
-    # chain boundaries of class expressions.
-    calls = []
-    facets = complexes.facets
+    # the facets of a whole degree at once.  One simplex's facets are
+    # taken only by chain boundaries, for homology bases, and these
+    # commands build none.
+    assert not hasattr(complexes, "facets")
+    built = []
+    init = HomologyBasis.__init__
 
-    def counted(simplex):
-        calls.append(simplex)
-        return facets(simplex)
+    def counted(self, pair, augmented=False):
+        built.append(pair)
+        init(self, pair, augmented)
 
-    monkeypatch.setattr(complexes, "facets", counted)
+    monkeypatch.setattr(HomologyBasis, "__init__", counted)
     for path in sorted(SPACES.glob("*.json")):
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK, path
         capsys.readouterr()
-        assert calls == [], (argv, path.name)
+        assert built == [], (argv, path.name)
 
 
 def test_verify_on_a_space_file_takes_facets_only_for_chain_boundaries(monkeypatch, capsys):
-    # The Morse diagram has its own whole-degree pass, so only
-    # ``boundary_chain`` asks for one simplex's facets.
-    callers = Counter()
-    facets = complexes.facets
+    # The package keeps no one-simplex facet list: a chain boundary adds
+    # each nonempty simplex's facets with one ``combinations`` call.
+    assert not hasattr(complexes, "facets")
+    counts, inside = Counter(), []
+    combinations, boundary_chain = complexes.combinations, complexes.boundary_chain
 
-    def counted(simplex):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return facets(simplex)
+    def counted_combinations(cells, size):
+        counts["combinations in boundaries"] += bool(inside)
+        return combinations(cells, size)
 
-    monkeypatch.setattr(complexes, "facets", counted)
+    def counted_boundary(chain, drop, augmented):
+        chain = list(chain)
+        counts["nonempty simplices"] += sum(map(bool, chain))
+        inside.append(chain)
+        try:
+            return boundary_chain(chain, drop, augmented)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(complexes, "combinations", counted_combinations)
+    for module in (complexes, exactness):
+        monkeypatch.setattr(module, "boundary_chain", counted_boundary)
     for path in sorted(SPACES.glob("*.json")):
-        callers.clear()
+        counts.clear()
         assert main(["verify", str(path)]) == EXIT_OK, path
         capsys.readouterr()
-        assert list(callers) == ["boundary_chain"], (path.name, callers)
+        assert counts["combinations in boundaries"] == counts["nonempty simplices"] > 0, (path.name, counts)
+
+
+def record_rank_only_runs(monkeypatch):
+    """The (ambient faces, subcomplex faces, augmented) of the pair of
+    each rank-only ``_reductions`` run, in order."""
+    runs, made = [], {}
+    chain_columns, reductions = complexes._chain_columns, complexes._reductions
+
+    def recorded_columns(pair, augmented):
+        cells, columns = chain_columns(pair, augmented)
+        made[id(columns)] = columns, pair, augmented  # holding the columns keeps their id unique
+        return cells, columns
+
+    def recorded_reductions(columns, track=True):
+        if not track:
+            _, pair, augmented = made[id(columns)]
+            runs.append((pair.ambient.faces, pair.sub.faces, augmented))
+        return reductions(columns, track)
+
+    monkeypatch.setattr(complexes, "_chain_columns", recorded_columns)
+    monkeypatch.setattr(complexes, "_reductions", recorded_reductions)
+    return runs
+
+
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
+    # The bases of the long exact sequences record the tables of the
+    # positive, negative and exit pairs, so no rank-only pass runs on
+    # them.  Mayer-Vietoris still reduces the overlap, copy A's pair when
+    # copy A is not the domain, and copy B's pair.
+    splits, bases = [], []
+    load, init = cli.load_space, HomologyBasis.__init__
+
+    def record(locator):
+        name, split = load(locator)
+        splits.append(split)
+        return name, split
+
+    def recorded_init(self, pair, augmented=False):
+        init(self, pair, augmented)
+        bases.append(self)
+
+    monkeypatch.setattr(cli, "load_space", record)
+    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    runs = record_rank_only_runs(monkeypatch)
+    assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    (split,) = splits
+    double = split.double
+    overlap = (double.copy_a.faces & double.copy_b.faces, double.exit_a.faces & double.exit_b.faces, False)
+    copy_a = [] if double.copy_a is split.domain else [(double.copy_a.faces, double.exit_a.faces, False)]
+    assert runs == [overlap, *copy_a, (double.copy_b.faces, double.exit_b.faces, False)]
+    # Each recorded table is the one a fresh copy's rank-only pass gives.
+    own = (split.positive_pair(), split.negative_pair(), double.exit_pair())
+    keys = {(basis.pair.ambient.faces, basis.pair.sub.faces) for basis in bases}
+    assert {(pair.ambient.faces, pair.sub.faces) for pair in own} <= keys
+    for basis in bases:
+        pair, augmented = basis.pair, basis.augmented
+        recorded = pair.ambient._chain_table[2][(pair.sub.faces, augmented)]
+        fresh = ComplexPair(complexes._trusted(pair.ambient.faces), complexes._trusted(pair.sub.faces))
+        assert recorded == betti(fresh, "reduced" if augmented else "relative").entries
 
 
 @pytest.mark.parametrize("space", ["annulus_split", "disk_half_split", "reeb_ball_2", "disk_positive.json"])
