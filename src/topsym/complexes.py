@@ -16,17 +16,16 @@ positions of their unmasked facets.  Reduced homology leaves degree -1
 unmasked: the empty complex has reduced homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
-extraction, the chain table's facet rows) take the facets of one
-degree's sorted cells at once from ``_faces_of``, which runs
-``combinations`` over the cells.  Each cell's facets come out from the
-one that drops its last vertex to the one that drops its first, so the
-facets that drop vertex i of every cell are a stride slice.  The
-validating constructor and the strong-connectivity walk take one
-simplex's facets from it, and a chain boundary (``boundary_chain``)
-adds each simplex's ``combinations`` to its sum in one call.  The Morse
-diagram (``_build_hasse``) runs its own whole-degree ``combinations``
-pass, so that Morse homology shares no facet code with the chain table
-it checks.
+extraction, strong connectivity, the chain table's facet rows) take the
+facets of one degree's sorted cells at once from ``_faces_of``, which
+runs ``combinations`` over the cells.  Each cell's facets come out from
+the one that drops its last vertex to the one that drops its first, so
+the facets that drop vertex i of every cell are a stride slice.  The
+validating constructor takes one simplex's facets from it, and a chain
+boundary (``boundary_chain``) adds each simplex's ``combinations`` to
+its sum in one call.  The Morse diagram (``_build_hasse``) runs its own
+whole-degree ``combinations`` pass, so that Morse homology shares no
+facet code with the chain table it checks.
 """
 
 from __future__ import annotations
@@ -547,19 +546,6 @@ def check_pure(complex_: SimplicialComplex) -> int:
     return d
 
 
-def _build_ridge_incidence(complex_: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
-    """Each codimension-1 simplex that lies in a top simplex, with the
-    sorted top simplices it is a facet of; empty below dimension 1."""
-    d = complex_.dim
-    if d < 1:
-        return {}
-    tops = complex_.simplices(d)
-    incidence: Dict[Simplex, List[Simplex]] = {}
-    for ridge, top in zip(_faces_of(tops, d), chain.from_iterable(map(repeat, tops, repeat(d + 1)))):
-        incidence.setdefault(ridge, []).append(top)
-    return incidence
-
-
 def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 simplices lying in exactly one top simplex.
 
@@ -589,17 +575,27 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
     """
     if len(complex_) == 0:
         raise PseudomanifoldError("empty complex")
-    tops, incidence = complex_.simplices(complex_.dim), _build_ridge_incidence(complex_)
-    seen, stack = {tops[0]}, [tops[0]]
-    while stack:
-        for ridge in _faces_of((stack.pop(),), complex_.dim):
-            for nxt in incidence.get(ridge, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    if len(seen) != len(tops):
+    d = complex_.dim
+    tops = complex_.simplices(d)
+    parent = list(range(len(tops)))
+
+    def root(a: int) -> int:
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    # Each top simplex joins the first one that holds the same ridge.  A
+    # 0-dimensional complex has no ridges.
+    first: Dict[Simplex, int] = {}
+    owners = chain.from_iterable(map(repeat, range(len(tops)), repeat(d + 1)))
+    for ridge, i in zip(_faces_of(tops, d) if d >= 1 else (), owners):
+        j = first.setdefault(ridge, i)
+        if j != i:
+            parent[root(i)] = root(j)
+    if sum(map(operator.eq, parent, count())) != 1:
         raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")
-    return complex_.dim
+    return d
 
 
 def check_pseudomanifold(complex_: SimplicialComplex) -> int:

@@ -7,12 +7,13 @@ batches and reduced against pivots keyed by their highest row, so each
 reduction step is a single XOR at word speed.  A batch may also hand in
 a column as the tuple of its nonzero rows, the sparse form of a boundary
 column (Bauer, Kerber, Reininghaus and Wagner, J. Symb. Comput. 2017).
-Such a column becomes an int only when it meets a pivot; stored as a
-pivot, it becomes one only when a later column meets it, and only a
-reduction that tracks combinations keeps that int.  The same pass
-gives the rank, and when it tracks combinations, a canonical kernel
-basis and solutions of linear systems.  All arithmetic is exact; there
-are no tolerances anywhere in this package.
+Every stored vector stays in the form it was made in: a column that
+meets no pivot is stored as it was handed in, and its combination as
+``(j,)``.  A tuple becomes an int where it is read, and nothing is
+written back.  The same pass gives the rank, and when it tracks
+combinations, a canonical kernel basis and solutions of linear systems.
+All arithmetic is exact; there are no tolerances anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ class Reduction:
     makes the kernel basis and the solutions of ``solve`` unique: they
     depend on the column order and span alone, not on the pivot key.
     Without ``track`` the pass is the same, pivot step for pivot step,
-    and keeps no combination: the rank-only mode.  It also keeps a pivot
-    stored as a tuple as it is, converting it anew each time a column
-    meets it, since few pivots are met twice and no ``solve`` follows.
+    and keeps no combination: the rank-only mode.  In both modes a
+    pivot that met no earlier pivot is stored as it was handed in, and
+    its combination as ``(j,)`` for column j; nothing read is written
+    back, so a tuple stays a tuple.
 
     The highest row is PHAT's convention (Bauer, Kerber, Reininghaus and
     Wagner, J. Symb. Comput. 2017).  Keyed on the lowest row, every edge
@@ -70,7 +72,7 @@ class Reduction:
         self.kernel: List[int] = []  # kept with ``track`` only
         self._track = track
         self._pivots: Dict[int, Column] = {}  # highest row -> reduced column
-        self._combos: Dict[int, int] = {}  # highest row -> combination, with ``track``
+        self._combos: Dict[int, Column] = {}  # highest row -> combination, with ``track``
         self.extend(columns)
 
     @property
@@ -91,13 +93,10 @@ class Reduction:
             pivot = pivots.get(low)
             if pivot is None:
                 break
-            if type(pivot) is not int:
-                pivot = column_bits(pivot)
-                if track:  # ``solve`` meets the same pivots again
-                    pivots[low] = pivot
-            v ^= pivot
+            v ^= pivot if type(pivot) is int else column_bits(pivot)
             if track:
-                combo ^= combos[low]
+                part = combos[low]
+                combo ^= part if type(part) is int else column_bits(part)
         return v, combo
 
     def extend(self, columns: Sequence[Column], cleared=()) -> None:
@@ -122,11 +121,11 @@ class Reduction:
                 col, combo = self._reduce(column_bits(col), 1 << j if track else 0)
                 low = col.bit_length() - 1
             elif track:
-                combo = 1 << j
+                combo = (j,)
             if low < 0:
                 nullity += 1
                 if track:
-                    kernel.append(combo)
+                    kernel.append(column_bits(combo))
             else:
                 pivots[low] = col
                 if track:

@@ -1,5 +1,5 @@
 """Print the exit code, standard output and standard error of each
-command on each input.
+command on each input, and what the tracked GF(2) engine gives.
 
 Two checkouts that must give the same answers give byte-identical dumps:
 
@@ -13,24 +13,38 @@ splits of ``test_golden_cli.py``, the space files in ``tests/spaces``,
 the seed-5 ``analyze-mix`` and ``verify-mix`` inputs of
 ``bench/workloads.py`` and two refused space files (``REFUSED``), which
 show that the error paths agree too; arguments name catalog entries or
-space files instead.  Each record is one JSON line.  The script runs
-the commands in this process and imports ``topsym`` from the ``src``
-directory beside ``tests``, so it reads the checkout it lies in.
+space files instead.  ``verify`` prints only pass or fail, so after
+the commands each catalog split and space file gets a ``tracked``
+record: the representatives of the relative and reduced bases, the
+slots of the long exact sequences and the matrices and witnesses of the
+connecting maps.  A last ``gf2`` record holds the kernel bases and
+preimages of seeded matrices.  Each record is one JSON line.  The script
+runs the commands in this process and imports ``topsym`` from the
+``src`` directory beside ``tests``, so it reads the checkout it lies in.
 """
 
 import io
 import json
 import os
+import random
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from topsym.cli import main  # noqa: E402
+from topsym import (  # noqa: E402
+    ComplexPair,
+    Gf2Matrix,
+    HomologyBasis,
+    InputError,
+    connecting_map,
+    les_exactness_check,
+)
+from topsym.cli import load_space, main  # noqa: E402
 from topsym.spaces import catalog_splits  # noqa: E402
 
 COMMANDS = (["analyze"], ["analyze", "--json"], ["verify"], ["verify", "--json"], ["double"])
@@ -50,17 +64,82 @@ REFUSED = (
 )
 
 
+@contextmanager
+def working_directory(cwd):
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        yield
+    finally:
+        os.chdir(here)
+
+
 def run(argv, cwd):
     """Exit code, standard output and standard error of ``topsym argv``
     run from ``cwd``."""
-    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
-    os.chdir(cwd)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(here)
+    out, err = io.StringIO(), io.StringIO()
+    with working_directory(cwd), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def chains(cs):
+    return [sorted(c) for c in cs]
+
+
+def representatives(basis):
+    return [[k, chains(basis.representatives(k))] for k in basis.degrees() if basis.betti_dim(k)]
+
+
+def tracked(locator, cwd):
+    """The bases, exactness slots and connecting maps of a split's
+    positive, negative and exit pairs, and the reduced bases of its
+    domain, regions and total, or the refusal of its input."""
+    try:
+        with working_directory(cwd):
+            _, split = load_space(locator)
+    except InputError as exc:
+        return {"refused": str(exc)}
+    double = split.double
+    pairs = {"positive": split.positive_pair(), "negative": split.negative_pair(), "exit": double.exit_pair()}
+    bare = {"domain": split.domain, "positive": split.positive, "negative": split.negative, "total": double.total}
+    record = {
+        "relative": {name: representatives(HomologyBasis(pair)) for name, pair in pairs.items()},
+        "reduced": {
+            name: representatives(HomologyBasis(ComplexPair.absolute(cx), augmented=True)) for name, cx in bare.items()
+        },
+        "les": {
+            name: [
+                [s.degree, s.at, s.middle_dim, s.incoming_rank, s.outgoing_rank, s.composition_zero]
+                for s in les_exactness_check(pair).slots
+            ]
+            for name, pair in pairs.items()
+        },
+        "connecting": {},
+    }
+    for name, pair in pairs.items():
+        maps = record["connecting"][name] = []
+        for degree in range(-1, pair.ambient.dim):
+            image = connecting_map(pair, degree)
+            for k, matrix in sorted(image.matrices.items()):
+                maps.append([k, matrix.n_rows, list(matrix.columns), [chains(w) for w in image.witnesses[k]]])
+    return record
+
+
+def seeded_matrices():
+    """Kernel bases and preimages of seeded matrices up to 40 by 40, half
+    of them products of low rank."""
+    rng, out = random.Random(SEED), []
+    for i in range(16):
+        n_rows, n_cols = rng.randint(0, 40), rng.randint(1, 40)
+        m = Gf2Matrix(n_rows, n_cols, tuple(rng.getrandbits(n_rows) for _ in range(n_cols)))
+        if i % 2:
+            r = rng.randint(0, 6)
+            a = Gf2Matrix(n_rows, r, tuple(rng.getrandbits(n_rows) for _ in range(r)))
+            m = a.mat_mul(Gf2Matrix(r, n_cols, tuple(rng.getrandbits(r) for _ in range(n_cols))))
+        targets = [m.mat_vec(rng.getrandbits(n_cols)) for _ in range(3)] + [rng.getrandbits(n_rows)]
+        out.append([n_rows, list(m.columns), m.kernel_basis(), [m.solve_preimage(b) for b in targets]])
+    return out
 
 
 def bench_inputs(directory):
@@ -84,25 +163,30 @@ def refused_inputs(directory):
 
 
 def inputs(args, directory):
-    """(locator, working directory) of each input."""
+    """(locator, working directory, whether it gets a ``tracked`` record)
+    of each input."""
     if args:
-        return [(os.path.abspath(a) if a.endswith(".json") else a, HERE) for a in args]
+        return [(os.path.abspath(a) if a.endswith(".json") else a, HERE, True) for a in args]
     spaces = sorted("spaces/" + p.name for p in (HERE / "spaces").glob("*.json"))
     return [
-        *((name, HERE) for name in catalog_splits()),
-        *((path, HERE) for path in spaces),
-        *((name, directory) for name in bench_inputs(directory)),
-        *((name, directory) for name in refused_inputs(directory)),
+        *((name, HERE, True) for name in catalog_splits()),
+        *((path, HERE, True) for path in spaces),
+        *((name, directory, False) for name in bench_inputs(directory)),
+        *((name, directory, False) for name in refused_inputs(directory)),
     ]
 
 
 def dump(args, write=sys.stdout.write):
     with tempfile.TemporaryDirectory() as directory:
-        for locator, cwd in inputs(args, directory):
+        for locator, cwd, with_tracked in inputs(args, directory):
+            name = os.path.basename(locator)
             for command in COMMANDS:
                 code, stdout, stderr = run([command[0], locator, *command[1:]], cwd)
-                record = {"input": os.path.basename(locator), "command": " ".join(command)}
+                record = {"input": name, "command": " ".join(command)}
                 write(json.dumps({**record, "exit": code, "stdout": stdout, "stderr": stderr}) + "\n")
+            if with_tracked:
+                write(json.dumps({"input": name, "command": "tracked", "record": tracked(locator, cwd)}) + "\n")
+    write(json.dumps({"input": "seeded matrices", "command": "gf2", "record": seeded_matrices()}) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes, spaces
+from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes, exactness, spaces
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
@@ -433,28 +433,28 @@ class TestRequestLifetime:
         assert len(derived) == 2
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
-    def test_space_file_builds_each_ridge_incidence_once(self, monkeypatch, capsys, command):
-        built, splits = [], []
-        build, load = complexes._build_ridge_incidence, cli.load_space
+    def test_space_file_checks_strong_connectivity_once_on_the_domain(self, monkeypatch, capsys, command):
+        checked, splits = [], []
+        check, load = complexes.check_strongly_connected, cli.load_space
 
         def count(complex_):
-            built.append(complex_)
-            return build(complex_)
+            checked.append(complex_)
+            return check(complex_)
 
         def record(locator):
             name, split = load(locator)
             splits.append(split)
             return name, split
 
-        monkeypatch.setattr(complexes, "_build_ridge_incidence", count)
+        monkeypatch.setattr(complexes, "check_strongly_connected", count)
+        monkeypatch.setattr(exactness, "check_strongly_connected", count)
         monkeypatch.setattr(cli, "load_space", record)
         assert main([command, str(SPACES / "disk_positive.json")]) == EXIT_OK
         capsys.readouterr()
         split, = splits
-        # Boundary extraction counts ridges without the incidence; the
-        # connectivity check of duality builds the domain's, once.
-        assert [cx for cx in built if cx is split.domain] == [split.domain]
-        assert len({id(cx) for cx in built}) == len(built)
+        # Boundary extraction checks no connectivity; the duality check
+        # walks the domain, once.
+        assert len(checked) == 1 and checked[0] is split.domain
 
     def test_parsed_space_file_builds_one_split(self, monkeypatch):
         built = []

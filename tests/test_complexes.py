@@ -1,6 +1,8 @@
 """Complexes, pairs, and Betti tables against hand-checked values."""
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,9 @@ from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_conne
 from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import BoundarySplit, catalog_splits, truncated_double
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def table(pair, flavor="relative"):
@@ -570,6 +575,45 @@ class TestStrongConnectivity:
     def test_random_ambients_agree_with_the_reference(self, pair):
         cx = pair.ambient
         assert connectivity(check_strongly_connected, cx) == connectivity(reference_check_strongly_connected, cx)
+
+    def test_deep_union_find_trees_agree_with_the_reference(self, monkeypatch):
+        # Relabeled vertices put the top simplices in scrambled order, so
+        # joining each to the first holder of a ridge builds deep trees; a
+        # wrong path-halving step splits a connected piece there.
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        rng = random.Random(19)
+
+        def shuffled(maximal, base):
+            """The simplices with their vertices relabeled at random onto
+            base, base + 1, ..."""
+            vertices = sorted({v for s in maximal for v in s})
+            targets = list(range(base, base + len(vertices)))
+            rng.shuffle(targets)
+            label = dict(zip(vertices, targets))
+            return [tuple(sorted(label[v] for v in s)) for s in maximal]
+
+        pieces = [shuffled([(i, i + 1, i + 2) for i in range(400)], 0)]
+        for _ in range(4):
+            disk = workloads.grid_disk(rng, rng.randint(4, 9), rng.randint(4, 9), 3)
+            annulus = workloads.grid_annulus(rng, rng.randint(6, 14), rng.randint(2, 4), None)
+            pieces += [workloads.relabeled(space, rng, 0).maximal for space in (disk, annulus)]
+        checked = 0
+        for a, b in zip(pieces, pieces[1:] + pieces[:1]):
+            top = max(v for s in a for v in s)
+            # ``b`` alone, ``b`` on the last vertex of ``a`` only, and
+            # ``b`` apart from ``a``.
+            cases = [(b, 2), (list(a) + shuffled(b, top), None), (list(a) + shuffled(b, top + 1), None)]
+            for maximal, expected in cases:
+                cx = build_complex(maximal)
+                outcome = connectivity(check_strongly_connected, cx)
+                assert outcome == connectivity(reference_check_strongly_connected, cx)
+                if expected is None:
+                    assert outcome == "complex is not strongly connected through codimension-1 faces"
+                else:
+                    assert outcome == expected
+                checked += 1
+        assert checked == 3 * len(pieces)
 
 
 class TestEuler:

@@ -204,6 +204,72 @@ class TestSparseColumnsAndRankOnly:
             with pytest.raises(AssertionError, match="solve needs"):
                 rank_only.solve(0)
 
+    # One storage rule for both modes: a stored vector keeps the form it
+    # was made in, and reading a tuple writes nothing back.
+
+    def test_a_tuple_pivot_stays_the_same_tuple_after_columns_and_solve_meet_it(self):
+        class Met(dict):
+            def get(self, key, default=None):
+                if key in self:
+                    rows.add(key)
+                return dict.get(self, key, default)
+
+        met = 0
+        for m, rng in random_matrices(53, 80):
+            columns = [sparse(col) for col in m.columns]
+            half = len(columns) // 2
+            reduction, rows = Reduction(columns[:half]), set()
+            stored = dict(reduction._pivots)
+            reduction._pivots = Met(reduction._pivots)
+            reduction.extend(columns[half:])
+            for _ in range(4):
+                reduction.solve(m.mat_vec(rng.getrandbits(m.n_cols)))
+            for row, pivot in stored.items():
+                assert reduction._pivots[row] is pivot
+            met += sum(type(stored[row]) is tuple for row in rows & stored.keys())
+        assert met >= 50
+
+    @staticmethod
+    def check_stored_forms(m, reduction):
+        """Each pivot is the column that made it, unchanged, with the
+        combination ``(j,)``, or a reduced int with an int combination;
+        either way the combined columns sum to the pivot."""
+        untouched = 0
+        for row, pivot in reduction._pivots.items():
+            combo = reduction._combos[row]
+            j = column_bits(combo).bit_length() - 1
+            if column_bits(pivot) == m.columns[j]:
+                assert combo == (j,)
+                untouched += 1
+            else:
+                assert type(pivot) is int and type(combo) is int
+            assert m.mat_vec(column_bits(combo)) == column_bits(pivot)
+        return untouched
+
+    def test_a_column_that_met_no_pivot_stores_the_combination_of_itself(self):
+        untouched = 0
+        for m, _ in random_matrices(59, 80):
+            # A zero column meets no pivot either; its kernel vector is an int.
+            m = Gf2Matrix(m.n_rows, m.n_cols + 2, (0,) + m.columns + (0,))
+            dense, tuples = Reduction(m.columns), Reduction([sparse(col) for col in m.columns])
+            untouched += self.check_stored_forms(m, dense)
+            assert self.check_stored_forms(m, tuples) == sum(type(p) is tuple for p in tuples._pivots.values())
+            bits = {row: column_bits(combo) for row, combo in tuples._combos.items()}
+            assert bits == {row: column_bits(combo) for row, combo in dense._combos.items()}
+            for reduction in (dense, tuples):
+                assert reduction.kernel[0] == 1 and all(type(v) is int for v in reduction.kernel)
+        assert untouched >= 100
+
+    def test_mixed_columns_and_both_modes_store_alike(self):
+        for m, rng in random_matrices(67, 80):
+            targets = [m.mat_vec(rng.getrandbits(m.n_cols)) for _ in range(3)] + [rng.getrandbits(m.n_rows)]
+            mixed = [sparse(col) if rng.random() < 0.5 else col for col in m.columns]
+            dense, tracked = Reduction(m.columns), Reduction(mixed)
+            assert (tracked.rank, tracked.kernel) == (dense.rank, dense.kernel)
+            assert [tracked.solve(b) for b in targets] == [dense.solve(b) for b in targets]
+            # The modes differ only in the combinations and kernel they keep.
+            assert Reduction(mixed, track=False)._pivots == tracked._pivots
+
 
 class TestMatrixBasics:
     def test_rows_validated(self):

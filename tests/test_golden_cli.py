@@ -76,14 +76,20 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
     )
     records = list(map(json.loads, script.stdout.splitlines()))
     commands = ["analyze", "analyze --json", "verify", "verify --json", "double"]
-    cases = [(path, command) for path in paths for command in commands]
-    assert [(r["input"], r["command"]) for r in records] == [(os.path.basename(p), c) for p, c in cases]
+    cases = [(path, command) for path in paths for command in commands + ["tracked"]]
+    assert [(r["input"], r["command"]) for r in records] == [
+        *((os.path.basename(p), c) for p, c in cases), ("seeded matrices", "gf2")
+    ]
+    # Every split here is valid, so each gets the tracked engine's bases.
+    for record in records:
+        if record["command"] == "tracked":
+            assert set(record["record"]) == {"relative", "reduced", "les", "connecting"}
     compared = 0
-    for (path, command), record in zip(cases, records):
-        name, *options = command.split()
-        entry = golden().get(" ".join([name, path, *options]))
+    for record in records:
+        name, *options = record["command"].split()
+        entry = golden().get(" ".join([name, "spaces/" + record["input"], *options]))
         if entry is not None:
-            assert (record["exit"], record["stdout"]) == (entry["exit"], entry["stdout"]), (path, command)
+            assert (record["exit"], record["stdout"]) == (entry["exit"], entry["stdout"]), record["input"]
             compared += 1
     assert compared == 4 * len(paths)  # every command but plain ``verify`` is a case here
 
