@@ -315,7 +315,7 @@ class HomologyBasis:
         self.min_degree = -1 if augmented else 0
         self.max_degree = pair.ambient.dim
         self._cells, self._columns = _chain_columns(pair, augmented)
-        self._index = {k: {s: i for i, s in enumerate(group)} for k, group in self._cells.items()}
+        self._index = {k: dict(zip(group, count())) for k, group in self._cells.items()}
         self._reps: Dict[int, List[Chain]] = {}
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.

@@ -11,9 +11,10 @@ The commands are ``analyze``, ``analyze --json``, ``verify``, ``verify
 --json`` and ``double``.  Without arguments the inputs are the catalog
 splits of ``test_golden_cli.py``, the space files in ``tests/spaces``,
 the seed-5 ``analyze-mix`` and ``verify-mix`` inputs of
-``bench/workloads.py`` and two refused space files (``REFUSED``), which
-show that the error paths agree too; arguments name catalog entries or
-space files instead.  ``verify`` prints only pass or fail, so after
+``bench/workloads.py``, two refused space files (``REFUSED``), which
+show that the error paths agree too, and a hexagon with equal regions
+(``EQUAL_REGIONS``); arguments name catalog entries or space files
+instead.  ``verify`` prints only pass or fail, so after
 the commands each catalog split and space file gets a ``tracked``
 record: the representatives of the relative and reduced bases, the
 slots of the long exact sequences and the matrices and witnesses of the
@@ -62,6 +63,11 @@ REFUSED = (
         "negative_region": [[2, 3], [3, 4], [4, 5], [0, 5]],
     },
 )
+# A hexagon whose two regions are both its whole boundary circle: a valid
+# split whose positive and negative pairs are equal, on which duality
+# fails, so ``verify`` exits 3 (the files in ``tests/spaces`` all exit 0).
+CIRCLE = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]
+EQUAL_REGIONS = {**REFUSED[1], "name": "hexagon-equal-regions", "positive_region": CIRCLE, "negative_region": CIRCLE}
 
 
 @contextmanager
@@ -154,10 +160,11 @@ def bench_inputs(directory):
             yield name + ".json"
 
 
-def refused_inputs(directory):
-    """Write the ``REFUSED`` space files into ``directory``; yield their file names."""
-    for space in REFUSED:
-        name = "refused-%s.json" % space["name"]
+def written_inputs(directory):
+    """Write the ``REFUSED`` space files and ``EQUAL_REGIONS`` into
+    ``directory``; yield their file names."""
+    names = ["refused-%s.json" % space["name"] for space in REFUSED] + ["%s.json" % EQUAL_REGIONS["name"]]
+    for name, space in zip(names, (*REFUSED, EQUAL_REGIONS)):
         (Path(directory) / name).write_text(json.dumps(space), encoding="utf-8")
         yield name
 
@@ -172,7 +179,7 @@ def inputs(args, directory):
         *((name, HERE, True) for name in catalog_splits()),
         *((path, HERE, True) for path in spaces),
         *((name, directory, False) for name in bench_inputs(directory)),
-        *((name, directory, False) for name in refused_inputs(directory)),
+        *((name, directory, False) for name in written_inputs(directory)),
     ]
 
 

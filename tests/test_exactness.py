@@ -1,6 +1,7 @@
 """Long exact sequence, Mayer-Vietoris, and duality verification."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import corpus_complexes, corpus_pairs, hollow_triangle, random_pai
 from topsym import (
     BoundarySplit,
     ComplexPair,
+    HomologyBasis,
     InputError,
     PseudomanifoldError,
     SimplicialComplex,
@@ -19,6 +21,7 @@ from topsym import (
     cone,
     truncated_double,
 )
+from topsym.cli import load_space
 from topsym.complexes import boundary_chain
 from topsym.exactness import (
     connecting_map,
@@ -28,6 +31,8 @@ from topsym.exactness import (
     mayer_vietoris_check,
 )
 from topsym.spaces import catalog_splits
+
+SPACES = Path(__file__).with_name("spaces")
 
 
 class TestInducedMap:
@@ -134,6 +139,24 @@ class TestLesExactness:
             report = les_exactness_check(pair)
             assert report.passed, (name, report.first_failure)
 
+    def test_a_shared_ambient_basis_gives_the_same_slots(self):
+        for name, pair in corpus_pairs().items():
+            basis = HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
+            assert les_exactness_check(pair, basis).slots == les_exactness_check(pair).slots, name
+
+    def test_an_ambient_basis_that_is_not_the_ambients_reduced_one_is_refused(self):
+        pair = corpus_pairs()["annulus_split_pos"]
+        copy = build_complex(pair.ambient.maximal_simplices())
+        assert copy == pair.ambient and copy is not pair.ambient
+        for basis in (
+            HomologyBasis(ComplexPair.absolute(copy), augmented=True),
+            HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True),
+            HomologyBasis(ComplexPair.absolute(pair.ambient)),
+            HomologyBasis(pair),
+        ):
+            with pytest.raises(InputError, match="ambient basis"):
+                les_exactness_check(pair, basis)
+
     def test_randomized_subcomplex_pairs_pass(self):
         rng = random.Random(424242)
         spaces = [
@@ -222,12 +245,16 @@ class TestMayerVietoris:
         with pytest.raises(InputError):
             mayer_vietoris_check(x, a, a, empty, empty)
 
-    def test_catalog_doubles_pass(self):
-        for name, split in catalog_splits().items():
-            d = truncated_double(split)
-            report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
-            assert report.overlap_trivial, name
-            assert report.passed is True, name
+    @pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+    def test_doubles_pass_and_overlap_in_their_interface_image(self, space):
+        # Both copies meet in the interface image, and so do their exit
+        # parts, so the overlap pair has no homology: on a truncated
+        # double the suite can never report an obstruction.
+        split = load_space(str(SPACES / space) if space.endswith(".json") else space)[1]
+        d = split.double
+        assert d.copy_a.intersection(d.copy_b) == d.interface_image == d.exit_a.intersection(d.exit_b)
+        report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
+        assert report.overlap_trivial and report.passed is True
 
 
 class TestLefschetzDuality:

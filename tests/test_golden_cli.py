@@ -94,5 +94,16 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
     assert compared == 4 * len(paths)  # every command but plain ``verify`` is a case here
 
 
+def test_dump_outputs_covers_every_default_input():
+    # 6 catalog splits and 5 space files with five commands and a tracked
+    # record each; 48 bench inputs, 2 refused files and the hexagon with
+    # equal regions with five commands each; one gf2 record.
+    script = subprocess.run([sys.executable, str(HERE / "dump_outputs.py")], capture_output=True, text=True, check=True)
+    records = list(map(json.loads, script.stdout.splitlines()))
+    assert len(records) == 11 * 6 + 51 * 5 + 1 == 322
+    equal = [r["exit"] for r in records if r["input"] == "hexagon-equal-regions.json"]
+    assert equal == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([run(argv) for argv in cases()], indent=1) + "\n", encoding="utf-8")

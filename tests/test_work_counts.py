@@ -4,6 +4,7 @@ Each count is a property of the algorithm, not of the host, so a change
 that brings back the old work fails here rather than only in the bench.
 """
 
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,10 +13,13 @@ import pytest
 
 from conftest import corpus_pairs
 from topsym import (
+    BoundarySplit,
     ComplexPair,
     HomologyBasis,
     SimplicialComplex,
     betti,
+    boundary_subcomplex,
+    build_complex,
     builtin_example,
     cli,
     complexes,
@@ -26,7 +30,7 @@ from topsym import (
     morse,
     spaces,
 )
-from topsym.cli import EXIT_OK, main, space_file_dict
+from topsym.cli import EXIT_OK, EXIT_SUITE_FAILED, main, space_file_dict
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import catalog_splits
 
@@ -398,6 +402,45 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
         recorded = pair.ambient._chain_table[2][(pair.sub.faces, augmented)]
         fresh = ComplexPair(complexes._trusted(pair.ambient.faces), complexes._trusted(pair.sub.faces))
         assert recorded == betti(fresh, "reduced" if augmented else "relative").entries
+
+
+def equal_regions_hexagon() -> BoundarySplit:
+    """The hexagon disk with both regions its whole boundary circle."""
+    disk = build_complex([(0, 1, 6), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (0, 5, 6)])
+    circle = boundary_subcomplex(disk)
+    return BoundarySplit(disk, circle, circle)
+
+
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json")), "equal regions"])
+def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys, tmp_path, space):
+    # Equal regions, empty on the closed brieskorn domains or the whole
+    # circle on the hexagon (where duality fails), give one domain pair,
+    # and the two domain sequences share the domain's reduced basis.
+    bases, matched = [], []
+    init, match = HomologyBasis.__init__, cli.build_matching
+
+    def recorded_init(self, pair, augmented=False):
+        init(self, pair, augmented)
+        bases.append(self)
+
+    def recorded_match(pair, *args):
+        matched.append(pair)
+        return match(pair, *args)
+
+    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    monkeypatch.setattr(cli, "build_matching", recorded_match)
+    locator, code = str(SPACES / space) if space.endswith(".json") else space, EXIT_OK
+    if space == "equal regions":
+        locator, code = str(tmp_path / "hexagon.json"), EXIT_SUITE_FAILED
+        (tmp_path / "hexagon.json").write_text(json.dumps(space_file_dict("hexagon", equal_regions_hexagon())))
+    assert main(["verify", locator]) == code
+    capsys.readouterr()
+    # Each sequence builds its sub's and its pair's basis; the domain and
+    # the double each add one reduced basis.
+    pairs = 2 if space.startswith("brieskorn") or space == "equal regions" else 3
+    keys = [(id(basis.pair.ambient), basis.pair.sub.faces, basis.augmented) for basis in bases]
+    assert len(set(keys)) == len(keys) == 2 * pairs + 2
+    assert len(matched) == pairs
 
 
 @pytest.mark.parametrize("space", ["annulus_split", "disk_half_split", "reeb_ball_2", "disk_positive.json"])
