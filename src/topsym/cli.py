@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
@@ -30,7 +30,7 @@ from .complexes import ComplexPair, HomologyBasis, SimplicialComplex, betti, bui
 from .errors import InputError
 from .exactness import les_exactness_check, mayer_vietoris_check
 from .morse import build_matching, morse_betti
-from .spaces import BoundarySplit, builtin_example
+from .spaces import BoundarySplit, TruncatedDouble, builtin_example
 from .symmetry import MAX_MIN_CHERN, ActionReport, SymmetryVerdict, analyze_action
 
 EXIT_OK = 0
@@ -113,20 +113,24 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
     return SpaceFile(raw["name"], *(_simplex_list(raw[key], key) if key in raw else None for key in keys))
 
 
-def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit]) -> Dict:
+def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit, TruncatedDouble]) -> Dict:
     """Serializable space-file payload with deterministic ordering.
 
     A split's domain is pure, as extracting its boundary checked, so its
-    maximal simplices are its top simplices; the regions may be impure.
+    maximal simplices are its top simplices; a double is the split of its
+    total by its exit and entry boundaries.  The regions may be impure.
     """
-    if isinstance(obj, BoundarySplit):
-        return {
-            "name": name,
-            "maximal_simplices": list(map(list, obj.domain.simplices(obj.domain.dim))),
-            "positive_region": list(map(list, obj.positive.maximal_simplices())),
-            "negative_region": list(map(list, obj.negative.maximal_simplices())),
-        }
-    return {"name": name, "maximal_simplices": list(map(list, obj.maximal_simplices()))}
+    if isinstance(obj, SimplicialComplex):
+        return {"name": name, "maximal_simplices": list(map(list, obj.maximal_simplices()))}
+    double = isinstance(obj, TruncatedDouble)
+    tops = obj.tops if double else obj.domain.simplices(obj.domain.dim)
+    regions = (obj.exit_boundary, obj.entry_boundary) if double else (obj.positive, obj.negative)
+    return {
+        "name": name,
+        "maximal_simplices": list(map(list, tops)),
+        "positive_region": list(map(list, regions[0].maximal_simplices())),
+        "negative_region": list(map(list, regions[1].maximal_simplices())),
+    }
 
 
 def _layout(value, indent: str) -> str:
@@ -185,13 +189,7 @@ def _table_json(table) -> List[List[int]]:
 def _verdict_json(verdict: SymmetryVerdict) -> Dict:
     out: Dict = {"symmetric": verdict.symmetric, "shifts": list(verdict.shifts)}
     if verdict.witness is not None:
-        w = verdict.witness
-        out["witness"] = {
-            "shift": w.shift,
-            "degree": w.degree,
-            "dim_at_degree": w.dim_at_degree,
-            "dim_at_mirror": w.dim_at_mirror,
-        }
+        out["witness"] = asdict(verdict.witness)
     return out
 
 
@@ -225,13 +223,7 @@ def _format_table(table) -> str:
 def _format_verdict(verdict: SymmetryVerdict) -> str:
     if verdict.symmetric:
         return "symmetric (shift %s)" % ", ".join(str(m) for m in verdict.shifts)
-    w = verdict.witness
-    return "asymmetric (shift %d fails at degree %d: %d vs %d)" % (
-        w.shift,
-        w.degree,
-        w.dim_at_degree,
-        w.dim_at_mirror,
-    )
+    return "asymmetric (shift %d fails at degree %d: %d vs %d)" % astuple(verdict.witness)
 
 
 def report_text(report: ActionReport) -> str:
@@ -336,13 +328,14 @@ def cmd_verify(args) -> int:
 
 def cmd_double(args) -> int:
     name, split = load_space(args.space)
+    # Nothing checks the written split again; this refusal keeps it valid.
+    # The load checked the domain and its regions and gluing checks the
+    # interface, so with no ridge in the interface the double's boundary is
+    # its exit and entry boundaries (``TruncatedDouble``).
     if shared := split.interface.simplices(split.domain.dim - 1):
         message = "positive and negative regions share boundary simplex %r, which the double glues into its interior"
         raise InputError(message % (shared[0],))
-    double = split.double
-    # Validated again, so that no file is written that topsym would refuse to load.
-    glued = BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
-    _write_space_file(space_file_dict(name + "_double", glued), args.output)
+    _write_space_file(space_file_dict(name + "_double", split.double), args.output)
     return EXIT_OK
 
 

@@ -96,6 +96,10 @@ class TruncatedDouble:
     the part of the boundary a gradient flow would leave through;
     ``entry_boundary`` comes from the negative regions.  ``copy_a`` and
     ``copy_b`` cover the total complex and meet in the interface image.
+    ``tops`` are the total's top simplices, sorted.  When no ridge of the
+    domain lies in the interface, each ridge of the total lies in the top
+    simplices of one copy only, so the exit and entry boundaries split
+    the total as their preimages split the domain.
     """
 
     total: SimplicialComplex
@@ -106,6 +110,7 @@ class TruncatedDouble:
     entry_a: SimplicialComplex
     entry_b: SimplicialComplex
     interface_image: SimplicialComplex
+    tops: Tuple[Simplex, ...]
 
     @cached_property
     def exit_boundary(self) -> SimplicialComplex:
@@ -166,6 +171,7 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
         entry_a=image(face_a, split.negative),
         entry_b=image(face_b, split.negative),
         interface_image=image(face_a, interface),
+        tops=tuple(sorted(chained(i[-1] for i in images))) if groups else (),
     )
 
 

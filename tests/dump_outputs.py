@@ -11,17 +11,25 @@ The commands are ``analyze``, ``analyze --json``, ``verify``, ``verify
 --json`` and ``double``.  Without arguments the inputs are the catalog
 splits of ``test_golden_cli.py``, the space files in ``tests/spaces``,
 the seed-5 ``analyze-mix`` and ``verify-mix`` inputs of
-``bench/workloads.py``, two refused space files (``REFUSED``), which
-show that the error paths agree too, and a hexagon with equal regions
-(``EQUAL_REGIONS``); arguments name catalog entries or space files
-instead.  ``verify`` prints only pass or fail, so after
-the commands each catalog split and space file gets a ``tracked``
-record: the representatives of the relative and reduced bases, the
-slots of the long exact sequences and the matrices and witnesses of the
-connecting maps.  A last ``gf2`` record holds the kernel bases and
-preimages of seeded matrices.  Each record is one JSON line.  The script
-runs the commands in this process and imports ``topsym`` from the
-``src`` directory beside ``tests``, so it reads the checkout it lies in.
+``bench/workloads.py``, one seed-5 round of its ``double-large`` inputs,
+two refused space files (``REFUSED``), which show that the error paths
+agree too, and a hexagon with equal regions (``EQUAL_REGIONS``);
+arguments name catalog entries or space files instead.  ``verify``
+prints only pass or fail, so after the commands each catalog split and
+space file gets a ``tracked`` record: the representatives of the
+relative and reduced bases, the slots of the long exact sequences and
+the matrices and witnesses of the connecting maps.  A last ``gf2``
+record holds the kernel bases and preimages of seeded matrices.  Each
+record is one JSON line.  The script runs the commands in this process
+and imports ``topsym`` from the ``src`` directory beside ``tests``, so
+it reads the checkout it lies in.
+
+``golden_dump.jsonl`` beside this script is the default dump as the
+answers stand; ``test_golden_cli.py`` regenerates it in process and
+names the first record that differs.  A change that adds inputs or
+records rewrites that file, so its diff shows only the added lines:
+
+    python3 tests/dump_outputs.py > tests/golden_dump.jsonl
 """
 
 import io
@@ -49,7 +57,7 @@ from topsym.cli import load_space, main  # noqa: E402
 from topsym.spaces import catalog_splits  # noqa: E402
 
 COMMANDS = (["analyze"], ["analyze", "--json"], ["verify"], ["verify", "--json"], ["double"])
-BENCH_INPUTS = (("analyze-mix", 20), ("verify-mix", 28))
+BENCH_INPUTS = (("analyze-mix", 20), ("verify-mix", 28), ("double-large", 6))
 SEED = 5
 # A triangle whose regions meet in both ends of an edge, which every
 # command refuses at the gluing locus, and a hexagon whose regions share

@@ -7,8 +7,21 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
-from topsym import InputError, SimplicialComplex, betti, builtin_example, cli, complexes, exactness, spaces
+import dump_outputs
+from conftest import grown_regions
+from topsym import (
+    InputError,
+    SimplicialComplex,
+    betti,
+    boundary_subcomplex,
+    builtin_example,
+    cli,
+    complexes,
+    exactness,
+    spaces,
+)
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
     EXIT_INPUT_ERROR,
@@ -19,7 +32,7 @@ from topsym.cli import (
     space_file_dict,
 )
 from topsym.complexes import MAX_FACES
-from topsym.spaces import BoundarySplit
+from topsym.spaces import BoundarySplit, catalog_splits
 from topsym.symmetry import MAX_MIN_CHERN
 
 SPACES = Path(__file__).with_name("spaces")
@@ -293,10 +306,15 @@ class TestCommands:
         assert not output.exists()
 
     def test_glued_regions_of_a_shared_boundary_simplex_would_not_load(self):
-        # What ``double`` would write without validating the glued split:
-        # topsym refuses to load it, at a label of the double.
+        # What ``double`` would write if it did not refuse the shared edge:
+        # the edge is interior to the double, so its boundary is less than
+        # the glued regions, and topsym refuses to load the file, at a
+        # label of the double.  Nothing checks a written split again, so
+        # the refusal is what keeps such a file from being written.
         split = parse_space_file(json.dumps(HEXAGON_SHARING_AN_EDGE)).split()
         double = split.double
+        glued = double.exit_boundary.union(double.entry_boundary)
+        assert boundary_subcomplex(double.total).faces < glued.faces
         payload = {
             "name": "hexagon_double",
             "maximal_simplices": list(map(list, double.total.maximal_simplices())),
@@ -307,6 +325,57 @@ class TestCommands:
             parse_space_file(json.dumps(payload)).split()
         with pytest.raises(InputError, match="is not on the boundary"):
             BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
+
+
+def check_written_double(locator, split, output):
+    """``double`` writes the split of the total by the exit and entry
+    boundaries without checking it; the boundary extracted from the
+    total's faces must be theirs, and the file must reload to them."""
+    double = split.double
+    glued = double.exit_boundary.union(double.entry_boundary)
+    assert boundary_subcomplex(double.total).faces == glued.faces
+    assert main(["double", str(locator), "-o", str(output)]) == EXIT_OK
+    written = parse_space_file(output.read_bytes()).split()
+    assert (written.domain, written.positive, written.negative) == (double.total, double.exit_boundary, double.entry_boundary)
+
+
+class TestDoubleIsValidByConstruction:
+    @pytest.mark.parametrize("name", sorted(catalog_splits()))
+    def test_catalog_splits(self, tmp_path, name):
+        check_written_double(name, catalog_splits()[name], tmp_path / "double.json")
+
+    @pytest.mark.parametrize("path", sorted(SPACES.glob("*.json")), ids=lambda path: path.name)
+    def test_space_files(self, tmp_path, path):
+        check_written_double(path, cli.load_space(str(path))[1], tmp_path / "double.json")
+
+    def test_seeded_bench_inputs(self, tmp_path):
+        # The seed-5 inputs of all three workloads, as the dump has them.
+        names = list(dump_outputs.bench_inputs(tmp_path))
+        assert len(names) == 54
+        for name in names:
+            path = tmp_path / name
+            check_written_double(path, cli.load_space(str(path))[1], tmp_path / "double.json")
+
+    def test_grown_regions(self, tmp_path_factory):
+        directory, seen = tmp_path_factory.mktemp("grown"), {"draws": 0, "interface": 0}
+
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(grown_regions())
+        def check(drawn):
+            domain, region, mapping = drawn
+            split = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
+            try:
+                split.double
+            except InputError:  # the interface is not an induced subcomplex
+                assume(False)
+            path = directory / "grown.json"
+            path.write_text(json.dumps(space_file_dict("grown", split)))
+            check_written_double(path, split, directory / "double.json")
+            seen["draws"] += 1
+            seen["interface"] += len(split.interface) > 0
+
+        check()
+        assert seen["draws"] >= 40 and seen["interface"] >= 20, seen
 
 
 class TestSerialization:

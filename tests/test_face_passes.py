@@ -74,6 +74,7 @@ def check_double(split):
         return False
     expected = reference_double_faces(split)
     assert {part: getattr(double, part).faces for part in DOUBLE_PARTS} == expected
+    assert double.tops == reference_maximal_simplices(double.total)
     for part in DOUBLE_PARTS:
         check_complex(getattr(double, part))
     return True
@@ -81,9 +82,8 @@ def check_double(split):
 
 def payloads(name, split):
     """Every payload the CLI writes for a split."""
-    glued = BoundarySplit(split.double.total, split.double.exit_boundary, split.double.entry_boundary)
     yield space_file_dict(name, split)
-    yield space_file_dict(name + "_double", glued)
+    yield space_file_dict(name + "_double", split.double)
     yield space_file_dict(name, split.domain)
     yield report_json(analyze_action(split, name=name))
     yield report_json(analyze_action(split, min_chern=2, name=name))

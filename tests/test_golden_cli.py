@@ -8,6 +8,11 @@ alter any answer keeps this test green; a change meant to alter an
 answer rewrites the file and shows the difference in review:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+``golden_dump.jsonl`` holds the dump of ``dump_outputs.py``: standard
+error, the tracked engine's bases and the seeded bench inputs too.  It
+is regenerated here in process, and the first record that differs is
+named.
 """
 
 import io
@@ -21,12 +26,14 @@ from pathlib import Path
 
 import pytest
 
+import dump_outputs
 from conftest import CORPUS_COMPLEX_NAMES
 from topsym.cli import main
 from topsym.spaces import catalog_splits
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
+GOLDEN_DUMP = HERE / "golden_dump.jsonl"
 # A disk with a positive arc, the same arc as the negative region, no
 # region, both regions; an annulus with its outer circle positive.
 SPACE_FILES = ("disk_positive", "disk_negative", "annulus_outer", "disk_bare", "disk_both")
@@ -94,13 +101,31 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
     assert compared == 4 * len(paths)  # every command but plain ``verify`` is a case here
 
 
+@lru_cache(maxsize=None)
+def default_dump():
+    """The lines ``dump_outputs.py`` prints without arguments, made in
+    this process."""
+    lines = []
+    dump_outputs.dump([], lines.append)
+    return tuple(lines)
+
+
+def test_dump_is_unchanged():
+    golden_lines = GOLDEN_DUMP.read_text(encoding="utf-8").splitlines(keepends=True)
+    for number, (line, golden_line) in enumerate(zip(default_dump(), golden_lines), 1):
+        if line != golden_line:
+            got, want = json.loads(line), json.loads(golden_line)
+            fields = sorted(key for key in {*got, *want} if got.get(key) != want.get(key))
+            pytest.fail("dump record %d (%s, %s) differs in %s" % (number, want["input"], want["command"], fields))
+    assert len(default_dump()) == len(golden_lines)
+
+
 def test_dump_outputs_covers_every_default_input():
     # 6 catalog splits and 5 space files with five commands and a tracked
-    # record each; 48 bench inputs, 2 refused files and the hexagon with
+    # record each; 54 bench inputs, 2 refused files and the hexagon with
     # equal regions with five commands each; one gf2 record.
-    script = subprocess.run([sys.executable, str(HERE / "dump_outputs.py")], capture_output=True, text=True, check=True)
-    records = list(map(json.loads, script.stdout.splitlines()))
-    assert len(records) == 11 * 6 + 51 * 5 + 1 == 322
+    records = list(map(json.loads, default_dump()))
+    assert len(records) == 11 * 6 + 57 * 5 + 1 == 352
     equal = [r["exit"] for r in records if r["input"] == "hexagon-equal-regions.json"]
     assert equal == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
 

@@ -7,6 +7,7 @@ that brings back the old work fails here rather than only in the bench.
 import json
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -485,3 +486,38 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
     # The refusals guard the derivation that analyze and verify run.
     with pytest.raises(AssertionError, match="a chain table was made"):
         builtin_example("annulus_split").double.total._chain_table
+
+
+def test_double_extracts_only_the_domains_boundary_and_sorts_no_face_of_the_total(monkeypatch, tmp_path):
+    # The load extracts the domain's boundary.  The glued split is written
+    # from what gluing derived: its regions are the images of the domain's,
+    # and its tops come from the copies' images, so the total's boundary
+    # is not extracted and its faces are not sorted by degree.
+    extracted, sorted_by_degree, splits = [], [], []
+    extract, by_degree, load = spaces.boundary_subcomplex, SimplicialComplex._by_degree.func, cli.load_space
+
+    def recorded_extract(complex_):
+        extracted.append(complex_)
+        return extract(complex_)
+
+    def recorded_by_degree(self):
+        sorted_by_degree.append(self.faces)
+        return by_degree(self)
+
+    def recorded_load(locator):
+        name, split = load(locator)
+        splits.append(split)
+        return name, split
+
+    recorded = cached_property(recorded_by_degree)
+    recorded.__set_name__(SimplicialComplex, "_by_degree")
+    monkeypatch.setattr(SimplicialComplex, "_by_degree", recorded)
+    monkeypatch.setattr(spaces, "boundary_subcomplex", recorded_extract)
+    monkeypatch.setattr(cli, "load_space", recorded_load)
+    for space in ["annulus_split", "disk_half_split", "reeb_ball_2", "brieskorn_2", *sorted(SPACES.glob("*.json"))]:
+        for record in (extracted, sorted_by_degree, splits):
+            record.clear()
+        assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
+        (split,) = splits
+        assert [id(c) for c in extracted] == [id(split.domain)], space
+        assert split.double.total.faces not in sorted_by_degree, space
