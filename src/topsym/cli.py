@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import ComplexPair, HomologyBasis, SimplicialComplex, betti, build_complex, check_face_count
 from .errors import InputError
-from .exactness import les_exactness_check, mayer_vietoris_check
+from .exactness import excision_check, les_exactness_check
 from .morse import build_matching, morse_betti
 from .spaces import BoundarySplit, TruncatedDouble, builtin_example
 from .symmetry import MAX_MIN_CHERN, ActionReport, SymmetryVerdict, analyze_action
@@ -72,8 +72,13 @@ def _simplex_list(raw, label: str) -> Tuple[Tuple[int, ...], ...]:
         and set(map(type, chain.from_iterable(raw))) <= {int}
     ):
         raise InputError("%s must be a list of nonempty integer lists" % label)
-    check_face_count(sum(2 ** len(s) - 1 for s in raw), label)
+    _check_listed_faces(raw, label)
     return tuple(map(tuple, raw))
+
+
+def _check_listed_faces(simplices, label: str) -> None:
+    """The load's face limit on a listed field: 2^|s| - 1 faces a simplex."""
+    check_face_count(sum(1 << len(s) for s in simplices) - len(simplices), label)
 
 
 def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
@@ -256,28 +261,28 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     Morse read the pairs' Betti tables their bases recorded.  Equal
     regions, as on a closed domain, give one pair; the domain pairs
     share one reduced domain basis, dropped before the exit pair's LES.
+    Mayer-Vietoris is ``excision_check`` on the bases the sequences
+    built: only the positive basis's representatives outlive its LES,
+    and the exit pair's basis goes once they are pushed into it.
     """
     double = split.double
     pairs = [split.positive_pair(), split.negative_pair(), double.exit_pair()]
     if split.negative.faces == split.positive.faces:
         del pairs[1]
     domain_basis = HomologyBasis(ComplexPair.absolute(split.domain), augmented=True)
-    exact = all(les_exactness_check(p, domain_basis).passed for p in pairs[:-1])
+    positive = les_exactness_check(pairs[0], domain_basis)
+    exact, reps = positive.passed, {k: positive.relative.representatives(k) for k in positive.relative.degrees()}
+    del positive
+    exact = exact and all(les_exactness_check(p, domain_basis).passed for p in pairs[1:-1])
     del domain_basis
-    les = "pass" if exact and les_exactness_check(pairs[-1]).passed else "fail"
+    exit_les = les_exactness_check(pairs[-1])
+    exact, excision = exact and exit_les.passed, excision_check(reps, double.labels, exit_les.relative).passed
+    del exit_les
 
     report = analyze_action(split)
-    results = {"duality": report.duality_status, "les": les}
-
-    mv = mayer_vietoris_check(double.total, double.copy_a, double.copy_b, double.exit_a, double.exit_b)
-    results["mayer_vietoris"] = "pass" if mv.passed else "fail"
-
-    results["factor2"] = "pass" if report.factor2_passed else "fail"
-
-    results["morse"] = (
-        "pass" if all(morse_betti(build_matching(p)).same_dims(betti(p)) for p in pairs) else "fail"
-    )
-    return results
+    morse = all(morse_betti(build_matching(p)).same_dims(betti(p)) for p in pairs)
+    passed = {"les": exact, "mayer_vietoris": excision, "factor2": report.factor2_passed, "morse": morse}
+    return {"duality": report.duality_status, **{suite: "pass" if ok else "fail" for suite, ok in passed.items()}}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -335,7 +340,10 @@ def cmd_double(args) -> int:
     if shared := split.interface.simplices(split.domain.dim - 1):
         message = "positive and negative regions share boundary simplex %r, which the double glues into its interior"
         raise InputError(message % (shared[0],))
-    _write_space_file(space_file_dict(name + "_double", split.double), args.output)
+    payload = space_file_dict(name + "_double", split.double)
+    for key in ("maximal_simplices", "positive_region", "negative_region"):
+        _check_listed_faces(payload[key], key)  # so that the written file loads
+    _write_space_file(payload, args.output)
     return EXIT_OK
 
 

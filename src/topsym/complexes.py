@@ -7,13 +7,13 @@ and catalog entries use them, and glued doubles keep them.
 Each complex has one chain table: sorted cells by degree, the empty
 simplex ``()`` being the only cell in degree -1, and each cell's facets
 as positions one degree down.  A complex builds it from its faces, but
-a truncated double's total, and each copy that is the domain relabeled,
-derive theirs from the domain's table (``glued``); ``_chain_table``
-checks the d o d identities on both (``_check_identities``).  A pair
-(X, A) reads X's table with A's cells masked out, the quotient chain
-complex, and hands its boundary columns to ``Reduction`` as the
-positions of their unmasked facets.  Reduced homology leaves degree -1
-unmasked: the empty complex has reduced homology {-1: 1}.
+a truncated double's total derives its own from the domain's table
+(``glued``); ``_chain_table`` checks the d o d identities on both
+(``_check_identities``).  A pair (X, A) reads X's table with A's cells
+masked out, the quotient chain complex, and hands its boundary columns
+to ``Reduction`` as the positions of their unmasked facets.  Reduced
+homology leaves degree -1 unmasked: the empty complex has reduced
+homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
 extraction, strong connectivity, the chain table's facet rows) take the

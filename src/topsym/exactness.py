@@ -1,4 +1,4 @@
-"""Exact-sequence and duality checks on the homology level.
+"""Exact-sequence, excision and duality checks on the homology level.
 
 Maps between homology groups are computed with chain-level witnesses:
 the image of each basis class is re-expressed in the target basis, and
@@ -11,7 +11,7 @@ the middle dimension", which together say image = kernel as subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import (
     BettiTable,
@@ -61,20 +61,18 @@ def _map_on_homology(
     degree_shift: int = 0,
 ) -> HomologyMap:
     """The map in the given source degrees; the others read as zero."""
-    matrices: Dict[int, Gf2Matrix] = {}
-    witnesses: Dict[int, Tuple[Chain, ...]] = {}
+    matrices, witnesses = {}, {}
     for k in degrees:
-        n_target = target.betti_dim(k + degree_shift)
-        cols: List[int] = []
-        wits: List[Chain] = []
-        for rep in source.representatives(k):
-            image = push(k, rep)
-            coeffs, witness = target.express_class(k + degree_shift, image)
-            cols.append(coeffs)
-            wits.append(witness)
-        matrices[k] = Gf2Matrix.from_columns(cols, n_target)
-        witnesses[k] = tuple(wits)
+        images = (push(k, rep) for rep in source.representatives(k))
+        matrices[k], witnesses[k] = _expressed(target, k + degree_shift, images)
     return HomologyMap(source, target, degree_shift, matrices, witnesses)
+
+
+def _expressed(target: HomologyBasis, k: int, images: Iterable[Chain]) -> Tuple[Gf2Matrix, Tuple[Chain, ...]]:
+    """The coordinates of each image's class in the degree-k basis of
+    ``target``, as the columns of a matrix, and the witness of each."""
+    expressed = [target.express_class(k, image) for image in images]
+    return Gf2Matrix.from_columns([c for c, _ in expressed], target.betti_dim(k)), tuple(w for _, w in expressed)
 
 
 def induced_map(source_pair: ComplexPair, target_pair: ComplexPair) -> HomologyMap:
@@ -130,8 +128,12 @@ class SlotCheck:
 
 @dataclass(frozen=True)
 class LesReport:
-    pair: ComplexPair
+    relative: HomologyBasis
     slots: Tuple[SlotCheck, ...]
+
+    @property
+    def pair(self) -> ComplexPair:
+        return self.relative.pair
 
     @property
     def passed(self) -> bool:
@@ -154,6 +156,7 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
     of maps; each map's rank is taken once, and the slot at the target
     of map i reads maps i and i + 1.  A given ``ambient_basis`` must be
     the reduced basis of ``pair.ambient`` itself; else it is built here.
+    The report keeps the pair's relative basis, for a caller to reuse.
     """
     amb_h = ambient_basis
     if amb_h is not None and not (amb_h.pair.ambient is pair.ambient and amb_h.augmented and not amb_h.pair.sub):
@@ -178,7 +181,7 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
         SlotCheck(d, at, h.betti_dim(d), ranks[i], ranks[i + 1], maps[i + 1].mat_mul(maps[i]).is_zero())
         for i, (d, at, h) in enumerate(groups)
     )
-    return LesReport(pair, slots)
+    return LesReport(rel_h, slots)
 
 
 @dataclass(frozen=True)
@@ -210,9 +213,9 @@ def mayer_vietoris_check(
 
     When the overlap pair has vanishing homology, the dimensions of
     H(total, sub_a+sub_b) must equal the degreewise sums over the two
-    pieces; a nonvanishing overlap is reported as an obstruction.  On a
-    truncated double, as ``verify`` calls it, both intersections are the
-    interface image, so the overlap vanishes and no obstruction occurs.
+    pieces; a nonvanishing overlap is reported as an obstruction.  This
+    compares dimensions only, for general covers; ``verify`` checks a
+    truncated double's map itself (``excision_check``).
     """
     if not (piece_a.faces | piece_b.faces) >= total.faces:
         missing = sorted(total.faces - (piece_a.faces | piece_b.faces))[0]
@@ -223,6 +226,41 @@ def mayer_vietoris_check(
     lhs = betti(ComplexPair(total, sub_a.union(sub_b)))
     rhs = betti(ComplexPair(piece_a, sub_a)).added(betti(ComplexPair(piece_b, sub_b)))
     return MayerVietorisReport(overlap, lhs, rhs)
+
+
+@dataclass(frozen=True)
+class ExcisionReport:
+    """Column j of ``matrices[k]`` holds the target coordinates of the
+    j-th pushed degree-k representative, the first labeling's first, and
+    ``witnesses[k][j]`` the chain that checked them."""
+
+    matrices: Dict[int, Gf2Matrix]
+    witnesses: Dict[int, Tuple[Chain, ...]]
+
+    @property
+    def passed(self) -> bool:
+        """Whether the map is an isomorphism: square, of full rank."""
+        return all(m.n_cols == m.n_rows == m.rank() for m in self.matrices.values())
+
+
+def excision_check(representatives: Dict[int, List[Chain]], labels: Sequence[Dict], target: HomologyBasis) -> ExcisionReport:
+    """Push each representative through each vertex labeling, as the
+    sorted images of its simplices outside the target's subcomplex, into
+    every degree of ``target``.
+
+    ``verify`` pushes the positive pair's basis of H(W, P) through the
+    copies of a double into its exit pair's basis.  The copies, and
+    their exit parts, meet in the interface image, so the overlap pair
+    is acyclic, and by Mayer-Vietoris for pairs (Hatcher, Algebraic
+    Topology, section 2.2) the map H(W, P) + H(W, P) -> H(total, exit)
+    is an isomorphism.
+    """
+    matrices, witnesses, drop = {}, {}, target.pair.sub.faces
+    for k in target.degrees():
+        reps = representatives.get(k, ())
+        images = (frozenset(tuple(sorted(map(label.__getitem__, s))) for s in rep) - drop for label in labels for rep in reps)
+        matrices[k], witnesses[k] = _expressed(target, k, images)
+    return ExcisionReport(matrices, witnesses)
 
 
 @dataclass(frozen=True)

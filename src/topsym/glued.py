@@ -1,4 +1,4 @@
-"""The chain tables of a truncated double's parts, derived from their
+"""The chain table of a truncated double's total, derived from its
 domain's.
 
 Each copy of the domain in the double (``spaces.truncated_double``) is
@@ -12,11 +12,12 @@ both sides are placed by search, and only they can have their vertices
 reordered.  Then facet i of the image is the image of the domain facet
 that drops the vertex the sorted image holds at i.
 
-A copy maps its cells' facets to its own positions.  The interface is
-induced, so each degree of the total is copy A's cells that hold an own
-vertex, then copy B's: the total maps copy B's facets to copy B's
-positions moved up by copy A's part, and copy A's shared facets to their
-places in copy B.  ``_chain_table`` checks the identities on the rows.
+Only the total derives a table; the copies are face sets, which
+``verify`` reaches through their labelings.  The interface is induced,
+so each degree of the total is copy A's cells that hold an own vertex,
+then copy B's: the total maps copy B's facets to copy B's positions
+moved up by copy A's part, and copy A's shared facets to their places
+in copy B.  ``_chain_table`` checks the identities on the rows.
 """
 
 from __future__ import annotations
@@ -83,22 +84,11 @@ def _placed(order, positions: List[int], start: int = 0) -> List[int]:
     return positions
 
 
-def _copy_table(domain: SimplicialComplex, label: Dict[int, int], images, t: int, complex_: SimplicialComplex):
-    """Cells and facet rows of the copy that ``label`` makes of the domain,
-    its labels below ``t`` on one side; the cells seed ``_by_degree``."""
-    cells, rows, below = {-1: (EMPTY_SIMPLEX,)}, {}, [0]
-    for k, (order, permuted) in enumerate(_relabeled(domain, label, images, _splits(images, t))):
-        cells[k] = tuple(map(images[k].__getitem__, order))
-        rows[k] = [[below[row[c]] for c in order] for row in permuted]
-        below = _placed(order, [0] * len(order))
-    complex_.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
-    return cells, rows
-
-
-def _total_table(copy_a: tuple, copy_b: tuple, complex_: SimplicialComplex):
-    """Cells and facet rows of the total, from the ``_copy_table``
-    arguments of both copies; the cells seed ``_by_degree``."""
-    (domain, label_a, images_a, n_own), (_, label_b, images_b, _) = copy_a, copy_b
+def _total_table(domain: SimplicialComplex, labels, images, n_own: int, complex_: SimplicialComplex):
+    """Cells and facet rows of the total, from the domain, the copies'
+    labelings and images (``_relabeled_cells``) and the number of copy
+    A's own vertices; the cells seed ``_by_degree``."""
+    (label_a, label_b), (images_a, images_b) = labels, images
     splits_a, splits_b = itertools.tee(_splits(images_a, n_own))  # copy B labels the shared side first
     swapped = ((last, first, mixed) for first, last, mixed in splits_b)
     copies = zip(_relabeled(domain, label_a, images_a, splits_a), _relabeled(domain, label_b, images_b, swapped))

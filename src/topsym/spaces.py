@@ -10,7 +10,7 @@ the catalog spaces are triangulated so the condition holds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Dict, Optional, Tuple, Union
 
@@ -24,7 +24,7 @@ from .complexes import (
     check_face_count,
 )
 from .errors import InputError
-from .glued import _copy_table, _relabeled_cells, _total_table
+from .glued import _relabeled_cells, _total_table
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,14 @@ class TruncatedDouble:
     ``exit_boundary`` is the union of the two positive-region copies,
     the part of the boundary a gradient flow would leave through;
     ``entry_boundary`` comes from the negative regions.  ``copy_a`` and
-    ``copy_b`` cover the total complex and meet in the interface image.
-    ``tops`` are the total's top simplices, sorted.  When no ridge of the
-    domain lies in the interface, each ridge of the total lies in the top
-    simplices of one copy only, so the exit and entry boundaries split
-    the total as their preimages split the domain.
+    ``copy_b`` cover the total complex and meet in the interface image;
+    ``labels`` are the vertex labelings that make them from the domain,
+    copy A's first, and the image of a domain simplex under a labeling is
+    its relabeled vertices, sorted.  ``tops`` are the total's top
+    simplices, sorted.  When no ridge of the domain lies in the
+    interface, each ridge of the total lies in the top simplices of one
+    copy only, so the exit and entry boundaries split the total as their
+    preimages split the domain.
     """
 
     total: SimplicialComplex
@@ -111,6 +114,7 @@ class TruncatedDouble:
     entry_b: SimplicialComplex
     interface_image: SimplicialComplex
     tops: Tuple[Simplex, ...]
+    labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
 
     @cached_property
     def exit_boundary(self) -> SimplicialComplex:
@@ -132,11 +136,12 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     the vertices only in copy B, each run in the order of the domain's
     labels.  When that leaves copy A's labels as they are, copy A is the
     domain itself, so the two share one chain table and its Betti tables.
+    The double keeps both labelings, so that chains of the domain can be
+    pushed into either copy (``cli.run_identity_suites``).
 
-    Each copy is the domain relabeled, so copy B, copy A when it is not
-    the domain, and the total, whose cells are copy A's that hold an own
-    vertex and then copy B's, derive their chain tables from the domain's
-    when something first asks for them (``glued``).
+    The total, whose cells are copy A's that hold an own vertex and then
+    copy B's, derives its chain table from the domain's when something
+    first asks for it (``glued``).  The copies are plain face sets.
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -158,12 +163,10 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
         return _trusted(frozenset(map(faces.__getitem__, region.faces)))
 
     identity = own + shared == list(range(len(labels[0])))
-    # Copy A labels its shared vertices from len(own) on, copy B its own ones from len(labels[0]) on.
-    copies = [(domain, label, i, t) for label, i, t in zip(labels, images, (len(own), len(labels[0])))]
-    copy_a = domain if identity else _trusted(frozenset(face_a.values()), partial(_copy_table, *copies[0]))
-    copy_b = _trusted(frozenset(face_b.values()), partial(_copy_table, *copies[1]))
+    copy_a = domain if identity else _trusted(frozenset(face_a.values()))
+    copy_b = _trusted(frozenset(face_b.values()))
     return TruncatedDouble(
-        total=_trusted(copy_a.faces | copy_b.faces, partial(_total_table, *copies)),
+        total=_trusted(copy_a.faces | copy_b.faces, partial(_total_table, domain, labels, images, len(own))),
         copy_a=copy_a,
         copy_b=copy_b,
         exit_a=image(face_a, split.positive),
@@ -172,6 +175,7 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
         entry_b=image(face_b, split.negative),
         interface_image=image(face_a, interface),
         tops=tuple(sorted(chained(i[-1] for i in images))) if groups else (),
+        labels=labels,
     )
 
 

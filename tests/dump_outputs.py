@@ -18,7 +18,10 @@ arguments name catalog entries or space files instead.  ``verify``
 prints only pass or fail, so after the commands each catalog split and
 space file gets a ``tracked`` record: the representatives of the
 relative and reduced bases, the slots of the long exact sequences and
-the matrices and witnesses of the connecting maps.  A last ``gf2``
+the matrices and witnesses of the connecting maps; and an ``excision``
+record: per degree, the coordinates and witnesses of the positive
+pair's representatives pushed into the exit pair's basis through copy
+A's labels and through copy B's, as ``verify`` checks them.  A last ``gf2``
 record holds the kernel bases and preimages of seeded matrices.  Each
 record is one JSON line.  The script runs the commands in this process
 and imports ``topsym`` from the ``src`` directory beside ``tests``, so
@@ -53,6 +56,7 @@ from topsym import (  # noqa: E402
     connecting_map,
     les_exactness_check,
 )
+from topsym.exactness import excision_check  # noqa: E402
 from topsym.cli import load_space, main  # noqa: E402
 from topsym.spaces import catalog_splits  # noqa: E402
 
@@ -112,9 +116,9 @@ def tracked(locator, cwd):
     try:
         with working_directory(cwd):
             _, split = load_space(locator)
+        double = split.double
     except InputError as exc:
         return {"refused": str(exc)}
-    double = split.double
     pairs = {"positive": split.positive_pair(), "negative": split.negative_pair(), "exit": double.exit_pair()}
     bare = {"domain": split.domain, "positive": split.positive, "negative": split.negative, "total": double.total}
     record = {
@@ -137,6 +141,28 @@ def tracked(locator, cwd):
             image = connecting_map(pair, degree)
             for k, matrix in sorted(image.matrices.items()):
                 maps.append([k, matrix.n_rows, list(matrix.columns), [chains(w) for w in image.witnesses[k]]])
+    return record
+
+
+def excision(locator, cwd):
+    """Per degree of the exit pair's basis: its dimension, then the
+    columns and witnesses of the positive representatives pushed through
+    copy A's labels, then those pushed through copy B's; or the refusal
+    of the input."""
+    try:
+        with working_directory(cwd):
+            _, split = load_space(locator)
+        double = split.double
+    except InputError as exc:
+        return {"refused": str(exc)}
+    positive = HomologyBasis(split.positive_pair())
+    reps = {k: positive.representatives(k) for k in positive.degrees()}
+    report = excision_check(reps, double.labels, HomologyBasis(double.exit_pair()))
+    record = []
+    for k, matrix in sorted(report.matrices.items()):
+        half = len(reps.get(k, ()))
+        columns, witnesses = list(matrix.columns), [chains(w) for w in report.witnesses[k]]
+        record.append([k, matrix.n_rows, columns[:half], columns[half:], witnesses[:half], witnesses[half:]])
     return record
 
 
@@ -178,8 +204,8 @@ def written_inputs(directory):
 
 
 def inputs(args, directory):
-    """(locator, working directory, whether it gets a ``tracked`` record)
-    of each input."""
+    """(locator, working directory, whether it gets a ``tracked`` and an
+    ``excision`` record) of each input."""
     if args:
         return [(os.path.abspath(a) if a.endswith(".json") else a, HERE, True) for a in args]
     spaces = sorted("spaces/" + p.name for p in (HERE / "spaces").glob("*.json"))
@@ -201,6 +227,7 @@ def dump(args, write=sys.stdout.write):
                 write(json.dumps({**record, "exit": code, "stdout": stdout, "stderr": stderr}) + "\n")
             if with_tracked:
                 write(json.dumps({"input": name, "command": "tracked", "record": tracked(locator, cwd)}) + "\n")
+                write(json.dumps({"input": name, "command": "excision", "record": excision(locator, cwd)}) + "\n")
     write(json.dumps({"input": "seeded matrices", "command": "gf2", "record": seeded_matrices()}) + "\n")
 
 

@@ -378,6 +378,36 @@ class TestDoubleIsValidByConstruction:
         assert seen["draws"] >= 40 and seen["interface"] >= 20, seen
 
 
+def polygon_file(directory, n):
+    """A space file of the n-gon circle, which has no boundary."""
+    path = directory / ("%d-gon.json" % n)
+    path.write_text(json.dumps({"name": "%d-gon" % n, "maximal_simplices": [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]}))
+    return path
+
+
+class TestDoubleWritesOnlyLoadableFiles:
+    """The load counts 2^|s| - 1 faces per listed simplex against the face
+    limit; ``double`` applies the same count to the file it would write."""
+
+    def test_a_double_past_the_limit_is_refused_and_nothing_is_written(self, tmp_path, capsys):
+        # 27,000 counted faces load; the double, two 9000-gons, counts 54,000.
+        path, output = polygon_file(tmp_path, 9000), tmp_path / "double.json"
+        assert len(parse_space_file(path.read_bytes()).complex()) == 18000
+        message = "error: maximal_simplices expands to more than the limit of %d faces\n" % MAX_FACES
+        for argv in (["double", str(path), "-o", str(output)], ["double", str(path)]):
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", message)
+        assert not output.exists()
+
+    def test_a_double_within_the_limit_is_written_and_reloads(self, tmp_path):
+        # Two 8000-gons count 48,000 faces.
+        path, output = polygon_file(tmp_path, 8000), tmp_path / "double.json"
+        assert main(["double", str(path), "-o", str(output)]) == EXIT_OK
+        written = parse_space_file(output.read_bytes())
+        assert written.name == "8000-gon_double" and len(written.complex()) == 32000
+        assert written.split().domain == cli.load_space(str(path))[1].double.total
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", ["w[1,2]", "w[1,  2]", "[ 7 ]"])
     def test_names_with_brackets_are_written_as_given(self, tmp_path, capsys, name):
@@ -407,8 +437,7 @@ class TestSerialization:
 
 def count_chain_tables(monkeypatch):
     """Record each complex whose chain table is built from its faces, and
-    each part of a double (a copy, the total) whose table is derived from
-    its domain's."""
+    each double's total, whose table is derived from its domain's."""
     built, derived = [], []
     build = complexes._build_chain_table
 
@@ -424,8 +453,7 @@ def count_chain_tables(monkeypatch):
         return counted_derive
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted_build)
-    for name in ("_copy_table", "_total_table"):
-        monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
+    monkeypatch.setattr(spaces, "_total_table", counted(spaces._total_table))
     return built, derived
 
 
@@ -436,24 +464,28 @@ class TestRequestLifetime:
     @pytest.mark.parametrize("space", ["reeb_ball_2", "annulus_split"])
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_each_complex_builds_its_chain_table_once(self, monkeypatch, capsys, command, space):
-        splits = []
+        splits, intersections = [], []
         built, derived = count_chain_tables(monkeypatch)
-        load = cli.load_space
+        load, intersection = cli.load_space, SimplicialComplex.intersection
 
         def record(locator):
             name, split = load(locator)
             splits.append(split)
             return name, split
 
+        def recorded_intersection(self, other):
+            intersections.append(intersection(self, other))
+            return intersections[-1]
+
         monkeypatch.setattr(cli, "load_space", record)
+        monkeypatch.setattr(SimplicialComplex, "intersection", recorded_intersection)
         assert main([command, space]) == EXIT_OK
         capsys.readouterr()
         split, = splits
         double = split.double
-        # The double's total derives its table from the domain's, and so
-        # does copy B when Mayer-Vietoris reads it.
-        parts = [double.total, double.copy_b] if command == "verify" else [double.total]
-        assert list(map(id, derived)) == list(map(id, parts))
+        # Only the double's total derives a table, from the domain's;
+        # Mayer-Vietoris pushes chains through the copies' labels.
+        assert list(map(id, derived)) == [id(double.total)]
         expected = [split.domain]
         if command == "verify":
             # Both entries have an empty interface and labels 0..n-1, so
@@ -463,14 +495,15 @@ class TestRequestLifetime:
         made = built + derived
         assert len({id(cx) for cx in made}) == len(made)
         assert sorted(map(id, expected)) == sorted(id(cx) for cx in built if any(cx is e for e in expected))
-        # Besides those, Mayer-Vietoris builds the overlap of the two copies.
-        others = [cx.faces for cx in built if not any(cx is e for e in expected)]
-        assert others == ([double.copy_a.faces & double.copy_b.faces] if command == "verify" else [])
+        assert [cx for cx in built if not any(cx is e for e in expected)] == []
+        # The one intersection is the split's interface: no overlap of the
+        # copies or of their exit parts is built.
+        assert list(map(id, intersections)) == [id(split.interface)]
 
-    def test_verify_derives_every_table_of_a_relabeled_double(self, monkeypatch, capsys):
+    def test_verify_derives_only_the_totals_table_of_a_relabeled_double(self, monkeypatch, capsys):
         # The file's labels are not 0..n-1 and its interface is nonempty,
-        # so copy A is not the domain; still no copy of the double, nor
-        # the total, builds its table from its faces.
+        # so copy A is not the domain; still neither copy has a table, and
+        # the total derives its own.
         splits = []
         built, derived = count_chain_tables(monkeypatch)
         load = cli.load_space
@@ -487,19 +520,19 @@ class TestRequestLifetime:
         double = split.double
         assert sorted(split.domain.vertices) != list(range(len(split.domain.vertices)))
         assert len(split.interface) > 0 and double.copy_a is not split.domain
-        parts = [double.total, double.copy_a, double.copy_b]
-        assert sorted(map(id, derived)) == sorted(map(id, parts))
+        assert list(map(id, derived)) == [id(double.total)]
         assert not [cx for cx in built if cx.faces in (double.copy_a.faces, double.copy_b.faces, double.total.faces)]
 
     def test_verify_builds_no_table_twice_for_equal_faces(self, monkeypatch, capsys):
         built, derived = count_chain_tables(monkeypatch)
         assert main(["verify", "reeb_ball_2"]) == EXIT_OK
         capsys.readouterr()
-        # The empty positive region, exit boundary and overlap are
-        # distinct objects, each with a one-cell table.
+        # The empty positive region and exit boundary are distinct objects,
+        # each with a one-cell table; the domain, the negative region and
+        # the derived total are the others.
         nonempty = [cx.faces for cx in built + derived if cx.faces]
-        assert len(nonempty) == 4 and len(set(nonempty)) == len(nonempty)
-        assert len(derived) == 2
+        assert len(nonempty) == 3 and len(set(nonempty)) == len(nonempty)
+        assert len(derived) == 1
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_space_file_checks_strong_connectivity_once_on_the_domain(self, monkeypatch, capsys, command):

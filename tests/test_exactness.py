@@ -1,13 +1,23 @@
-"""Long exact sequence, Mayer-Vietoris, and duality verification."""
+"""Long exact sequence, Mayer-Vietoris, excision and duality verification."""
 
+import dataclasses
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from conftest import corpus_complexes, corpus_pairs, hollow_triangle, random_pairs, random_subcomplex
+from conftest import (
+    annulus_domains,
+    corpus_complexes,
+    corpus_pairs,
+    grown_regions,
+    hollow_triangle,
+    random_pairs,
+    random_subcomplex,
+)
 from topsym import (
     BoundarySplit,
     ComplexPair,
@@ -18,13 +28,15 @@ from topsym import (
     betti,
     build_complex,
     builtin_example,
+    cli,
     cone,
     truncated_double,
 )
-from topsym.cli import load_space
+from topsym.cli import EXIT_SUITE_FAILED, load_space, main, run_identity_suites
 from topsym.complexes import boundary_chain
 from topsym.exactness import (
     connecting_map,
+    excision_check,
     induced_map,
     lefschetz_duality_check,
     les_exactness_check,
@@ -138,6 +150,12 @@ class TestLesExactness:
         for name, pair in corpus_pairs().items():
             report = les_exactness_check(pair)
             assert report.passed, (name, report.first_failure)
+
+    def test_the_report_keeps_the_pairs_relative_basis(self):
+        for name, pair in corpus_pairs().items():
+            report = les_exactness_check(pair)
+            assert report.pair is pair and report.relative.pair is pair, name
+            assert not report.relative.augmented and report.relative.betti().same_dims(betti(pair)), name
 
     def test_a_shared_ambient_basis_gives_the_same_slots(self):
         for name, pair in corpus_pairs().items():
@@ -255,6 +273,151 @@ class TestMayerVietoris:
         assert d.copy_a.intersection(d.copy_b) == d.interface_image == d.exit_a.intersection(d.exit_b)
         report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
         assert report.overlap_trivial and report.passed is True
+
+
+def split_of(space):
+    return load_space(str(SPACES / space) if space.endswith(".json") else space)[1]
+
+
+def excision_of(split, labels=None):
+    """``verify``'s Mayer-Vietoris map: the positive pair's representatives
+    pushed through ``labels``, by default the copies', into the exit
+    pair's basis; with the representatives and that basis."""
+    positive = HomologyBasis(split.positive_pair())
+    reps = {k: positive.representatives(k) for k in positive.degrees()}
+    target = HomologyBasis(split.double.exit_pair())
+    return excision_check(reps, labels or split.double.labels, target), reps, target
+
+
+def checked_witnesses(report, reps, labels, target):
+    """Check each column chain by chain: the pushed representative plus
+    the target representatives its column selects is the boundary of its
+    witness, relative to the exit boundary.  Returns how many witnesses
+    are nonzero."""
+    nonzero, drop = 0, target.pair.sub.faces
+    for k, matrix in report.matrices.items():
+        pushed = [{tuple(sorted(label[v] for v in s)) for s in rep} - drop for label in labels for rep in reps.get(k, [])]
+        assert len(pushed) == matrix.n_cols == len(report.witnesses[k]), k
+        for column, chain, witness in zip(matrix.columns, pushed, report.witnesses[k]):
+            total = set(chain)
+            for i, rep in enumerate(target.representatives(k)):
+                if column >> i & 1:
+                    total ^= rep
+            assert frozenset(total) == boundary_chain(witness, drop, augmented=False), k
+            nonzero += bool(witness)
+    return nonzero
+
+
+SPLIT_NAMES = [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))]
+
+
+class TestExcision:
+    """The inclusions of the two copies of (W, P) into a double's exit pair
+    induce an isomorphism H(W, P) + H(W, P) -> H(total, exit)."""
+
+    @pytest.mark.parametrize("space", SPLIT_NAMES)
+    def test_doubles_pass_with_checked_witnesses(self, space):
+        split = split_of(space)
+        report, reps, target = excision_of(split)
+        assert report.passed
+        assert set(report.matrices) == set(target.degrees())
+        doubled = betti(split.positive_pair()).scaled(2).as_dict()
+        assert {k: m.n_cols for k, m in report.matrices.items() if m.n_cols} == doubled
+        checked_witnesses(report, reps, split.double.labels, target)
+
+    @pytest.mark.parametrize("domains", [None, annulus_domains()], ids=["catalog domains", "band annuli"])
+    def test_grown_region_doubles_pass(self, domains):
+        seen = {"draws": 0, "interface": 0, "classes": 0, "witnesses": 0}
+
+        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @given(grown_regions(domains))
+        def check(drawn):
+            domain, region, mapping = drawn
+            split = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
+            try:
+                split.double
+            except InputError:  # the interface is not an induced subcomplex
+                assume(False)
+            report, reps, target = excision_of(split)
+            assert report.passed
+            seen["witnesses"] += checked_witnesses(report, reps, split.double.labels, target)
+            seen["classes"] += sum(m.n_cols for m in report.matrices.values())
+            seen["draws"] += 1
+            seen["interface"] += len(split.interface) > 0
+
+        check()
+        assert seen["draws"] >= 25 and seen["interface"] >= 8 and seen["classes"] >= 10, seen
+        # On the band annuli some pushed classes differ from the stored
+        # ones by a boundary, so their witnesses are nonzero.
+        assert domains is None or seen["witnesses"] > 0, seen
+
+    @pytest.mark.parametrize("space", SPLIT_NAMES)
+    def test_copy_a_labels_twice_fail_where_the_positive_homology_is_nonzero(self, space):
+        # Both pushes land in copy A, so each class is hit twice and the
+        # square map loses rank; with H(W, P) = 0 the map is 0 by 0.
+        split = split_of(space)
+        label_a = split.double.labels[0]
+        report, reps, target = excision_of(split, (label_a, label_a))
+        assert all(m.n_cols == m.n_rows for m in report.matrices.values())
+        nonzero = betti(split.positive_pair()).total() > 0
+        assert report.passed is not nonzero
+        assert nonzero is (space.startswith(("reeb_ball", "brieskorn")) or space == "disk_bare.json")
+        checked_witnesses(report, reps, (label_a, label_a), target)
+
+    @pytest.mark.parametrize("space", ["disk_half_split", "annulus_split", "disk_positive.json"])
+    def test_representatives_of_another_pair_fail_as_not_square(self, space):
+        # The domain's absolute classes map into the exit pair too, less
+        # their exit cells, but H(W) is not half of H(total, exit) here.
+        split = split_of(space)
+        absolute = HomologyBasis(ComplexPair.absolute(split.domain))
+        reps = {k: absolute.representatives(k) for k in absolute.degrees()}
+        assert not betti(ComplexPair.absolute(split.domain)).same_dims(betti(split.positive_pair()))
+        report = excision_check(reps, split.double.labels, HomologyBasis(split.double.exit_pair()))
+        assert not report.passed and any(m.n_cols != m.n_rows for m in report.matrices.values())
+
+    @pytest.mark.parametrize("space", ["reeb_ball_2", "brieskorn_3"])
+    def test_one_copy_alone_is_not_square(self, space):
+        split = split_of(space)
+        report, _, _ = excision_of(split, split.double.labels[:1])
+        assert not report.passed and any(m.n_cols != m.n_rows for m in report.matrices.values())
+
+
+class TestVerifyRunsTheExcisionCheck:
+    def test_pushing_through_copy_a_twice_fails_the_suite(self, monkeypatch, capsys):
+        check = cli.excision_check
+
+        def copy_a_twice(reps, labels, target):
+            return check(reps, (labels[0], labels[0]), target)
+
+        monkeypatch.setattr(cli, "excision_check", copy_a_twice)
+        assert main(["verify", "reeb_ball_2", "--json"]) == EXIT_SUITE_FAILED
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        assert suites == {**suites, "les": "pass", "factor2": "pass", "mayer_vietoris": "fail"}
+
+    def test_a_failing_domain_sequence_still_checks_the_exit_pair(self, monkeypatch):
+        # The positive sequence is made to fail, so the negative one is
+        # skipped; the exit pair's sequence still runs, and its basis is
+        # the one the excision check reads.
+        split, runs, targets = builtin_example("reeb_ball_2"), [], []
+        les, check = cli.les_exactness_check, cli.excision_check
+
+        def failing_first(pair, *args):
+            report = les(pair, *args)
+            runs.append(pair)
+            if len(runs) == 1:
+                return dataclasses.replace(report, slots=(dataclasses.replace(report.slots[0], composition_zero=False),))
+            return report
+
+        def recorded_check(reps, labels, target):
+            targets.append(target.pair)
+            return check(reps, labels, target)
+
+        monkeypatch.setattr(cli, "les_exactness_check", failing_first)
+        monkeypatch.setattr(cli, "excision_check", recorded_check)
+        results = run_identity_suites(split)
+        assert results == {**results, "les": "fail", "mayer_vietoris": "pass"}
+        assert runs == [split.positive_pair(), split.double.exit_pair()]
+        assert targets == [runs[-1]] and targets[0] is runs[-1]
 
 
 class TestLefschetzDuality:

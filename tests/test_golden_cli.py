@@ -83,14 +83,17 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
     )
     records = list(map(json.loads, script.stdout.splitlines()))
     commands = ["analyze", "analyze --json", "verify", "verify --json", "double"]
-    cases = [(path, command) for path in paths for command in commands + ["tracked"]]
+    cases = [(path, command) for path in paths for command in commands + ["tracked", "excision"]]
     assert [(r["input"], r["command"]) for r in records] == [
         *((os.path.basename(p), c) for p, c in cases), ("seeded matrices", "gf2")
     ]
-    # Every split here is valid, so each gets the tracked engine's bases.
+    # Every split here is valid, so each gets the tracked engine's bases
+    # and the map that verify's Mayer-Vietoris suite checks.
     for record in records:
         if record["command"] == "tracked":
             assert set(record["record"]) == {"relative", "reduced", "les", "connecting"}
+        if record["command"] == "excision":
+            assert isinstance(record["record"], list) and record["record"], record["input"]
     compared = 0
     for record in records:
         name, *options = record["command"].split()
@@ -121,11 +124,11 @@ def test_dump_is_unchanged():
 
 
 def test_dump_outputs_covers_every_default_input():
-    # 6 catalog splits and 5 space files with five commands and a tracked
-    # record each; 54 bench inputs, 2 refused files and the hexagon with
-    # equal regions with five commands each; one gf2 record.
+    # 6 catalog splits and 5 space files with five commands, a tracked
+    # and an excision record each; 54 bench inputs, 2 refused files and
+    # the hexagon with equal regions with five commands each; one gf2 record.
     records = list(map(json.loads, default_dump()))
-    assert len(records) == 11 * 6 + 57 * 5 + 1 == 352
+    assert len(records) == 11 * 7 + 57 * 5 + 1 == 363
     equal = [r["exit"] for r in records if r["input"] == "hexagon-equal-regions.json"]
     assert equal == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
 

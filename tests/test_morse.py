@@ -141,7 +141,7 @@ class TestNumberedDiagram:
 
         monkeypatch.setattr(complexes, "_faces_of", refuse)
         monkeypatch.setattr(complexes, "_build_chain_table", refuse)
-        for name in ("_relabeled", "_copy_table", "_total_table"):
+        for name in ("_relabeled", "_total_table"):
             monkeypatch.setattr(glued, name, refuse)
         for name, pair, table in fresh:
             assert morse_betti(build_matching(pair)) == table, name

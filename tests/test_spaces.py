@@ -32,7 +32,7 @@ from topsym import (
     truncated_double,
     wedge_of_spheres,
 )
-from topsym import cli, complexes, spaces
+from topsym import cli, complexes, glued, spaces
 from topsym.cli import EXIT_OK, main, report_json
 from topsym.complexes import MAX_FACES
 from topsym.spaces import BoundarySplit, catalog_splits
@@ -120,6 +120,12 @@ class TestTruncatedDouble:
             doubled = betti(split.positive_pair()).scaled(2)
             assert betti(d.exit_pair()).same_dims(doubled), name
 
+    def test_doubles_of_one_split_are_equal_and_hash_alike(self):
+        # The labelings are dicts, so they stay out of equality and hashing.
+        for name, split in catalog_splits().items():
+            first, second = truncated_double(split), truncated_double(split)
+            assert first == second and hash(first) == hash(second) and first.labels == second.labels, name
+
     def test_copy_pairs_match_the_original_pair(self):
         for name, split in catalog_splits().items():
             d = truncated_double(split)
@@ -139,6 +145,7 @@ class TestTruncatedDouble:
             assert d.total.vertices == frozenset(range(2 * len(own) + len(shared))), name
             assert d.copy_a == split.domain.relabel(label_a), name
             assert d.copy_b == split.domain.relabel(label_b), name
+            assert d.labels == (label_a, label_b), name
             for region, image_a, image_b in (
                 (split.positive, d.exit_a, d.exit_b),
                 (split.negative, d.entry_a, d.entry_b),
@@ -392,44 +399,41 @@ def composition_message(fn, *args):
 
 
 class TestDerivedChainTable:
-    """The double's total, copy B, and copy A when it is not the domain
-    derive their chain tables from the domain's; the oracle is
-    ``_build_chain_table`` on the same faces."""
+    """The double's total derives its chain table from the domain's; the
+    oracle is ``_build_chain_table`` on the same faces.  The copies are
+    face sets with no derivation, and copy A is the domain itself when
+    its labeling is the identity."""
 
     def check(self, monkeypatch, split):
         derived = []
 
-        def counted(derive):
-            def counted_derive(*args):
-                derived.append(args[-1])
-                return derive(*args)
+        def counted_derive(*args):
+            derived.append(args[-1])
+            return glued._total_table(*args)
 
-            return counted_derive
-
-        for name in ("_copy_table", "_total_table"):
-            monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
+        monkeypatch.setattr(spaces, "_total_table", counted_derive)
         double = truncated_double(split)
-        parts = [double.total, double.copy_b] + ([double.copy_a] if double.copy_a is not split.domain else [])
-        for part in parts:
-            cells, rows, memo = part._chain_table
-            fresh = complexes._trusted(part.faces)
-            assert (cells, rows) == complexes._build_chain_table(fresh) and memo == {}
-            for k in range(-1, part.dim + 2):
-                grouped = tuple(sorted(s for s in part.faces if len(s) == k + 1))
-                assert part.simplices(k) == grouped, k
-            assert part.counts() == fresh.counts()
-        assert list(map(id, derived)) == list(map(id, parts))
+        assert not {"_derive_chain_table", "_chain_table"} & {*vars(double.copy_a), *vars(double.copy_b)}
+        total = double.total
+        cells, rows, memo = total._chain_table
+        fresh = complexes._trusted(total.faces)
+        assert (cells, rows) == complexes._build_chain_table(fresh) and memo == {}
+        for k in range(-1, total.dim + 2):
+            grouped = tuple(sorted(s for s in total.faces if len(s) == k + 1))
+            assert total.simplices(k) == grouped, k
+        assert total.counts() == fresh.counts()
+        assert list(map(id, derived)) == [id(total)]
         return double.copy_a is not split.domain
 
     def test_catalog_and_space_file_splits(self, monkeypatch):
         splits = {**catalog_splits(), **space_file_splits()}
         assert len(splits) == 11
-        derived_a = [name for name, split in splits.items() if self.check(monkeypatch, split)]
+        relabeled_a = [name for name, split in splits.items() if self.check(monkeypatch, split)]
         # Elsewhere copy A's labels, own vertices first, are the domain's.
-        assert derived_a == ["disk_half_split", *(f"disk_{n}.json" for n in ("bare", "both", "negative", "positive"))]
+        assert relabeled_a == ["disk_half_split", *(f"disk_{n}.json" for n in ("bare", "both", "negative", "positive"))]
 
     def test_seeded_relabelings(self, monkeypatch):
-        rng, interface, reordered, derived_a = random.Random(14), 0, 0, 0
+        rng, interface, reordered, relabeled_a = random.Random(14), 0, 0, 0
         for name, split in {**catalog_splits(), **space_file_splits()}.items():
             vertices = sorted(split.domain.vertices)
             for _ in range(4):
@@ -437,11 +441,11 @@ class TestDerivedChainTable:
                 relabeled = relabeled_split(split, mapping)
                 interface += len(relabeled.interface) > 0
                 reordered += reorders_a_cell(relabeled)
-                derived_a += self.check(monkeypatch, relabeled)
-        assert reordered == interface == 16 and derived_a == 44
+                relabeled_a += self.check(monkeypatch, relabeled)
+        assert reordered == interface == 16 and relabeled_a == 44
 
     def test_grown_annulus_splits(self, monkeypatch):
-        seen = {"draws": 0, "interface": 0, "reordered": 0, "derived_a": 0}
+        seen = {"draws": 0, "interface": 0, "reordered": 0, "relabeled_a": 0}
 
         @settings(max_examples=150, derandomize=True, database=None, deadline=None)
         @given(grown_regions(annulus_domains()))
@@ -455,24 +459,23 @@ class TestDerivedChainTable:
             seen["draws"] += 1
             seen["interface"] += len(split.interface) > 0
             seen["reordered"] += reorders_a_cell(split)
-            seen["derived_a"] += self.check(monkeypatch, split)
+            seen["relabeled_a"] += self.check(monkeypatch, split)
 
         check()
         # The permuted-facet path runs on every draw with an interface.
         assert seen["draws"] >= 60 and seen["reordered"] == seen["interface"] >= 20, seen
-        assert seen["derived_a"] >= seen["interface"], seen
+        assert seen["relabeled_a"] >= seen["interface"], seen
 
     @pytest.mark.parametrize("name", ["disk_half_split", "disk_both.json"])
-    @pytest.mark.parametrize("part", ["total", "copy_a", "copy_b"])
-    def test_corrupted_derived_rows_fail_the_composition_check(self, name, part):
+    def test_corrupted_derived_rows_fail_the_composition_check(self, name):
         # Every entry of every derived facet row in turn is moved to
         # another position one degree down; the identities reject each
         # corruption with the message the dense check gives.
         split = cli.load_space(str(SPACES / name) if name.endswith(".json") else name)[1]
         split = relabeled_split(split, {v: 40 - 3 * v for v in split.domain.vertices})
         assert reorders_a_cell(split)
-        faces = getattr(truncated_double(split), part).faces
-        derive = getattr(truncated_double(split), part).__dict__["_derive_chain_table"]
+        faces = truncated_double(split).total.faces
+        derive = truncated_double(split).total.__dict__["_derive_chain_table"]
         cells, rows = complexes._build_chain_table(complexes._trusted(faces))
         target = {}
 
@@ -493,4 +496,4 @@ class TestDerivedChainTable:
                     assert dense is not None
                     assert composition_message(lambda: complexes._trusted(faces, corrupt)._chain_table) == dense
                     corruptions += 1
-        assert corruptions > (50 if part == "total" else 40)
+        assert corruptions > 50

@@ -240,8 +240,7 @@ def test_verify_checks_the_identities_once_per_chain_table(monkeypatch, capsys, 
         return check(rows)
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted(complexes._build_chain_table))
-    for name in ("_copy_table", "_total_table"):
-        monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
+    monkeypatch.setattr(spaces, "_total_table", counted(spaces._total_table))
     monkeypatch.setattr(complexes, "_check_identities", counted_check)
     assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
@@ -370,8 +369,8 @@ def record_rank_only_runs(monkeypatch):
 def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
     # The bases of the long exact sequences record the tables of the
     # positive, negative and exit pairs, so no rank-only pass runs on
-    # them.  Mayer-Vietoris still reduces the overlap, copy A's pair when
-    # copy A is not the domain, and copy B's pair.
+    # them, and Mayer-Vietoris expresses chains in the exit pair's basis,
+    # so no rank-only pass runs at all.
     splits, bases = [], []
     load, init = cli.load_space, HomologyBasis.__init__
 
@@ -391,9 +390,7 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
     capsys.readouterr()
     (split,) = splits
     double = split.double
-    overlap = (double.copy_a.faces & double.copy_b.faces, double.exit_a.faces & double.exit_b.faces, False)
-    copy_a = [] if double.copy_a is split.domain else [(double.copy_a.faces, double.exit_a.faces, False)]
-    assert runs == [overlap, *copy_a, (double.copy_b.faces, double.exit_b.faces, False)]
+    assert runs == []
     # Each recorded table is the one a fresh copy's rank-only pass gives.
     own = (split.positive_pair(), split.negative_pair(), double.exit_pair())
     keys = {(basis.pair.ambient.faces, basis.pair.sub.faces) for basis in bases}
@@ -478,8 +475,7 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
         raise AssertionError("a chain table was made")
 
     monkeypatch.setattr(complexes, "_build_chain_table", refuse)
-    for name in ("_copy_table", "_total_table"):
-        monkeypatch.setattr(spaces, name, refuse)
+    monkeypatch.setattr(spaces, "_total_table", refuse)
     for space in ["annulus_split", "disk_half_split", "reeb_ball_2", *sorted(SPACES.glob("*.json"))]:
         assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
         assert made == [], space
