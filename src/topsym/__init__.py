@@ -16,29 +16,19 @@ from .complexes import (
     betti,
     boundary_subcomplex,
     build_complex,
-    euler_characteristic,
 )
 from .errors import InputError, MatchingError, PseudomanifoldError
 from .exactness import (
     HomologyMap,
     connecting_map,
-    induced_map,
     lefschetz_duality_check,
     les_exactness_check,
     mayer_vietoris_check,
 )
 from .gf2 import Gf2Matrix
+from .glued import TruncatedDouble, truncated_double
 from .morse import AcyclicMatching, MorseComplexData, build_matching, morse_betti, morse_complex
-from .spaces import (
-    BoundarySplit,
-    TruncatedDouble,
-    builtin_example,
-    cone,
-    cross_polytope_sphere,
-    full_double,
-    truncated_double,
-    wedge_of_spheres,
-)
+from .spaces import BoundarySplit, builtin_example, cone, cross_polytope_sphere, wedge_of_spheres
 from .symmetry import (
     RolledTable,
     SymmetryVerdict,
@@ -77,9 +67,6 @@ __all__ = [
     "cone",
     "connecting_map",
     "cross_polytope_sphere",
-    "euler_characteristic",
-    "full_double",
-    "induced_map",
     "lefschetz_duality_check",
     "les_exactness_check",
     "mayer_vietoris_check",

@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
@@ -30,7 +30,8 @@ from .complexes import ComplexPair, HomologyBasis, SimplicialComplex, betti, bui
 from .errors import InputError
 from .exactness import excision_check, les_exactness_check
 from .morse import build_matching, morse_betti
-from .spaces import BoundarySplit, TruncatedDouble, builtin_example
+from .glued import TruncatedDouble
+from .spaces import BoundarySplit, builtin_example
 from .symmetry import MAX_MIN_CHERN, ActionReport, SymmetryVerdict, analyze_action
 
 EXIT_OK = 0
@@ -218,35 +219,32 @@ def report_json(report: ActionReport) -> Dict:
     return out
 
 
-def _format_table(table) -> str:
-    cells = _table_json(table)
-    if not cells:
-        return "0"
-    return "  ".join("%d:%d" % (k, d) for k, d in cells)
+def _format_table(cells: List[List[int]]) -> str:
+    return "  ".join("%d:%d" % (k, d) for k, d in cells) or "0"
 
 
-def _format_verdict(verdict: SymmetryVerdict) -> str:
-    if verdict.symmetric:
-        return "symmetric (shift %s)" % ", ".join(str(m) for m in verdict.shifts)
-    return "asymmetric (shift %d fails at degree %d: %d vs %d)" % astuple(verdict.witness)
+def _format_verdict(verdict: Dict) -> str:
+    if verdict["symmetric"]:
+        return "symmetric (shift %s)" % ", ".join(map(str, verdict["shifts"]))
+    return "asymmetric (shift %d fails at degree %d: %d vs %d)" % tuple(verdict["witness"].values())
 
 
 def report_text(report: ActionReport) -> str:
+    """The lines of the ``report_json`` payload, so text and JSON agree."""
+    out = report_json(report)
     lines = [
-        "space: %s" % report.name,
-        "betti (domain, positive): %s" % _format_table(report.positive_table),
-        "betti (domain, negative): %s" % _format_table(report.negative_table),
-        "verdict positive: %s" % _format_verdict(report.positive_verdict),
-        "verdict negative: %s" % _format_verdict(report.negative_verdict),
-        "duality: %s" % report.duality_status,
-        "factor2: %s" % ("pass" if report.factor2_passed else "fail"),
+        "space: %s" % out["name"],
+        "betti (domain, positive): %s" % _format_table(out["betti_positive"]),
+        "betti (domain, negative): %s" % _format_table(out["betti_negative"]),
+        "verdict positive: %s" % _format_verdict(out["verdict_positive"]),
+        "verdict negative: %s" % _format_verdict(out["verdict_negative"]),
+        "duality: %s" % out["duality"],
+        "factor2: %s" % out["factor2"],
     ]
-    if report.rolled is not None:
-        table, verdict = report.rolled
-        lines.append(
-            "rolled mod %d: (%s) %s"
-            % (table.modulus, ", ".join(str(e) for e in table.entries), _format_verdict(verdict))
-        )
+    if "rolled" in out:
+        rolled = out["rolled"]
+        entries = ", ".join(map(str, rolled["entries"]))
+        lines.append("rolled mod %d: (%s) %s" % (rolled["modulus"], entries, _format_verdict(rolled["verdict"])))
     return "\n".join(lines) + "\n"
 
 

@@ -84,8 +84,8 @@ class SimplicialComplex:
     input: every face is a nonempty, strictly ascending tuple and every
     facet of a face is present.  Complexes derived inside the package
     (face closures, unions, intersections, induced subcomplexes,
-    relabelings, excisions, the copies of a glued double) are
-    face-closed by construction and are built without the re-check.
+    relabelings, the parts of a glued double) are face-closed by
+    construction and are built without the re-check.
     """
 
     faces: frozenset
@@ -212,9 +212,6 @@ class ComplexPair:
     def cells(self, k: int) -> Tuple[Simplex, ...]:
         """Relative k-cells: simplices of ambient not in sub, sorted."""
         return tuple(filterfalse(self.sub.faces.__contains__, self.ambient.simplices(k)))
-
-    def cell_counts(self) -> Dict[int, int]:
-        return {k: n for k in range(self.ambient.dim + 1) if (n := len(self.cells(k)))}
 
     @cached_property
     def _hasse(self) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, int], List[Tuple[int, ...]]]:
@@ -528,11 +525,6 @@ def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
     return BettiTable(flavor, memo[key])
 
 
-def euler_characteristic(pair: ComplexPair) -> int:
-    """Alternating sum of relative cell counts."""
-    return sum((-1) ** k * n for k, n in pair.cell_counts().items())
-
-
 def check_pure(complex_: SimplicialComplex) -> int:
     """Top dimension if every maximal simplex attains it, else an error
     at the smallest one that does not."""
@@ -607,23 +599,3 @@ def check_pseudomanifold(complex_: SimplicialComplex) -> int:
     """
     boundary_subcomplex(complex_)  # purity + incidence
     return check_strongly_connected(complex_)
-
-
-def excise(pair: ComplexPair, simplex: Simplex) -> ComplexPair:
-    """Remove the open star of a subcomplex simplex from both members.
-
-    Legal only when every ambient simplex containing ``simplex`` lies in
-    the subcomplex, which keeps the relative chain complex unchanged.
-    """
-    s = tuple(simplex)
-    if s not in pair.sub.faces:
-        raise InputError("can only excise a simplex of the subcomplex")
-    vs = set(s)
-    star = frozenset(t for t in pair.ambient.faces if vs.issubset(t))
-    if not star <= pair.sub.faces:
-        offender = sorted(star - pair.sub.faces)[0]
-        raise InputError("open star leaves the subcomplex at %r" % (offender,))
-    return ComplexPair(
-        _trusted(pair.ambient.faces - star),
-        _trusted(pair.sub.faces - star),
-    )

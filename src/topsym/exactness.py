@@ -75,18 +75,6 @@ def _expressed(target: HomologyBasis, k: int, images: Iterable[Chain]) -> Tuple[
     return Gf2Matrix.from_columns([c for c, _ in expressed], target.betti_dim(k)), tuple(w for _, w in expressed)
 
 
-def induced_map(source_pair: ComplexPair, target_pair: ComplexPair) -> HomologyMap:
-    """Map induced by an inclusion of pairs on relative homology."""
-    if not source_pair.ambient.is_subcomplex_of(target_pair.ambient):
-        raise InputError("source ambient is not included in target ambient")
-    if not source_pair.sub.is_subcomplex_of(target_pair.sub):
-        raise InputError("source subcomplex is not included in target subcomplex")
-    source = HomologyBasis(source_pair)
-    target = HomologyBasis(target_pair)
-    drop = target_pair.sub.faces
-    return _map_on_homology(source, target, lambda k, c: frozenset(s for s in c if s not in drop), source.degrees())
-
-
 def connecting_map(pair: ComplexPair, degree: int) -> HomologyMap:
     """Boundary map from relative degree ``degree + 1`` to the reduced
     homology of the subcomplex in ``degree``.

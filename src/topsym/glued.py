@@ -1,32 +1,108 @@
-"""The chain table of a truncated double's total, derived from its
-domain's.
+"""The truncated double of a boundary split, and the chain table of its
+total, derived from its domain's.
 
-Each copy of the domain in the double (``spaces.truncated_double``) is
-the domain relabeled, and ``_relabeled`` gives the domain's cells and
-facet rows under a labeling.  Copy A labels its own vertices below
-``n_own`` and the shared ones from there, copy B the shared ones alike
-and its own ones above, each run in the domain's order.  So a copy keeps
-the domain's order among its cells on one side, and one split of each
-degree (``_splits``) orders both copies: only the cells with vertices on
-both sides are placed by search, and only they can have their vertices
-reordered.  Then facet i of the image is the image of the domain facet
-that drops the vertex the sorted image holds at i.
+The double glues two copies of the domain along the interface, in the
+integer labels 0..n-1: copy A's own vertices first (below ``n_own``),
+then the interface vertices both copies share, then copy B's own ones,
+each run in the order of the domain's labels.  Each copy is the domain
+relabeled, and ``_relabeled`` gives the domain's cells and facet rows
+under a labeling.  So a copy keeps the domain's order among its cells
+on one side, and one split of each degree (``_splits``) orders both
+copies: only the cells with vertices on both sides are placed by search,
+and only they can have their vertices reordered.  Then facet i of the
+image is the image of the domain facet that drops the vertex the sorted
+image holds at i.
 
-Only the total derives a table; the copies are face sets, which
-``verify`` reaches through their labelings.  The interface is induced,
-so each degree of the total is copy A's cells that hold an own vertex,
-then copy B's: the total maps copy B's facets to copy B's positions
-moved up by copy A's part, and copy A's shared facets to their places
-in copy B.  ``_chain_table`` checks the identities on the rows.
+The double keeps no copy, only the total, the two boundaries it is
+written with, its top simplices and the two labelings, through which
+``verify`` pushes the domain's chains.  The interface is induced, so each degree of
+the total is copy A's cells that hold an own vertex, then copy B's: the
+total maps copy B's facets to copy B's positions moved up by copy A's
+part, and copy A's shared facets to their places in copy B.
+``_chain_table`` checks the identities on the rows.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .complexes import EMPTY_SIMPLEX, Simplex, SimplicialComplex
+from .complexes import EMPTY_SIMPLEX, ComplexPair, Simplex, SimplicialComplex, _trusted
+from .errors import InputError
+
+if TYPE_CHECKING:
+    from .spaces import BoundarySplit
+
+
+@dataclass(frozen=True)
+class TruncatedDouble:
+    """Two copies of a domain glued along the interface.
+
+    ``exit_boundary`` is the union of the two positive-region copies,
+    the part of the boundary a gradient flow would leave through;
+    ``entry_boundary`` comes from the negative regions.  ``labels`` are
+    the vertex labelings that make the copies from the domain, copy A's
+    first, and the image of a domain simplex under a labeling is its
+    relabeled vertices, sorted.  ``tops`` are the total's top simplices,
+    sorted.  When no ridge of the domain lies in the interface, each
+    ridge of the total lies in the top simplices of one copy only, so the
+    exit and entry boundaries split the total as their preimages split
+    the domain.
+    """
+
+    total: SimplicialComplex
+    exit_boundary: SimplicialComplex
+    entry_boundary: SimplicialComplex
+    tops: Tuple[Simplex, ...]
+    labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
+
+    def exit_pair(self) -> ComplexPair:
+        return ComplexPair(self.total, self.exit_boundary)
+
+
+def truncated_double(split: BoundarySplit) -> TruncatedDouble:
+    """Glue two copies of the domain along the interface of the split.
+
+    The interface must be an induced subcomplex of the domain (every
+    simplex spanned by its vertices lies in it); otherwise identifying
+    vertices would silently merge simplices of the two copies.
+
+    Each face of the double is stored once: a region's faces map to the
+    images the total is made of.  The total derives its chain table from
+    the domain's when something first asks for it (``_total_table``).
+    """
+    domain, interface = split.domain, split.interface
+    induced = domain.induced_on(interface.vertices)
+    if induced.faces != interface.faces:
+        bad = sorted(induced.faces - interface.faces)[0]
+        raise InputError(
+            "gluing locus is not an induced subcomplex: %r is spanned by its vertices "
+            "but lies outside it; retriangulate the domain" % (bad,)
+        )
+    shared = sorted(interface.vertices)
+    own = sorted(domain.vertices - interface.vertices)
+    labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
+    groups = [domain.simplices(k) for k in range(domain.dim + 1)]
+    images = [_relabeled_cells(groups, label) for label in labels]
+    chained = itertools.chain.from_iterable
+    face_a, face_b = (dict(zip(chained(groups), chained(i))) for i in images)
+
+    def glued(faces: frozenset) -> SimplicialComplex:
+        # A union of two sets is sized once; a set grown face by face may
+        # end up with twice the table.
+        return _trusted(frozenset(map(face_a.__getitem__, faces)) | frozenset(map(face_b.__getitem__, faces)))
+
+    derive = partial(_total_table, domain, labels, images, len(own))
+    return TruncatedDouble(
+        total=_trusted(frozenset(face_a.values()) | frozenset(face_b.values()), derive),
+        exit_boundary=glued(split.positive.faces),
+        entry_boundary=glued(split.negative.faces),
+        tops=tuple(sorted(chained(i[-1] for i in images))) if groups else (),
+        labels=labels,
+    )
 
 
 def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> List[list]:

@@ -1,30 +1,21 @@
-"""Example spaces and the gluing constructions on boundary splits.
+"""Boundary splits, example spaces and the catalog.
 
-The gluing locus of a double must be an induced subcomplex of the glued
-domain (every simplex spanned by locus vertices already lies in the
-locus); otherwise identifying vertices would silently merge simplices
-from the two copies.  Constructors check this and refuse bad input, and
-the catalog spaces are triangulated so the condition holds.
+A split's truncated double (``BoundarySplit.double``) is glued by
+``glued.truncated_double``, which refuses a gluing locus that is not an
+induced subcomplex of the domain; the catalog spaces are triangulated
+so the condition holds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Union
 
-from .complexes import (
-    ComplexPair,
-    Simplex,
-    SimplicialComplex,
-    _trusted,
-    boundary_subcomplex,
-    build_complex,
-    check_face_count,
-)
+from .complexes import ComplexPair, SimplicialComplex, boundary_subcomplex, build_complex, check_face_count
 from .errors import InputError
-from .glued import _relabeled_cells, _total_table
+from .glued import TruncatedDouble, truncated_double
 
 
 @dataclass(frozen=True)
@@ -77,8 +68,8 @@ class BoundarySplit:
         return self.positive.intersection(self.negative)
 
     @cached_property
-    def double(self) -> "TruncatedDouble":
-        """The truncated double, built once per split."""
+    def double(self) -> TruncatedDouble:
+        """The truncated double (``glued``), built once per split."""
         return truncated_double(self)
 
     def positive_pair(self) -> ComplexPair:
@@ -86,105 +77,6 @@ class BoundarySplit:
 
     def negative_pair(self) -> ComplexPair:
         return ComplexPair(self.domain, self.negative)
-
-
-@dataclass(frozen=True)
-class TruncatedDouble:
-    """Two copies of a domain glued along the interface.
-
-    ``exit_boundary`` is the union of the two positive-region copies,
-    the part of the boundary a gradient flow would leave through;
-    ``entry_boundary`` comes from the negative regions.  ``copy_a`` and
-    ``copy_b`` cover the total complex and meet in the interface image;
-    ``labels`` are the vertex labelings that make them from the domain,
-    copy A's first, and the image of a domain simplex under a labeling is
-    its relabeled vertices, sorted.  ``tops`` are the total's top
-    simplices, sorted.  When no ridge of the domain lies in the
-    interface, each ridge of the total lies in the top simplices of one
-    copy only, so the exit and entry boundaries split the total as their
-    preimages split the domain.
-    """
-
-    total: SimplicialComplex
-    copy_a: SimplicialComplex
-    copy_b: SimplicialComplex
-    exit_a: SimplicialComplex
-    exit_b: SimplicialComplex
-    entry_a: SimplicialComplex
-    entry_b: SimplicialComplex
-    interface_image: SimplicialComplex
-    tops: Tuple[Simplex, ...]
-    labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
-
-    @cached_property
-    def exit_boundary(self) -> SimplicialComplex:
-        return self.exit_a.union(self.exit_b)
-
-    @cached_property
-    def entry_boundary(self) -> SimplicialComplex:
-        return self.entry_a.union(self.entry_b)
-
-    def exit_pair(self) -> ComplexPair:
-        return ComplexPair(self.total, self.exit_boundary)
-
-
-def truncated_double(split: BoundarySplit) -> TruncatedDouble:
-    """Glue two copies of the domain along the interface of the split.
-
-    The glued vertices are the integers 0..n-1: the vertices only in
-    copy A first, then the interface vertices both copies share, then
-    the vertices only in copy B, each run in the order of the domain's
-    labels.  When that leaves copy A's labels as they are, copy A is the
-    domain itself, so the two share one chain table and its Betti tables.
-    The double keeps both labelings, so that chains of the domain can be
-    pushed into either copy (``cli.run_identity_suites``).
-
-    The total, whose cells are copy A's that hold an own vertex and then
-    copy B's, derives its chain table from the domain's when something
-    first asks for it (``glued``).  The copies are plain face sets.
-    """
-    domain, interface = split.domain, split.interface
-    induced = domain.induced_on(interface.vertices)
-    if induced.faces != interface.faces:
-        bad = sorted(induced.faces - interface.faces)[0]
-        raise InputError(
-            "gluing locus is not an induced subcomplex: %r is spanned by its vertices "
-            "but lies outside it; retriangulate the domain" % (bad,)
-        )
-    shared = sorted(interface.vertices)
-    own = sorted(domain.vertices - interface.vertices)
-    labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
-    groups = [domain.simplices(k) for k in range(domain.dim + 1)]
-    images = [_relabeled_cells(groups, label) for label in labels]
-    chained = itertools.chain.from_iterable
-    face_a, face_b = (dict(zip(chained(groups), chained(i))) for i in images)
-
-    def image(faces: Dict[Simplex, Simplex], region: SimplicialComplex) -> SimplicialComplex:
-        return _trusted(frozenset(map(faces.__getitem__, region.faces)))
-
-    identity = own + shared == list(range(len(labels[0])))
-    copy_a = domain if identity else _trusted(frozenset(face_a.values()))
-    copy_b = _trusted(frozenset(face_b.values()))
-    return TruncatedDouble(
-        total=_trusted(copy_a.faces | copy_b.faces, partial(_total_table, domain, labels, images, len(own))),
-        copy_a=copy_a,
-        copy_b=copy_b,
-        exit_a=image(face_a, split.positive),
-        exit_b=image(face_b, split.positive),
-        entry_a=image(face_a, split.negative),
-        entry_b=image(face_b, split.negative),
-        interface_image=image(face_a, interface),
-        tops=tuple(sorted(chained(i[-1] for i in images))) if groups else (),
-        labels=labels,
-    )
-
-
-def full_double(domain: SimplicialComplex) -> SimplicialComplex:
-    """Two copies of a domain glued along its entire boundary."""
-    boundary = boundary_subcomplex(domain)
-    if len(boundary) == 0:
-        raise InputError("domain has empty boundary; nothing to glue along")
-    return truncated_double(BoundarySplit(domain, boundary, boundary)).total
 
 
 def cross_polytope_sphere(d: int) -> SimplicialComplex:

@@ -17,7 +17,7 @@ from topsym import (
     builtin_example,
     truncated_double,
 )
-from topsym.complexes import boundary_chain
+from topsym.complexes import _trusted, boundary_chain
 from topsym.errors import InputError, MatchingError, PseudomanifoldError
 from topsym.gf2 import Gf2Matrix, Reduction
 from topsym.spaces import BoundarySplit, catalog_splits
@@ -135,7 +135,43 @@ def grown_regions(draw, domains=None):
     return domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
 
 
+def full_double(domain):
+    """Two copies of a domain glued along its entire boundary: a closed
+    complex."""
+    boundary = boundary_subcomplex(domain)
+    if len(boundary) == 0:
+        raise InputError("domain has empty boundary; nothing to glue along")
+    return truncated_double(BoundarySplit(domain, boundary, boundary)).total
+
+
+def excise(pair, simplex):
+    """Remove the open star of a subcomplex simplex from both members.
+
+    Legal only when every ambient simplex containing ``simplex`` lies in
+    the subcomplex, which keeps the relative chain complex unchanged.
+    """
+    s = tuple(simplex)
+    if s not in pair.sub.faces:
+        raise InputError("can only excise a simplex of the subcomplex")
+    vs = set(s)
+    star = frozenset(t for t in pair.ambient.faces if vs.issubset(t))
+    if not star <= pair.sub.faces:
+        offender = sorted(star - pair.sub.faces)[0]
+        raise InputError("open star leaves the subcomplex at %r" % (offender,))
+    return ComplexPair(_trusted(pair.ambient.faces - star), _trusted(pair.sub.faces - star))
+
+
 # -- independent oracles -----------------------------------------------------
+
+
+def cell_counts(pair):
+    """The number of relative cells in each degree that has any."""
+    return {k: n for k in range(pair.ambient.dim + 1) if (n := len(pair.cells(k)))}
+
+
+def euler_characteristic(pair):
+    """Alternating sum of relative cell counts."""
+    return sum((-1) ** k * n for k, n in cell_counts(pair).items())
 
 
 def subset_xors(vectors):
@@ -307,8 +343,10 @@ def reference_composition_check(cells, rows):
 
 
 def reference_double_faces(split):
-    """The faces of each part of ``truncated_double(split)``, relabeled
-    face by face with a dict comprehension."""
+    """The faces of each part of the truncated double of ``split``,
+    relabeled face by face with a dict comprehension: its two copies,
+    their exit and entry parts and the interface image, and the total
+    and the exit and entry boundaries that these make up."""
     domain, interface = split.domain, split.interface
     shared = sorted(interface.vertices)
     own = sorted(domain.vertices - interface.vertices)
@@ -321,7 +359,14 @@ def reference_double_faces(split):
     parts["interface_image"] = (face_a[s] for s in interface.faces)
     parts = {part: frozenset(faces) for part, faces in parts.items()}
     parts["total"] = parts["copy_a"] | parts["copy_b"]
+    parts["exit_boundary"] = parts["exit_a"] | parts["exit_b"]
+    parts["entry_boundary"] = parts["entry_a"] | parts["entry_b"]
     return parts
+
+
+def reference_double(split):
+    """``reference_double_faces`` as complexes, each checked face-closed."""
+    return {part: SimplicialComplex(faces) for part, faces in reference_double_faces(split).items()}
 
 
 _INT_LIST = re.compile(r"\[\s*((?:-?\d+,\s*)*-?\d+)\s*\]")

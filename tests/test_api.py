@@ -36,9 +36,6 @@ PUBLIC_NAMES = [
     "cone",
     "connecting_map",
     "cross_polytope_sphere",
-    "euler_characteristic",
-    "full_double",
-    "induced_map",
     "lefschetz_duality_check",
     "les_exactness_check",
     "mayer_vietoris_check",
@@ -62,3 +59,9 @@ def test_every_public_name_resolves():
 def test_acyclic_matching_is_its_pair_and_matched_cells():
     # The critical cells follow from these two, so they are not a field.
     assert tuple(f.name for f in dataclasses.fields(topsym.AcyclicMatching)) == ("pair", "matched")
+
+
+def test_truncated_double_keeps_only_what_its_callers_read():
+    # The copies are the domain relabeled by ``labels``, so they are not a field.
+    fields = tuple(f.name for f in dataclasses.fields(topsym.TruncatedDouble))
+    assert fields == ("total", "exit_boundary", "entry_boundary", "tops", "labels")

@@ -1,8 +1,11 @@
 """The benchmark's span tracing wraps topsym callables by name.
 
 The tier-1 suite does not collect ``bench/``, so a rename that breaks
-``bench/run.py --trace 1`` has to fail here.  The check only resolves
-the names; it installs no wrapper.  A seeded round of each workload
+``bench/run.py --trace 1`` has to fail here.  One check resolves the
+names; another installs the tracer in a child process, so that a binding
+moved between modules fails as it would in the benchmark, and checks
+that a ``verify`` and a ``double`` request each record a double span.
+A seeded round of each workload
 also runs here, through ``topsym.cli.main`` in this process, and the
 doubles of the homology workloads' inputs are checked to derive the
 chain table their total's faces build.
@@ -11,6 +14,9 @@ chain table their total's faces build.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,24 @@ from topsym import complexes
 from topsym.cli import main, parse_space_file
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
+
+# Run in a child: ``install`` rebinds topsym's functions for the whole process.
+TRACED_REQUESTS = """
+import contextlib, io, json, sys
+import tracing
+from topsym.cli import main
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+spans = {}
+for argv in (["verify", "disk_half_split", "--json"], ["double", "disk_half_split", "-o", sys.argv[1]]):
+    before = tracer.calls["spaces.double"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    spans[argv[0]] = tracer.calls["spaces.double"] - before
+print(json.dumps(spans))
+"""
 
 
 def load_tracing():
@@ -37,6 +61,16 @@ def test_every_traced_target_resolves():
     for key, cls, name, _ in methods:
         # ``install`` reads methods from the class dictionary itself.
         assert name in vars(cls), (key, cls.__name__, name)
+
+
+def test_installed_tracer_records_the_double_of_each_request(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(BENCH), str(SRC)))}
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_REQUESTS, str(tmp_path / "double.json")],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"verify": 1, "double": 1}
 
 
 @pytest.mark.parametrize("workload", ["analyze-mix", "verify-mix", "double-large"])

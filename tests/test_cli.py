@@ -20,7 +20,7 @@ from topsym import (
     cli,
     complexes,
     exactness,
-    spaces,
+    glued,
 )
 from topsym.cli import (
     EXIT_ASSERT_FAILED,
@@ -453,7 +453,7 @@ def count_chain_tables(monkeypatch):
         return counted_derive
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted_build)
-    monkeypatch.setattr(spaces, "_total_table", counted(spaces._total_table))
+    monkeypatch.setattr(glued, "_total_table", counted(glued._total_table))
     return built, derived
 
 
@@ -488,9 +488,6 @@ class TestRequestLifetime:
         assert list(map(id, derived)) == [id(double.total)]
         expected = [split.domain]
         if command == "verify":
-            # Both entries have an empty interface and labels 0..n-1, so
-            # copy A of the double is the domain and shares its table.
-            assert double.copy_a is split.domain
             expected += [split.positive, split.negative, double.exit_boundary]
         made = built + derived
         assert len({id(cx) for cx in made}) == len(made)
@@ -502,8 +499,8 @@ class TestRequestLifetime:
 
     def test_verify_derives_only_the_totals_table_of_a_relabeled_double(self, monkeypatch, capsys):
         # The file's labels are not 0..n-1 and its interface is nonempty,
-        # so copy A is not the domain; still neither copy has a table, and
-        # the total derives its own.
+        # so both copies relabel the domain; still neither copy's faces
+        # get a table, and the total derives its own.
         splits = []
         built, derived = count_chain_tables(monkeypatch)
         load = cli.load_space
@@ -519,9 +516,10 @@ class TestRequestLifetime:
         split, = splits
         double = split.double
         assert sorted(split.domain.vertices) != list(range(len(split.domain.vertices)))
-        assert len(split.interface) > 0 and double.copy_a is not split.domain
+        copies = [split.domain.relabel(label).faces for label in double.labels]
+        assert len(split.interface) > 0 and split.domain.faces not in copies
         assert list(map(id, derived)) == [id(double.total)]
-        assert not [cx for cx in built if cx.faces in (double.copy_a.faces, double.copy_b.faces, double.total.faces)]
+        assert not [cx for cx in built if cx.faces in (*copies, double.total.faces)]
 
     def test_verify_builds_no_table_twice_for_equal_faces(self, monkeypatch, capsys):
         built, derived = count_chain_tables(monkeypatch)

@@ -17,6 +17,7 @@ from conftest import (
     hollow_triangle,
     random_pairs,
     random_subcomplex,
+    reference_double,
 )
 from topsym import (
     BoundarySplit,
@@ -37,7 +38,6 @@ from topsym.complexes import boundary_chain
 from topsym.exactness import (
     connecting_map,
     excision_check,
-    induced_map,
     lefschetz_duality_check,
     les_exactness_check,
     mayer_vietoris_check,
@@ -45,44 +45,6 @@ from topsym.exactness import (
 from topsym.spaces import catalog_splits
 
 SPACES = Path(__file__).with_name("spaces")
-
-
-class TestInducedMap:
-    def test_identity_inclusion_gives_identity_matrices(self):
-        disk = cone(hollow_triangle())
-        pair = ComplexPair(disk, hollow_triangle())
-        m = induced_map(pair, pair)
-        for k in range(disk.dim + 1):
-            mat = m.matrix(k)
-            assert mat.n_rows == mat.n_cols
-            assert mat.columns == tuple(1 << i for i in range(mat.n_rows))
-
-    def test_circle_into_disk_kills_degree_one(self):
-        circle = hollow_triangle()
-        disk = cone(circle)
-        m = induced_map(ComplexPair.absolute(circle), ComplexPair.absolute(disk))
-        mat = m.matrix(1)
-        assert (mat.n_rows, mat.n_cols) == (0, 1)
-        assert m.rank(1) == 0
-        # The mapped 1-cycle bounds in the disk; the witness is the
-        # bounding 2-chain, and its boundary is exactly the cycle.
-        witness = m.witnesses[1][0]
-        source_cycle = m.source.representatives(1)[0]
-        assert witness
-        assert boundary_chain(witness, frozenset(), augmented=False) == source_cycle
-
-    def test_point_into_two_points_has_rank_one(self):
-        point = build_complex([(0,)])
-        two = build_complex([(0,), (1,)])
-        m = induced_map(ComplexPair.absolute(point), ComplexPair.absolute(two))
-        assert m.rank(0) == 1
-
-    def test_non_inclusion_rejected(self):
-        with pytest.raises(InputError):
-            induced_map(
-                ComplexPair.absolute(build_complex([(5,)])),
-                ComplexPair.absolute(build_complex([(0,)])),
-            )
 
 
 class TestConnectingMap:
@@ -221,11 +183,18 @@ class TestRandomPairs:
                 assert witness <= pair.sub.faces
 
 
+def mayer_vietoris_of_double(split):
+    """``mayer_vietoris_check`` on the copies of the double of ``split``
+    and their exit parts, from the reference double, whose total and exit
+    boundary are checked to be the double's; with the reference parts."""
+    d, parts = truncated_double(split), reference_double(split)
+    assert (parts["total"], parts["exit_boundary"]) == (d.total, d.exit_boundary)
+    return mayer_vietoris_check(*(parts[p] for p in ("total", "copy_a", "copy_b", "exit_a", "exit_b"))), parts
+
+
 class TestMayerVietoris:
     def test_two_disks_sharing_two_vertices(self):
-        split = builtin_example("disk_half_split")
-        d = truncated_double(split)
-        report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
+        report, _ = mayer_vietoris_of_double(builtin_example("disk_half_split"))
         assert report.overlap_trivial
         assert report.passed is True
         assert report.total_table.total() == 0
@@ -241,8 +210,7 @@ class TestMayerVietoris:
 
     def test_two_disjoint_disks_double_count(self):
         split = builtin_example("reeb_ball_1")
-        d = truncated_double(split)
-        report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
+        report, _ = mayer_vietoris_of_double(split)
         assert report.passed is True
         assert report.total_table.dim(0) == 2 == 2 * betti(split.positive_pair()).dim(0)
 
@@ -269,9 +237,8 @@ class TestMayerVietoris:
         # parts, so the overlap pair has no homology: on a truncated
         # double the suite can never report an obstruction.
         split = load_space(str(SPACES / space) if space.endswith(".json") else space)[1]
-        d = split.double
-        assert d.copy_a.intersection(d.copy_b) == d.interface_image == d.exit_a.intersection(d.exit_b)
-        report = mayer_vietoris_check(d.total, d.copy_a, d.copy_b, d.exit_a, d.exit_b)
+        report, d = mayer_vietoris_of_double(split)
+        assert d["copy_a"].intersection(d["copy_b"]) == d["interface_image"] == d["exit_a"].intersection(d["exit_b"])
         assert report.overlap_trivial and report.passed is True
 
 

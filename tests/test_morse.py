@@ -5,7 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_pairs, hollow_triangle, reference_hasse, reference_matching, reference_morse_boundaries
+from conftest import (
+    corpus_pairs,
+    euler_characteristic,
+    full_double,
+    hollow_triangle,
+    reference_hasse,
+    reference_matching,
+    reference_morse_boundaries,
+)
 from test_complexes import random_pairs
 from topsym import (
     ComplexPair,
@@ -16,7 +24,6 @@ from topsym import (
     build_complex,
     builtin_example,
     cone,
-    euler_characteristic,
 )
 from topsym import cli, complexes, glued
 from topsym.cli import EXIT_OK, main
@@ -292,7 +299,6 @@ class TestMorseBetti:
 
     def test_torus_from_doubling(self):
         from topsym.spaces import _ring_annulus
-        from topsym import full_double
 
         torus = full_double(_ring_annulus())
         pair = ComplexPair.absolute(torus)

@@ -27,6 +27,7 @@ from topsym import (
     connecting_map,
     exactness,
     gf2,
+    glued,
     les_exactness_check,
     morse,
     spaces,
@@ -240,7 +241,7 @@ def test_verify_checks_the_identities_once_per_chain_table(monkeypatch, capsys, 
         return check(rows)
 
     monkeypatch.setattr(complexes, "_build_chain_table", counted(complexes._build_chain_table))
-    monkeypatch.setattr(spaces, "_total_table", counted(spaces._total_table))
+    monkeypatch.setattr(glued, "_total_table", counted(glued._total_table))
     monkeypatch.setattr(complexes, "_check_identities", counted_check)
     assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
@@ -475,7 +476,7 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
         raise AssertionError("a chain table was made")
 
     monkeypatch.setattr(complexes, "_build_chain_table", refuse)
-    monkeypatch.setattr(spaces, "_total_table", refuse)
+    monkeypatch.setattr(glued, "_total_table", refuse)
     for space in ["annulus_split", "disk_half_split", "reeb_ball_2", *sorted(SPACES.glob("*.json"))]:
         assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
         assert made == [], space
