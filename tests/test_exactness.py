@@ -96,6 +96,24 @@ class TestLesExactness:
         report = les_exactness_check(ComplexPair(cone(circle), circle))
         assert report.passed
 
+    def test_the_circle_class_dies_in_the_disk(self):
+        # The map induced by inclusion is the LES's first map, and its
+        # rank is the incoming rank at the ambient slot of each degree.
+        circle = hollow_triangle()
+        report = les_exactness_check(ComplexPair(cone(circle), circle))
+        into_ambient = {s.degree: s.incoming_rank for s in report.slots if s.at == "ambient"}
+        sub_dims = {s.degree: s.middle_dim for s in report.slots if s.at == "sub"}
+        assert sub_dims[1] == 1 and into_ambient[1] == 0
+        # So the connecting map onto the circle's class is onto.
+        assert {s.degree: s.outgoing_rank for s in report.slots if s.at == "pair"}[2] == 1
+
+    def test_two_points_into_three_points_has_rank_one(self):
+        two = build_complex([(0,), (1,)])
+        report = les_exactness_check(ComplexPair(build_complex([(0,), (1,), (2,)]), two))
+        ambient = {s.degree: s for s in report.slots if s.at == "ambient"}
+        assert (ambient[0].middle_dim, ambient[0].incoming_rank) == (2, 1)
+        assert report.passed
+
     def test_pair_with_itself_passes_with_zero_relative(self):
         cx = builtin_example("projective_plane")
         pair = ComplexPair(cx, cx)

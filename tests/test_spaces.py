@@ -160,6 +160,21 @@ class TestTruncatedDouble:
                 assert glued_cx == cx.relabel(label_a).union(cx.relabel(label_b)), name
             assert split.interface.relabel(label_a) == split.interface.relabel(label_b), name
 
+    def test_tops_are_the_totals_top_simplices(self):
+        for name, split in catalog_splits().items():
+            d = truncated_double(split)
+            assert d.tops == d.total.simplices(split.domain.dim), name
+            assert set(d.tops) == {s for copy in images(d, split.domain) for s in copy.simplices(split.domain.dim)}, name
+
+    def test_region_faces_are_the_totals_own_tuples(self):
+        # A face is stored once: each boundary holds the very tuples the
+        # total holds, not equal copies.
+        for name, split in catalog_splits().items():
+            d = truncated_double(split)
+            stored = {f: f for f in d.total.faces}
+            for region in (d.exit_boundary, d.entry_boundary):
+                assert all(stored[f] is f for f in region.faces), name
+
     def test_each_request_builds_one_double(self, monkeypatch, capsys):
         # verify runs analyze and then the suites; both read the same double.
         calls = []
