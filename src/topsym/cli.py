@@ -278,7 +278,7 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     del exit_les
 
     report = analyze_action(split)
-    morse = all(morse_betti(build_matching(p)).same_dims(betti(p)) for p in pairs)
+    morse = all(morse_betti(build_matching(p)) == betti(p) for p in pairs)
     passed = {"les": exact, "mayer_vietoris": excision, "factor2": report.factor2_passed, "morse": morse}
     return {"duality": report.duality_status, **{suite: "pass" if ok else "fail" for suite, ok in passed.items()}}
 

@@ -12,8 +12,8 @@ a truncated double's total derives its own from the domain's table
 (``_check_identities``).  A pair (X, A) reads X's table with A's cells
 masked out, the quotient chain complex, and hands its boundary columns
 to ``Reduction`` as the positions of their unmasked facets.  Reduced
-homology leaves degree -1 unmasked: the empty complex has reduced
-homology {-1: 1}.
+homology (``augmented``) leaves degree -1 unmasked: the empty complex
+has reduced homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
 extraction, strong connectivity, the chain table's facet rows) take the
@@ -246,12 +246,11 @@ def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, 
 class BettiTable:
     """Dimension table of a homology computation; zero entries are dropped."""
 
-    flavor: str
     entries: tuple  # sorted ((degree, dim), ...)
 
     @classmethod
-    def from_dict(cls, flavor: str, dims: Dict[int, int]) -> "BettiTable":
-        return cls(flavor, tuple(sorted((k, d) for k, d in dims.items() if d)))
+    def from_dict(cls, dims: Dict[int, int]) -> "BettiTable":
+        return cls(tuple(sorted((k, d) for k, d in dims.items() if d)))
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.entries)
@@ -262,18 +261,14 @@ class BettiTable:
     def total(self) -> int:
         return sum(d for _, d in self.entries)
 
-    def same_dims(self, other: "BettiTable") -> bool:
-        """Degreewise equality, ignoring the flavor tag."""
-        return self.entries == other.entries
-
     def scaled(self, factor: int) -> "BettiTable":
-        return BettiTable(self.flavor, tuple((k, factor * d) for k, d in self.entries))
+        return BettiTable(tuple((k, factor * d) for k, d in self.entries))
 
     def added(self, other: "BettiTable") -> "BettiTable":
         dims = self.as_dict()
         for k, d in other.entries:
             dims[k] = dims.get(k, 0) + d
-        return BettiTable.from_dict(self.flavor, dims)
+        return BettiTable.from_dict(dims)
 
 
 def boundary_chain(chain: Iterable[Simplex], drop: frozenset, augmented: bool) -> Chain:
@@ -296,17 +291,15 @@ def boundary_chain(chain: Iterable[Simplex], drop: frozenset, augmented: bool) -
 class HomologyBasis:
     """Chain complex of a pair with homology bases and class arithmetic.
 
-    Cells in degree k are the relative k-cells in sorted order; in
-    augmented (reduced) mode degree -1 holds the empty simplex.  The
-    representatives are the kernels of ``_reductions``; appended to the
-    reduction of d_{k+1}, they express classes reproducibly.
-    The basis records its Betti table where ``betti`` reads it, and a
-    table ``betti`` recorded first must be the same.
+    Cells in degree k are the relative k-cells in sorted order; with
+    ``augmented`` (reduced homology, as in ``betti``) degree -1 holds
+    the empty simplex.  The representatives are the kernels of
+    ``_reductions``; appended to the reduction of d_{k+1}, they express
+    classes reproducibly.  The basis records its Betti table where
+    ``betti`` reads it, and a table ``betti`` recorded first must equal it.
     """
 
     def __init__(self, pair: ComplexPair, augmented: bool = False):
-        if augmented and len(pair.sub) > 0:
-            raise InputError("reduced homology is defined for a bare complex, not a genuine pair")
         self.pair = pair
         self.augmented = augmented
         self.min_degree = -1 if augmented else 0
@@ -325,8 +318,8 @@ class HomologyBasis:
                 raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
             self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in lower.kernel]
             self._classes[k], upper = upper, lower
-        memo, entries = pair.ambient._chain_table[2], self.betti().entries
-        if memo.setdefault((pair.sub.faces, augmented), entries) != entries:
+        memo, table = pair.ambient._chain_table[2], self.betti()
+        if memo.setdefault((pair.sub.faces, augmented), table) != table:
             raise AssertionError("the basis and the rank-only pass give different Betti tables")
 
     # -- cell bookkeeping ------------------------------------------------
@@ -372,8 +365,7 @@ class HomologyBasis:
         return len(self._reps.get(k, []))
 
     def betti(self) -> BettiTable:
-        flavor = "reduced" if self.augmented else ("relative" if len(self.pair.sub) else "absolute")
-        return BettiTable.from_dict(flavor, {k: self.betti_dim(k) for k in self.degrees()})
+        return BettiTable.from_dict({k: self.betti_dim(k) for k in self.degrees()})
 
     def is_cycle(self, k: int, chain: Chain) -> bool:
         return not boundary_chain(chain, self.pair.sub.faces, self.augmented)
@@ -447,7 +439,10 @@ def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[
     0 up: the ambient's table with the subcomplex's cells masked out and
     the rest renumbered in order.  Column j is the boundary of cell j, as
     the positions of its unmasked facets one degree down, from the
-    highest; ``Reduction`` turns it into bits only if it meets a pivot."""
+    highest; ``Reduction`` turns it into bits only if it meets a pivot.
+    Reduced homology of a genuine pair is refused here, for both callers."""
+    if augmented and len(pair.sub) > 0:
+        raise InputError("reduced homology is defined for a bare complex, not a genuine pair")
     table, rows, _ = pair.ambient._chain_table
     sub = pair.sub.faces  # empty in reduced homology
     cells, columns = ({-1: table[-1]}, {-1: [()]}) if augmented else ({}, {})
@@ -500,29 +495,24 @@ def _reductions(columns: Dict[int, List[Column]], track: bool = True) -> Iterato
         yield k, lower
 
 
-def betti(pair: ComplexPair, flavor: str = "relative") -> BettiTable:
-    """Betti table of a pair in the requested flavor: dim H_k is the
-    nullity left in degree k by the rank-only ``_reductions``, which
-    keep no combinations.
+def betti(pair: ComplexPair, *, augmented: bool = False) -> BettiTable:
+    """Betti table of a pair: dim H_k is the nullity left in degree k by
+    the rank-only ``_reductions``, which keep no combinations.
 
-    ``relative`` with an empty subcomplex coincides with ``absolute``;
-    ``reduced`` appends the augmentation row and requires an empty
-    subcomplex.  The table is kept in the ambient's chain table, keyed
-    by the subcomplex's faces and the flavor, so it goes with the complex.
+    An empty subcomplex gives the absolute homology of the ambient;
+    ``augmented`` appends the augmentation row for reduced homology, as
+    in ``HomologyBasis``, and requires an empty subcomplex.  The table
+    is kept in the ambient's chain table, keyed by the subcomplex's
+    faces and ``augmented``, so it goes with the complex.
     """
-    if flavor not in ("absolute", "relative", "reduced"):
-        raise InputError("unknown flavor %r" % (flavor,))
-    augmented = flavor == "reduced"
-    if augmented and len(pair.sub) > 0:
-        raise InputError("reduced flavor requested on a genuine pair")
     memo, key = pair.ambient._chain_table[2], (pair.sub.faces, augmented)
     if key not in memo:
         dims = {}
         for k, lower in _reductions(_chain_columns(pair, augmented)[1], track=False):
             dims[k] = lower.nullity
             del lower  # its pivots go before the next degree is reduced
-        memo[key] = BettiTable.from_dict(flavor, dims).entries
-    return BettiTable(flavor, memo[key])
+        memo[key] = BettiTable.from_dict(dims)
+    return memo[key]
 
 
 def check_pure(complex_: SimplicialComplex) -> int:

@@ -187,7 +187,7 @@ class MayerVietorisReport:
         """True/False when the overlap vanishes; None when obstructed."""
         if not self.overlap_trivial:
             return None
-        return self.total_table.same_dims(self.parts_table)
+        return self.total_table == self.parts_table
 
 
 def mayer_vietoris_check(

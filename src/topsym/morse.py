@@ -195,7 +195,7 @@ class MorseComplexData:
     def betti(self) -> BettiTable:
         ranks = {k: mat.rank() for k, mat in self.boundaries.items()}
         dims = {k: self.boundaries[k].n_cols - ranks[k] - ranks.get(k + 1, 0) for k in self.critical}
-        return BettiTable.from_dict("relative", dims)
+        return BettiTable.from_dict(dims)
 
     def counts(self) -> Dict[int, int]:
         return {k: len(v) for k, v in self.critical.items()}

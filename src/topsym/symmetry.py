@@ -30,13 +30,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
-    symmetric: bool
     shifts: Tuple[int, ...]
     witness: Optional[Witness] = None
 
-    def __post_init__(self):
-        if self.symmetric != bool(self.shifts):
-            raise InputError("verdict flag disagrees with shift list")
+    @property
+    def symmetric(self) -> bool:
+        return bool(self.shifts)
 
 
 def check_symmetry(table: BettiTable) -> SymmetryVerdict:
@@ -47,14 +46,14 @@ def check_symmetry(table: BettiTable) -> SymmetryVerdict:
     """
     dims = table.as_dict()
     if not dims:
-        return SymmetryVerdict(True, (0,))
+        return SymmetryVerdict((0,))
     lo, hi = min(dims), max(dims)
     candidate = lo + hi
     for k in range(lo, hi + 1):
         left, right = dims.get(k, 0), dims.get(candidate - k, 0)
         if left != right:
-            return SymmetryVerdict(False, (), Witness(candidate, k, left, right))
-    return SymmetryVerdict(True, (candidate,))
+            return SymmetryVerdict((), Witness(candidate, k, left, right))
+    return SymmetryVerdict((candidate,))
 
 
 def check_sphere_action(region: SimplicialComplex) -> SymmetryVerdict:
@@ -64,23 +63,24 @@ def check_sphere_action(region: SimplicialComplex) -> SymmetryVerdict:
     canonical symmetric verdict with shift -2; this keeps the shift of
     the cone-pair formulation exactly two above the reduced shift.
     """
-    return check_symmetry(betti(ComplexPair.absolute(region), "reduced"))
+    return check_symmetry(betti(ComplexPair.absolute(region), augmented=True))
 
 
 @dataclass(frozen=True)
 class RolledTable:
-    """Dimensions summed over residue classes modulo an even modulus."""
+    """Dimensions summed over residue classes, one entry per residue."""
 
-    modulus: int
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.modulus < 2 or self.modulus % 2:
+        if len(self.entries) < 2 or len(self.entries) % 2:
             raise InputError("modulus must be a positive even number")
-        if len(self.entries) != self.modulus:
-            raise InputError("need exactly one entry per residue")
         if any(e < 0 for e in self.entries):
             raise InputError("entries must be nonnegative")
+
+    @property
+    def modulus(self) -> int:
+        return len(self.entries)
 
     def total(self) -> int:
         return sum(self.entries)
@@ -99,27 +99,22 @@ def roll_up(table: BettiTable, min_chern: int) -> RolledTable:
     entries = [0] * modulus
     for k, d in table.entries:
         entries[k % modulus] += d
-    return RolledTable(modulus, tuple(entries))
+    return RolledTable(tuple(entries))
 
 
 def check_symmetry_rolled(rolled: RolledTable) -> SymmetryVerdict:
-    """Cyclic palindrome verdict; every residue is a candidate shift."""
-    modulus = rolled.modulus
-    shifts = []
-    first_witness = None
-    for m in range(modulus):
-        bad = None
-        for k in range(modulus):
-            if rolled.entries[k] != rolled.entries[(m - k) % modulus]:
-                bad = Witness(m, k, rolled.entries[k], rolled.entries[(m - k) % modulus])
-                break
-        if bad is None:
-            shifts.append(m)
-        elif first_witness is None:
-            first_witness = bad
+    """Cyclic palindrome verdict; every residue is a candidate shift.
+
+    Shift m holds when the entries equal their reverse rotated to start
+    at M - 1 - m, one tuple comparison, tried only if e[m] = e[0].  With
+    no shift, the witness is shift 0's first failing residue.
+    """
+    e, last, back = rolled.entries, rolled.modulus - 1, rolled.entries[::-1]
+    shifts = tuple(m for m in range(last + 1) if e[m] == e[0] and e == back[last - m :] + back[: last - m])
     if shifts:
-        return SymmetryVerdict(True, tuple(shifts))
-    return SymmetryVerdict(False, (), first_witness)
+        return SymmetryVerdict(shifts)
+    k = next(k for k in range(last + 1) if e[k] != e[-k])
+    return SymmetryVerdict((), Witness(0, k, e[k], e[-k]))
 
 
 @dataclass(frozen=True)
@@ -133,12 +128,11 @@ class ActionReport:
     negative_verdict: SymmetryVerdict
     duality: Optional[DualityReport]  # None when the domain fails the pseudomanifold check
     factor2_total: BettiTable
-    factor2_doubled: BettiTable
     rolled: Optional[Tuple[RolledTable, SymmetryVerdict]]  # positive table rolled when asked
 
     @property
     def factor2_passed(self) -> bool:
-        return self.factor2_total.same_dims(self.factor2_doubled)
+        return self.factor2_total == self.positive_table.scaled(2)
 
     @property
     def duality_status(self) -> str:
@@ -173,6 +167,5 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
         negative_verdict=check_symmetry(negative_table),
         duality=duality,
         factor2_total=factor2_total,
-        factor2_doubled=positive_table.scaled(2),
         rolled=rolled,
     )

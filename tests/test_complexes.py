@@ -1,6 +1,7 @@
 """Complexes, pairs, and Betti tables against hand-checked values."""
 
 import importlib
+import inspect
 import random
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from conftest import (
     reference_composition_check,
 )
 from topsym import (
+    BettiTable,
     ComplexPair,
     HomologyBasis,
     InputError,
@@ -45,8 +47,8 @@ from topsym.spaces import BoundarySplit, catalog_splits, truncated_double
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def table(pair, flavor="relative"):
-    return betti(pair, flavor).as_dict()
+def table(pair, augmented=False):
+    return betti(pair, augmented=augmented).as_dict()
 
 
 class TestBuildComplex:
@@ -177,13 +179,13 @@ class TestChainComplex:
 class TestBetti:
     def test_octahedron_absolute(self):
         pair = ComplexPair.absolute(cross_polytope_sphere(2))
-        assert table(pair, "absolute") == {0: 1, 2: 1}
+        assert table(pair) == {0: 1, 2: 1}
 
     def test_octahedron_reversed_labels_agree(self):
         # Second computation with reversed vertex order as the oracle.
         cx = cross_polytope_sphere(2)
         relabeled = cx.relabel({v: 5 - v for v in cx.vertices})
-        assert table(ComplexPair.absolute(relabeled), "absolute") == {0: 1, 2: 1}
+        assert table(ComplexPair.absolute(relabeled)) == {0: 1, 2: 1}
 
     def test_disk_rel_boundary(self):
         disk = cone(hollow_triangle())
@@ -194,27 +196,41 @@ class TestBetti:
 
     def test_point_reduced_is_zero(self):
         pair = ComplexPair.absolute(build_complex([(0,)]))
-        assert table(pair, "reduced") == {}
+        assert table(pair, augmented=True) == {}
 
     def test_empty_complex_reduced_has_degree_minus_one(self):
         pair = ComplexPair.absolute(SimplicialComplex.empty())
-        assert table(pair, "reduced") == {-1: 1}
+        assert table(pair, augmented=True) == {-1: 1}
 
     def test_relative_with_empty_sub_equals_absolute(self):
         for name, pair in corpus_pairs().items():
             if len(pair.sub) == 0:
-                rel = betti(pair, "relative")
-                absolute = betti(pair, "absolute")
-                assert rel.same_dims(absolute), name
+                absolute = HomologyBasis(ComplexPair.absolute(SimplicialComplex(pair.ambient.faces))).betti()
+                assert betti(pair) == absolute, name
 
     def test_reduced_on_genuine_pair_rejected(self):
+        # ``betti`` and ``HomologyBasis`` refuse it with the one error.
         pair = ComplexPair(hollow_triangle(), build_complex([(0,)]))
-        with pytest.raises(InputError):
-            betti(pair, "reduced")
+        message = "reduced homology is defined for a bare complex, not a genuine pair"
+        with pytest.raises(InputError, match=message):
+            betti(pair, augmented=True)
+        with pytest.raises(InputError, match=message):
+            HomologyBasis(pair, augmented=True)
 
     def test_reduced_drops_one_component(self):
         two = build_complex([(0,), (1,)])
-        assert table(ComplexPair.absolute(two), "reduced") == {0: 1}
+        assert table(ComplexPair.absolute(two), augmented=True) == {0: 1}
+
+    def test_the_switch_is_keyword_only(self):
+        pair = ComplexPair.absolute(hollow_triangle())
+        with pytest.raises(TypeError):
+            betti(pair, "reduced")
+        params = inspect.signature(betti).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            ("pair", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("augmented", inspect.Parameter.KEYWORD_ONLY, False),
+        ]
+
 
 
 class TestBoundaryChain:
@@ -287,12 +303,12 @@ class TestRankPass:
 
     def check_against_bases_and_morse(self, pair, label):
         table, basis = betti(pair), HomologyBasis(pair)
-        assert table.same_dims(basis.betti()), label
-        assert table.same_dims(morse_betti(build_matching(pair))), label
+        assert table == basis.betti(), label
+        assert table == morse_betti(build_matching(pair)), label
         plain = boundary_matrices_by_cell(pair, False)
         assert [basis.boundary_matrix(k) for k in basis.degrees()] == [plain[k] for k in sorted(plain)], label
         if len(pair.sub) == 0:
-            reduced = betti(pair, "reduced")
+            reduced = betti(pair, augmented=True)
             augmented = HomologyBasis(pair, augmented=True)
             assert reduced == augmented.betti(), label
             assert reduced.as_dict() == reduced_from_absolute(table), label
@@ -318,7 +334,7 @@ class TestRankPass:
             pair = ComplexPair(SimplicialComplex(pair.ambient.faces), pair.sub)
             betti(pair)
             if len(pair.sub) == 0:
-                betti(pair, "reduced")
+                betti(pair, augmented=True)
 
     def check_against_reference(self, pair, label):
         rng = random.Random(repr(label))
@@ -378,14 +394,17 @@ class TestRankOnly:
     def check(self, pair, label):
         fresh = ComplexPair(SimplicialComplex(pair.ambient.faces), pair.sub)  # no stored Betti tables
         for augmented in (False, True) if len(pair.sub) == 0 else (False,):
-            table = betti(fresh, "reduced" if augmented else "relative")
-            assert table.same_dims(HomologyBasis(pair, augmented).betti()), (label, augmented)
+            table = betti(fresh, augmented=augmented)
+            assert table == HomologyBasis(pair, augmented).betti(), (label, augmented)
             reps, _ = reference_basis(pair, augmented)
             assert table.as_dict() == {k: len(r) for k, r in reps.items() if r}, (label, augmented)
 
     def test_corpus_pairs(self):
+        # Absolute and reduced homology of bare complexes, relative
+        # homology of genuine pairs: the tables compare with ``==``.
         for name, pair in corpus_pairs().items():
             self.check(pair, name)
+        assert {len(pair.sub) > 0 for pair in corpus_pairs().values()} == {False, True}
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(random_pairs())
@@ -415,22 +434,22 @@ class TestBasisRecordsItsBettiTable:
 
     @pytest.mark.parametrize("name, augmented", CASES)
     def test_a_wrong_table_recorded_first_is_refused(self, name, augmented):
-        right = betti(self.fresh(name), "reduced" if augmented else "relative").entries
+        right = betti(self.fresh(name), augmented=augmented).entries
         wrongs = [(*right, (9, 1))]
         if right:
             (k, d), *rest = right
             wrongs += [((k, d + 1), *rest), tuple(rest)]
         for wrong in wrongs:
             pair = self.fresh(name)
-            pair.ambient._chain_table[2][(pair.sub.faces, augmented)] = wrong
+            pair.ambient._chain_table[2][(pair.sub.faces, augmented)] = BettiTable(wrong)
             with pytest.raises(AssertionError, match="the basis and the rank-only pass give different Betti tables"):
                 HomologyBasis(pair, augmented)
 
     @pytest.mark.parametrize("name, augmented", CASES)
     def test_a_table_betti_recorded_first_passes(self, name, augmented):
         pair = self.fresh(name)
-        table = betti(pair, "reduced" if augmented else "relative")
-        assert HomologyBasis(pair, augmented).betti().same_dims(table)
+        table = betti(pair, augmented=augmented)
+        assert HomologyBasis(pair, augmented).betti() == table
 
     @pytest.mark.parametrize("name, augmented", CASES)
     def test_betti_reads_the_table_a_basis_recorded(self, monkeypatch, name, augmented):
@@ -441,9 +460,8 @@ class TestBasisRecordsItsBettiTable:
             raise AssertionError("betti reduced a pair its basis had recorded")
 
         monkeypatch.setattr(complexes, "_reductions", refuse)
-        flavor = "reduced" if augmented else "relative"
-        assert betti(pair, flavor).same_dims(basis.betti())
-        assert betti(ComplexPair(pair.ambient, pair.sub), flavor).same_dims(basis.betti())
+        assert betti(pair, augmented=augmented) == basis.betti()
+        assert betti(ComplexPair(pair.ambient, pair.sub), augmented=augmented) == basis.betti()
 
 
 def composition_message(fn, *args):
@@ -647,7 +665,7 @@ class TestExcision:
                     smaller = excise(pair, simplex)
                 except InputError:
                     continue  # star leaves the subcomplex; not excisable
-                assert betti(smaller).same_dims(before), (name, simplex)
+                assert betti(smaller) == before, (name, simplex)
 
     def test_rejects_interior_star(self):
         disk = cone(hollow_triangle())
@@ -661,7 +679,7 @@ class TestExcision:
         pair = ComplexPair(cx, build_complex([(2,)]))
         smaller = excise(pair, (2,))
         assert (2,) not in smaller.ambient.faces
-        assert betti(smaller).same_dims(betti(pair))
+        assert betti(smaller) == betti(pair)
 
 
 class TestDualityOfDoubles:
@@ -690,7 +708,7 @@ class TestRelabeling:
             rng.shuffle(images)
             mapping = dict(zip(verts, images))
             relabeled = ComplexPair(pair.ambient.relabel(mapping), pair.sub.relabel(mapping))
-            assert betti(relabeled).same_dims(betti(pair)), name
+            assert betti(relabeled) == betti(pair), name
 
     def test_a_mapping_that_is_not_injective_reports_the_vertices(self):
         with pytest.raises(InputError) as caught:

@@ -126,7 +126,7 @@ class TestTruncatedDouble:
         for name, split in catalog_splits().items():
             d = truncated_double(split)
             doubled = betti(split.positive_pair()).scaled(2)
-            assert betti(d.exit_pair()).same_dims(doubled), name
+            assert betti(d.exit_pair()) == doubled, name
 
     def test_doubles_of_one_split_are_equal_and_hash_alike(self):
         # The labelings are dicts, so they stay out of equality and hashing.
@@ -139,7 +139,7 @@ class TestTruncatedDouble:
             d = truncated_double(split)
             original = betti(split.positive_pair())
             for copy, exit_part in zip(images(d, split.domain), images(d, split.positive)):
-                assert betti(ComplexPair(copy, exit_part)).same_dims(original), name
+                assert betti(ComplexPair(copy, exit_part)) == original, name
 
     def test_vertices_are_integers_in_copy_order(self):
         # Copy-A-only vertices, then the shared interface, then copy-B-only,
@@ -385,11 +385,9 @@ class TestRelabelingInvariance:
                 split.positive.relabel(mapping),
                 split.negative.relabel(mapping),
             )
-            assert betti(permuted.positive_pair()).same_dims(betti(split.positive_pair())), name
+            assert betti(permuted.positive_pair()) == betti(split.positive_pair()), name
             doubled = truncated_double(permuted)
-            assert betti(doubled.exit_pair()).same_dims(
-                betti(truncated_double(split).exit_pair())
-            ), name
+            assert betti(doubled.exit_pair()) == betti(truncated_double(split).exit_pair()), name
 
 
 def space_file_splits():

@@ -1,5 +1,8 @@
 """Verdicts: palindromic tables, reduced variant, rolled variant, pipeline."""
 
+import random
+from dataclasses import astuple
+
 import pytest
 
 from topsym import (
@@ -25,7 +28,7 @@ from topsym.symmetry import (
 
 
 def make_table(dims):
-    return BettiTable.from_dict("relative", dims)
+    return BettiTable.from_dict(dims)
 
 
 class TestCheckSymmetry:
@@ -90,7 +93,7 @@ class TestCheckSphereAction:
 
     def test_point_plus_circle(self):
         region = build_complex([(0,), (1, 2), (2, 3), (1, 3)])
-        reduced = betti(ComplexPair.absolute(region), "reduced")
+        reduced = betti(ComplexPair.absolute(region), augmented=True)
         assert reduced.as_dict() == {0: 1, 1: 1}
         verdict = check_sphere_action(region)
         assert verdict.symmetric and verdict.shifts == (1,)
@@ -106,7 +109,7 @@ class TestCheckSphereAction:
             "wedge": builtin_example("wedge_2_4"),
         }
         for name, region in regions.items():
-            reduced_table = betti(ComplexPair.absolute(region), "reduced")
+            reduced_table = betti(ComplexPair.absolute(region), augmented=True)
             reduced = check_sphere_action(region)
             pair = ComplexPair(cone(region), region)
             relative = check_symmetry(betti(pair))
@@ -156,22 +159,22 @@ class TestRollUp:
 class TestCheckSymmetryRolled:
     def test_modulus_two_always_symmetric(self):
         for entries in ((0, 0), (1, 0), (2, 3), (5, 5)):
-            verdict = check_symmetry_rolled(RolledTable(2, entries))
+            verdict = check_symmetry_rolled(RolledTable(entries))
             assert verdict.symmetric
             assert 0 in verdict.shifts
 
     def test_shift_zero_case(self):
-        verdict = check_symmetry_rolled(RolledTable(4, (1, 0, 2, 0)))
+        verdict = check_symmetry_rolled(RolledTable((1, 0, 2, 0)))
         assert verdict.symmetric and 0 in verdict.shifts
 
     def test_asymmetric_case(self):
-        verdict = check_symmetry_rolled(RolledTable(4, (1, 2, 0, 0)))
+        verdict = check_symmetry_rolled(RolledTable((1, 2, 0, 0)))
         assert not verdict.symmetric
         assert verdict.witness is not None
 
     def test_exhaustive_scan_agreement(self):
         for entries in ((1, 0, 2, 0), (1, 2, 0, 0), (1, 1, 1, 1), (0, 1, 0, 2)):
-            rolled = RolledTable(4, entries)
+            rolled = RolledTable(entries)
             valid = [
                 m
                 for m in range(4)
@@ -179,6 +182,45 @@ class TestCheckSymmetryRolled:
             ]
             verdict = check_symmetry_rolled(rolled)
             assert list(verdict.shifts) == valid
+
+    @staticmethod
+    def scan(entries):
+        """Shifts and witness by the residue-by-residue scan: every shift
+        in turn, and the first failing residue of the first failing shift."""
+        modulus, shifts, witness = len(entries), [], None
+        for m in range(modulus):
+            bad = next((k for k in range(modulus) if entries[k] != entries[(m - k) % modulus]), None)
+            if bad is None:
+                shifts.append(m)
+            elif witness is None:
+                witness = (m, bad, entries[bad], entries[(m - bad) % modulus])
+        return tuple(shifts), None if shifts else witness
+
+    def test_scan_oracle_agreement(self):
+        # Random tables over small values fail mostly; palindromes about a
+        # random shift, with an entry bumped or not, reach the symmetric
+        # verdicts and the late witnesses.
+        rng = random.Random(20)
+        for modulus in range(2, 25, 2):
+            for trial in range(60):
+                entries = [rng.randrange(3) for _ in range(modulus)]
+                if trial % 2:
+                    m = rng.randrange(modulus)
+                    entries = [max(entries[k], entries[(m - k) % modulus]) for k in range(modulus)]
+                    if trial % 4 == 3:
+                        entries[rng.randrange(modulus)] += 1
+                shifts, witness = self.scan(entries)
+                verdict = check_symmetry_rolled(RolledTable(tuple(entries)))
+                assert verdict.shifts == shifts, entries
+                assert verdict.symmetric == bool(shifts), entries
+                got = verdict.witness and astuple(verdict.witness)
+                assert got == witness, entries
+
+    def test_modulus_is_the_number_of_entries(self):
+        assert RolledTable((0,) * 6).modulus == 6
+        for entries in ((), (1,), (1, 2, 3)):
+            with pytest.raises(InputError, match="positive even"):
+                RolledTable(entries)
 
     def test_rolled_consistency_with_integer_verdict(self):
         dims = {0: 1, 1: 2, 2: 1}
