@@ -225,19 +225,20 @@ def _build_hasse(pair: ComplexPair) -> Tuple[Tuple[Simplex, ...], Dict[Simplex, 
 
     Each degree's facets come from one ``combinations`` pass over its
     cells taken last to first, so the reversed list holds each cell's
-    facets from the one that drops its first vertex.  A facet that is no
-    cell lies in the subcomplex or is the empty simplex, so only degrees
-    up to one above the subcomplex's top need filtering."""
+    facets from the one that drops its first vertex.  A vertex has no
+    facet cell; above, a facet that is no cell lies in the subcomplex, so
+    only a row up to one degree above its top that holds one is filtered."""
     groups = [pair.cells(k) for k in range(pair.ambient.dim + 1)]
     cells = tuple(chain.from_iterable(groups))
     index = dict(zip(cells, count()))
-    down: List[Tuple[int, ...]] = []
-    for k, group in enumerate(groups):
+    down: List[Tuple[int, ...]] = [()] * len(groups[0]) if groups else []
+    not_none = partial(operator.is_not, None)
+    for k, group in enumerate(groups[1:], 1):
         numbers = list(map(index.get, chain.from_iterable(map(combinations, reversed(group), repeat(k)))))
         numbers.reverse()
         rows = zip(*[iter(numbers)] * (k + 1))
         if k <= pair.sub.dim + 1:
-            rows = map(tuple, map(filter, repeat(partial(operator.is_not, None)), rows))
+            rows = (r if None not in r else tuple(filter(not_none, r)) for r in rows)
         down.extend(rows)
     return cells, index, down
 
@@ -299,7 +300,7 @@ class HomologyBasis:
     ``betti`` reads it, and a table ``betti`` recorded first must equal it.
     """
 
-    def __init__(self, pair: ComplexPair, augmented: bool = False):
+    def __init__(self, pair: ComplexPair, *, augmented: bool = False):
         self.pair = pair
         self.augmented = augmented
         self.min_degree = -1 if augmented else 0

@@ -127,13 +127,6 @@ class LesReport:
     def passed(self) -> bool:
         return all(s.exact for s in self.slots)
 
-    @property
-    def first_failure(self) -> Optional[SlotCheck]:
-        for s in self.slots:
-            if not s.exact:
-                return s
-        return None
-
 
 def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis] = None) -> LesReport:
     """Verify the reduced long exact sequence of the pair, slot by slot.

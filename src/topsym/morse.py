@@ -5,23 +5,19 @@ criticality, so the Morse chain complex computes the homology of the
 pair directly.  Matchings come from greedy coreduction (Mischaikow and
 Nanda, Discrete Comput. Geom. 2013): repeatedly pair a cell with its
 unique remaining facet, and when no such pair exists retire the first
-remaining cell (lowest dimension first) as critical.  The resulting
-matching is re-verified from scratch before use.
+remaining cell (lowest dimension first) as critical.
 
-The coreduction, the validation and the gradient flow read one numbered
-Hasse diagram per pair, built on first use and kept with the pair
-(``ComplexPair._hasse``): the non-exit cells sorted by dimension, then
-labels, and each cell's non-exit facets as cell numbers.  All three
-work on those numbers; simplices come back only in ``matched`` and
-``critical``.  The diagram is built from the pair's cells by its own
-``combinations`` pass over each degree, never from ``_faces_of`` or the
-chain table behind ``betti``, so that Morse homology stays an
-independent check of the rank pass.
-
-A matching is numbered and its V-path digraph peeled once, when it is
-made (``AcyclicMatching._gradient``).  The peeling order proves it
-acyclic and also orders the gradient flow: walked in reverse, each
-matched facet's flow is a sum of flows already known.
+Everything runs on cell numbers of one Hasse diagram per pair, built on
+first use and kept with the pair (``ComplexPair._hasse``): the non-exit
+cells sorted by dimension, then labels, and each cell's non-exit facets
+as numbers.  The diagram comes from its own ``combinations`` pass over
+each degree, never from ``_faces_of`` or the chain table behind
+``betti``, so Morse homology stays an independent check of the rank
+pass.  A matching is its matched facets and cofacets as numbers; the
+simplex pairs (``matched``) are built only when read, and a matching
+given as simplices is numbered first.  It is validated from scratch as
+it is made (``AcyclicMatching._gradient``), and the peeling order that
+proves its V-path digraph acyclic, walked in reverse, orders the flow.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import filterfalse
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import BettiTable, ComplexPair, Simplex
 from .errors import InputError, MatchingError
@@ -41,40 +37,55 @@ from .gf2 import Gf2Matrix
 
 @dataclass(frozen=True)
 class AcyclicMatching:
-    """A discrete gradient on the non-exit cells of a pair, validated as it
-    is numbered into the gradient the flow reads (``_gradient``)."""
+    """A discrete gradient on a pair's non-exit cells: each matched facet
+    and its cofacet, as numbers of the pair's Hasse diagram."""
 
     pair: ComplexPair
-    matched: frozenset  # pairs (facet, cofacet)
+    facets: Tuple[int, ...]
+    cofacets: Tuple[int, ...]  # the cofacet each facet is matched with
 
     def __post_init__(self):
         self._gradient
 
+    @classmethod
+    def from_simplices(cls, pair: ComplexPair, matched: Iterable[Tuple[Simplex, Simplex]]) -> "AcyclicMatching":
+        """The matching of the given (facet, cofacet) simplex pairs, with
+        a simplex that is no cell numbered -1, validated as numbered."""
+        matched, index, sub = list(matched), pair._hasse[1], pair.sub.faces
+        if any(low in sub or high in sub for low, high in matched):
+            raise MatchingError("matched pair touches the exit subcomplex")
+        facets = tuple(index.get(low, -1) for low, _ in matched)
+        return cls(pair, facets, tuple(index.get(high, -1) for _, high in matched))
+
     @cached_property
-    def _gradient(self) -> Tuple[Dict[int, int], List[int], List[int]]:
-        """The matched pairs as cell numbers, each facet to its cofacet;
-        the matched facets in V-path order; and the critical cells, the
-        unmatched ones, as ascending numbers."""
-        cells, index, down = self.pair._hasse
-        up: Dict[int, int] = {}
-        used = bytearray(len(cells))
-        for low, high in self.matched:
-            facet, cofacet = index.get(low), index.get(high)
-            if facet is None or cofacet is None:  # an exit cell, or no cell at all
-                sub = self.pair.sub.faces
-                if low in sub or high in sub:
-                    raise MatchingError("matched pair touches the exit subcomplex")
-                raise MatchingError("matched pair uses unknown cells")
-            if facet not in down[cofacet]:
-                raise MatchingError("%r is not a facet of %r" % (low, high))
-            if used[facet] or used[cofacet]:
-                raise MatchingError("cell matched twice")
-            used[facet] = used[cofacet] = 1
-            up[facet] = cofacet
-        order = _v_path_order(down, up)
+    def matched(self) -> frozenset:
+        """The matched pairs as simplices, (facet, cofacet)."""
+        cells = self.pair._hasse[0]
+        return frozenset(zip(map(cells.__getitem__, self.facets), map(cells.__getitem__, self.cofacets)))
+
+    @cached_property
+    def _gradient(self) -> Tuple[List[int], List[int], List[int]]:
+        """Each cell's matched cofacet or -1, the matched facets in V-path
+        order, and the critical (unmatched) cells in ascending order."""
+        cells, _, down = self.pair._hasse
+        facets, cofacets = self.facets, self.cofacets
+        if len(facets) != len(cofacets):
+            raise MatchingError("every matched facet needs one cofacet")
+        numbers = {*facets, *cofacets}
+        if numbers and (min(numbers) < 0 or max(numbers) >= len(cells)):
+            raise MatchingError("matched pair uses unknown cells")
+        if not all(map(operator.contains, map(down.__getitem__, cofacets), facets)):
+            low, high = next(p for p in zip(facets, cofacets) if p[0] not in down[p[1]])
+            raise MatchingError("%r is not a facet of %r" % (cells[low], cells[high]))
+        if len(numbers) != 2 * len(facets):
+            raise MatchingError("cell matched twice")
+        up = [-1] * len(cells)
+        for low, high in zip(facets, cofacets):
+            up[low] = high
+        order = _v_path_order(down, up, facets)
         if order is None:
             raise MatchingError("gradient path cycle among the matched cells: the reversed Hasse digraph has a cycle")
-        return up, order, list(compress(range(len(cells)), map(operator.not_, used)))
+        return up, order, list(filterfalse(numbers.__contains__, range(len(cells))))
 
     @cached_property
     def critical(self) -> Tuple[Simplex, ...]:
@@ -82,37 +93,38 @@ class AcyclicMatching:
         return tuple(map(self.pair._hasse[0].__getitem__, self._gradient[2]))
 
 
-def _v_path_order(down: List[Tuple[int, ...]], up: Dict[int, int]) -> Optional[List[int]]:
+def _v_path_order(down: List[Tuple[int, ...]], up: List[int], facets: Sequence[int]) -> Optional[List[int]]:
     """The matched facets of the V-path digraph in peeling order, or None
     when the digraph has a cycle.
 
-    ``down`` holds each cell's facets and ``up`` maps each matched facet
-    to its cofacet, all as cell numbers.  An arc runs from facet a to
-    facet b when a is matched up with some cofacet of which b is a
-    different facet and b is matched up too; acyclicity of the reversed
-    Hasse diagram is equivalent to this digraph being acyclic degree by
+    ``down`` holds each cell's facets, ``up`` each cell's matched
+    cofacet (-1 for a cell not matched up) and ``facets`` the cells
+    matched up, all as cell numbers.  An arc runs from facet a to facet
+    b when a is matched up with some cofacet of which b is a different
+    facet and b is matched up too; acyclicity of the reversed Hasse
+    diagram is equivalent to this digraph being acyclic degree by
     degree.  Each facet comes before every facet its arcs reach (Kahn).
     """
-    # Each matched facet is counted once as a facet of its own cofacet,
-    # on top of its incoming arcs, so it is ready at a count of one and
-    # peeling it takes that count to zero.  Only a cycle survives peeling.
-    counts = dict.fromkeys(up, 0)
-    for high in up.values():
+    # A matched facet counts its own cofacet on top of its incoming arcs,
+    # so it is ready at a count of one; only a cycle survives peeling.
+    # Every other cell starts at two and never falls below it.
+    counts = [2] * len(up)
+    for f in facets:
+        counts[f] = 0
+    for high in map(up.__getitem__, facets):
         for f in down[high]:
-            if f in counts:
-                counts[f] += 1
-    ready = [f for f in up if counts[f] == 1]
+            counts[f] += 1
+    ready = [f for f in facets if counts[f] == 1]
     order = []
     while ready:
         low = ready.pop()
         order.append(low)
         for nxt in down[up[low]]:
-            if nxt in counts:
-                n = counts[nxt] - 1
-                counts[nxt] = n
-                if n == 1:
-                    ready.append(nxt)
-    return order if len(order) == len(up) else None
+            n = counts[nxt] - 1
+            counts[nxt] = n
+            if n == 1:
+                ready.append(nxt)
+    return order if len(order) == len(facets) else None
 
 
 def _order(pair: ComplexPair, seed_order) -> Sequence[int]:
@@ -182,7 +194,7 @@ def build_matching(pair: ComplexPair, seed_order=None) -> AcyclicMatching:
             if n == 1:
                 queue.append(up)
 
-    return AcyclicMatching(pair, frozenset(zip(map(cells.__getitem__, lows), map(cells.__getitem__, highs))))
+    return AcyclicMatching(pair, tuple(lows), tuple(highs))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from .complexes import ComplexPair, SimplicialComplex, boundary_subcomplex, build_complex, check_face_count
 from .errors import InputError
@@ -267,9 +267,3 @@ def builtin_example(name: str) -> Union[SimplicialComplex, BoundarySplit]:
     raise InputError(
         "unknown catalog name %r; available: %s" % (name, ", ".join(CATALOG_NAMES))
     )
-
-
-def catalog_splits() -> Dict[str, BoundarySplit]:
-    """The boundary splits exercised by the verification suites."""
-    names = ("disk_half_split", "annulus_split", "reeb_ball_1", "reeb_ball_2", "brieskorn_2", "brieskorn_3")
-    return {n: builtin_example(n) for n in names}

@@ -20,7 +20,7 @@ from topsym import (
 from topsym.complexes import _trusted, boundary_chain
 from topsym.errors import InputError, MatchingError, PseudomanifoldError
 from topsym.gf2 import Gf2Matrix, Reduction
-from topsym.spaces import BoundarySplit, catalog_splits
+from topsym.spaces import BoundarySplit
 
 # Catalog complexes small enough to run every check on.
 CORPUS_COMPLEX_NAMES = (
@@ -38,6 +38,12 @@ CORPUS_COMPLEX_NAMES = (
     "klein_bottle",
     "projective_plane",
 )
+
+
+def catalog_splits():
+    """The catalog's boundary splits exercised by the verification suites."""
+    names = ("disk_half_split", "annulus_split", "reeb_ball_1", "reeb_ball_2", "brieskorn_2", "brieskorn_3")
+    return {n: builtin_example(n) for n in names}
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,9 @@ relative and reduced bases, the slots of the long exact sequences and
 the matrices and witnesses of the connecting maps; and an ``excision``
 record: per degree, the coordinates and witnesses of the positive
 pair's representatives pushed into the exit pair's basis through copy
-A's labels and through copy B's, as ``verify`` checks them.  A last ``gf2``
+A's labels and through copy B's, as ``verify`` checks them; and a
+``morse`` record: the critical cells per degree of each pair ``verify``
+matches, in the default order and in seed order 0.  A last ``gf2``
 record holds the kernel bases and preimages of seeded matrices.  Each
 record is one JSON line.  The script runs the commands in this process
 and imports ``topsym`` from the ``src`` directory beside ``tests``, so
@@ -57,8 +59,9 @@ from topsym import (  # noqa: E402
     les_exactness_check,
 )
 from topsym.exactness import excision_check  # noqa: E402
+from topsym.morse import build_matching, morse_complex  # noqa: E402
 from topsym.cli import load_space, main  # noqa: E402
-from topsym.spaces import catalog_splits  # noqa: E402
+from conftest import catalog_splits  # noqa: E402
 
 COMMANDS = (["analyze"], ["analyze", "--json"], ["verify"], ["verify", "--json"], ["double"])
 BENCH_INPUTS = (("analyze-mix", 20), ("verify-mix", 28), ("double-large", 6))
@@ -109,16 +112,23 @@ def representatives(basis):
     return [[k, chains(basis.representatives(k))] for k in basis.degrees() if basis.betti_dim(k)]
 
 
-def tracked(locator, cwd):
-    """The bases, exactness slots and connecting maps of a split's
-    positive, negative and exit pairs, and the reduced bases of its
-    domain, regions and total, or the refusal of its input."""
+def split_record(make, locator, cwd):
+    """``make(split)`` of the split at ``locator``, or the refusal of the
+    input."""
     try:
         with working_directory(cwd):
             _, split = load_space(locator)
-        double = split.double
+        split.double  # building the double may refuse the split
     except InputError as exc:
         return {"refused": str(exc)}
+    return make(split)
+
+
+def tracked(split):
+    """The bases, exactness slots and connecting maps of a split's
+    positive, negative and exit pairs, and the reduced bases of its
+    domain, regions and total."""
+    double = split.double
     pairs = {"positive": split.positive_pair(), "negative": split.negative_pair(), "exit": double.exit_pair()}
     bare = {"domain": split.domain, "positive": split.positive, "negative": split.negative, "total": double.total}
     record = {
@@ -144,17 +154,11 @@ def tracked(locator, cwd):
     return record
 
 
-def excision(locator, cwd):
+def excision(split):
     """Per degree of the exit pair's basis: its dimension, then the
     columns and witnesses of the positive representatives pushed through
-    copy A's labels, then those pushed through copy B's; or the refusal
-    of the input."""
-    try:
-        with working_directory(cwd):
-            _, split = load_space(locator)
-        double = split.double
-    except InputError as exc:
-        return {"refused": str(exc)}
+    copy A's labels, then those pushed through copy B's."""
+    double = split.double
     positive = HomologyBasis(split.positive_pair())
     reps = {k: positive.representatives(k) for k in positive.degrees()}
     report = excision_check(reps, double.labels, HomologyBasis(double.exit_pair()))
@@ -164,6 +168,19 @@ def excision(locator, cwd):
         columns, witnesses = list(matrix.columns), [chains(w) for w in report.witnesses[k]]
         record.append([k, matrix.n_rows, columns[:half], columns[half:], witnesses[:half], witnesses[half:]])
     return record
+
+
+def morse(split):
+    """Per distinct pair that ``verify`` matches (the negative pair is
+    left out when the regions are equal): the critical cells per degree
+    of its matching in the default order, then in seed order 0."""
+    pairs = {"positive": split.positive_pair(), "negative": split.negative_pair(), "exit": split.double.exit_pair()}
+    if split.negative.faces == split.positive.faces:
+        del pairs["negative"]
+    return {
+        name: [sorted(morse_complex(build_matching(pair, order)).critical.items()) for order in (None, 0)]
+        for name, pair in pairs.items()
+    }
 
 
 def seeded_matrices():
@@ -226,8 +243,9 @@ def dump(args, write=sys.stdout.write):
                 record = {"input": name, "command": " ".join(command)}
                 write(json.dumps({**record, "exit": code, "stdout": stdout, "stderr": stderr}) + "\n")
             if with_tracked:
-                write(json.dumps({"input": name, "command": "tracked", "record": tracked(locator, cwd)}) + "\n")
-                write(json.dumps({"input": name, "command": "excision", "record": excision(locator, cwd)}) + "\n")
+                for make in (tracked, excision, morse):
+                    record = split_record(make, locator, cwd)
+                    write(json.dumps({"input": name, "command": make.__name__, "record": record}) + "\n")
     write(json.dumps({"input": "seeded matrices", "command": "gf2", "record": seeded_matrices()}) + "\n")
 
 

@@ -10,7 +10,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from conftest import corpus_complexes, corpus_pairs, random_subcomplex, rank_by_subset_enumeration
+from conftest import catalog_splits, corpus_complexes, corpus_pairs, random_subcomplex, rank_by_subset_enumeration
 from topsym import (
     ComplexPair,
     Gf2Matrix,
@@ -23,7 +23,6 @@ from topsym.complexes import BettiTable, check_pseudomanifold
 from topsym.errors import PseudomanifoldError
 from topsym.exactness import lefschetz_duality_check, les_exactness_check
 from topsym.morse import build_matching, morse_betti
-from topsym.spaces import catalog_splits
 from topsym.symmetry import (
     RolledTable,
     analyze_action,
@@ -98,7 +97,7 @@ def test_les_exactness():
     with criterion("les exactness", 30.0):
         for name, pair in corpus_pairs().items():
             report = les_exactness_check(pair)
-            assert report.passed, (name, report.first_failure)
+            assert report.passed, (name, report.slots)
         rng = random.Random(20260810)
         spaces = [
             corpus_complexes()[n]
@@ -109,7 +108,7 @@ def test_les_exactness():
             assert len(ambient) <= 500
             sub = random_subcomplex(ambient, rng)
             report = les_exactness_check(ComplexPair(ambient, sub))
-            assert report.passed, report.first_failure
+            assert report.passed, report.slots
 
 
 def test_morse_to_singular():

@@ -52,8 +52,10 @@ PUBLIC_NAMES = [
 # The fields of every dataclass in ``topsym.__all__``, and of the records
 # that public functions return, named by module.
 PUBLIC_FIELDS = {
-    # The critical cells follow from these two.
-    "AcyclicMatching": ("pair", "matched"),
+    # The matched pairs are cell numbers of the pair's Hasse diagram, as
+    # the coreduction makes them and the validation and the flow read
+    # them; the simplex pairs (``matched``) and the critical cells follow.
+    "AcyclicMatching": ("pair", "facets", "cofacets"),
     # A table is its dimensions: which homology it holds is the caller's.
     "BettiTable": ("entries",),
     "BoundarySplit": ("domain", "positive", "negative"),

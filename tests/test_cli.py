@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import dump_outputs
-from conftest import grown_regions
+from conftest import catalog_splits, grown_regions
 from topsym import (
     InputError,
     SimplicialComplex,
@@ -32,7 +32,7 @@ from topsym.cli import (
     space_file_dict,
 )
 from topsym.complexes import MAX_FACES
-from topsym.spaces import BoundarySplit, catalog_splits
+from topsym.spaces import BoundarySplit
 from topsym.symmetry import MAX_MIN_CHERN
 
 SPACES = Path(__file__).with_name("spaces")

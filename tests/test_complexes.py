@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    catalog_splits,
     cell_counts,
     corpus_complexes,
     corpus_pairs,
@@ -41,7 +42,7 @@ from topsym import complexes
 from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_connected
 from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
-from topsym.spaces import BoundarySplit, catalog_splits, truncated_double
+from topsym.spaces import BoundarySplit, truncated_double
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -225,11 +226,15 @@ class TestBetti:
         pair = ComplexPair.absolute(hollow_triangle())
         with pytest.raises(TypeError):
             betti(pair, "reduced")
-        params = inspect.signature(betti).parameters.values()
-        assert [(p.name, p.kind, p.default) for p in params] == [
+        with pytest.raises(TypeError):
+            HomologyBasis(pair, "relative")
+        expected = [
             ("pair", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
             ("augmented", inspect.Parameter.KEYWORD_ONLY, False),
         ]
+        for function in (betti, HomologyBasis):
+            params = inspect.signature(function).parameters.values()
+            assert [(p.name, p.kind, p.default) for p in params] == expected, function
 
 
 
@@ -339,7 +344,7 @@ class TestRankPass:
     def check_against_reference(self, pair, label):
         rng = random.Random(repr(label))
         for augmented in (False, True) if len(pair.sub) == 0 else (False,):
-            basis = HomologyBasis(pair, augmented)
+            basis = HomologyBasis(pair, augmented=augmented)
             reps, express = reference_basis(pair, augmented)
             assert {k: basis.representatives(k) for k in basis.degrees()} == reps, (label, augmented)
             for k in basis.degrees():
@@ -395,7 +400,7 @@ class TestRankOnly:
         fresh = ComplexPair(SimplicialComplex(pair.ambient.faces), pair.sub)  # no stored Betti tables
         for augmented in (False, True) if len(pair.sub) == 0 else (False,):
             table = betti(fresh, augmented=augmented)
-            assert table == HomologyBasis(pair, augmented).betti(), (label, augmented)
+            assert table == HomologyBasis(pair, augmented=augmented).betti(), (label, augmented)
             reps, _ = reference_basis(pair, augmented)
             assert table.as_dict() == {k: len(r) for k, r in reps.items() if r}, (label, augmented)
 
@@ -443,18 +448,18 @@ class TestBasisRecordsItsBettiTable:
             pair = self.fresh(name)
             pair.ambient._chain_table[2][(pair.sub.faces, augmented)] = BettiTable(wrong)
             with pytest.raises(AssertionError, match="the basis and the rank-only pass give different Betti tables"):
-                HomologyBasis(pair, augmented)
+                HomologyBasis(pair, augmented=augmented)
 
     @pytest.mark.parametrize("name, augmented", CASES)
     def test_a_table_betti_recorded_first_passes(self, name, augmented):
         pair = self.fresh(name)
         table = betti(pair, augmented=augmented)
-        assert HomologyBasis(pair, augmented).betti() == table
+        assert HomologyBasis(pair, augmented=augmented).betti() == table
 
     @pytest.mark.parametrize("name, augmented", CASES)
     def test_betti_reads_the_table_a_basis_recorded(self, monkeypatch, name, augmented):
         pair = self.fresh(name)
-        basis = HomologyBasis(pair, augmented)
+        basis = HomologyBasis(pair, augmented=augmented)
 
         def refuse(*args, **kwargs):
             raise AssertionError("betti reduced a pair its basis had recorded")

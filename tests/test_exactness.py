@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 
 from conftest import (
     annulus_domains,
+    catalog_splits,
     corpus_complexes,
     corpus_pairs,
     grown_regions,
@@ -42,7 +43,6 @@ from topsym.exactness import (
     les_exactness_check,
     mayer_vietoris_check,
 )
-from topsym.spaces import catalog_splits
 
 SPACES = Path(__file__).with_name("spaces")
 
@@ -86,7 +86,7 @@ class TestLesExactness:
                 continue
             pair = ComplexPair(cone(base), base)
             report = les_exactness_check(pair)
-            assert report.passed, (name, report.first_failure)
+            assert report.passed, (name, report.slots)
             rel = betti(pair)
             red = betti(ComplexPair.absolute(base), augmented=True)
             assert {k + 1: d for k, d in red.entries} == rel.as_dict(), name
@@ -129,7 +129,7 @@ class TestLesExactness:
     def test_corpus_pairs_pass(self):
         for name, pair in corpus_pairs().items():
             report = les_exactness_check(pair)
-            assert report.passed, (name, report.first_failure)
+            assert report.passed, (name, report.slots)
 
     def test_the_report_keeps_the_pairs_relative_basis(self):
         for name, pair in corpus_pairs().items():
@@ -166,7 +166,7 @@ class TestLesExactness:
             ambient = spaces[checked % len(spaces)]
             sub = random_subcomplex(ambient, rng)
             report = les_exactness_check(ComplexPair(ambient, sub))
-            assert report.passed, report.first_failure
+            assert report.passed, report.slots
             checked += 1
 
 
@@ -178,7 +178,7 @@ class TestRandomPairs:
     @given(random_pairs())
     def test_les_is_exact(self, pair):
         report = les_exactness_check(pair)
-        assert report.passed, report.first_failure
+        assert report.passed, report.slots
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(random_pairs())

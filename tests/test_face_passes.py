@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import (
+    catalog_splits,
     corpus_complexes,
     grown_regions,
     random_pairs,
@@ -24,7 +25,7 @@ from conftest import (
 from topsym import InputError, boundary_subcomplex, build_complex, complexes
 from topsym.cli import EXIT_INPUT_ERROR, EXIT_OK, _dump, main, report_json, run_identity_suites, space_file_dict
 from topsym.errors import PseudomanifoldError
-from topsym.spaces import BoundarySplit, catalog_splits
+from topsym.spaces import BoundarySplit
 from topsym.symmetry import analyze_action
 
 DOUBLE_PARTS = ("total", "exit_boundary", "entry_boundary")

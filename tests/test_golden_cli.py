@@ -27,9 +27,8 @@ from pathlib import Path
 import pytest
 
 import dump_outputs
-from conftest import CORPUS_COMPLEX_NAMES
+from conftest import CORPUS_COMPLEX_NAMES, catalog_splits
 from topsym.cli import main
-from topsym.spaces import catalog_splits
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
@@ -83,7 +82,7 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
     )
     records = list(map(json.loads, script.stdout.splitlines()))
     commands = ["analyze", "analyze --json", "verify", "verify --json", "double"]
-    cases = [(path, command) for path in paths for command in commands + ["tracked", "excision"]]
+    cases = [(path, command) for path in paths for command in commands + ["tracked", "excision", "morse"]]
     assert [(r["input"], r["command"]) for r in records] == [
         *((os.path.basename(p), c) for p, c in cases), ("seeded matrices", "gf2")
     ]
@@ -94,6 +93,8 @@ def test_dump_outputs_gives_one_record_per_input_and_command():
             assert set(record["record"]) == {"relative", "reduced", "les", "connecting"}
         if record["command"] == "excision":
             assert isinstance(record["record"], list) and record["record"], record["input"]
+        if record["command"] == "morse":
+            assert set(record["record"]) == {"positive", "negative", "exit"}, record["input"]
     compared = 0
     for record in records:
         name, *options = record["command"].split()
@@ -124,11 +125,12 @@ def test_dump_is_unchanged():
 
 
 def test_dump_outputs_covers_every_default_input():
-    # 6 catalog splits and 5 space files with five commands, a tracked
-    # and an excision record each; 54 bench inputs, 2 refused files and
-    # the hexagon with equal regions with five commands each; one gf2 record.
+    # 6 catalog splits and 5 space files with five commands, a tracked,
+    # an excision and a morse record each; 54 bench inputs, 2 refused
+    # files and the hexagon with equal regions with five commands each;
+    # one gf2 record.
     records = list(map(json.loads, default_dump()))
-    assert len(records) == 11 * 7 + 57 * 5 + 1 == 363
+    assert len(records) == 11 * 8 + 57 * 5 + 1 == 374
     equal = [r["exit"] for r in records if r["input"] == "hexagon-equal-regions.json"]
     assert equal == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
 

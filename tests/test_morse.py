@@ -64,14 +64,14 @@ class TestBuildMatching:
     def test_validation_rejects_exit_cells(self):
         pair = disk_pair_rel_boundary()
         with pytest.raises(MatchingError, match="matched pair touches the exit subcomplex"):
-            AcyclicMatching(pair, frozenset({((0,), (0, 1))}))
+            AcyclicMatching.from_simplices(pair, frozenset({((0,), (0, 1))}))
 
     def test_validation_rejects_double_matching(self):
         cx = build_complex([(0, 1, 2)])
         pair = ComplexPair.absolute(cx)
         bad = frozenset({((0,), (0, 1)), ((0,), (0, 2))})
         with pytest.raises(MatchingError, match="cell matched twice"):
-            AcyclicMatching(pair, bad)
+            AcyclicMatching.from_simplices(pair, bad)
 
     def test_validation_rejects_cyclic_matching(self):
         # Two triangles sharing two edges force a closed V-path when
@@ -80,7 +80,7 @@ class TestBuildMatching:
         pair = ComplexPair.absolute(cx)
         matched = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
         with pytest.raises(MatchingError, match="reversed Hasse digraph has a cycle"):
-            AcyclicMatching(pair, matched)
+            AcyclicMatching.from_simplices(pair, matched)
 
     def test_explicit_order_must_be_a_permutation(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
@@ -159,12 +159,32 @@ class TestNumberedDiagram:
     def test_validation_rejects_unknown_cells(self):
         pair = ComplexPair.absolute(build_complex([(0, 1)]))
         with pytest.raises(MatchingError, match="matched pair uses unknown cells"):
-            AcyclicMatching(pair, frozenset({((0,), (0, 5))}))
+            AcyclicMatching.from_simplices(pair, frozenset({((0,), (0, 5))}))
 
     def test_validation_rejects_a_non_facet(self):
         pair = ComplexPair.absolute(build_complex([(0, 1), (1, 2)]))
         with pytest.raises(MatchingError, match=r"\(0,\) is not a facet of \(1, 2\)"):
-            AcyclicMatching(pair, frozenset({((0,), (1, 2))}))
+            AcyclicMatching.from_simplices(pair, frozenset({((0,), (1, 2))}))
+
+    def test_validation_rejects_numbers_out_of_range(self):
+        pair = ComplexPair.absolute(build_complex([(0, 1)]))  # cells (0,), (1,), (0, 1)
+        for facets, cofacets in (((0,), (3,)), ((3,), (2,)), ((-1,), (2,)), ((0,), (-1,))):
+            with pytest.raises(MatchingError, match="matched pair uses unknown cells"):
+                AcyclicMatching(pair, facets, cofacets)
+        with pytest.raises(MatchingError, match="every matched facet needs one cofacet"):
+            AcyclicMatching(pair, (0, 1), (2,))
+
+    def test_validation_rejects_a_numbered_non_facet(self):
+        pair = ComplexPair.absolute(build_complex([(0, 1), (1, 2)]))  # cells (0,), (1,), (2,), (0, 1), (1, 2)
+        with pytest.raises(MatchingError, match=r"\(0,\) is not a facet of \(1, 2\)"):
+            AcyclicMatching(pair, (0,), (4,))
+
+    def test_numbered_and_simplex_matchings_agree(self):
+        for name, pair in corpus_pairs().items():
+            m = build_matching(pair, 0)
+            again = AcyclicMatching.from_simplices(pair, m.matched)
+            assert (again.matched, again.critical) == (m.matched, m.critical), name
+            assert sorted(zip(again.facets, again.cofacets)) == sorted(zip(m.facets, m.cofacets)), name
 
 
 class TestHasseDiagram:
@@ -203,10 +223,23 @@ class TestHasseDiagram:
 
 
 def v_path_digraph(matching):
-    """The cell numbers of the pair's diagram: each cell's facets, and
-    each matched facet's cofacet."""
-    _, index, down = matching.pair._hasse
-    return down, {index[low]: index[high] for low, high in matching.matched}
+    """The cell numbers of the pair's diagram: each cell's facets, each
+    cell's matched cofacet or -1, and the matched facets."""
+    down = matching.pair._hasse[2]
+    up = [-1] * len(down)
+    for low, high in zip(matching.facets, matching.cofacets):
+        up[low] = high
+    return down, up, matching.facets
+
+
+def unvalidated(pair, matched):
+    """A matching of the given simplex pairs, numbered but not validated."""
+    index = pair._hasse[1]
+    corrupt = object.__new__(AcyclicMatching)
+    object.__setattr__(corrupt, "pair", pair)
+    object.__setattr__(corrupt, "facets", tuple(index[low] for low, _ in matched))
+    object.__setattr__(corrupt, "cofacets", tuple(index[high] for _, high in matched))
+    return corrupt
 
 
 class TestVPathOrder:
@@ -218,20 +251,18 @@ class TestVPathOrder:
     def test_v_path_order_lists_each_facet_before_the_facets_it_reaches(self):
         for name, pair in corpus_pairs().items():
             for seed_order in self.ORDERS:
-                down, up = v_path_digraph(build_matching(pair, seed_order))
-                order = _v_path_order(down, up)
-                assert sorted(order) == sorted(up), (name, seed_order)
+                down, up, facets = v_path_digraph(build_matching(pair, seed_order))
+                order = _v_path_order(down, up, facets)
+                assert sorted(order) == sorted(facets), (name, seed_order)
                 position = {f: i for i, f in enumerate(order)}
-                for low, high in up.items():
-                    reached = [f for f in down[high] if f != low and f in up]
+                for low in facets:
+                    reached = [f for f in down[up[low]] if f != low and up[f] >= 0]
                     assert all(position[low] < position[f] for f in reached), (name, seed_order, low)
 
     def test_v_path_order_is_none_on_a_cycle(self):
         # The cyclic matching of test_validation_rejects_cyclic_matching.
-        cyclic = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
-        corrupt = object.__new__(AcyclicMatching)
-        object.__setattr__(corrupt, "pair", ComplexPair.absolute(build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3)])))
-        object.__setattr__(corrupt, "matched", cyclic)
+        cyclic = [((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))]
+        corrupt = unvalidated(ComplexPair.absolute(build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3)])), cyclic)
         assert _v_path_order(*v_path_digraph(corrupt)) is None
 
 
@@ -241,7 +272,7 @@ class TestMorseComplex:
         cells = []
         for k in range(pair.ambient.dim + 1):
             cells.extend(pair.cells(k))
-        empty = AcyclicMatching(pair, frozenset())
+        empty = AcyclicMatching.from_simplices(pair, frozenset())
         assert empty.critical == tuple(sorted(cells, key=lambda s: (len(s), s)))
         data = morse_complex(empty)
         basis = HomologyBasis(pair)
@@ -258,7 +289,7 @@ class TestMorseComplex:
                 key=lambda s: (len(s), s),
             )
         )
-        m = AcyclicMatching(pair, matched)
+        m = AcyclicMatching.from_simplices(pair, matched)
         assert m.critical == criticals
         data = morse_complex(m)
         assert data.counts() == {0: 2, 1: 2}
@@ -280,11 +311,9 @@ class TestMorseComplex:
         # The cyclic matching of the validation test, with a critical
         # triangle on one of its edges, passed in without validation.
         cx = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 4)])
-        matched = frozenset({((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))})
+        matched = [((0, 1), (0, 1, 2)), ((0, 2), (0, 2, 3)), ((0, 3), (0, 1, 3))]
         used = {x for p in matched for x in p}
-        corrupt = object.__new__(AcyclicMatching)
-        object.__setattr__(corrupt, "pair", ComplexPair.absolute(cx))
-        object.__setattr__(corrupt, "matched", matched)
+        corrupt = unvalidated(ComplexPair.absolute(cx), matched)
         object.__setattr__(corrupt, "critical", tuple(sorted(cx.faces - used, key=lambda s: (len(s), s))))
         with pytest.raises(MatchingError, match="gradient path cycle"):
             morse_complex(corrupt)

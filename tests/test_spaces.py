@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from conftest import (
     annulus_domains,
+    catalog_splits,
     full_double,
     grown_regions,
     hollow_triangle,
@@ -35,7 +36,7 @@ from topsym import (
 from topsym import cli, complexes, glued, spaces
 from topsym.cli import EXIT_OK, main, report_json
 from topsym.complexes import MAX_FACES
-from topsym.spaces import BoundarySplit, catalog_splits
+from topsym.spaces import BoundarySplit
 
 SPACES = Path(__file__).with_name("spaces")
 

@@ -5,6 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
+from conftest import catalog_splits
 from topsym import (
     ComplexPair,
     InputError,
@@ -15,7 +16,6 @@ from topsym import (
     cone,
 )
 from topsym.complexes import BettiTable
-from topsym.spaces import catalog_splits
 from topsym.symmetry import (
     MAX_MIN_CHERN,
     RolledTable,

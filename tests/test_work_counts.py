@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_pairs
+from conftest import catalog_splits, corpus_pairs
 from topsym import (
     BoundarySplit,
     ComplexPair,
@@ -34,7 +34,6 @@ from topsym import (
 )
 from topsym.cli import EXIT_OK, EXIT_SUITE_FAILED, main, space_file_dict
 from topsym.morse import build_matching, morse_betti
-from topsym.spaces import catalog_splits
 
 SPACES = Path(__file__).with_name("spaces")
 
@@ -82,11 +81,11 @@ def check_basis_work(monkeypatch, pair, augmented):
     """Building a basis reduces each column of d_k that clearing keeps,
     n_k - rank d_{k+1} of them, appends dim H_k representatives, and
     makes no ``solve`` call."""
-    basis = HomologyBasis(pair, augmented)
+    basis = HomologyBasis(pair, augmented=augmented)
     kept = sum(basis.n_cells(k) - basis.boundary_matrix(k + 1).rank() for k in basis.degrees())
     expected = kept + basis.betti().total()
     counts = count_reduction_work(monkeypatch)
-    HomologyBasis(pair, augmented)
+    HomologyBasis(pair, augmented=augmented)
     assert (counts["columns"], counts["solves"]) == (expected, 0)
     return basis
 
@@ -210,9 +209,9 @@ def test_a_matching_peels_its_v_path_digraph_once(monkeypatch):
     calls = []
     peel = morse._v_path_order
 
-    def counted(down, up):
-        calls.append(up)
-        return peel(down, up)
+    def counted(down, up, facets):
+        calls.append(facets)
+        return peel(down, up, facets)
 
     monkeypatch.setattr(morse, "_v_path_order", counted)
     for name, pair in corpus_pairs().items():
@@ -220,6 +219,31 @@ def test_a_matching_peels_its_v_path_digraph_once(monkeypatch):
             calls.clear()
             morse_betti(build_matching(pair, seed_order))
             assert len(calls) == 1, (name, seed_order)
+
+
+class UnreadIndex(dict):
+    """A Hasse diagram's cell index that refuses to be read."""
+
+    def refuse(self, *args):
+        raise AssertionError("Morse read the cell index after the diagram was built")
+
+    __getitem__ = __contains__ = __iter__ = get = keys = values = items = refuse
+
+
+def test_morse_runs_on_cell_numbers(monkeypatch):
+    # ``build_matching`` hands over cell numbers, so no simplex is looked
+    # up again and the simplex pairs are built only when read.
+    build = complexes._build_hasse
+
+    def unread_index(pair):
+        cells, index, down = build(pair)
+        return cells, UnreadIndex(index), down
+
+    monkeypatch.setattr(complexes, "_build_hasse", unread_index)
+    for name, pair in corpus_pairs().items():
+        matching = build_matching(ComplexPair(pair.ambient, pair.sub))  # a fresh pair has no diagram yet
+        assert morse_betti(matching) == betti(pair), name
+        assert "matched" not in vars(matching), name
 
 
 @pytest.mark.parametrize("space", ["annulus_split", "reeb_ball_2", "disk_both.json"])
@@ -303,9 +327,9 @@ def test_analyze_and_double_on_a_space_file_take_no_facets_one_simplex_at_a_time
     built = []
     init = HomologyBasis.__init__
 
-    def counted(self, pair, augmented=False):
+    def counted(self, pair, *, augmented=False):
         built.append(pair)
-        init(self, pair, augmented)
+        init(self, pair, augmented=augmented)
 
     monkeypatch.setattr(HomologyBasis, "__init__", counted)
     for path in sorted(SPACES.glob("*.json")):
@@ -380,8 +404,8 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
         splits.append(split)
         return name, split
 
-    def recorded_init(self, pair, augmented=False):
-        init(self, pair, augmented)
+    def recorded_init(self, pair, *, augmented=False):
+        init(self, pair, augmented=augmented)
         bases.append(self)
 
     monkeypatch.setattr(cli, "load_space", record)
@@ -418,8 +442,8 @@ def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys
     bases, matched = [], []
     init, match = HomologyBasis.__init__, cli.build_matching
 
-    def recorded_init(self, pair, augmented=False):
-        init(self, pair, augmented)
+    def recorded_init(self, pair, *, augmented=False):
+        init(self, pair, augmented=augmented)
         bases.append(self)
 
     def recorded_match(pair, *args):
