@@ -23,7 +23,9 @@ the one that drops its last vertex to the one that drops its first, so
 the facets that drop vertex i of every cell are a stride slice.  The
 validating constructor takes one simplex's facets from it, and a chain
 boundary (``boundary_chain``) adds each simplex's ``combinations`` to
-its sum in one call.  The Morse diagram (``_build_hasse``) runs its own
+its sum in one call.  Purity and boundary extraction read the maximal
+simplices, which a closure of simplices of one size keeps, and sort no
+face.  The Morse diagram (``_build_hasse``) runs its own
 whole-degree ``combinations`` pass, so that Morse homology shares no
 facet code with the chain table it checks.
 """
@@ -63,9 +65,13 @@ def _faces_of(cells: Iterable[Simplex], size: int) -> Iterator[Simplex]:
 
 
 def _closure(simplices: List[Simplex]) -> "SimplicialComplex":
-    """Face closure of strictly ascending simplices."""
-    top = max(map(len, simplices), default=0)
-    return _trusted(frozenset(chain.from_iterable(_faces_of(simplices, k) for k in range(1, top + 1))))
+    """Face closure of strictly ascending simplices; simplices of one size
+    are its maximal ones, and it keeps them, as ``_maximal``."""
+    sizes = set(map(len, simplices))
+    complex_ = _trusted(frozenset(chain(simplices, *(_faces_of(simplices, k) for k in range(1, max(sizes, default=0))))))
+    if len(sizes) <= 1:
+        complex_.__dict__["_maximal"] = frozenset(simplices)
+    return complex_
 
 
 def _as_simplex(vertices: Iterable) -> Simplex:
@@ -143,9 +149,10 @@ class SimplicialComplex:
         The complex is face-closed, so every proper face of a simplex is
         a facet of some simplex.
         """
-        return tuple(sorted(self._maximal()))
+        return tuple(sorted(self._maximal))
 
-    def _maximal(self) -> frozenset:
+    @cached_property
+    def _maximal(self) -> frozenset:  # given by ``_closure`` for simplices of one size
         return self.faces.difference(*(_faces_of(self.simplices(k), k) for k in range(1, self.dim + 1)))
 
     def __contains__(self, simplex) -> bool:
@@ -518,11 +525,10 @@ def betti(pair: ComplexPair, *, augmented: bool = False) -> BettiTable:
 
 def check_pure(complex_: SimplicialComplex) -> int:
     """Top dimension if every maximal simplex attains it, else an error
-    at the smallest one that does not."""
+    at the smallest one that does not; reads only their lengths."""
     d = complex_.dim
-    low = complex_._maximal().difference(complex_.simplices(d))
-    if low:
-        s = min(low)
+    if min(map(len, complex_._maximal), default=d + 1) <= d:
+        s = min(filter(lambda s: len(s) <= d, complex_._maximal))
         raise PseudomanifoldError(
             "complex is not pure: maximal simplex %r has dimension %d < %d" % (s, len(s) - 1, d)
         )
@@ -541,7 +547,7 @@ def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     d = check_pure(complex_)
     if d < 1:
         return SimplicialComplex.empty()
-    in_tops = Counter(_faces_of(complex_.simplices(d), d))
+    in_tops = Counter(_faces_of(complex_._maximal, d))  # pure: the maximal simplices are the tops
     if max(in_tops.values(), default=0) > 2:
         ridge = min(r for r, n in in_tops.items() if n > 2)
         raise PseudomanifoldError("simplex %r lies in %d top simplices" % (ridge, in_tops[ridge]))

@@ -13,9 +13,10 @@ and only they can have their vertices reordered.  Then facet i of the
 image is the image of the domain facet that drops the vertex the sorted
 image holds at i.
 
-The double keeps no copy, only the total, the two boundaries it is
-written with, its top simplices and the two labelings, through which
-``verify`` pushes the domain's chains.  The interface is induced, so each degree of
+The double keeps no copy, only the domain, the two boundaries it is
+written with and the two labelings, through which ``verify`` pushes the
+domain's chains; its top simplices and total are made when first read.
+The interface is induced, so each degree of
 the total is copy A's cells that hold an own vertex, then copy B's: the
 total maps copy B's facets to copy B's positions moved up by copy A's
 part, and copy A's shared facets to their places in copy B.
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .complexes import EMPTY_SIMPLEX, ComplexPair, Simplex, SimplicialComplex, _trusted
@@ -46,18 +48,34 @@ class TruncatedDouble:
     ``entry_boundary`` comes from the negative regions.  ``labels`` are
     the vertex labelings that make the copies from the domain, copy A's
     first, and the image of a domain simplex under a labeling is its
-    relabeled vertices, sorted.  ``tops`` are the total's top simplices,
-    sorted.  When no ridge of the domain lies in the interface, each
-    ridge of the total lies in the top simplices of one copy only, so the
-    exit and entry boundaries split the total as their preimages split
-    the domain.
+    relabeled vertices, sorted; the total and its top simplices (``tops``)
+    are made when first read.  When no ridge of the domain lies in the
+    interface, each ridge of the total lies in the top simplices of one
+    copy only, so the exit and entry boundaries split the total as their
+    preimages split the domain.
     """
 
-    total: SimplicialComplex
+    domain: SimplicialComplex
     exit_boundary: SimplicialComplex
     entry_boundary: SimplicialComplex
-    tops: Tuple[Simplex, ...]
     labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
+
+    @cached_property
+    def tops(self) -> Tuple[Simplex, ...]:
+        tops = [tuple(self.domain._maximal)]  # the domain is pure
+        return tuple(sorted(itertools.chain.from_iterable(_relabeled_cells(tops, label)[0] for label in self.labels)))
+
+    @cached_property
+    def total(self) -> SimplicialComplex:
+        """Both copies' faces, holding the boundaries' tuples; its chain
+        table is derived from the domain's when asked for (``_total_table``)."""
+        domain, labels = self.domain, self.labels
+        held = {face: face for face in self.exit_boundary.faces | self.entry_boundary.faces}
+        images = [_relabeled_cells([domain.simplices(k) for k in range(domain.dim + 1)], label) for label in labels]
+        for image in images:
+            image[:-1] = [list(map(held.get, cells, cells)) for cells in image[:-1]]  # no region has a top simplex
+        faces = frozenset(itertools.chain.from_iterable(images[0])) | frozenset(itertools.chain.from_iterable(images[1]))
+        return _trusted(faces, partial(_total_table, domain, labels, images, min(labels[1].values(), default=0)))
 
     def exit_pair(self) -> ComplexPair:
         return ComplexPair(self.total, self.exit_boundary)
@@ -68,11 +86,8 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
 
     The interface must be an induced subcomplex of the domain (every
     simplex spanned by its vertices lies in it); otherwise identifying
-    vertices would silently merge simplices of the two copies.
-
-    Each face of the double is stored once: a region's faces map to the
-    images the total is made of.  The total derives its chain table from
-    the domain's when something first asks for it (``_total_table``).
+    vertices would silently merge simplices of the two copies.  Only the
+    boundary faces are relabeled here, once for both regions.
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -83,40 +98,39 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
             "but lies outside it; retriangulate the domain" % (bad,)
         )
     shared = sorted(interface.vertices)
-    own = sorted(domain.vertices - interface.vertices)
+    own = sorted(frozenset(itertools.chain.from_iterable(domain._maximal)).difference(shared))  # the domain is pure
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
-    groups = [domain.simplices(k) for k in range(domain.dim + 1)]
-    images = [_relabeled_cells(groups, label) for label in labels]
-    chained = itertools.chain.from_iterable
-    face_a, face_b = (dict(zip(chained(groups), chained(i))) for i in images)
+    faces = sorted(split.boundary.faces, key=len)
+    groups = [list(group) for _, group in itertools.groupby(faces, len)]
+    face_a, face_b = (dict(zip(faces, itertools.chain.from_iterable(_relabeled_cells(groups, label)))) for label in labels)
 
     def glued(faces: frozenset) -> SimplicialComplex:
-        # A union of two sets is sized once; a set grown face by face may
-        # end up with twice the table.
+        # A union of two sets is sized once; a set grown face by face may get twice the table.
         return _trusted(frozenset(map(face_a.__getitem__, faces)) | frozenset(map(face_b.__getitem__, faces)))
 
-    derive = partial(_total_table, domain, labels, images, len(own))
-    return TruncatedDouble(
-        total=_trusted(frozenset(face_a.values()) | frozenset(face_b.values()), derive),
-        exit_boundary=glued(split.positive.faces),
-        entry_boundary=glued(split.negative.faces),
-        tops=tuple(sorted(chained(i[-1] for i in images))) if groups else (),
-        labels=labels,
-    )
+    return TruncatedDouble(domain, glued(split.positive.faces), glued(split.negative.faces), labels)
 
 
 def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> List[list]:
-    """Each degree's cells relabeled, in the order of ``groups``, with
-    their vertices sorted; a labeling that keeps the order of the
-    vertices sorts nothing."""
+    """Each group's cells, all of one size, relabeled in order with sorted
+    vertices: the vertices are mapped in one pass and, if the labeling
+    reorders any, only a cell whose image has one above the next is sorted."""
     keys = sorted(label)
     values = list(map(label.__getitem__, keys))
     if values == keys:
         return list(groups)
-    relabeled = (map(map, itertools.repeat(label.__getitem__), group) for group in groups)
-    if values == sorted(values):
-        return [list(map(tuple, map(list, group))) for group in relabeled]  # tuple() of a map overallocates
-    return [list(map(tuple, map(sorted, group))) for group in relabeled]
+    relabeled = []
+    for group in groups:
+        size = len(group[0]) if group else 1
+        flat = list(map(label.__getitem__, itertools.chain.from_iterable(group)))
+        cells = list(zip(*[iter(flat)] * size))
+        if values != sorted(values):
+            columns = [flat[i::size] for i in range(size)]
+            descents = (itertools.compress(itertools.count(), map(operator.gt, a, b)) for a, b in zip(columns, columns[1:]))
+            for c in set(itertools.chain.from_iterable(descents)):
+                cells[c] = tuple(sorted(cells[c]))
+        relabeled.append(cells)
+    return relabeled
 
 
 def _splits(images, t: int):

@@ -48,7 +48,7 @@ class BoundarySplit:
             object.__setattr__(self, "negative", boundary)
         elif self.positive is None or self.negative is None:
             missing, given = ("negative", self.positive) if self.negative is None else ("positive", self.negative)
-            tops = boundary.simplices(boundary.dim)
+            tops = boundary._maximal  # the boundary is pure
             object.__setattr__(self, missing, build_complex(itertools.filterfalse(given.faces.__contains__, tops)))
         for name, region in (("positive", self.positive), ("negative", self.negative)):
             if not region.is_subcomplex_of(boundary):

@@ -13,7 +13,8 @@ splits of ``test_golden_cli.py``, the space files in ``tests/spaces``,
 the seed-5 ``analyze-mix`` and ``verify-mix`` inputs of
 ``bench/workloads.py``, one seed-5 round of its ``double-large`` inputs,
 two refused space files (``REFUSED``), which show that the error paths
-agree too, and a hexagon with equal regions (``EQUAL_REGIONS``);
+agree too, a hexagon with equal regions (``EQUAL_REGIONS``) and two
+domains listed with generators of mixed sizes (``MIXED_SIZES``);
 arguments name catalog entries or space files instead.  ``verify``
 prints only pass or fail, so after the commands each catalog split and
 space file gets a ``tracked`` record: the representatives of the
@@ -83,6 +84,19 @@ REFUSED = (
 # fails, so ``verify`` exits 3 (the files in ``tests/spaces`` all exit 0).
 CIRCLE = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]
 EQUAL_REGIONS = {**REFUSED[1], "name": "hexagon-equal-regions", "positive_region": CIRCLE, "negative_region": CIRCLE}
+# Generators of mixed sizes: the hexagon with some of its own edges and
+# vertices listed too, a valid split, and a triangle with a dangling edge,
+# which every command refuses as not pure.
+MIXED_SIZES = (
+    {
+        **REFUSED[1],
+        "name": "hexagon-mixed-sizes",
+        "maximal_simplices": [*REFUSED[1]["maximal_simplices"], [1, 6], [0, 1], [3], [6], [1, 6]],
+        "positive_region": [[0, 1], [1, 2]],
+        "negative_region": [[2, 3], [3, 4], [4, 5], [0, 5], [0]],
+    },
+    {"name": "dangling-edge", "maximal_simplices": [[0, 1, 2], [2, 3]]},
+)
 
 
 @contextmanager
@@ -212,10 +226,11 @@ def bench_inputs(directory):
 
 
 def written_inputs(directory):
-    """Write the ``REFUSED`` space files and ``EQUAL_REGIONS`` into
-    ``directory``; yield their file names."""
-    names = ["refused-%s.json" % space["name"] for space in REFUSED] + ["%s.json" % EQUAL_REGIONS["name"]]
-    for name, space in zip(names, (*REFUSED, EQUAL_REGIONS)):
+    """Write the ``REFUSED`` space files, ``EQUAL_REGIONS`` and
+    ``MIXED_SIZES`` into ``directory``; yield their file names."""
+    names = ["refused-%s.json" % space["name"] for space in REFUSED]
+    names += ["%s.json" % space["name"] for space in (EQUAL_REGIONS, *MIXED_SIZES)]
+    for name, space in zip(names, (*REFUSED, EQUAL_REGIONS, *MIXED_SIZES)):
         (Path(directory) / name).write_text(json.dumps(space), encoding="utf-8")
         yield name
 

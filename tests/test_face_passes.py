@@ -6,6 +6,7 @@ ordered, and fail at the same first offender with the same message.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -140,6 +141,56 @@ class TestAgainstTheLoops:
         double = json.loads(out.read_text())
         assert double["maximal_simplices"] == [[v] for v in range(2 * n)]
         assert double["positive_region"] == double["negative_region"] == []
+
+
+def seeded_generator_lists():
+    """Derandomized generator lists: simplices of one size with repeats,
+    and simplices of mixed sizes that also list faces of others, a
+    simplex or two that is no face, and repeats."""
+    rng = random.Random(27)
+    for i in range(60):
+        size = rng.randint(1, 4)
+        tops = [tuple(sorted(rng.sample(range(9), size))) for _ in range(rng.randint(1, 6))]
+        gens = tops + rng.sample(tops, rng.randint(0, len(tops)))
+        if i % 2:
+            faces = [s for s in reference_closure(tops) if len(s) < size]
+            gens += rng.sample(faces, min(len(faces), rng.randint(1, 4)))
+            gens += [tuple(sorted(rng.sample(range(9, 13), rng.randint(1, size)))) for _ in range(rng.randint(1, 2))]
+            gens += rng.sample(gens, 2)
+        rng.shuffle(gens)
+        yield gens
+
+
+class TestSeededMaximalSimplices:
+    """A closure of simplices of one size keeps them as its maximal
+    simplices; purity and boundary extraction read them."""
+
+    def test_seeded_and_found_maximal_simplices_agree_with_the_oracle(self):
+        seen = set()
+        for gens in seeded_generator_lists():
+            cx = complexes._closure(gens)
+            one_size = len(set(map(len, gens))) == 1
+            assert ("_maximal" in vars(cx)) == one_size, gens
+            assert cx.faces == reference_closure(gens), gens
+            assert tuple(sorted(cx._maximal)) == reference_maximal_simplices(cx), gens
+            seen.add((one_size, len(cx._maximal) < len(set(gens))))
+        # Both kinds, and mixed lists that list faces of other generators.
+        assert seen >= {(True, False), (False, True)}
+
+    def test_purity_names_the_smallest_low_maximal_simplex(self):
+        refused = 0
+        for gens in seeded_generator_lists():
+            cx = complexes._closure(gens)
+            low = [s for s in reference_maximal_simplices(cx) if len(s) - 1 < cx.dim]
+            expected = cx.dim
+            if low:
+                message = "complex is not pure: maximal simplex %r has dimension %d < %d"
+                expected = (PseudomanifoldError, message % (low[0], len(low[0]) - 1, cx.dim))
+            assert outcome(complexes.check_pure, cx) == expected, gens
+            got = outcome(boundary_subcomplex, cx)
+            assert (got.faces if isinstance(got, complexes.SimplicialComplex) else got) == outcome(reference_boundary_faces, cx)
+            refused += bool(low)
+        assert refused >= 10
 
 
 def test_writer_lays_out_nested_and_empty_values_as_the_reference():

@@ -127,12 +127,16 @@ def test_dump_is_unchanged():
 def test_dump_outputs_covers_every_default_input():
     # 6 catalog splits and 5 space files with five commands, a tracked,
     # an excision and a morse record each; 54 bench inputs, 2 refused
-    # files and the hexagon with equal regions with five commands each;
-    # one gf2 record.
+    # files, the hexagon with equal regions and the 2 domains listed with
+    # generators of mixed sizes with five commands each; one gf2 record.
     records = list(map(json.loads, default_dump()))
-    assert len(records) == 11 * 8 + 57 * 5 + 1 == 374
-    equal = [r["exit"] for r in records if r["input"] == "hexagon-equal-regions.json"]
-    assert equal == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
+    assert len(records) == 11 * 8 + 59 * 5 + 1 == 384
+    exits = {}
+    for record in filter(lambda r: "exit" in r, records):
+        exits.setdefault(record["input"], []).append(record["exit"])
+    assert exits["hexagon-equal-regions.json"] == [0, 0, 3, 3, 2]  # duality fails; double refuses the shared boundary
+    assert exits["hexagon-mixed-sizes.json"] == [0] * 5
+    assert exits["dangling-edge.json"] == [2] * 5  # not pure
 
 
 if __name__ == "__main__":

@@ -509,11 +509,12 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
         builtin_example("annulus_split").double.total._chain_table
 
 
-def test_double_extracts_only_the_domains_boundary_and_sorts_no_face_of_the_total(monkeypatch, tmp_path):
-    # The load extracts the domain's boundary.  The glued split is written
-    # from what gluing derived: its regions are the images of the domain's,
-    # and its tops come from the copies' images, so the total's boundary
-    # is not extracted and its faces are not sorted by degree.
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp_path, space):
+    # The load extracts the domain's boundary from its maximal simplices,
+    # which the closure kept.  The glued split is written from the images
+    # of the domain's top simplices and regions, so the double's total is
+    # never made and no face of the domain or of a total is sorted by degree.
     extracted, sorted_by_degree, splits = [], [], []
     extract, by_degree, load = spaces.boundary_subcomplex, SimplicialComplex._by_degree.func, cli.load_space
 
@@ -535,10 +536,25 @@ def test_double_extracts_only_the_domains_boundary_and_sorts_no_face_of_the_tota
     monkeypatch.setattr(SimplicialComplex, "_by_degree", recorded)
     monkeypatch.setattr(spaces, "boundary_subcomplex", recorded_extract)
     monkeypatch.setattr(cli, "load_space", recorded_load)
-    for space in ["annulus_split", "disk_half_split", "reeb_ball_2", "brieskorn_2", *sorted(SPACES.glob("*.json"))]:
-        for record in (extracted, sorted_by_degree, splits):
-            record.clear()
-        assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
-        (split,) = splits
-        assert [id(c) for c in extracted] == [id(split.domain)], space
-        assert split.double.total.faces not in sorted_by_degree, space
+    locator = str(SPACES / space) if space.endswith(".json") else space
+    assert main(["double", locator, "-o", str(tmp_path / "double.json")]) == EXIT_OK
+    (split,) = splits
+    assert [id(c) for c in extracted] == [id(split.domain)]
+    assert "total" not in vars(split.double) and "_by_degree" not in vars(split.domain)
+    # What analyze and verify read is made on first read, and only then.
+    assert split.double.total.faces not in sorted_by_degree and "total" in vars(split.double)
+
+
+def test_doubles_of_different_domains_with_equal_regions_differ():
+    # Two fans of a hexagon, from vertex 0 and from vertex 1, split alike
+    # at vertices 2 and 4, which neither joins: the labelings and the
+    # glued regions agree, and the domains tell the doubles apart.
+    positive, negative = build_complex([(2, 3), (3, 4)]), build_complex([(4, 5), (0, 5), (0, 1), (1, 2)])
+    first, second = (
+        BoundarySplit(build_complex(tops), positive, negative).double
+        for tops in ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], [(0, 1, 5), (1, 2, 3), (1, 3, 4), (1, 4, 5)])
+    )
+    assert (first.exit_boundary, first.entry_boundary, first.labels) == (
+        second.exit_boundary, second.entry_boundary, second.labels
+    )
+    assert first != second and first.total != second.total
