@@ -18,6 +18,7 @@ a verdict.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -387,6 +388,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # A command builds many tuples, sets and dicts and no reference cycle,
+    # so reference counting frees all of it, and a collection during the
+    # command would walk every live object to free nothing.  The cyclic
+    # collector is paused for the command and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InputError as exc:
@@ -395,6 +402,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -598,6 +598,39 @@ class TestRequestLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("space", ["annulus_split", "reeb_ball_2", "disk_positive.json"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "double"])
+    def test_a_request_makes_no_reference_cycle(self, capsys, command, space):
+        # main pauses the cyclic collector for the command, which loses
+        # nothing only while a command leaves no cycle for it to find.
+        locator = str(SPACES / space) if space.endswith(".json") else space
+        cli._parser()  # building the parser leaves argparse's own cycles
+        gc.collect()
+        assert main([command, locator]) == EXIT_OK
+        capsys.readouterr()
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("space", ["annulus_split", "no_such_file.json"])
+    def test_main_pauses_the_collector_for_the_command_and_leaves_it_as_found(
+        self, monkeypatch, capsys, enabled, space
+    ):
+        during = []
+        load = cli.load_space
+
+        def record(locator):
+            during.append(gc.isenabled())
+            return load(locator)
+
+        monkeypatch.setattr(cli, "load_space", record)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            main(["double", str(SPACES / space) if space.endswith(".json") else space])
+            capsys.readouterr()
+            assert during == [False] and gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
     def test_a_request_keeps_no_complex_alive(self, monkeypatch, capsys):
         domains = []
         load = cli.load_space
