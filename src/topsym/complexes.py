@@ -125,8 +125,8 @@ class SimplicialComplex:
 
     @cached_property
     def _by_degree(self) -> Dict[int, Tuple[Simplex, ...]]:
-        by_size = groupby(sorted(sorted(self.faces), key=len), len)
-        return {size - 1: tuple(group) for size, group in by_size}
+        by_size = groupby(sorted(self.faces, key=len), len)
+        return {size - 1: tuple(sorted(group)) for size, group in by_size}
 
     def simplices(self, k: int) -> Tuple[Simplex, ...]:
         """Simplices of dimension ``k`` in sorted order."""
@@ -303,8 +303,11 @@ class HomologyBasis:
     ``augmented`` (reduced homology, as in ``betti``) degree -1 holds
     the empty simplex.  The representatives are the kernels of
     ``_reductions``; appended to the reduction of d_{k+1}, they express
-    classes reproducibly.  The basis records its Betti table where
-    ``betti`` reads it, and a table ``betti`` recorded first must equal it.
+    classes reproducibly.  A degree's cell index, which turns a chain
+    into bits, is built by the first ``chain_to_bits`` in that degree, so
+    a degree in which no class is expressed is never indexed.  The basis
+    records its Betti table where ``betti`` reads it, and a table
+    ``betti`` recorded first must equal it.
     """
 
     def __init__(self, pair: ComplexPair, *, augmented: bool = False):
@@ -313,7 +316,7 @@ class HomologyBasis:
         self.min_degree = -1 if augmented else 0
         self.max_degree = pair.ambient.dim
         self._cells, self._columns = _chain_columns(pair, augmented)
-        self._index = {k: dict(zip(group, count())) for k, group in self._cells.items()}
+        self._index: Dict[int, Dict[Simplex, int]] = {}  # filled per degree by ``chain_to_bits``
         self._reps: Dict[int, List[Chain]] = {}
         # Degree k -> reduction of the boundary columns from degree k+1,
         # followed by the degree-k representatives.
@@ -342,7 +345,9 @@ class HomologyBasis:
         return len(self.cells(k))
 
     def chain_to_bits(self, k: int, chain: Iterable[Simplex]) -> int:
-        index = self._index.get(k, {})
+        index = self._index.get(k)
+        if index is None:  # the first chain in degree k indexes its cells
+            index = self._index[k] = dict(zip(self.cells(k), count()))
         v = 0
         for s in chain:
             if s not in index:

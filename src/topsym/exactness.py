@@ -134,10 +134,15 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
     The sequence runs ... -> H~_k(sub) -> H~_k(ambient) -> H_k(pair) ->
     H~_{k-1}(sub) -> ... and is checked at every group from the top
     degree down to the augmentation degree.  It is laid out as one list
-    of maps; each map's rank is taken once, and the slot at the target
-    of map i reads maps i and i + 1.  A given ``ambient_basis`` must be
-    the reduced basis of ``pair.ambient`` itself; else it is built here.
-    The report keeps the pair's relative basis, for a caller to reuse.
+    of maps, each read from the degrees its ``HomologyMap`` computed; a
+    degree it did not compute maps out of or into a zero group.  The
+    slot at the target of map i reads maps i and i + 1.  Only a map with
+    rows and columns has its rank taken, once; any other has rank 0.
+    Two maps are multiplied only when both ranks are nonzero, as
+    otherwise the composition is zero.  A given ``ambient_basis`` must
+    be the reduced basis of ``pair.ambient`` itself; else it is built
+    here.  The report keeps the pair's relative basis, for a caller to
+    reuse.
     """
     amb_h = ambient_basis
     if amb_h is not None and not (amb_h.pair.ambient is pair.ambient and amb_h.augmented and not amb_h.pair.sub):
@@ -153,16 +158,19 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
     # One degree above the top dimension, all groups vanish; starting
     # there covers the subcomplex slot in the top degree as well.
     degrees = range(pair.ambient.dim + 1, -2, -1)
-    maps = [m.matrix(k) for k in degrees for m in (into_ambient, onto_relative, connect)]
-    maps.append(into_ambient.matrix(-2))
-    ranks = [m.rank() for m in maps]
+    maps = [m.matrices.get(k) for k in degrees for m in (into_ambient, onto_relative, connect)]
+    maps.append(None)  # out of H~_{-2}(sub), which is zero
+    ranks = [m.rank() if m is not None and m.n_rows and m.n_cols else 0 for m in maps]
     # Map i runs into group i; the last map only closes the last slot.
     groups = [g for k in degrees for g in ((k, "ambient", amb_h), (k, "pair", rel_h), (k - 1, "sub", sub_h))]
-    slots = tuple(
-        SlotCheck(d, at, h.betti_dim(d), ranks[i], ranks[i + 1], maps[i + 1].mat_mul(maps[i]).is_zero())
-        for i, (d, at, h) in enumerate(groups)
-    )
-    return LesReport(rel_h, slots)
+    slots = []
+    for i, (d, at, h) in enumerate(groups):
+        middle, into, out = h.betti_dim(d), maps[i], maps[i + 1]
+        if (into is not None and into.n_rows != middle) or (out is not None and out.n_cols != middle):
+            raise InputError("inner dimensions do not match")
+        composition_zero = not (ranks[i] and ranks[i + 1]) or out.mat_mul(into).is_zero()
+        slots.append(SlotCheck(d, at, middle, ranks[i], ranks[i + 1], composition_zero))
+    return LesReport(rel_h, tuple(slots))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,13 @@ def grown_regions(draw, domains=None):
     return domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
 
 
+def equal_regions_hexagon():
+    """The hexagon disk with both regions its whole boundary circle."""
+    disk = build_complex([(0, 1, 6), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (0, 5, 6)])
+    circle = boundary_subcomplex(disk)
+    return BoundarySplit(disk, circle, circle)
+
+
 def full_double(domain):
     """Two copies of a domain glued along its entire boundary: a closed
     complex."""
@@ -253,6 +260,75 @@ def ridge_incidence(cx):
             face = top[:k] + top[k + 1 :]
             incidence.setdefault(face, []).append(top)
     return incidence
+
+
+def gf2_rank(columns):
+    """Rank of bit-vector columns by elimination on the lowest set bit."""
+    pivots = {}
+    for col in columns:
+        while col:
+            low = col & -col
+            if low not in pivots:
+                pivots[low] = col
+                break
+            col ^= pivots[low]
+    return len(pivots)
+
+
+def reduced_betti(faces):
+    """Reduced GF(2) Betti numbers of a face-closed set of nonempty
+    simplices, with the empty simplex as the one cell of degree -1, from
+    the ranks of boundary columns built with ``facets``."""
+    cells = {-1: [()]}
+    for s in sorted(faces):
+        cells.setdefault(len(s) - 1, []).append(s)
+    index = {k: {s: i for i, s in enumerate(group)} for k, group in cells.items()}
+    ranks = {
+        k: gf2_rank([sum(1 << index[k - 1][f] for f in facets(s)) for s in group])
+        for k, group in cells.items()
+        if k >= 0
+    }
+    dims = {k: len(group) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, group in cells.items()}
+    return {k: d for k, d in dims.items() if d}
+
+
+def links(faces):
+    """The link of each face: the faces of its cofaces with its own
+    vertices removed, the empty simplex included."""
+    out = {}
+    for t in faces:
+        for r in range(1, len(t) + 1):
+            for s in itertools.combinations(t, r):
+                out.setdefault(s, set()).add(tuple(v for v in t if v not in s))
+    return out
+
+
+def duality_hypotheses(split):
+    """The hypotheses of Lefschetz duality for a split (Hatcher, Thm.
+    3.43) that fail, as messages; empty when all hold.
+
+    The domain must be a GF(2) homology manifold: the link of each simplex
+    has the reduced homology of a sphere of dimension d - |simplex|, or,
+    for a simplex on the boundary, of a point.  The regions must meet only
+    in their common frontier: their intersection is the boundary of each.
+    The boundary and the frontiers are those of
+    ``reference_boundary_faces``, and a region that has none fails."""
+    domain, failed = split.domain, []
+    d, boundary = domain.dim, reference_boundary_faces(domain)
+    for s, link in sorted(links(domain.faces).items()):
+        dims = reduced_betti(link - {()})
+        if dims != ({} if s in boundary else {d - len(s): 1}):
+            failed.append("link of %r has reduced homology %r" % (s, dims))
+            break
+    try:
+        frontiers = [reference_boundary_faces(region) for region in (split.positive, split.negative)]
+    except PseudomanifoldError as exc:
+        failed.append("a region has no frontier: %s" % exc)
+    else:
+        meet = split.positive.faces & split.negative.faces
+        if frontiers != [meet, meet]:
+            failed.append("the regions meet outside their common frontier")
+    return failed
 
 
 # -- per-face loops, kept as references for the passes that replaced them ----

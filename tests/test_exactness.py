@@ -32,17 +32,20 @@ from topsym import (
     builtin_example,
     cli,
     cone,
+    exactness,
     truncated_double,
 )
 from topsym.cli import EXIT_SUITE_FAILED, load_space, main, run_identity_suites
 from topsym.complexes import boundary_chain
 from topsym.exactness import (
+    SlotCheck,
     connecting_map,
     excision_check,
     lefschetz_duality_check,
     les_exactness_check,
     mayer_vietoris_check,
 )
+from topsym.gf2 import Gf2Matrix
 
 SPACES = Path(__file__).with_name("spaces")
 
@@ -168,6 +171,70 @@ class TestLesExactness:
             report = les_exactness_check(ComplexPair(ambient, sub))
             assert report.passed, report.slots
             checked += 1
+
+
+def reference_les_slots(pair):
+    """The slots of ``les_exactness_check`` with no zero-group shortcut:
+    every map's full matrix in every degree, a zero matrix of the group
+    dimensions where no class maps, its rank, and the product of every
+    two consecutive maps.  Each column is a class expression of a pushed
+    representative."""
+    sub_h = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
+    amb_h = HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
+    rel_h = HomologyBasis(pair)
+
+    def matrix(source, target, push, k, shift=0):
+        columns = [target.express_class(k + shift, push(rep))[0] for rep in source.representatives(k)]
+        return Gf2Matrix.from_columns(columns, target.betti_dim(k + shift))
+
+    def connect(k):
+        return matrix(rel_h, sub_h, lambda c: boundary_chain(c, frozenset(), augmented=True), k, -1)
+
+    def into_ambient(k):
+        return matrix(sub_h, amb_h, lambda c: c, k)
+
+    def onto_relative(k):
+        return matrix(amb_h, rel_h, lambda c: c - pair.sub.faces - {()}, k)
+
+    degrees = range(pair.ambient.dim + 1, -2, -1)
+    maps = [m(k) for k in degrees for m in (into_ambient, onto_relative, connect)] + [into_ambient(-2)]
+    groups = [g for k in degrees for g in ((k, "ambient", amb_h), (k, "pair", rel_h), (k - 1, "sub", sub_h))]
+    return tuple(
+        SlotCheck(d, at, h.betti_dim(d), maps[i].rank(), maps[i + 1].rank(), maps[i + 1].mat_mul(maps[i]).is_zero())
+        for i, (d, at, h) in enumerate(groups)
+    )
+
+
+class TestZeroGroups:
+    """The sequence skips the work of zero groups and gives the slots of
+    the full computation."""
+
+    def test_corpus_slots_match_the_full_computation(self):
+        products = 0
+        for name, pair in corpus_pairs().items():
+            slots = les_exactness_check(pair).slots
+            assert slots == reference_les_slots(pair), name
+            products += sum(1 for s in slots if s.incoming_rank and s.outgoing_rank)
+        # Some slot sits between two nonzero maps, so the product path runs.
+        assert products > 0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(random_pairs())
+    def test_random_pair_slots_match_the_full_computation(self, pair):
+        assert les_exactness_check(pair).slots == reference_les_slots(pair)
+
+    def test_a_map_whose_shape_disagrees_with_its_groups_is_refused(self, monkeypatch):
+        # Every computed matrix gains a row, so the first map into a
+        # nonzero group no longer has that group's dimension for its rows.
+        expressed = exactness._expressed
+
+        def one_row_too_many(target, k, images):
+            matrix, witnesses = expressed(target, k, images)
+            return Gf2Matrix(matrix.n_rows + 1, matrix.n_cols, matrix.columns), witnesses
+
+        monkeypatch.setattr(exactness, "_expressed", one_row_too_many)
+        with pytest.raises(InputError, match="inner dimensions do not match"):
+            les_exactness_check(corpus_pairs()["torus"])
 
 
 class TestRandomPairs:

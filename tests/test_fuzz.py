@@ -7,7 +7,10 @@ from the file's own and from -1, 10^6 and 2^63; add a random simplex.
 Whatever the mutant, a command ends in a verdict, an input error or a
 suite mismatch (exit 0-3), an input error prints exactly one ``error:``
 line, and no request takes long.  The moves reach the purity, ridge,
-region and gluing checks of the load and of ``double``.
+region and gluing checks of the load and of ``double``.  A suite
+mismatch is explained: only duality fails, on a split that fails the
+hypotheses of Lefschetz duality (``duality_hypotheses``), such as an
+annulus with a pinched vertex.
 """
 
 import io
@@ -17,7 +20,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from topsym.cli import EXIT_INPUT_ERROR, main
+from conftest import catalog_splits, duality_hypotheses, equal_regions_hexagon
+from topsym.cli import EXIT_INPUT_ERROR, EXIT_SUITE_FAILED, load_space, main
 
 SPACES = Path(__file__).with_name("spaces")
 FIELDS = ("maximal_simplices", "positive_region", "negative_region")
@@ -79,7 +83,7 @@ def run(argv):
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue(), time.perf_counter() - start
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 def test_mutated_space_files_end_in_a_verdict_or_one_error_line(tmp_path):
@@ -88,13 +92,26 @@ def test_mutated_space_files_end_in_a_verdict_or_one_error_line(tmp_path):
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(data), encoding="utf-8")
         for command in ("analyze", "verify", "double"):
-            code, stderr, seconds = run([command, str(path)])
+            code, stdout, stderr, seconds = run([command, str(path)])
             assert code in {0, 1, 2, 3}, (name, command, data, stderr)
             if code == EXIT_INPUT_ERROR:
                 assert stderr.startswith("error: ") and stderr.count("\n") == 1, (name, command, data, stderr)
             else:
                 assert stderr == "", (name, command, data, stderr)
             assert seconds < SECONDS_PER_REQUEST, (name, command, data, seconds)
+            if code == EXIT_SUITE_FAILED:
+                failed = [line.split()[0] for line in stdout.splitlines()[:-1] if line.split()[1] == "fail"]
+                assert (command, failed) == ("verify", ["duality"]), (name, command, data, stdout)
+                assert duality_hypotheses(load_space(str(path))[1]), (name, data)
             codes[code] = codes.get(code, 0) + 1
-    # The mutants reach both valid splits and refusals.
-    assert codes.get(0, 0) > 0 and codes.get(EXIT_INPUT_ERROR, 0) > 0, codes
+    # The mutants reach valid splits, refusals and unmet duality hypotheses.
+    assert min(codes.get(c, 0) for c in (0, EXIT_INPUT_ERROR, EXIT_SUITE_FAILED)) > 0, codes
+
+
+def test_duality_hypotheses_fail_only_on_pinched_domains_and_overlapping_regions():
+    # The brieskorn domains are wedges of spheres, pinched at vertex 0.
+    splits = dict(catalog_splits())
+    splits.update((path.name, load_space(str(path))[1]) for path in sorted(SPACES.glob("*.json")))
+    assert {name for name, split in splits.items() if duality_hypotheses(split)} == {"brieskorn_2", "brieskorn_3"}
+    # Both regions the whole circle: they meet outside their empty frontiers.
+    assert duality_hypotheses(equal_regions_hexagon()) == ["the regions meet outside their common frontier"]

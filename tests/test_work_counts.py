@@ -12,14 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog_splits, corpus_pairs
+from conftest import catalog_splits, corpus_pairs, equal_regions_hexagon
 from topsym import (
     BoundarySplit,
     ComplexPair,
     HomologyBasis,
     SimplicialComplex,
     betti,
-    boundary_subcomplex,
     build_complex,
     builtin_example,
     cli,
@@ -182,18 +181,19 @@ def count_ranks(monkeypatch):
     return calls
 
 
-def test_les_takes_each_maps_rank_once(monkeypatch):
-    # From one degree above the top down to the augmentation degree the
-    # sequence has three maps per degree and one more into degree -2.
+def test_les_takes_a_rank_only_for_a_map_between_nonzero_groups(monkeypatch):
+    # Map i runs from the group of slot i - 1 into the group of slot i.  A
+    # map out of or into a zero group has rank 0 without a rank call, so
+    # one rank is taken per pair of consecutive nonzero groups.
     calls = count_ranks(monkeypatch)
     counts = {}
     for name in ("annulus_split_pos", "disk_half_split_double", "torus", "disk_rel_boundary"):
         pair = corpus_pairs()[name]
         calls.clear()
-        les_exactness_check(pair)
+        dims = [slot.middle_dim for slot in les_exactness_check(pair).slots]
         counts[name] = len(calls)
-        assert counts[name] == 1 + 3 * (pair.ambient.dim + 3), name
-    assert counts["annulus_split_pos"] == 16
+        assert counts[name] == sum(1 for a, b in zip(dims, dims[1:]) if a and b), name
+    assert counts == {"annulus_split_pos": 1, "disk_half_split_double": 1, "torus": 3, "disk_rel_boundary": 1}
 
 
 def test_morse_betti_takes_each_boundarys_rank_once(monkeypatch):
@@ -427,11 +427,30 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
         assert recorded == betti(fresh, augmented=augmented)
 
 
-def equal_regions_hexagon() -> BoundarySplit:
-    """The hexagon disk with both regions its whole boundary circle."""
-    disk = build_complex([(0, 1, 6), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (0, 5, 6)])
-    circle = boundary_subcomplex(disk)
-    return BoundarySplit(disk, circle, circle)
+@pytest.mark.parametrize("space", sorted(catalog_splits()))
+def test_verify_indexes_only_the_degrees_in_which_a_class_is_expressed(monkeypatch, capsys, space):
+    # A basis indexes a degree's cells on the first chain it turns into
+    # bits there, and only a class expression does that.
+    bases, expressed = [], Counter()
+    init, express = HomologyBasis.__init__, HomologyBasis.express_class
+
+    def recorded_init(self, pair, *, augmented=False):
+        init(self, pair, augmented=augmented)
+        bases.append(self)
+
+    def recorded_express(self, k, chain):
+        expressed[id(self), k] += 1
+        return express(self, k, chain)
+
+    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    monkeypatch.setattr(HomologyBasis, "express_class", recorded_express)
+    assert main(["verify", space]) == EXIT_OK
+    capsys.readouterr()
+    for basis in bases:
+        assert set(basis._index) == {k for k in basis.degrees() if expressed[id(basis), k]}, (space, basis.pair)
+    # Most of the bases' degrees express no class, so they stay unindexed.
+    indexed, degrees = sum(len(basis._index) for basis in bases), sum(len(basis.degrees()) for basis in bases)
+    assert 0 < indexed < degrees / 2, (indexed, degrees)
 
 
 @pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json")), "equal regions"])
