@@ -9,7 +9,7 @@ temporary directory under its own package name, ``topsym_parent`` and
 one interpreter, one heap and one host state.  The inputs are the
 seeded requests of ``bench/workloads.py`` from CHANGE, loaded by path.
 
-Each round writes ``--requests`` new requests, then sends all of them
+Each round writes ``REQUESTS`` new requests, then sends all of them
 to one side's ``cli.main`` and then to the other's, as the bench client
 does (``verify --json``, ``analyze --json --assert-symmetric``,
 ``double -o``).  The side that goes first alternates from round to
@@ -46,6 +46,7 @@ ARGV = {
     "double": lambda path, out: ["double", path, "-o", out],
 }
 SIDES = ("parent", "change")
+REQUESTS = 70  # per round; both sides get the same requests
 
 
 def load_workloads(checkout: str):
@@ -87,7 +88,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="verify-mix")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--requests", type=int, default=70, help="requests per round")
     args = parser.parse_args(argv)
 
     workloads = load_workloads(args.change)
@@ -104,8 +104,8 @@ def main(argv=None) -> int:
         ratios = []
         for round_index in range(-1, args.rounds):  # round -1 warms up
             requests = []
-            for i in range(args.requests):
-                index = (round_index + 1) * args.requests + i
+            for i in range(REQUESTS):
+                index = (round_index + 1) * REQUESTS + i
                 space = workloads.space_for(args.workload, args.seed, index)
                 name = "%s-%d" % (space.family, index)
                 path = os.path.join(workdir, name + ".json")
