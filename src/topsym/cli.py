@@ -300,7 +300,10 @@ def cmd_analyze(args) -> int:
 
 
 def _write_space_file(payload: Dict, output: Optional[str]) -> None:
-    """Write to ``output`` when given, else to stdout."""
+    """Write to ``output`` when given, else to stdout, only a file that
+    loads: the load's face limit holds on each listed field."""
+    for key in ("maximal_simplices", "positive_region", "negative_region"):
+        _check_listed_faces(payload.get(key, ()), key)
     text = _dump(payload)
     if output:
         try:
@@ -339,10 +342,7 @@ def cmd_double(args) -> int:
     if shared := split.interface.simplices(split.domain.dim - 1):
         message = "positive and negative regions share boundary simplex %r, which the double glues into its interior"
         raise InputError(message % (shared[0],))
-    payload = space_file_dict(name + "_double", split.double)
-    for key in ("maximal_simplices", "positive_region", "negative_region"):
-        _check_listed_faces(payload[key], key)  # so that the written file loads
-    _write_space_file(payload, args.output)
+    _write_space_file(space_file_dict(name + "_double", split.double), args.output)
     return EXIT_OK
 
 

@@ -5,13 +5,12 @@ The double glues two copies of the domain along the interface, in the
 integer labels 0..n-1: copy A's own vertices first (below ``n_own``),
 then the interface vertices both copies share, then copy B's own ones,
 each run in the order of the domain's labels.  Each copy is the domain
-relabeled, and ``_relabeled`` gives the domain's cells and facet rows
-under a labeling.  So a copy keeps the domain's order among its cells
-on one side, and one split of each degree (``_splits``) orders both
-copies: only the cells with vertices on both sides are placed by search,
-and only they can have their vertices reordered.  Then facet i of the
-image is the image of the domain facet that drops the vertex the sorted
-image holds at i.
+relabeled: ``_relabeled_cells`` maps the vertices of every cell and
+sorts those of a cell the labeling reorders, and ``_relabeled`` orders
+each degree by one sort of the images, total since a labeling is
+injective.  Facet i of an image is the image of the domain facet that
+drops the vertex the sorted image holds at i, so only the facet rows of
+the sorted cells are permuted.
 
 The double keeps no copy, only the domain, the two boundaries it is
 written with and the two labelings, through which ``verify`` pushes the
@@ -63,7 +62,7 @@ class TruncatedDouble:
     @cached_property
     def tops(self) -> Tuple[Simplex, ...]:
         tops = [tuple(self.domain._maximal)]  # the domain is pure
-        return tuple(sorted(itertools.chain.from_iterable(_relabeled_cells(tops, label)[0] for label in self.labels)))
+        return tuple(sorted(itertools.chain.from_iterable(_relabeled_cells(tops, label)[0][0] for label in self.labels)))
 
     @cached_property
     def total(self) -> SimplicialComplex:
@@ -71,11 +70,11 @@ class TruncatedDouble:
         table is derived from the domain's when asked for (``_total_table``)."""
         domain, labels = self.domain, self.labels
         held = {face: face for face in self.exit_boundary.faces | self.entry_boundary.faces}
-        images = [_relabeled_cells([domain.simplices(k) for k in range(domain.dim + 1)], label) for label in labels]
-        for image in images:
-            image[:-1] = [list(map(held.get, cells, cells)) for cells in image[:-1]]  # no region has a top simplex
-        faces = frozenset(itertools.chain.from_iterable(images[0])) | frozenset(itertools.chain.from_iterable(images[1]))
-        return _trusted(faces, partial(_total_table, domain, labels, images, min(labels[1].values(), default=0)))
+        copies = [_relabeled_cells([domain.simplices(k) for k in range(domain.dim + 1)], label) for label in labels]
+        for images, _ in copies:
+            images[:-1] = [list(map(held.get, cells, cells)) for cells in images[:-1]]  # no region has a top simplex
+        faces = frozenset(itertools.chain.from_iterable(copies[0][0])) | frozenset(itertools.chain.from_iterable(copies[1][0]))
+        return _trusted(faces, partial(_total_table, domain, labels, copies, min(labels[1].values(), default=0)))
 
     def exit_pair(self) -> ComplexPair:
         return ComplexPair(self.total, self.exit_boundary)
@@ -102,7 +101,7 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
     faces = sorted(split.boundary.faces, key=len)
     groups = [list(group) for _, group in itertools.groupby(faces, len)]
-    face_a, face_b = (dict(zip(faces, itertools.chain.from_iterable(_relabeled_cells(groups, label)))) for label in labels)
+    face_a, face_b = (dict(zip(faces, itertools.chain.from_iterable(_relabeled_cells(groups, label)[0]))) for label in labels)
 
     def glued(faces: frozenset) -> SimplicialComplex:
         # A union of two sets is sized once; a set grown face by face may get twice the table.
@@ -111,59 +110,44 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     return TruncatedDouble(domain, glued(split.positive.faces), glued(split.negative.faces), labels)
 
 
-def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> List[list]:
+def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> Tuple[List[list], list]:
     """Each group's cells, all of one size, relabeled in order with sorted
-    vertices: the vertices are mapped in one pass and, if the labeling
-    reorders any, only a cell whose image has one above the next is sorted."""
+    vertices, and per group the positions of the cells sorted: the
+    vertices are mapped in one pass and, if the labeling reorders any,
+    only a cell whose image has one above the next is sorted."""
     keys = sorted(label)
     values = list(map(label.__getitem__, keys))
     if values == keys:
-        return list(groups)
-    relabeled = []
+        return list(groups), [()] * len(groups)
+    relabeled, moved = [], []
     for group in groups:
         size = len(group[0]) if group else 1
         flat = list(map(label.__getitem__, itertools.chain.from_iterable(group)))
-        cells = list(zip(*[iter(flat)] * size))
+        cells, descents = list(zip(*[iter(flat)] * size)), set()
         if values != sorted(values):
             columns = [flat[i::size] for i in range(size)]
-            descents = (itertools.compress(itertools.count(), map(operator.gt, a, b)) for a, b in zip(columns, columns[1:]))
-            for c in set(itertools.chain.from_iterable(descents)):
-                cells[c] = tuple(sorted(cells[c]))
+            pairs = (itertools.compress(itertools.count(), map(operator.gt, a, b)) for a, b in zip(columns, columns[1:]))
+            descents.update(itertools.chain.from_iterable(pairs))
+        for c in descents:
+            cells[c] = tuple(sorted(cells[c]))
         relabeled.append(cells)
-    return relabeled
+        moved.append(descents)
+    return relabeled, moved
 
 
-def _splits(images, t: int):
-    """Per degree, the positions of the cells whose images lie all below
-    ``t``, all from ``t`` on, and on both sides."""
-    for image in images:
-        split = [], [], []
-        for c, s in enumerate(image):
-            split[0 if s[-1] < t else 1 if s[0] >= t else 2].append(c)
-        yield split
-
-
-def _relabeled(domain: SimplicialComplex, label: Dict[int, int], images, splits):
+def _relabeled(domain: SimplicialComplex, label: Dict[int, int], images, moved):
     """Per degree, the domain positions of the cells in the order of their
-    images, and the domain's facet rows, those of a cell whose vertices
-    the labeling reorders permuted.  Each of ``splits`` lists first the
-    side the labeling puts first; a labeling that keeps the order of all
-    vertices reads no split and keeps the domain's rows."""
+    images, by one sort (total: a labeling is injective, so no two images
+    are equal), and the domain's facet rows with those of the cells
+    ``_relabeled_cells`` sorted (``moved``) permuted."""
     cells, rows = domain._chain_table[:2]
-    keeps_order = sorted(label) == sorted(label, key=label.__getitem__)
     for k in range(domain.dim + 1):
-        if keeps_order:
-            yield list(range(len(cells[k]))), rows[k]  # a list: iterating a range makes its ints anew
-            continue
-        first, last, mixed = next(splits)
-        order, permuted = first + last, list(map(list, rows[k]))
-        for c in mixed:
-            bisect.insort(order, c, key=images[k].__getitem__)
+        permuted = list(map(list, rows[k])) if moved[k] else rows[k]
+        for c in moved[k]:
             unsorted = tuple(map(label.__getitem__, cells[k][c]))
-            if unsorted != images[k][c]:
-                for i, j in enumerate(sorted(range(k + 1), key=unsorted.__getitem__)):
-                    permuted[i][c] = rows[k][j][c]
-        yield order, permuted
+            for i, j in enumerate(sorted(range(k + 1), key=unsorted.__getitem__)):
+                permuted[i][c] = rows[k][j][c]
+        yield sorted(range(len(images[k])), key=images[k].__getitem__), permuted
 
 
 def _placed(order, positions: List[int], start: int = 0) -> List[int]:
@@ -174,16 +158,14 @@ def _placed(order, positions: List[int], start: int = 0) -> List[int]:
     return positions
 
 
-def _total_table(domain: SimplicialComplex, labels, images, n_own: int, complex_: SimplicialComplex):
+def _total_table(domain: SimplicialComplex, labels, copies, n_own: int, complex_: SimplicialComplex):
     """Cells and facet rows of the total, from the domain, the copies'
-    labelings and images (``_relabeled_cells``) and the number of copy
-    A's own vertices; the cells seed ``_by_degree``."""
-    (label_a, label_b), (images_a, images_b) = labels, images
-    splits_a, splits_b = itertools.tee(_splits(images_a, n_own))  # copy B labels the shared side first
-    swapped = ((last, first, mixed) for first, last, mixed in splits_b)
-    copies = zip(_relabeled(domain, label_a, images_a, splits_a), _relabeled(domain, label_b, images_b, swapped))
+    labelings, images and sorted cells (``_relabeled_cells``) and the
+    number of copy A's own vertices; the cells seed ``_by_degree``."""
+    (label_a, label_b), ((images_a, moved_a), (images_b, moved_b)) = labels, copies
+    relabeled = zip(_relabeled(domain, label_a, images_a, moved_a), _relabeled(domain, label_b, images_b, moved_b))
     cells, rows, below_a, below_b = {-1: (EMPTY_SIMPLEX,)}, {}, [0], [0]
-    for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(copies):
+    for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(relabeled):
         cells_a = tuple(map(images_a[k].__getitem__, order_a))
         order_a = order_a[: bisect.bisect_left(cells_a, (n_own,))]  # copy A's shared cells come last
         cells[k] = cells_a[: len(order_a)] + tuple(map(images_b[k].__getitem__, order_b))

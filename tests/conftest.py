@@ -46,6 +46,16 @@ def catalog_splits():
     return {n: builtin_example(n) for n in names}
 
 
+def boundary_star_split(n):
+    """``reeb_ball_n`` with the closed star of vertex 0 in its boundary as
+    the positive region.  The interface is the link of vertex 0, an
+    induced sphere; the star and the closure of its complement are balls,
+    and most cells of the domain hold both own and interface vertices."""
+    domain = builtin_example("reeb_ball_%d" % n).domain
+    star = [s for s in boundary_subcomplex(domain).maximal_simplices() if 0 in s]
+    return BoundarySplit(domain, build_complex(star))
+
+
 @lru_cache(maxsize=None)
 def corpus_complexes():
     return {name: builtin_example(name) for name in CORPUS_COMPLEX_NAMES}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import dump_outputs
-from conftest import catalog_splits, grown_regions
+from conftest import boundary_star_split, catalog_splits, grown_regions
 from topsym import (
     InputError,
     SimplicialComplex,
@@ -171,6 +171,28 @@ class TestCommands:
         for name in names:
             assert main(["verify", name]) == EXIT_OK, name
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_boundary_star_split_answers(self, tmp_path, capsys, n):
+        # The star of vertex 0 in the boundary of reeb_ball_n and the closure
+        # of its complement are balls: both tables are empty, both verdicts
+        # symmetric with shift 0, and every identity suite passes.
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(space_file_dict("star", boundary_star_split(n))))
+        assert main(["analyze", str(path), "--json"]) == EXIT_OK
+        verdict = {"symmetric": True, "shifts": [0]}
+        assert json.loads(capsys.readouterr().out) == {
+            "name": "star",
+            "betti_positive": [],
+            "betti_negative": [],
+            "verdict_positive": verdict,
+            "verdict_negative": verdict,
+            "duality": "pass",
+            "factor2": "pass",
+        }
+        assert main(["verify", str(path), "--json"]) == EXIT_OK
+        suites = dict.fromkeys(("duality", "les", "mayer_vietoris", "factor2", "morse"), "pass")
+        assert json.loads(capsys.readouterr().out) == {"name": "star", "suites": suites, "passed": True}
 
     def test_unknown_name_is_input_error(self, capsys):
         assert main(["analyze", "moebius"]) == EXIT_INPUT_ERROR
@@ -387,7 +409,8 @@ def polygon_file(directory, n):
 
 class TestDoubleWritesOnlyLoadableFiles:
     """The load counts 2^|s| - 1 faces per listed simplex against the face
-    limit; ``double`` applies the same count to the file it would write."""
+    limit; ``double`` and ``example`` apply the same count to the file
+    they would write."""
 
     def test_a_double_past_the_limit_is_refused_and_nothing_is_written(self, tmp_path, capsys):
         # 27,000 counted faces load; the double, two 9000-gons, counts 54,000.
@@ -406,6 +429,21 @@ class TestDoubleWritesOnlyLoadableFiles:
         written = parse_space_file(output.read_bytes())
         assert written.name == "8000-gon_double" and len(written.complex()) == 32000
         assert written.split().domain == cli.load_space(str(path))[1].double.total
+
+    def test_an_example_past_the_limit_is_refused_and_nothing_is_written(self, tmp_path, capsys):
+        # reeb_ball_4 has 13,123 faces; its 256 listed top simplices count 130,816.
+        output = tmp_path / "example.json"
+        message = "error: maximal_simplices expands to more than the limit of %d faces\n" % MAX_FACES
+        for argv in (["example", "reeb_ball_4", "-o", str(output)], ["example", "reeb_ball_4"]):
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", message)
+        assert not output.exists()
+
+    def test_an_example_within_the_limit_is_written_and_loads(self, tmp_path, capsys):
+        output = tmp_path / "example.json"
+        assert main(["example", "reeb_ball_3", "-o", str(output)]) == EXIT_OK
+        assert main(["analyze", str(output)]) == EXIT_OK
+        capsys.readouterr()
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from conftest import (
     annulus_domains,
+    boundary_star_split,
     catalog_splits,
     full_double,
     grown_regions,
@@ -399,14 +400,14 @@ def relabeled_split(split, mapping):
     return BoundarySplit(*(cx.relabel(mapping) for cx in (split.domain, split.positive, split.negative)))
 
 
-def reorders_a_cell(split):
-    """Whether either copy's labeling of the double reorders the vertices
-    of some domain cell, found face by face."""
+def reordered_degrees(split):
+    """The degrees of the domain cells whose vertices either copy's
+    labeling of the double reorders, found face by face."""
     shared = sorted(split.interface.vertices)
     own = sorted(split.domain.vertices - split.interface.vertices)
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
     images = ([label[v] for v in s] for label in labels for s in split.domain.faces)
-    return any(image != sorted(image) for image in images)
+    return {len(image) - 1 for image in images if image != sorted(image)}
 
 
 def composition_message(fn, *args):
@@ -458,9 +459,22 @@ class TestDerivedChainTable:
                 mapping = dict(zip(vertices, rng.sample(range(3 * len(vertices)), len(vertices))))
                 relabeled = relabeled_split(split, mapping)
                 interface += len(relabeled.interface) > 0
-                reordered += reorders_a_cell(relabeled)
+                reordered += bool(reordered_degrees(relabeled))
                 relabeled_a += self.check(monkeypatch, relabeled)
         assert reordered == interface == 16 and relabeled_a == 44
+
+    def test_boundary_star_splits(self, monkeypatch):
+        # Most cells hold own and interface vertices, so each degree is
+        # ordered across both sides, and cells of the top degree, 4 or 6,
+        # have their five or seven facet rows permuted.
+        rng = random.Random(29)
+        for n in (2, 3):
+            split = boundary_star_split(n)
+            vertices = sorted(split.domain.vertices)
+            mapping = dict(zip(vertices, rng.sample(range(3 * len(vertices)), len(vertices))))
+            for case in (split, relabeled_split(split, mapping)):
+                self.check(monkeypatch, case)
+                assert max(reordered_degrees(case)) == 2 * n
 
     def test_grown_annulus_splits(self, monkeypatch):
         seen = {"draws": 0, "interface": 0, "reordered": 0, "relabeled_a": 0}
@@ -476,7 +490,7 @@ class TestDerivedChainTable:
                 return
             seen["draws"] += 1
             seen["interface"] += len(split.interface) > 0
-            seen["reordered"] += reorders_a_cell(split)
+            seen["reordered"] += bool(reordered_degrees(split))
             seen["relabeled_a"] += self.check(monkeypatch, split)
 
         check()
@@ -491,7 +505,7 @@ class TestDerivedChainTable:
         # corruption with the message the dense check gives.
         split = cli.load_space(str(SPACES / name) if name.endswith(".json") else name)[1]
         split = relabeled_split(split, {v: 40 - 3 * v for v in split.domain.vertices})
-        assert reorders_a_cell(split)
+        assert reordered_degrees(split)
         faces = truncated_double(split).total.faces
         derive = truncated_double(split).total.__dict__["_derive_chain_table"]
         cells, rows = complexes._build_chain_table(complexes._trusted(faces))
