@@ -20,7 +20,6 @@ from .complexes import (
 from .errors import InputError, MatchingError, PseudomanifoldError
 from .exactness import (
     HomologyMap,
-    connecting_map,
     lefschetz_duality_check,
     les_exactness_check,
     mayer_vietoris_check,
@@ -65,7 +64,6 @@ __all__ = [
     "check_symmetry",
     "check_symmetry_rolled",
     "cone",
-    "connecting_map",
     "cross_polytope_sphere",
     "lefschetz_duality_check",
     "les_exactness_check",

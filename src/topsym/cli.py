@@ -22,7 +22,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
@@ -44,21 +44,11 @@ EXIT_INTERNAL_ERROR = 4
 
 @dataclass(frozen=True)
 class SpaceFile:
-    """Parsed space file: a named complex with optional boundary regions,
-    and the split they give, built and validated on construction."""
+    """A parsed space file: its name and the split its fields give, which
+    ``parse_space_file`` built and validated."""
 
     name: str
-    maximal_simplices: Tuple[Tuple[int, ...], ...]
-    positive_region: Optional[Tuple[Tuple[int, ...], ...]]
-    negative_region: Optional[Tuple[Tuple[int, ...], ...]]
-    _split: BoundarySplit = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        regions = [None if r is None else build_complex(r) for r in (self.positive_region, self.negative_region)]
-        object.__setattr__(self, "_split", BoundarySplit(build_complex(self.maximal_simplices), *regions))
-
-    def complex(self) -> SimplicialComplex:
-        return self._split.domain
+    _split: BoundarySplit
 
     def split(self) -> BoundarySplit:
         return self._split
@@ -90,7 +80,8 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
     UTF-8 or not JSON, JSON nested too deeply or holding an integer past
     Python's digit limit, a name that is not Unicode text, a field of the
     wrong shape, too many faces, or regions that do not split the
-    boundary.  A returned SpaceFile always yields a usable split.
+    boundary.  Every field is checked for shape and face count before
+    any is closed, and the returned SpaceFile holds the validated split.
     """
     if isinstance(data, bytes):
         try:
@@ -117,7 +108,9 @@ def parse_space_file(data: Union[bytes, str]) -> SpaceFile:
     if "maximal_simplices" not in raw:
         raise InputError("space file needs 'maximal_simplices'")
     keys = ("maximal_simplices", "positive_region", "negative_region")
-    return SpaceFile(raw["name"], *(_simplex_list(raw[key], key) if key in raw else None for key in keys))
+    maximal, *listed = [_simplex_list(raw[key], key) if key in raw else None for key in keys]
+    regions = [None if r is None else build_complex(r) for r in listed]  # closed first, so reported first
+    return SpaceFile(raw["name"], BoundarySplit(build_complex(maximal), *regions))
 
 
 def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit, TruncatedDouble]) -> Dict:

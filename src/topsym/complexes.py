@@ -89,9 +89,9 @@ class SimplicialComplex:
     The public constructor ``SimplicialComplex(faces)`` validates its
     input: every face is a nonempty, strictly ascending tuple and every
     facet of a face is present.  Complexes derived inside the package
-    (face closures, unions, intersections, induced subcomplexes,
-    relabelings, the parts of a glued double) are face-closed by
-    construction and are built without the re-check.
+    (face closures, unions, intersections, induced subcomplexes, the
+    parts of a glued double) are face-closed by construction and are
+    built without the re-check.
     """
 
     faces: frozenset
@@ -140,9 +140,6 @@ class SimplicialComplex:
         _check_identities(rows)
         return cells, rows, {}
 
-    def counts(self) -> Dict[int, int]:
-        return {k: len(group) for k, group in self._by_degree.items()}
-
     def maximal_simplices(self) -> Tuple[Simplex, ...]:
         """Simplices that are not a proper face of any other, sorted.
 
@@ -174,11 +171,6 @@ class SimplicialComplex:
         """Subcomplex of faces whose vertices all lie in ``vertex_set``."""
         vs = frozenset(vertex_set)
         return _trusted(frozenset(filter(vs.issuperset, self.faces)))
-
-    def relabel(self, mapping) -> "SimplicialComplex":
-        """Apply a vertex relabeling; ``mapping`` is a dict or callable."""
-        get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        return _trusted(frozenset(_as_simplex(tuple(map(get, s))) for s in self.faces))
 
 
 def _trusted(faces: frozenset, derive=None) -> SimplicialComplex:
@@ -262,9 +254,6 @@ class BettiTable:
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.entries)
-
-    def dim(self, k: int) -> int:
-        return dict(self.entries).get(k, 0)
 
     def total(self) -> int:
         return sum(d for _, d in self.entries)
@@ -380,9 +369,6 @@ class HomologyBasis:
     def betti(self) -> BettiTable:
         return BettiTable.from_dict({k: self.betti_dim(k) for k in self.degrees()})
 
-    def is_cycle(self, k: int, chain: Chain) -> bool:
-        return not boundary_chain(chain, self.pair.sub.faces, self.augmented)
-
     def express_class(self, k: int, chain: Chain) -> Tuple[int, Chain]:
         """Coordinates of a cycle's class in the stored basis.
 
@@ -391,7 +377,7 @@ class HomologyBasis:
         degree-(k+1) chain whose boundary corrects the representative
         mismatch.  The witness identity is re-checked exactly.
         """
-        if not self.is_cycle(k, chain):
+        if boundary_chain(chain, self.pair.sub.faces, self.augmented):
             raise InputError("chain is not a cycle in degree %d" % k)
         if k < self.min_degree or k > self.max_degree:
             if chain:

@@ -33,9 +33,11 @@ class HomologyMap:
     """Per-degree matrices of a homology-level map in stored bases.
 
     ``matrices`` is keyed by source degree; the matrix in degree k maps
-    into target degree ``k + degree_shift``.  ``witnesses[k][i]`` is the
-    chain whose boundary connects the pushed i-th source representative
-    to the stored combination of target representatives.
+    into target degree ``k + degree_shift``.  A degree absent from
+    ``matrices`` was not computed, and the map is zero there.
+    ``witnesses[k][i]`` is the chain whose boundary connects the pushed
+    i-th source representative to the stored combination of target
+    representatives.
     """
 
     source: HomologyBasis
@@ -43,14 +45,6 @@ class HomologyMap:
     degree_shift: int
     matrices: Dict[int, Gf2Matrix]
     witnesses: Dict[int, Tuple[Chain, ...]]
-
-    def matrix(self, k: int) -> Gf2Matrix:
-        if k in self.matrices:
-            return self.matrices[k]
-        return Gf2Matrix.zero(self.target.betti_dim(k + self.degree_shift), self.source.betti_dim(k))
-
-    def rank(self, k: int) -> int:
-        return self.matrix(k).rank()
 
 
 def _map_on_homology(
@@ -60,7 +54,8 @@ def _map_on_homology(
     degrees: Iterable[int],
     degree_shift: int = 0,
 ) -> HomologyMap:
-    """The map in the given source degrees; the others read as zero."""
+    """The map in the given source degrees, which alone are in its
+    ``matrices``; it is zero in every other degree."""
     matrices, witnesses = {}, {}
     for k in degrees:
         images = (push(k, rep) for rep in source.representatives(k))
@@ -73,18 +68,6 @@ def _expressed(target: HomologyBasis, k: int, images: Iterable[Chain]) -> Tuple[
     ``target``, as the columns of a matrix, and the witness of each."""
     expressed = [target.express_class(k, image) for image in images]
     return Gf2Matrix.from_columns([c for c, _ in expressed], target.betti_dim(k)), tuple(w for _, w in expressed)
-
-
-def connecting_map(pair: ComplexPair, degree: int) -> HomologyMap:
-    """Boundary map from relative degree ``degree + 1`` to the reduced
-    homology of the subcomplex in ``degree``.
-
-    Relative representatives lift to the ambient complex unchanged;
-    their boundaries are cycles in the subcomplex.
-    """
-    source = HomologyBasis(pair)
-    target = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
-    return _connecting(source, target, (degree + 1,))
 
 
 def _connecting(source: HomologyBasis, target: HomologyBasis, degrees: Iterable[int]) -> HomologyMap:
@@ -167,7 +150,7 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
     for i, (d, at, h) in enumerate(groups):
         middle, into, out = h.betti_dim(d), maps[i], maps[i + 1]
         if (into is not None and into.n_rows != middle) or (out is not None and out.n_cols != middle):
-            raise InputError("inner dimensions do not match")
+            raise AssertionError("a map's shape disagrees with its groups at the %s slot of degree %d" % (at, d))
         composition_zero = not (ranks[i] and ranks[i + 1]) or out.mat_mul(into).is_zero()
         slots.append(SlotCheck(d, at, middle, ranks[i], ranks[i + 1], composition_zero))
     return LesReport(rel_h, tuple(slots))

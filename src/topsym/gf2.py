@@ -164,10 +164,6 @@ class Gf2Matrix:
             raise InputError("column has bits beyond n_rows")
 
     @classmethod
-    def zero(cls, n_rows: int, n_cols: int) -> "Gf2Matrix":
-        return cls(n_rows, n_cols, (0,) * n_cols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[int], n_rows: int) -> "Gf2Matrix":
         """Build from bit-vector columns (bit ``i`` of a column = row ``i``)."""
         return cls(n_rows, len(columns), tuple(columns))

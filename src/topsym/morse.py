@@ -209,9 +209,6 @@ class MorseComplexData:
         dims = {k: self.boundaries[k].n_cols - ranks[k] - ranks.get(k + 1, 0) for k in self.critical}
         return BettiTable.from_dict(dims)
 
-    def counts(self) -> Dict[int, int]:
-        return {k: len(v) for k, v in self.critical.items()}
-
 
 def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     """Boundary maps counting alternating gradient paths modulo 2, read

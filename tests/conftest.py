@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from topsym import (
     ComplexPair,
+    HomologyBasis,
     SimplicialComplex,
     boundary_subcomplex,
     build_complex,
     builtin_example,
     truncated_double,
 )
+from topsym import exactness
 from topsym.complexes import _trusted, boundary_chain
 from topsym.errors import InputError, MatchingError, PseudomanifoldError
 from topsym.gf2 import Gf2Matrix, Reduction
@@ -182,6 +184,51 @@ def excise(pair, simplex):
         offender = sorted(star - pair.sub.faces)[0]
         raise InputError("open star leaves the subcomplex at %r" % (offender,))
     return ComplexPair(_trusted(pair.ambient.faces - star), _trusted(pair.sub.faces - star))
+
+
+def relabeled(cx, mapping):
+    """The complex with each vertex v renamed ``mapping[v]``, or
+    ``mapping(v)`` for a callable; a face whose vertices the mapping
+    merges is an ``InputError``."""
+    get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
+    faces = set()
+    for s in cx.faces:
+        image = tuple(map(get, s))
+        if len(set(image)) != len(image):
+            raise InputError("simplex has repeated vertices: %r" % (image,))
+        faces.add(tuple(sorted(image)))
+    return _trusted(frozenset(faces))
+
+
+def relabeled_split(split, mapping):
+    """The split with its domain and both regions ``relabeled``."""
+    return BoundarySplit(*(relabeled(cx, mapping) for cx in (split.domain, split.positive, split.negative)))
+
+
+def stellar_subdivide(split, simplex):
+    """``split`` with the star of ``simplex`` coned from a new vertex, one
+    above the largest, in the domain and in each region that holds the
+    simplex: the faces that contain it go, and every face that misses
+    some of its vertices but spans a face with it gains the new vertex.
+    A stellar move is a PL homeomorphism, and the regions are moved with
+    the domain, so every table and verdict of the split stays the same."""
+    sigma, apex = frozenset(simplex), max(split.domain.vertices) + 1
+
+    def moved(cx):
+        if tuple(simplex) not in cx.faces:
+            return cx
+        kept = [t for t in cx.faces if not sigma.issubset(t)]
+        coned = [t + (apex,) for t in kept if tuple(sorted(sigma.union(t))) in cx.faces]
+        return SimplicialComplex(frozenset(kept + coned + [(apex,)]))
+
+    return BoundarySplit(*map(moved, (split.domain, split.positive, split.negative)))
+
+
+def connecting_map(pair, degree):
+    """The map H_{degree+1}(pair) -> reduced H_degree(sub) of the pair's
+    long exact sequence, from fresh bases, as ``les_exactness_check`` builds it."""
+    source, target = HomologyBasis(pair), HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
+    return exactness._connecting(source, target, (degree + 1,))
 
 
 # -- independent oracles -----------------------------------------------------

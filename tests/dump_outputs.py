@@ -56,13 +56,12 @@ from topsym import (  # noqa: E402
     Gf2Matrix,
     HomologyBasis,
     InputError,
-    connecting_map,
     les_exactness_check,
 )
 from topsym.exactness import excision_check  # noqa: E402
 from topsym.morse import build_matching, morse_complex  # noqa: E402
 from topsym.cli import load_space, main  # noqa: E402
-from conftest import catalog_splits  # noqa: E402
+from conftest import catalog_splits, connecting_map  # noqa: E402
 
 COMMANDS = (["analyze"], ["analyze", "--json"], ["verify"], ["verify", "--json"], ["double"])
 BENCH_INPUTS = (("analyze-mix", 20), ("verify-mix", 28), ("double-large", 6))

@@ -1,15 +1,23 @@
-"""The public API is the literal list and dict below.
+"""The public API is the literal list and dicts below.
 
 Adding or removing a name from ``topsym.__all__`` has to change the
 list too, and adding or removing a field of a public record has to
 change the dict, so a public-API change is always an explicit line in
 a diff.  A fact that follows from a record's fields is not a field.
+A public callable that nothing in the package reads is dead code,
+unless the benchmark's tracer wraps it or ``LIBRARY_ONLY`` says why it
+stays.
 """
 
+import ast
 import dataclasses
 import importlib
+import importlib.util
+from pathlib import Path
 
 import topsym
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PUBLIC_NAMES = [
     "AcyclicMatching",
@@ -37,7 +45,6 @@ PUBLIC_NAMES = [
     "check_symmetry",
     "check_symmetry_rolled",
     "cone",
-    "connecting_map",
     "cross_polytope_sphere",
     "lefschetz_duality_check",
     "les_exactness_check",
@@ -48,6 +55,14 @@ PUBLIC_NAMES = [
     "truncated_double",
     "wedge_of_spheres",
 ]
+
+# Public callables that no module of the package reads, each with the
+# reason it stays; keyed ``name`` for a function, ``Class.name`` for a
+# method.
+LIBRARY_ONLY = {
+    "check_sphere_action": "the paper's sphere case: the action's verdict for a closed sphere's filling",
+    "AcyclicMatching.from_simplices": "numbers and validates a matching given from outside as simplex pairs",
+}
 
 # The fields of every dataclass in ``topsym.__all__``, and of the records
 # that public functions return, named by module.
@@ -110,3 +125,32 @@ def test_every_public_record_has_its_fields_pinned():
     assert sorted(public - PUBLIC_FIELDS.keys()) == []
     fields = {name: tuple(f.name for f in dataclasses.fields(resolve(name))) for name in PUBLIC_FIELDS}
     assert fields == PUBLIC_FIELDS
+
+
+def traced_names():
+    """The callables ``bench/tracing.py`` wraps, keyed as ``LIBRARY_ONLY`` is."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    functions, methods = tracing._targets()
+    return {name for _, _, name, _ in functions} | {"%s.%s" % (cls.__name__, name) for _, cls, name, _ in methods}
+
+
+def test_every_public_callable_has_a_reader():
+    # A reader is any use of the name, as a name or an attribute, in a
+    # module of the package other than ``__init__``, which re-exports.
+    defined, read = [], set()
+    for path in sorted(Path(topsym.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined += ["%s.%s" % (node.name, m.name) for m in node.body if isinstance(m, ast.FunctionDef)]
+        if path.name != "__init__.py":
+            nodes = ast.walk(tree)
+            read.update(n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute)))
+    public = [q for q in defined if not any(part.startswith("_") for part in q.split("."))]
+    unread = [q for q in public if q.rpartition(".")[2] not in read]
+    assert sorted(set(unread) - traced_names() - LIBRARY_ONLY.keys()) == []
+    assert sorted(LIBRARY_ONLY.keys() - set(unread)) == []  # an exemption goes once its callable has a reader

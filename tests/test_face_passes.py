@@ -22,6 +22,7 @@ from conftest import (
     reference_dump,
     reference_facet_rows,
     reference_maximal_simplices,
+    relabeled,
 )
 from topsym import InputError, boundary_subcomplex, build_complex, complexes
 from topsym.cli import EXIT_INPUT_ERROR, EXIT_OK, _dump, main, report_json, run_identity_suites, space_file_dict
@@ -116,7 +117,7 @@ class TestAgainstTheLoops:
     @given(grown_regions())
     def test_grown_regions(self, drawn):
         domain, region, mapping = drawn
-        split = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
+        split = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
         check_complex(split.positive)
         check_complex(split.negative)
         assume(check_double(split))

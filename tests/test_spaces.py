@@ -11,12 +11,15 @@ from conftest import (
     annulus_domains,
     boundary_star_split,
     catalog_splits,
+    cell_counts,
     full_double,
     grown_regions,
     hollow_triangle,
     is_orientable_surfacelike,
     reference_composition_check,
     reference_fill,
+    relabeled,
+    relabeled_split,
     ridge_incidence,
 )
 from topsym import (
@@ -45,7 +48,7 @@ SPACES = Path(__file__).with_name("spaces")
 def images(double, cx):
     """Copy A's and copy B's images of a complex of the domain, relabeled
     by the double's labelings."""
-    return [cx.relabel(label) for label in double.labels]
+    return [relabeled(cx, label) for label in double.labels]
 
 
 def table(cx_or_pair):
@@ -56,13 +59,13 @@ def table(cx_or_pair):
 
 class TestCrossPolytope:
     def test_dimension_zero_is_two_points(self):
-        assert cross_polytope_sphere(0).counts() == {0: 2}
+        assert cell_counts(ComplexPair.absolute(cross_polytope_sphere(0))) == {0: 2}
 
     def test_square(self):
-        assert cross_polytope_sphere(1).counts() == {0: 4, 1: 4}
+        assert cell_counts(ComplexPair.absolute(cross_polytope_sphere(1))) == {0: 4, 1: 4}
 
     def test_octahedron_counts_from_antipodal_rule(self):
-        assert cross_polytope_sphere(2).counts() == {0: 6, 1: 12, 2: 8}
+        assert cell_counts(ComplexPair.absolute(cross_polytope_sphere(2))) == {0: 6, 1: 12, 2: 8}
 
     def test_sphere_tables(self):
         for d in range(4):
@@ -80,7 +83,7 @@ class TestCone:
         assert table(cone(cross_polytope_sphere(2))) == {0: 1}
 
     def test_cone_of_empty_is_point(self):
-        assert cone(SimplicialComplex.empty()).counts() == {0: 1}
+        assert cell_counts(ComplexPair.absolute(cone(SimplicialComplex.empty()))) == {0: 1}
 
 
 class TestWedge:
@@ -108,7 +111,7 @@ class TestTruncatedDouble:
         d = truncated_double(builtin_example("reeb_ball_1"))
         assert table(d.total) == {0: 2}
         assert len(d.exit_boundary) == 0
-        assert betti(d.exit_pair()).dim(0) == 2
+        assert betti(d.exit_pair()).as_dict().get(0, 0) == 2
 
     def test_two_disjoint_annuli(self):
         d = truncated_double(builtin_example("annulus_split"))
@@ -159,8 +162,8 @@ class TestTruncatedDouble:
                 (split.positive, d.exit_boundary),
                 (split.negative, d.entry_boundary),
             ):
-                assert glued_cx == cx.relabel(label_a).union(cx.relabel(label_b)), name
-            assert split.interface.relabel(label_a) == split.interface.relabel(label_b), name
+                assert glued_cx == relabeled(cx, label_a).union(relabeled(cx, label_b)), name
+            assert relabeled(split.interface, label_a) == relabeled(split.interface, label_b), name
 
     def test_tops_are_the_totals_top_simplices(self):
         for name, split in catalog_splits().items():
@@ -370,8 +373,8 @@ class TestRandomSplits:
         assert report.factor2_passed and report.duality_status == "pass"
         mv = mayer_vietoris_check(double.total, *images(double, split.domain), *images(double, split.positive))
         assert mv.passed is True
-        relabeled = BoundarySplit(domain.relabel(mapping), region.relabel(mapping))
-        assert report_json(analyze_action(relabeled, name="grown")) == report_json(report)
+        permuted = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
+        assert report_json(analyze_action(permuted, name="grown")) == report_json(report)
 
 
 class TestRelabelingInvariance:
@@ -382,11 +385,7 @@ class TestRelabelingInvariance:
             images = list(verts)
             rng.shuffle(images)
             mapping = dict(zip(verts, images))
-            permuted = BoundarySplit(
-                split.domain.relabel(mapping),
-                split.positive.relabel(mapping),
-                split.negative.relabel(mapping),
-            )
+            permuted = relabeled_split(split, mapping)
             assert betti(permuted.positive_pair()) == betti(split.positive_pair()), name
             doubled = truncated_double(permuted)
             assert betti(doubled.exit_pair()) == betti(truncated_double(split).exit_pair()), name
@@ -394,10 +393,6 @@ class TestRelabelingInvariance:
 
 def space_file_splits():
     return {path.name: cli.load_space(str(path))[1] for path in sorted(SPACES.glob("*.json"))}
-
-
-def relabeled_split(split, mapping):
-    return BoundarySplit(*(cx.relabel(mapping) for cx in (split.domain, split.positive, split.negative)))
 
 
 def reordered_degrees(split):
@@ -440,7 +435,7 @@ class TestDerivedChainTable:
         for k in range(-1, total.dim + 2):
             grouped = tuple(sorted(s for s in total.faces if len(s) == k + 1))
             assert total.simplices(k) == grouped, k
-        assert total.counts() == fresh.counts()
+        assert [len(total.simplices(k)) for k in range(-1, total.dim + 2)] == [len(fresh.simplices(k)) for k in range(-1, total.dim + 2)]
         assert list(map(id, derived)) == [id(total)]
         return any(v != image for v, image in double.labels[0].items())
 

@@ -23,7 +23,6 @@ from topsym import (
     builtin_example,
     cli,
     complexes,
-    connecting_map,
     exactness,
     gf2,
     glued,
@@ -147,25 +146,6 @@ def test_wedge_of_spheres_builds_no_quadratic_column_list():
         tracemalloc.stop()
     assert table_peak <= 3 << 20
     assert betti_peak <= 10 << 20
-
-
-def test_connecting_map_expresses_only_its_source_degree(monkeypatch):
-    # connecting_map(pair, d) maps H_{d+1}(pair) into reduced H_d(sub):
-    # one class expression per relative representative in degree d + 1.
-    calls = []
-    express = HomologyBasis.express_class
-
-    def counted(self, k, chain):
-        calls.append(k)
-        return express(self, k, chain)
-
-    monkeypatch.setattr(HomologyBasis, "express_class", counted)
-    for name, pair in corpus_pairs().items():
-        table = betti(pair)
-        for d in range(-2, pair.ambient.dim + 1):
-            calls.clear()
-            connecting_map(pair, d)
-            assert calls == [d] * table.dim(d + 1), (name, d)
 
 
 def count_ranks(monkeypatch):
