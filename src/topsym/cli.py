@@ -252,7 +252,10 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     The long exact sequences run first, so that ``analyze_action`` and
     Morse read the pairs' Betti tables their bases recorded.  Equal
     regions, as on a closed domain, give one pair; the domain pairs
-    share one reduced domain basis, dropped before the exit pair's LES.
+    share one reduced domain basis, which no sequence releases, dropped
+    before the exit pair's LES.  A pair with an empty region shares the
+    reduction of its ambient above degree 0; the exit pair's LES
+    releases the total's basis before it builds a relative one.
     Mayer-Vietoris is ``excision_check`` on the bases the sequences
     built: only the positive basis's representatives outlive its LES,
     and the exit pair's basis goes once they are pushed into it.

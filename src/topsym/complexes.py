@@ -297,6 +297,12 @@ class HomologyBasis:
     a degree in which no class is expressed is never indexed.  The basis
     records its Betti table where ``betti`` reads it, and a table
     ``betti`` recorded first must equal it.
+
+    The basis of (X, empty) shares X's reduced basis above degree 0
+    (``_unreduced``).  A long exact sequence releases the classes of an
+    ambient basis it built (``_classes``) before it builds the relative
+    one; the representatives stay, and ``express_class`` refuses a
+    released degree.
     """
 
     def __init__(self, pair: ComplexPair, *, augmented: bool = False):
@@ -312,15 +318,47 @@ class HomologyBasis:
         self._classes: Dict[int, Reduction] = {}
         upper = Reduction()  # nothing above the top degree
         for k, lower in _reductions(self._columns):
-            rank = upper.rank
-            upper.extend(lower.kernel)
-            if upper.rank - rank != len(lower.kernel):
-                raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
-            self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in lower.kernel]
-            self._classes[k], upper = upper, lower
-        memo, table = pair.ambient._chain_table[2], self.betti()
-        if memo.setdefault((pair.sub.faces, augmented), table) != table:
+            self._add_classes(k, upper, lower.kernel)
+            upper = lower
+        self._record_betti()
+
+    def _add_classes(self, k: int, upper: Reduction, cycles: List[int]) -> None:
+        """Append the degree-k cycles, as representatives, to ``upper``,
+        the reduction of d_{k+1}, which then expresses degree-k classes."""
+        rank = upper.rank
+        upper.extend(cycles)
+        if upper.rank - rank != len(cycles):
+            raise AssertionError("a degree-%d representative is a boundary plus earlier ones" % k)
+        self._reps[k] = [self.bits_to_chain(k, cycle) for cycle in cycles]
+        self._classes[k] = upper
+
+    def _record_betti(self) -> None:
+        memo, table = self.pair.ambient._chain_table[2], self.betti()
+        if memo.setdefault((self.pair.sub.faces, self.augmented), table) != table:
             raise AssertionError("the basis and the rank-only pass give different Betti tables")
+
+    def _unreduced(self, pair: ComplexPair) -> "HomologyBasis":
+        """The basis of ``pair``, (X, empty), from this reduced basis of X.
+
+        The two reduce the same columns from degree 1 up, so every degree
+        from 1 up shares this basis's cells, representatives and classes.
+        Degree 0 is redone from the reduction of d_1 alone: its
+        representatives are the vertices that are no pivot row of d_1,
+        the kernel that clearing leaves, as ``__init__`` would find them.
+        """
+        basis = object.__new__(HomologyBasis)
+        basis.pair, basis.augmented, basis.min_degree, basis.max_degree = pair, False, 0, self.max_degree
+        basis._cells = {k: cells for k, cells in self._cells.items() if k >= 0}
+        basis._columns = {k: columns for k, columns in self._columns.items() if k > 0}
+        basis._index, basis._reps, basis._classes = {}, {}, {}
+        for k in range(self.max_degree, 0, -1):
+            basis._reps[k], basis._classes[k] = self._reps[k], self._classes[k]
+        if self.max_degree >= 0:
+            n_vertices, upper = self.n_cells(0), self._classes[0]._prefix(self.n_cells(1))
+            basis._columns[0] = [()] * n_vertices
+            basis._add_classes(0, upper, [1 << j for j in range(n_vertices) if j not in upper.pivot_rows])
+        basis._record_betti()
+        return basis
 
     # -- cell bookkeeping ------------------------------------------------
 
@@ -383,8 +421,10 @@ class HomologyBasis:
             if chain:
                 raise InputError("nonzero chain outside the degree range")
             return 0, frozenset()
-        target = self.chain_to_bits(k, chain)
-        sol = self._classes[k].solve(target)
+        classes = self._classes.get(k)
+        if classes is None:
+            raise AssertionError("the degree-%d classes of this basis were released" % k)
+        sol = classes.solve(self.chain_to_bits(k, chain))
         if sol is None:
             raise AssertionError("cycle class not expressible; basis construction is broken")
         n_bdry = self.n_cells(k + 1)

@@ -123,18 +123,26 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
     rows and columns has its rank taken, once; any other has rank 0.
     Two maps are multiplied only when both ranks are nonzero, as
     otherwise the composition is zero.  A given ``ambient_basis`` must
-    be the reduced basis of ``pair.ambient`` itself; else it is built
-    here.  The report keeps the pair's relative basis, for a caller to
-    reuse.
+    be the reduced basis of ``pair.ambient`` itself, with its classes;
+    else it is built here.  With an empty subcomplex the relative basis
+    of (X, empty) shares X's reduction above degree 0.  Otherwise a
+    sequence that built the ambient basis releases its classes once the
+    subcomplex's classes are expressed in it, before it builds the
+    relative basis, so that one large reduction is alive at a time; a
+    given basis is kept.  The report keeps the pair's relative basis,
+    for a caller to reuse.
     """
     amb_h = ambient_basis
-    if amb_h is not None and not (amb_h.pair.ambient is pair.ambient and amb_h.augmented and not amb_h.pair.sub):
-        raise InputError("the ambient basis must be the reduced basis of the pair's own ambient complex")
+    if amb_h is not None and not (
+        amb_h.pair.ambient is pair.ambient and amb_h.augmented and not amb_h.pair.sub and amb_h._classes
+    ):
+        raise InputError("the ambient basis must be the unreleased reduced basis of the pair's own ambient complex")
     sub_h = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
     amb_h = amb_h or HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
-    rel_h = HomologyBasis(pair)
-
     into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c, sub_h.degrees())
+    if pair.sub and ambient_basis is None:
+        amb_h._classes.clear()  # it expresses no more classes, so one large reduction is alive at a time
+    rel_h = HomologyBasis(pair) if pair.sub else amb_h._unreduced(pair)
     onto_relative = _map_on_homology(amb_h, rel_h, lambda k, c: c.difference(pair.sub.faces, ((),)), amb_h.degrees())
     connect = _connecting(rel_h, sub_h, rel_h.degrees())
 

@@ -132,6 +132,18 @@ class Reduction:
                     combos[low] = combo
         self.n_cols, self.nullity = start + len(columns), nullity
 
+    def _prefix(self, n: int) -> "Reduction":
+        """This tracked reduction as it stood after its first ``n``
+        columns.  Column j is the highest of its pivot's combination or
+        of its kernel vector, so the later columns' own are dropped."""
+        prefix = Reduction()
+        for row, combo in self._combos.items():
+            if (combo[0] if type(combo) is tuple else combo.bit_length() - 1) < n:
+                prefix._pivots[row], prefix._combos[row] = self._pivots[row], combo
+        prefix.kernel = [v for v in self.kernel if v.bit_length() <= n]
+        prefix.n_cols, prefix.nullity = n, len(prefix.kernel)
+        return prefix
+
     def solve(self, b: int) -> Optional[int]:
         """The combination of columns summing to ``b``, or None when ``b``
         is outside their span.  Needs ``track``."""

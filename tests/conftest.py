@@ -153,6 +153,24 @@ def grown_regions(draw, domains=None):
     return domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
 
 
+def seeded_grown_regions(seed, count, domains=None):
+    """``count`` draws like those of ``grown_regions``, from
+    ``random.Random(seed)``, so that they depend on the seed alone and
+    not, as derandomized Hypothesis draws do, on the test's source."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        domain, tops, incidence = rng.choice(domains or split_domains())
+        grown = [rng.choice(tops)]
+        for _ in range(rng.randint(0, len(tops) - 1)):
+            frontier = sorted({u for t in grown for f in facets(t) for u in incidence[f]} - set(grown))
+            if not frontier:  # the grown tops fill a component of the boundary
+                break
+            grown.append(rng.choice(frontier))
+        vertices = sorted(domain.vertices)
+        offset, images = rng.randint(0, 99), rng.sample(range(len(vertices)), len(vertices))
+        yield domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
+
+
 def equal_regions_hexagon():
     """The hexagon disk with both regions its whole boundary circle."""
     disk = build_complex([(0, 1, 6), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (0, 5, 6)])

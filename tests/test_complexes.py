@@ -41,6 +41,7 @@ from topsym import (
 )
 from topsym import complexes
 from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_connected
+from topsym.cli import EXIT_OK, main
 from topsym.gf2 import Gf2Matrix
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import BoundarySplit, truncated_double
@@ -468,6 +469,92 @@ class TestBasisRecordsItsBettiTable:
         monkeypatch.setattr(complexes, "_reductions", refuse)
         assert betti(pair, augmented=augmented) == basis.betti()
         assert betti(ComplexPair(pair.ambient, pair.sub), augmented=augmented) == basis.betti()
+
+
+def seeded_complexes(seed, count):
+    """Face closures of one to seven simplices on at most seven vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tops = [rng.sample(range(7), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
+        yield build_complex(tops)
+
+
+def derived_and_built(cx):
+    """The basis of (X, empty) derived from X's reduced basis, and the one
+    built from scratch on another copy of X; neither copy holds a table."""
+    pair = ComplexPair.absolute(complexes._trusted(cx.faces))
+    derived = HomologyBasis(pair, augmented=True)._unreduced(pair)
+    return derived, HomologyBasis(ComplexPair.absolute(complexes._trusted(cx.faces)))
+
+
+def absolute_inputs():
+    """Every corpus complex, each catalog domain and its double, one and
+    two vertices, and the empty complex."""
+    inputs = dict(corpus_complexes())
+    for name, split in catalog_splits().items():
+        inputs[name], inputs[name + "_double"] = split.domain, split.double.total
+    inputs.update(one_vertex=build_complex([(0,)]), two_vertices=build_complex([(0,), (1,)]))
+    inputs["empty"] = SimplicialComplex.empty()
+    return inputs
+
+
+class TestDerivedAbsoluteBasis:
+    """The basis of (X, empty) that shares X's reduced basis above degree
+    0 is the basis built from scratch: the same cells, representatives,
+    table and class expressions, witnesses included."""
+
+    def check(self, cx, label):
+        derived, built = derived_and_built(cx)
+        assert (derived.degrees(), derived.augmented, derived.pair.sub.faces) == (built.degrees(), False, frozenset())
+        assert derived.betti() == built.betti(), label
+        assert derived.pair.ambient._chain_table[2] == {(frozenset(), True): betti(derived.pair, augmented=True),
+                                                        (frozenset(), False): built.betti()}, label
+        rng = random.Random(repr(label))
+        for k in built.degrees():
+            reps = built.representatives(k)
+            assert derived.cells(k) == built.cells(k) and derived.representatives(k) == reps, (label, k)
+            assert derived.boundary_matrix(k) == built.boundary_matrix(k), (label, k)
+            boundary = boundary_chain([s for s in built.cells(k + 1) if rng.random() < 0.5], frozenset(), False)
+            sums = [rep ^ other for rep, other in zip(reps, reps[1:])]
+            every = frozenset()
+            for rep in reps:
+                every ^= rep
+            for cycle in [*reps, *sums, every, boundary, *(rep ^ boundary for rep in reps)]:
+                assert derived.express_class(k, cycle) == built.express_class(k, cycle), (label, k)
+        return built.betti()
+
+    def test_corpus_catalog_and_small_complexes(self):
+        tables = {name: self.check(cx, name) for name, cx in absolute_inputs().items()}
+        assert tables["empty"].entries == () and tables["two_vertices"].as_dict() == {0: 2}
+        assert tables["brieskorn_3_double"].as_dict() == {0: 2, 3: 16}
+
+    def test_seeded_random_complexes(self):
+        for i, cx in enumerate(seeded_complexes(7, 120)):
+            self.check(cx, (i, sorted(cx.faces)))
+
+    @pytest.mark.parametrize("space", ["reeb_ball_2", "brieskorn_3", "disk_half_split"])
+    def test_verify_leaves_the_shared_reductions_as_they_were(self, monkeypatch, capsys, space):
+        # Each shared reduction, and the reduced basis's own degree 0 whose
+        # copy the derived basis extends, keeps the pivots, combinations,
+        # columns and kernel it had before the derivation, to the end.
+        snapshots, unreduced = [], HomologyBasis._unreduced
+
+        def state(reduction):
+            return dict(reduction._pivots), dict(reduction._combos), reduction.n_cols, list(reduction.kernel)
+
+        def recorded(self, pair):
+            shared = [self._classes[k] for k in self._classes if k >= 0]
+            snapshots.append([(reduction, state(reduction)) for reduction in shared])
+            derived = unreduced(self, pair)
+            assert all(derived._classes[k] is self._classes[k] for k in derived._classes if k > 0)
+            return derived
+
+        monkeypatch.setattr(HomologyBasis, "_unreduced", recorded)
+        assert main(["verify", space]) == EXIT_OK
+        capsys.readouterr()
+        assert len(snapshots) == (0 if space == "disk_half_split" else 2)
+        for shared in snapshots:
+            assert all(state(reduction) == before for reduction, before in shared)
 
 
 def composition_message(fn, *args):

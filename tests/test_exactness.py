@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from conftest import (
     annulus_domains,
@@ -15,12 +15,12 @@ from conftest import (
     connecting_map,
     corpus_complexes,
     corpus_pairs,
-    grown_regions,
     hollow_triangle,
     random_pairs,
     random_subcomplex,
     reference_double,
     relabeled,
+    seeded_grown_regions,
 )
 from topsym import (
     BoundarySplit,
@@ -393,24 +393,20 @@ class TestExcision:
     @pytest.mark.parametrize("domains", [None, annulus_domains()], ids=["catalog domains", "band annuli"])
     def test_grown_region_doubles_pass(self, domains):
         seen = {"draws": 0, "interface": 0, "classes": 0, "witnesses": 0}
-
-        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-        @given(grown_regions(domains))
-        def check(drawn):
-            domain, region, mapping = drawn
+        for domain, region, mapping in seeded_grown_regions(398, 600, domains):
             split = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
             try:
                 split.double
             except InputError:  # the interface is not an induced subcomplex
-                assume(False)
+                continue
             report, reps, target = excision_of(split)
             assert report.passed
             seen["witnesses"] += checked_witnesses(report, reps, split.double.labels, target)
             seen["classes"] += sum(m.n_cols for m in report.matrices.values())
             seen["draws"] += 1
             seen["interface"] += len(split.interface) > 0
-
-        check()
+            if seen["draws"] == 60:
+                break
         assert seen["draws"] >= 25 and seen["interface"] >= 8 and seen["classes"] >= 10, seen
         # On the band annuli some pushed classes differ from the stored
         # ones by a boundary, so their witnesses are nonzero.
@@ -445,6 +441,69 @@ class TestExcision:
         split = split_of(space)
         report, _, _ = excision_of(split, split.double.labels[:1])
         assert not report.passed and any(m.n_cols != m.n_rows for m in report.matrices.values())
+
+
+def released_ambient_basis(monkeypatch, pair):
+    """The report of the sequence of ``pair``, and the reduced basis of
+    its ambient that the sequence built."""
+    built, init = [], HomologyBasis.__init__
+
+    def recorded(self, basis_pair, *, augmented=False):
+        init(self, basis_pair, augmented=augmented)
+        built.append(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(HomologyBasis, "__init__", recorded)
+        report = les_exactness_check(pair)
+    (ambient,) = [basis for basis in built if basis.augmented and basis.pair.ambient is pair.ambient]
+    return report, ambient
+
+
+class TestReleasedAmbientBasis:
+    """A sequence with a nonempty subcomplex releases the classes of the
+    ambient basis it built before it builds the relative basis."""
+
+    @pytest.mark.parametrize("name", ["disk_rel_boundary", "annulus_split_pos", "disk_half_split_double", "reeb_ball_2_neg"])
+    def test_a_class_in_a_released_degree_is_refused_by_degree(self, monkeypatch, name):
+        pair = corpus_pairs()[name]
+        _, ambient = released_ambient_basis(monkeypatch, pair)
+        assert ambient._classes == {}
+        assert ambient.betti() == betti(ComplexPair.absolute(pair.ambient), augmented=True)  # the dimensions stay
+        for k in ambient.degrees():
+            for rep in ambient.representatives(k) or [frozenset()]:
+                with pytest.raises(AssertionError, match="the degree-%d classes of this basis were released" % k):
+                    ambient.express_class(k, rep)
+
+    def test_a_released_ambient_basis_is_refused_before_anything_is_built(self, monkeypatch):
+        pair = corpus_pairs()["annulus_split_pos"]
+        _, ambient = released_ambient_basis(monkeypatch, pair)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(HomologyBasis, "__init__", refuse)
+        monkeypatch.setattr(HomologyBasis, "_unreduced", refuse)
+        for sequence_pair in (pair, ComplexPair.absolute(pair.ambient)):
+            with pytest.raises(InputError, match="the ambient basis must be the unreleased reduced basis"):
+                les_exactness_check(sequence_pair, ambient)
+
+    def test_a_given_ambient_basis_keeps_its_classes(self):
+        pair = corpus_pairs()["annulus_split_pos"]
+        basis = HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
+        degrees = set(basis._classes)
+        assert les_exactness_check(pair, basis).passed and set(basis._classes) == degrees
+        assert les_exactness_check(pair, basis).slots == les_exactness_check(pair).slots
+
+    @pytest.mark.parametrize("space", SPLIT_NAMES)
+    def test_the_exit_sequences_relative_basis_serves_the_excision_check(self, monkeypatch, space):
+        split = split_of(space)
+        positive = HomologyBasis(split.positive_pair())
+        reps = {k: positive.representatives(k) for k in positive.degrees()}
+        exit_les, ambient = released_ambient_basis(monkeypatch, split.double.exit_pair())
+        assert (ambient._classes == {}) is (len(split.double.exit_pair().sub) > 0)
+        report = excision_check(reps, split.double.labels, exit_les.relative)
+        assert report.passed and exit_les.passed
+        checked_witnesses(report, reps, split.double.labels, exit_les.relative)
 
 
 class TestVerifyRunsTheExcisionCheck:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog_splits, corpus_pairs, equal_regions_hexagon
+from conftest import CORPUS_COMPLEX_NAMES, catalog_splits, corpus_pairs, equal_regions_hexagon
 from topsym import (
     BoundarySplit,
     ComplexPair,
@@ -348,6 +348,26 @@ def test_verify_on_a_space_file_takes_facets_only_for_chain_boundaries(monkeypat
         assert counts["combinations in boundaries"] == counts["nonempty simplices"] > 0, (path.name, counts)
 
 
+def record_bases(monkeypatch):
+    """Two lists: the bases ``HomologyBasis.__init__`` builds, and the
+    bases of pairs (X, empty) that ``_unreduced`` derives from X's
+    reduced basis, each in the order made."""
+    built, derived = [], []
+    init, unreduced = HomologyBasis.__init__, HomologyBasis._unreduced
+
+    def recorded_init(self, pair, *, augmented=False):
+        init(self, pair, augmented=augmented)
+        built.append(self)
+
+    def recorded_unreduced(self, pair):
+        derived.append(unreduced(self, pair))
+        return derived[-1]
+
+    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    monkeypatch.setattr(HomologyBasis, "_unreduced", recorded_unreduced)
+    return built, derived
+
+
 def record_rank_only_runs(monkeypatch):
     """The (ambient faces, subcomplex faces, augmented) of the pair of
     each rank-only ``_reductions`` run, in order."""
@@ -376,20 +396,18 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
     # positive, negative and exit pairs, so no rank-only pass runs on
     # them, and Mayer-Vietoris expresses chains in the exit pair's basis,
     # so no rank-only pass runs at all.
-    splits, bases = [], []
-    load, init = cli.load_space, HomologyBasis.__init__
+    # A pair with an empty subcomplex shares its ambient's reduction and
+    # records its table too.
+    splits = []
+    load = cli.load_space
 
     def record(locator):
         name, split = load(locator)
         splits.append(split)
         return name, split
 
-    def recorded_init(self, pair, *, augmented=False):
-        init(self, pair, augmented=augmented)
-        bases.append(self)
-
     monkeypatch.setattr(cli, "load_space", record)
-    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    bases, derived = record_bases(monkeypatch)
     runs = record_rank_only_runs(monkeypatch)
     assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
@@ -398,8 +416,10 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
     assert runs == []
     # Each recorded table is the one a fresh copy's rank-only pass gives.
     own = (split.positive_pair(), split.negative_pair(), double.exit_pair())
-    keys = {(basis.pair.ambient.faces, basis.pair.sub.faces) for basis in bases}
-    assert {(pair.ambient.faces, pair.sub.faces) for pair in own} <= keys
+    bases += derived
+    keys = {(basis.pair.ambient.faces, basis.pair.sub.faces, basis.augmented) for basis in bases}
+    assert {(pair.ambient.faces, pair.sub.faces, False) for pair in own} <= keys
+    assert len(derived) == len({(pair.ambient.faces, pair.sub.faces) for pair in own if not pair.sub})
     for basis in bases:
         pair, augmented = basis.pair, basis.augmented
         recorded = pair.ambient._chain_table[2][(pair.sub.faces, augmented)]
@@ -411,21 +431,17 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
 def test_verify_indexes_only_the_degrees_in_which_a_class_is_expressed(monkeypatch, capsys, space):
     # A basis indexes a degree's cells on the first chain it turns into
     # bits there, and only a class expression does that.
-    bases, expressed = [], Counter()
-    init, express = HomologyBasis.__init__, HomologyBasis.express_class
-
-    def recorded_init(self, pair, *, augmented=False):
-        init(self, pair, augmented=augmented)
-        bases.append(self)
+    expressed, express = Counter(), HomologyBasis.express_class
 
     def recorded_express(self, k, chain):
         expressed[id(self), k] += 1
         return express(self, k, chain)
 
-    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    bases, derived = record_bases(monkeypatch)
     monkeypatch.setattr(HomologyBasis, "express_class", recorded_express)
     assert main(["verify", space]) == EXIT_OK
     capsys.readouterr()
+    bases += derived
     for basis in bases:
         assert set(basis._index) == {k for k in basis.degrees() if expressed[id(basis), k]}, (space, basis.pair)
     # Most of the bases' degrees express no class, so they stay unindexed.
@@ -433,23 +449,63 @@ def test_verify_indexes_only_the_degrees_in_which_a_class_is_expressed(monkeypat
     assert 0 < indexed < degrees / 2, (indexed, degrees)
 
 
+@pytest.mark.parametrize("space", ["disk_half_split", "annulus_split", "reeb_ball_2", "disk_both.json"])
+def test_a_sequence_releases_the_ambient_basis_it_built_before_the_relative_one(monkeypatch, capsys, space):
+    # When the relative basis of a pair with a nonempty subcomplex is
+    # built, the reduced basis of the ambient that its sequence built
+    # holds no classes; the domain's, which the two domain sequences
+    # share, keeps them.
+    bases, _ = record_bases(monkeypatch)
+    recorded, held = HomologyBasis.__init__, []
+
+    def checked_init(self, pair, *, augmented=False):
+        if pair.sub and not augmented:
+            (ambient,) = [b for b in bases if b.pair.ambient is pair.ambient and b.augmented]
+            held.append((ambient.pair.ambient, len(ambient._classes)))
+        recorded(self, pair, augmented=augmented)
+
+    monkeypatch.setattr(HomologyBasis, "__init__", checked_init)
+    assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    domain = bases[0].pair.ambient
+    for ambient, classes in held:
+        assert (classes > 0) is (ambient is domain), (space, classes)
+    assert {ambient is domain for ambient, _ in held} == ({True, False} if space != "reeb_ball_2" else {True})
+
+
+@pytest.mark.parametrize("name", [*CORPUS_COMPLEX_NAMES, "wedge_2_40", "sphere_4"])
+def test_a_derived_absolute_basis_runs_no_reduction_step_above_degree_0(monkeypatch, name):
+    # (X, empty) shares X's reduced basis from degree 1 up.  Only its
+    # vertex classes are appended, to a copy of the reduction of d_1:
+    # no boundary column is made or reduced, and a vertex that is no
+    # pivot row of d_1 meets no pivot.
+    pair = ComplexPair.absolute(builtin_example(name))
+    reduced = HomologyBasis(pair, augmented=True)
+
+    def refuse(*args):
+        raise AssertionError("a boundary column was made or reduced")
+
+    monkeypatch.setattr(complexes, "_chain_columns", refuse)
+    monkeypatch.setattr(complexes, "_reductions", refuse)
+    counts = count_reduction_work(monkeypatch)
+    derived = reduced._unreduced(pair)
+    assert counts == {"columns": derived.betti_dim(0), "steps": 0, "solves": 0}
+    assert all(derived._classes[k] is reduced._classes[k] for k in range(1, reduced.max_degree + 1))
+    assert derived._classes[0] is not reduced._classes[0]
+
+
 @pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json")), "equal regions"])
 def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys, tmp_path, space):
     # Equal regions, empty on the closed brieskorn domains or the whole
     # circle on the hexagon (where duality fails), give one domain pair,
     # and the two domain sequences share the domain's reduced basis.
-    bases, matched = [], []
-    init, match = HomologyBasis.__init__, cli.build_matching
-
-    def recorded_init(self, pair, *, augmented=False):
-        init(self, pair, augmented=augmented)
-        bases.append(self)
+    matched, match = [], cli.build_matching
 
     def recorded_match(pair, *args):
         matched.append(pair)
         return match(pair, *args)
 
-    monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
+    bases, derived = record_bases(monkeypatch)
     monkeypatch.setattr(cli, "build_matching", recorded_match)
     locator, code = str(SPACES / space) if space.endswith(".json") else space, EXIT_OK
     if space == "equal regions":
@@ -457,11 +513,18 @@ def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys
         (tmp_path / "hexagon.json").write_text(json.dumps(space_file_dict("hexagon", equal_regions_hexagon())))
     assert main(["verify", locator]) == code
     capsys.readouterr()
-    # Each sequence builds its sub's and its pair's basis; the domain and
-    # the double each add one reduced basis.
+    # Each sequence makes its sub's and its pair's basis; the domain and
+    # the double each add one reduced basis.  The basis of a pair with an
+    # empty subcomplex is derived from its ambient's reduced basis, so
+    # ``__init__`` runs once less for each: for the positive and the exit
+    # pair of the reeb balls and of a file with an empty positive region,
+    # and for the one domain pair and the exit pair of the closed domains.
     pairs = 2 if space.startswith("brieskorn") or space == "equal regions" else 3
-    keys = [(id(basis.pair.ambient), basis.pair.sub.faces, basis.augmented) for basis in bases]
+    keys = [(id(basis.pair.ambient), basis.pair.sub.faces, basis.augmented) for basis in bases + derived]
     assert len(set(keys)) == len(keys) == 2 * pairs + 2
+    empty = 2 if space.startswith(("reeb_ball", "brieskorn")) or space == "disk_bare.json" else 0
+    assert (len(bases), len(derived)) == (2 * pairs + 2 - empty, empty)
+    assert all(not basis.pair.sub and basis.augmented is False for basis in derived)
     assert len(matched) == pairs
 
 
