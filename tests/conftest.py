@@ -135,40 +135,42 @@ def annulus_domains():
     return tuple(with_boundary_tops(band_annulus(n)) for n in (6, 8))
 
 
-@st.composite
-def grown_regions(draw, domains=None):
+def _grown_region(domains, choice, integer, permutation):
     """A domain (one of ``domains``, by default of ``split_domains``), a
     region of its boundary and an injective relabeling of its vertices.
     The region is the closure of boundary top simplices grown from one of
-    them across shared ridges."""
-    domain, tops, incidence = draw(st.sampled_from(domains or split_domains()))
-    grown = [draw(st.sampled_from(tops))]
-    for _ in range(draw(st.integers(0, len(tops) - 1))):
+    them across shared ridges.  ``choice(items)``, ``integer(low, high)``
+    and ``permutation(n)`` make the draws."""
+    domain, tops, incidence = choice(domains or split_domains())
+    grown = [choice(tops)]
+    for _ in range(integer(0, len(tops) - 1)):
         frontier = sorted({u for t in grown for f in facets(t) for u in incidence[f]} - set(grown))
         if not frontier:  # the grown tops fill a component of the boundary
             break
-        grown.append(draw(st.sampled_from(frontier)))
+        grown.append(choice(frontier))
     vertices = sorted(domain.vertices)
-    offset, images = draw(st.integers(0, 99)), draw(st.permutations(range(len(vertices))))
+    offset, images = integer(0, 99), permutation(len(vertices))
     return domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
 
 
+@st.composite
+def grown_regions(draw, domains=None):
+    """``_grown_region`` drawn by Hypothesis."""
+    return _grown_region(
+        domains,
+        lambda items: draw(st.sampled_from(items)),
+        lambda low, high: draw(st.integers(low, high)),
+        lambda n: draw(st.permutations(range(n))),
+    )
+
+
 def seeded_grown_regions(seed, count, domains=None):
-    """``count`` draws like those of ``grown_regions``, from
-    ``random.Random(seed)``, so that they depend on the seed alone and
-    not, as derandomized Hypothesis draws do, on the test's source."""
+    """``count`` draws of ``_grown_region`` from ``random.Random(seed)``,
+    so that they depend on the seed alone and not, as derandomized
+    Hypothesis draws do, on the test's source."""
     rng = random.Random(seed)
     for _ in range(count):
-        domain, tops, incidence = rng.choice(domains or split_domains())
-        grown = [rng.choice(tops)]
-        for _ in range(rng.randint(0, len(tops) - 1)):
-            frontier = sorted({u for t in grown for f in facets(t) for u in incidence[f]} - set(grown))
-            if not frontier:  # the grown tops fill a component of the boundary
-                break
-            grown.append(rng.choice(frontier))
-        vertices = sorted(domain.vertices)
-        offset, images = rng.randint(0, 99), rng.sample(range(len(vertices)), len(vertices))
-        yield domain, build_complex(grown), {v: offset + 3 * image for v, image in zip(vertices, images)}
+        yield _grown_region(domains, rng.choice, rng.randint, lambda n: rng.sample(range(n), n))
 
 
 def equal_regions_hexagon():
