@@ -12,14 +12,19 @@ injective.  Facet i of an image is the image of the domain facet that
 drops the vertex the sorted image holds at i, so only the facet rows of
 the sorted cells are permuted.
 
-The double keeps no copy, only the domain, the two boundaries it is
-written with and the two labelings, through which ``verify`` pushes the
-domain's chains; its top simplices and total are made when first read.
-The interface is induced, so each degree of
-the total is copy A's cells that hold an own vertex, then copy B's: the
-total maps copy B's facets to copy B's positions moved up by copy A's
-part, and copy A's shared facets to their places in copy B.
-``_chain_table`` checks the identities on the rows.
+The double keeps no copy, only the domain, the split's two regions and
+the two labelings, through which ``verify`` pushes the domain's chains.
+Each part is made when first read, and each boundary relabels only its
+own region's faces: ``double`` writes the top simplices and both
+boundaries, and ``analyze`` and ``verify`` read the exit boundary and
+the total, which holds the exit boundary's tuples, so they never glue
+the negative region.
+
+The interface is induced, so each degree of the total is copy A's cells
+that hold an own vertex, then copy B's: the total maps copy B's facets
+to copy B's positions moved up by copy A's part, and copy A's shared
+facets to their places in copy B.  ``_chain_table`` checks the
+identities on the rows.
 """
 
 from __future__ import annotations
@@ -42,21 +47,22 @@ if TYPE_CHECKING:
 class TruncatedDouble:
     """Two copies of a domain glued along the interface.
 
+    ``positive`` and ``negative`` are the split's regions, in the
+    domain's labels.  ``labels`` are the vertex labelings that make the
+    copies from the domain, copy A's first, and the image of a domain
+    simplex under a labeling is its relabeled vertices, sorted.
     ``exit_boundary`` is the union of the two positive-region copies,
     the part of the boundary a gradient flow would leave through;
-    ``entry_boundary`` comes from the negative regions.  ``labels`` are
-    the vertex labelings that make the copies from the domain, copy A's
-    first, and the image of a domain simplex under a labeling is its
-    relabeled vertices, sorted; the total and its top simplices (``tops``)
-    are made when first read.  When no ridge of the domain lies in the
-    interface, each ridge of the total lies in the top simplices of one
-    copy only, so the exit and entry boundaries split the total as their
-    preimages split the domain.
+    ``entry_boundary`` comes from the negative regions.  The boundaries,
+    the total and its top simplices (``tops``) are made when first read.
+    When no ridge of the domain lies in the interface, each ridge of the
+    total lies in the top simplices of one copy only, so the exit and
+    entry boundaries split the total as their preimages split the domain.
     """
 
     domain: SimplicialComplex
-    exit_boundary: SimplicialComplex
-    entry_boundary: SimplicialComplex
+    positive: SimplicialComplex
+    negative: SimplicialComplex
     labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
 
     @cached_property
@@ -65,11 +71,20 @@ class TruncatedDouble:
         return tuple(sorted(itertools.chain.from_iterable(_relabeled_cells(tops, label)[0][0] for label in self.labels)))
 
     @cached_property
+    def exit_boundary(self) -> SimplicialComplex:
+        return _glued(self.positive, self.labels)
+
+    @cached_property
+    def entry_boundary(self) -> SimplicialComplex:
+        return _glued(self.negative, self.labels)
+
+    @cached_property
     def total(self) -> SimplicialComplex:
-        """Both copies' faces, holding the boundaries' tuples; its chain
-        table is derived from the domain's when asked for (``_total_table``)."""
+        """Both copies' faces, holding the exit boundary's tuples; its
+        chain table is derived from the domain's when asked for
+        (``_total_table``)."""
         domain, labels = self.domain, self.labels
-        held = {face: face for face in self.exit_boundary.faces | self.entry_boundary.faces}
+        held = {face: face for face in self.exit_boundary.faces}
         copies = [_relabeled_cells([domain.simplices(k) for k in range(domain.dim + 1)], label) for label in labels]
         for images, _ in copies:
             images[:-1] = [list(map(held.get, cells, cells)) for cells in images[:-1]]  # no region has a top simplex
@@ -86,7 +101,8 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     The interface must be an induced subcomplex of the domain (every
     simplex spanned by its vertices lies in it); otherwise identifying
     vertices would silently merge simplices of the two copies.  Only the
-    boundary faces are relabeled here, once for both regions.
+    labelings are made here; each part of the double is made when first
+    read.
     """
     domain, interface = split.domain, split.interface
     induced = domain.induced_on(interface.vertices)
@@ -99,15 +115,16 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     shared = sorted(interface.vertices)
     own = sorted(frozenset(itertools.chain.from_iterable(domain._maximal)).difference(shared))  # the domain is pure
     labels = dict(zip(own + shared, itertools.count())), dict(zip(shared + own, itertools.count(len(own))))
-    faces = sorted(split.boundary.faces, key=len)
-    groups = [list(group) for _, group in itertools.groupby(faces, len)]
-    face_a, face_b = (dict(zip(faces, itertools.chain.from_iterable(_relabeled_cells(groups, label)[0]))) for label in labels)
+    return TruncatedDouble(domain, split.positive, split.negative, labels)
 
-    def glued(faces: frozenset) -> SimplicialComplex:
-        # A union of two sets is sized once; a set grown face by face may get twice the table.
-        return _trusted(frozenset(map(face_a.__getitem__, faces)) | frozenset(map(face_b.__getitem__, faces)))
 
-    return TruncatedDouble(domain, glued(split.positive.faces), glued(split.negative.faces), labels)
+def _glued(region: SimplicialComplex, labels) -> SimplicialComplex:
+    """Both copies of a region: its faces, grouped by size, relabeled by
+    each labeling.  A union of two sets is sized once; a set grown face
+    by face may get twice the table."""
+    groups = [list(group) for _, group in itertools.groupby(sorted(region.faces, key=len), len)]
+    copy_a, copy_b = (frozenset(itertools.chain.from_iterable(_relabeled_cells(groups, label)[0])) for label in labels)
+    return _trusted(copy_a | copy_b)
 
 
 def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> Tuple[List[list], list]:

@@ -58,6 +58,43 @@ def boundary_star_split(n):
     return BoundarySplit(domain, build_complex(star))
 
 
+def staircase(first, second, modulus=None):
+    """The product of two complexes, triangulated by staircase chains
+    (Eilenberg and Zilber, 1953): for each pair of top simplices, every
+    lattice path through their vertex grid that steps up one factor at a
+    time.  Vertex (i, j) is i * modulus + j, with ``modulus`` one more than
+    the second factor's largest vertex by default, so each chain is
+    ascending; subcomplexes of one product take the modulus of the whole."""
+    modulus = max(second.vertices) + 1 if modulus is None else modulus
+    tops = []
+    for s, t in itertools.product(first.maximal_simplices(), second.maximal_simplices()):
+        for ups in itertools.combinations(range(len(s) + len(t) - 2), len(s) - 1):
+            i = j = 0
+            chain = [s[0] * modulus + t[0]]
+            for step in range(len(s) + len(t) - 2):
+                i, j = (i + 1, j) if step in ups else (i, j + 1)
+                chain.append(s[i] * modulus + t[j])
+            tops.append(tuple(chain))
+    return build_complex(tops)
+
+
+def linear_action_split(p, q):
+    """L(p, q): the split of the free linear circle action on S^{2n-1},
+    n = p + q, with p weights +1 and q weights -1, on the ball it bounds.
+    The domain is the product of the balls of dimensions 2p and 2q; the
+    positive region is the first ball's boundary times the second ball,
+    the negative region the first ball times the second's boundary.  The
+    domain is a ball, so the positive table is {2p: 1} with shift 4p and
+    the negative one {2q: 1} with shift 4q."""
+    first, second = builtin_example("ball_%d" % (2 * p)), builtin_example("ball_%d" % (2 * q))
+    modulus = max(second.vertices) + 1
+    return BoundarySplit(
+        staircase(first, second),
+        staircase(boundary_subcomplex(first), second, modulus),
+        staircase(first, boundary_subcomplex(second), modulus),
+    )
+
+
 @lru_cache(maxsize=None)
 def corpus_complexes():
     return {name: builtin_example(name) for name in CORPUS_COMPLEX_NAMES}

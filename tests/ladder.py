@@ -13,9 +13,11 @@ wall time over the mean time of the reference kernel of
 the child.  A child that dies or passes ``--timeout`` counts as failed.
 
 Catalog rungs load through ``load_space``, as the command line does.
-The n-gon and the boundary star splits are built in the child and handed
-to ``main`` through a stand-in ``load_space``.  Rungs marked past-limit
-are over ``MAX_FACES``; their child lifts the limit in itself only.
+The n-gon, the boundary star splits, the linear-action splits L(p, q)
+(``linear_p_q``) and the n-by-4 cylinders with one end circle positive
+(``cylinder_n``) are built in the child and handed to ``main`` through a
+stand-in ``load_space``.  Rungs marked past-limit are over
+``MAX_FACES``; their child lifts the limit in itself only.
 
 The output file holds the commit, ``nproc``, the median reference
 kernel time and one record per rung, command and checkout.
@@ -32,6 +34,7 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import resource
@@ -57,9 +60,13 @@ RUNGS = {
     "ball_9": False,
     "star_split_3": False,
     "star_split_4": False,
+    "linear_1_2": False,
+    "cylinder_1000": False,
     "reeb_ball_5": True,
     "brieskorn_7": True,
     "star_split_5": True,
+    "linear_1_3": True,
+    "cylinder_8000": True,
 }
 MEMORY_LIMIT = 6 << 30  # address space of a child, so a runaway rung fails alone
 
@@ -77,7 +84,42 @@ def build_split(name):
         domain = builtin_example("reeb_ball_%s" % name.rpartition("_")[2]).domain
         star = [s for s in boundary_subcomplex(domain).maximal_simplices() if 0 in s]
         return BoundarySplit(domain, build_complex(star))
+    if name.startswith("linear_"):
+        # L(p, q): the product of the balls of dimensions 2p and 2q, split by
+        # the products with each factor's boundary, as
+        # ``tests/conftest.py::linear_action_split``.
+        p, q = map(int, name.split("_")[1:])
+        first, second = builtin_example("ball_%d" % (2 * p)), builtin_example("ball_%d" % (2 * q))
+        modulus = max(second.vertices) + 1
+        return BoundarySplit(
+            build_complex(staircase_chains(first, second, modulus)),
+            build_complex(staircase_chains(boundary_subcomplex(first), second, modulus)),
+            build_complex(staircase_chains(first, boundary_subcomplex(second), modulus)),
+        )
+    if name.startswith("cylinder_"):
+        # n squares around and 4 up, each cut by one diagonal; the top end
+        # circle is positive and the bottom one negative.
+        n = int(name.rpartition("_")[2])
+        triangles = []
+        for j, i in itertools.product(range(4), range(n)):
+            a, b, c, d = j * n + i, j * n + (i + 1) % n, (j + 1) * n + i, (j + 1) * n + (i + 1) % n
+            triangles += [(a, b, d), (a, c, d)]
+        top = [(4 * n + i, 4 * n + (i + 1) % n) for i in range(n)]
+        return BoundarySplit(build_complex(triangles), build_complex(top))
     return None
+
+
+def staircase_chains(first, second, modulus):
+    """The top simplices of the staircase product of two complexes, vertex
+    (i, j) numbered i * modulus + j, as ``tests/conftest.py::staircase``."""
+    for s, t in itertools.product(first.maximal_simplices(), second.maximal_simplices()):
+        for ups in itertools.combinations(range(len(s) + len(t) - 2), len(s) - 1):
+            i = j = 0
+            chain = [s[0] * modulus + t[0]]
+            for step in range(len(s) + len(t) - 2):
+                i, j = (i + 1, j) if step in ups else (i, j + 1)
+                chain.append(s[i] * modulus + t[j])
+            yield tuple(chain)
 
 
 def child(name: str, command: str, src: str) -> None:

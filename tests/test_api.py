@@ -83,9 +83,10 @@ PUBLIC_FIELDS = {
     "SimplicialComplex": ("faces",),
     # A verdict is symmetric when it has a shift.
     "SymmetryVerdict": ("shifts", "witness"),
-    # The copies are the domain relabeled by ``labels``; the total and its
-    # top simplices follow from them and are made when first read.
-    "TruncatedDouble": ("domain", "exit_boundary", "entry_boundary", "labels"),
+    # The copies are the domain relabeled by ``labels``; the boundaries are
+    # the copies of the split's regions, and they, the total and its top
+    # simplices follow from them and are made when first read.
+    "TruncatedDouble": ("domain", "positive", "negative", "labels"),
     "exactness.DualityReport": ("dimension", "negative_table", "positive_table"),
     "exactness.LesReport": ("relative", "slots"),
     "exactness.MayerVietorisReport": ("overlap_table", "total_table", "parts_table"),

@@ -1,11 +1,13 @@
 """Verdicts: palindromic tables, reduced variant, rolled variant, pipeline."""
 
+import json
 import random
 from dataclasses import astuple
 
 import pytest
 
-from conftest import catalog_splits
+import ladder
+from conftest import boundary_star_split, catalog_splits, linear_action_split, relabeled_split
 from topsym import (
     ComplexPair,
     InputError,
@@ -13,8 +15,10 @@ from topsym import (
     betti,
     build_complex,
     builtin_example,
+    cli,
     cone,
 )
+from topsym.cli import EXIT_OK, main
 from topsym.complexes import BettiTable
 from topsym.symmetry import (
     MAX_MIN_CHERN,
@@ -272,3 +276,36 @@ class TestAnalyzeAction:
                 continue
             report = analyze_action(split)
             assert report.positive_verdict.symmetric == report.negative_verdict.symmetric, name
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1)])
+def test_linear_actions_have_their_closed_form(monkeypatch, capsys, p, q):
+    # L(p, q) has large regions and interfaces at every size, and a known
+    # answer: the positive table {2p: 1} with shift 4p, the negative one
+    # {2q: 1} with shift 4q.  Its file is past the load's face limit from
+    # L(1, 2) on, so both commands load one relabeled split through the
+    # library, and verify reads the tables analyze kept with it.
+    split = linear_action_split(p, q)
+    vertices = sorted(split.domain.vertices)
+    labels = random.Random(p * 10 + q).sample(range(2 * len(vertices)), len(vertices))
+    split, name = relabeled_split(split, dict(zip(vertices, labels))), "L(%d,%d)" % (p, q)
+    monkeypatch.setattr(cli, "load_space", lambda locator: (locator, split))
+    assert main(["analyze", "--json", name]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "name": name,
+        "betti_positive": [[2 * p, 1]],
+        "betti_negative": [[2 * q, 1]],
+        "verdict_positive": {"symmetric": True, "shifts": [4 * p]},
+        "verdict_negative": {"symmetric": True, "shifts": [4 * q]},
+        "duality": "pass",
+        "factor2": "pass",
+    }
+    assert main(["verify", name]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("verify %s: pass\n" % name)
+
+
+def test_the_ladder_builds_the_test_splits():
+    # The ladder's child builds its splits without the test helpers, whose
+    # import would count in its time and memory.
+    assert ladder.build_split("linear_2_1") == linear_action_split(2, 1)
+    assert ladder.build_split("star_split_3") == boundary_star_split(3)

@@ -575,10 +575,12 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
 def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp_path, space):
     # The load extracts the domain's boundary from its maximal simplices,
     # which the closure kept.  The glued split is written from the images
-    # of the domain's top simplices and regions, so the double's total is
-    # never made and no face of the domain or of a total is sorted by degree.
+    # of the domain's top simplices and regions, each region glued once, so
+    # the double's total is never made and no face of the domain or of a
+    # total is sorted by degree.
     extracted, sorted_by_degree, splits = [], [], []
     extract, by_degree, load = spaces.boundary_subcomplex, SimplicialComplex._by_degree.func, cli.load_space
+    regions = record_glued_regions(monkeypatch)
 
     def recorded_extract(complex_):
         extracted.append(complex_)
@@ -602,9 +604,43 @@ def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp
     assert main(["double", locator, "-o", str(tmp_path / "double.json")]) == EXIT_OK
     (split,) = splits
     assert [id(c) for c in extracted] == [id(split.domain)]
+    assert list(map(id, regions)) == [id(split.positive), id(split.negative)]
     assert "total" not in vars(split.double) and "_by_degree" not in vars(split.domain)
     # What analyze and verify read is made on first read, and only then.
     assert split.double.total.faces not in sorted_by_degree and "total" in vars(split.double)
+
+
+def record_glued_regions(monkeypatch):
+    """The regions whose copies the double glues, in the order glued."""
+    regions, glue = [], glued._glued
+
+    def recorded(region, labels):
+        regions.append(region)
+        return glue(region, labels)
+
+    monkeypatch.setattr(glued, "_glued", recorded)
+    return regions
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_analyze_and_verify_glue_only_the_positive_region(monkeypatch, capsys, command, space):
+    # Both read the double's total and exit boundary only, so the negative
+    # region is never relabeled and the double holds no entry boundary.
+    splits, load = [], cli.load_space
+
+    def recorded_load(locator):
+        name, split = load(locator)
+        splits.append(split)
+        return name, split
+
+    regions = record_glued_regions(monkeypatch)
+    monkeypatch.setattr(cli, "load_space", recorded_load)
+    assert main([command, str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    (split,) = splits
+    assert list(map(id, regions)) == [id(split.positive)]
+    assert "total" in vars(split.double) and "entry_boundary" not in vars(split.double)
 
 
 def test_doubles_of_different_domains_with_equal_regions_differ():
