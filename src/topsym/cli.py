@@ -253,9 +253,12 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     Morse read the pairs' Betti tables their bases recorded.  Equal
     regions, as on a closed domain, give one pair; the domain pairs
     share one reduced domain basis, which no sequence releases, dropped
-    before the exit pair's LES.  A pair with an empty region shares the
-    reduction of its ambient above degree 0; the exit pair's LES
-    releases the total's basis before it builds a relative one.
+    before the exit pair's LES.  When the interface is empty, the
+    double's total is two disjoint copies of the domain, and its reduced
+    basis is derived from the domain's before that is dropped.  A pair
+    with an empty region shares the reduction of its ambient above
+    degree 0; the exit pair's LES releases the total's basis, derived or
+    built, before it builds a relative one.
     Mayer-Vietoris is ``excision_check`` on the bases the sequences
     built: only the positive basis's representatives outlive its LES,
     and the exit pair's basis goes once they are pushed into it.
@@ -269,8 +272,10 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
     exact, reps = positive.passed, {k: positive.relative.representatives(k) for k in positive.relative.degrees()}
     del positive
     exact = exact and all(les_exactness_check(p, domain_basis).passed for p in pairs[1:-1])
+    total_basis = None if split.interface else domain_basis._disjoint_double(double.total)
     del domain_basis
-    exit_les = les_exactness_check(pairs[-1])
+    exit_les = les_exactness_check(pairs[-1], total_basis, _release=True)
+    del total_basis
     exact, excision = exact and exit_les.passed, excision_check(reps, double.labels, exit_les.relative).passed
     del exit_les
 

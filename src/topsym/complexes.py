@@ -36,7 +36,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, repeat
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, islice, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .errors import InputError, PseudomanifoldError
@@ -299,10 +299,13 @@ class HomologyBasis:
     ``betti`` recorded first must equal it.
 
     The basis of (X, empty) shares X's reduced basis above degree 0
-    (``_unreduced``).  A long exact sequence releases the classes of an
-    ambient basis it built (``_classes``) before it builds the relative
-    one; the representatives stay, and ``express_class`` refuses a
-    released degree.
+    (``_unreduced``), and the reduced basis of a double of X along an
+    empty interface, two disjoint copies of X, takes X's reduction
+    twice above degree 0 (``_disjoint_double``); both equal a basis
+    built from scratch.  A long exact sequence releases the classes
+    (``_classes``) of an ambient basis it built, or was handed to
+    release, before it builds the relative one; the representatives
+    stay, and ``express_class`` refuses a released degree.
     """
 
     def __init__(self, pair: ComplexPair, *, augmented: bool = False):
@@ -357,6 +360,46 @@ class HomologyBasis:
             n_vertices, upper = self.n_cells(0), self._classes[0]._prefix(self.n_cells(1))
             basis._columns[0] = [()] * n_vertices
             basis._add_classes(0, upper, [1 << j for j in range(n_vertices) if j not in upper.pivot_rows])
+        basis._record_betti()
+        return basis
+
+    def _disjoint_double(self, total: SimplicialComplex) -> "HomologyBasis":
+        """The reduced basis of ``total``, the double of X along an empty
+        interface, from this reduced basis of X.
+
+        Each degree of the total holds copy A's cells, X's own, then copy
+        B's, X's again with copy B's facet positions moved up by copy A's
+        part.  So from degree 1 up the reduction of d_k is X's, the first
+        n_k columns of ``_classes[k-1]``, followed by its pivots,
+        combinations and kernel moved up by n_{k-1} rows and n_k columns
+        (``_doubled``): no pivot of copy A meets a column of copy B.  The
+        augmentation sends the vertices of both copies to the empty
+        simplex, so degrees 0 and -1 are reduced from scratch.  The
+        classes are appended as ``__init__`` appends them, and the basis
+        equals one built from scratch.
+        """
+        (table, rows, _), top = total._chain_table, self.max_degree
+        counts = [self.n_cells(k) for k in range(top + 1)]
+        if [len(table[k]) for k in range(total.dim + 1)] != [2 * n for n in counts]:
+            raise AssertionError("the total is not two disjoint copies of the complex")
+        basis = object.__new__(HomologyBasis)
+        basis.pair, basis.augmented, basis.min_degree, basis.max_degree = ComplexPair.absolute(total), True, -1, top
+        basis._cells = {k: table[k] for k in range(-1, top + 1)}
+        basis._columns = {-1: [()]}
+        if top >= 0:
+            basis._columns[0] = self._columns[0] * 2  # both copies' vertices bound the one empty simplex
+        for k in range(1, top + 1):  # copy B's columns read the total's rows, as a built basis's do
+            basis._columns[k] = self._columns[k] + list(zip(*(islice(row, counts[k], None) for row in rows[k])))
+        basis._index, basis._reps, basis._classes = {}, {}, {}
+        upper = Reduction()  # nothing above the top degree
+        for k in range(top, 0, -1):
+            lower = _doubled(self._classes[k - 1]._prefix(counts[k]), counts[k - 1], basis._columns[k])
+            basis._add_classes(k, upper, lower.kernel)
+            upper = lower
+        bottom = {k: basis._columns[k] for k in range(-1, min(top, 0) + 1)}
+        for k, lower in _reductions(bottom, cleared=frozenset(upper.pivot_rows)):
+            basis._add_classes(k, upper, lower.kernel)
+            upper = lower
         basis._record_betti()
         return basis
 
@@ -508,12 +551,13 @@ def _chain_columns(pair: ComplexPair, augmented: bool) -> Tuple[Dict[int, Tuple[
     return cells, columns
 
 
-def _reductions(columns: Dict[int, List[Column]], track: bool = True) -> Iterator[Tuple[int, Reduction]]:
+def _reductions(columns: Dict[int, List[Column]], track: bool = True, cleared=frozenset()) -> Iterator[Tuple[int, Reduction]]:
     """Yield (k, reduction of d_k) from the top degree down; with
     ``track`` the combinations are over cell positions, without it the
     reductions are rank-only.  Only the pivot rows of d_{k+1} are kept
     while d_k is reduced, so a caller that lets each reduction go holds
-    one degree's pivots at a time.
+    one degree's pivots at a time.  ``cleared`` holds the pivot rows of
+    the degree above the top one given: none above the top degree.
 
     Clearing (Chen and Kerber, EuroCG 2011): a reduced column of d_{k+1}
     with highest row i is cell i plus lower cells, so column i of d_k
@@ -526,12 +570,30 @@ def _reductions(columns: Dict[int, List[Column]], track: bool = True) -> Iterato
     is not a pivot row.  So the z_j are a basis of H_k, and each stays
     independent when appended to the reduction of d_{k+1}.
     """
-    cleared = frozenset()  # nothing above the top degree
     for k in reversed(columns):
         lower = Reduction(track=track)
         lower.extend(columns[k], cleared)
         cleared = frozenset(lower.pivot_rows)
         yield k, lower
+
+
+def _doubled(reduction: Reduction, rows: int, columns: List[Column]) -> Reduction:
+    """``reduction``, of the first n of ``columns``, extended in place as
+    if it went on to reduce the last n, the first moved up by ``rows``
+    rows, below which they have no entry.  Each pivot, combination and
+    kernel vector is repeated, moved up by ``rows`` rows and n columns;
+    a pivot stored as handed in (its combination the tuple ``(j,)``) is
+    column n + j itself."""
+    n, pivots, combos = reduction.n_cols, reduction._pivots, reduction._combos
+    for row, combo in list(combos.items()):
+        if type(combo) is tuple:
+            j = combo[0] + n
+            pivots[row + rows], combos[row + rows] = columns[j], (j,)
+        else:
+            pivots[row + rows], combos[row + rows] = pivots[row] << rows, combo << n
+    reduction.kernel += [v << n for v in reduction.kernel]
+    reduction.n_cols, reduction.nullity = 2 * n, 2 * reduction.nullity
+    return reduction
 
 
 def betti(pair: ComplexPair, *, augmented: bool = False) -> BettiTable:

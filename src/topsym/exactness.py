@@ -111,26 +111,35 @@ class LesReport:
         return all(s.exact for s in self.slots)
 
 
-def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis] = None) -> LesReport:
+def _nonzero(basis: HomologyBasis) -> List[int]:
+    """The degrees in which the basis has a class."""
+    return [k for k in basis.degrees() if basis.betti_dim(k)]
+
+
+def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis] = None, *, _release: bool = False) -> LesReport:
     """Verify the reduced long exact sequence of the pair, slot by slot.
 
     The sequence runs ... -> H~_k(sub) -> H~_k(ambient) -> H_k(pair) ->
     H~_{k-1}(sub) -> ... and is checked at every group from the top
-    degree down to the augmentation degree.  It is laid out as one list
-    of maps, each read from the degrees its ``HomologyMap`` computed; a
-    degree it did not compute maps out of or into a zero group.  The
-    slot at the target of map i reads maps i and i + 1.  Only a map with
-    rows and columns has its rank taken, once; any other has rank 0.
-    Two maps are multiplied only when both ranks are nonzero, as
-    otherwise the composition is zero.  A given ``ambient_basis`` must
-    be the reduced basis of ``pair.ambient`` itself, with its classes;
-    else it is built here.  With an empty subcomplex the relative basis
-    of (X, empty) shares X's reduction above degree 0.  Otherwise a
-    sequence that built the ambient basis releases its classes once the
-    subcomplex's classes are expressed in it, before it builds the
-    relative basis, so that one large reduction is alive at a time; a
-    given basis is kept.  The report keeps the pair's relative basis,
-    for a caller to reuse.
+    degree down to the augmentation degree.  Each of its three maps is
+    computed only in the degrees where its source group is nonzero, so
+    a ``HomologyMap`` holds a matrix there alone.  The sequence is laid
+    out as one list of maps, each read from the degrees its map
+    computed; any other degree maps out of a zero group.  The slot at
+    the target of map i reads maps i and i + 1.  Only a map with rows
+    and columns has its rank taken, once; any other has rank 0.  Two
+    maps are multiplied only when both ranks are nonzero, as otherwise
+    the composition is zero.  A given ``ambient_basis`` must be the
+    reduced basis of ``pair.ambient`` itself, with its classes; else it
+    is built here.  With an empty subcomplex the relative basis of
+    (X, empty) shares X's reduction above degree 0.  Otherwise the
+    sequence releases the ambient basis's classes once the subcomplex's
+    classes are expressed in it, before it builds the relative basis,
+    so that one large reduction is alive at a time: a basis it built,
+    or a given one with ``_release`` (``verify`` hands the exit pair's
+    sequence the double's basis it derived); any other given basis is
+    kept.  The report keeps the pair's relative basis, for a caller to
+    reuse.
     """
     amb_h = ambient_basis
     if amb_h is not None and not (
@@ -139,12 +148,12 @@ def les_exactness_check(pair: ComplexPair, ambient_basis: Optional[HomologyBasis
         raise InputError("the ambient basis must be the unreleased reduced basis of the pair's own ambient complex")
     sub_h = HomologyBasis(ComplexPair.absolute(pair.sub), augmented=True)
     amb_h = amb_h or HomologyBasis(ComplexPair.absolute(pair.ambient), augmented=True)
-    into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c, sub_h.degrees())
-    if pair.sub and ambient_basis is None:
+    into_ambient = _map_on_homology(sub_h, amb_h, lambda k, c: c, _nonzero(sub_h))
+    if pair.sub and (ambient_basis is None or _release):
         amb_h._classes.clear()  # it expresses no more classes, so one large reduction is alive at a time
     rel_h = HomologyBasis(pair) if pair.sub else amb_h._unreduced(pair)
-    onto_relative = _map_on_homology(amb_h, rel_h, lambda k, c: c.difference(pair.sub.faces, ((),)), amb_h.degrees())
-    connect = _connecting(rel_h, sub_h, rel_h.degrees())
+    onto_relative = _map_on_homology(amb_h, rel_h, lambda k, c: c.difference(pair.sub.faces, ((),)), _nonzero(amb_h))
+    connect = _connecting(rel_h, sub_h, _nonzero(rel_h))
 
     # One degree above the top dimension, all groups vanish; starting
     # there covers the subcomplex slot in the top degree as well.

@@ -167,6 +167,12 @@ def _relabeled(domain: SimplicialComplex, label: Dict[int, int], images, moved):
         yield sorted(range(len(images[k])), key=images[k].__getitem__), permuted
 
 
+def _keeps_order(label: Dict[int, int]) -> bool:
+    """Whether the labeling maps the vertices in ascending order."""
+    values = list(map(label.__getitem__, sorted(label)))
+    return values == sorted(values)
+
+
 def _placed(order, positions: List[int], start: int = 0) -> List[int]:
     """``positions`` with the cells of ``order`` at their places there,
     counted from ``start``."""
@@ -178,16 +184,28 @@ def _placed(order, positions: List[int], start: int = 0) -> List[int]:
 def _total_table(domain: SimplicialComplex, labels, copies, n_own: int, complex_: SimplicialComplex):
     """Cells and facet rows of the total, from the domain, the copies'
     labelings, images and sorted cells (``_relabeled_cells``) and the
-    number of copy A's own vertices; the cells seed ``_by_degree``."""
+    number of copy A's own vertices; the cells seed ``_by_degree``, and
+    the domain's dimension the total's.
+    When both labelings keep the vertex order, as along an empty
+    interface, each copy keeps the domain's cell order: the position maps
+    are counted out, and each facet row is mapped whole."""
     (label_a, label_b), ((images_a, moved_a), (images_b, moved_b)) = labels, copies
     relabeled = zip(_relabeled(domain, label_a, images_a, moved_a), _relabeled(domain, label_b, images_b, moved_b))
+    ordered = _keeps_order(label_a) and _keeps_order(label_b)
     cells, rows, below_a, below_b = {-1: (EMPTY_SIMPLEX,)}, {}, [0], [0]
     for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(relabeled):
         cells_a = tuple(map(images_a[k].__getitem__, order_a))
         order_a = order_a[: bisect.bisect_left(cells_a, (n_own,))]  # copy A's shared cells come last
         cells[k] = cells_a[: len(order_a)] + tuple(map(images_b[k].__getitem__, order_b))
-        rows[k] = [[below_a[r[c]] for c in order_a] + [below_b[s[c]] for c in order_b] for r, s in zip(rows_a, rows_b)]
-        below_b = _placed(order_b, [0] * len(order_b), len(order_a))
-        below_a = _placed(order_a, list(below_b))
+        if ordered:  # each order is the domain's, and so are the facet rows
+            m = len(order_a)
+            rows[k] = [list(map(below_a.__getitem__, r[:m])) + list(map(below_b.__getitem__, s)) for r, s in zip(rows_a, rows_b)]
+            below_b = list(range(m, m + len(order_b)))
+            below_a = [*range(m), *below_b[m:]]
+        else:
+            rows[k] = [[below_a[r[c]] for c in order_a] + [below_b[s[c]] for c in order_b] for r, s in zip(rows_a, rows_b)]
+            below_b = _placed(order_b, [0] * len(order_b), len(order_a))
+            below_a = _placed(order_a, list(below_b))
     complex_.__dict__.setdefault("_by_degree", {k: cells[k] for k in range(domain.dim + 1)})
+    complex_.__dict__.setdefault("dim", domain.dim)
     return cells, rows

@@ -205,7 +205,9 @@ class MorseComplexData:
     boundaries: Dict[int, Gf2Matrix]  # degree k -> map into degree k-1
 
     def betti(self) -> BettiTable:
-        ranks = {k: mat.rank() for k, mat in self.boundaries.items()}
+        """Dimensions from the boundaries' ranks; a boundary out of or into
+        no critical cell has rank 0 without a rank call."""
+        ranks = {k: mat.rank() if mat.n_rows and mat.n_cols else 0 for k, mat in self.boundaries.items()}
         dims = {k: self.boundaries[k].n_cols - ranks[k] - ranks.get(k + 1, 0) for k in self.critical}
         return BettiTable.from_dict(dims)
 
@@ -219,7 +221,9 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
     matched downward, and the combined flow of the sibling facets of its
     matched cofacet otherwise.  The flows of matched-up facets are
     filled in reverse V-path order, so every sibling's flow is final
-    when it is read.
+    when it is read.  Every degree keeps its boundary map, but the
+    composition check multiplies two maps only when each has rows and
+    columns; any other composition is zero.
     """
     cells, _, down = matching.pair._hasse
     up, order, critical = matching._gradient
@@ -251,7 +255,8 @@ def morse_complex(matching: AcyclicMatching) -> MorseComplexData:
         n_rows = len(by_degree.get(k - 1, ()))
         boundaries[k] = Gf2Matrix.from_columns(cols, n_rows)
     for k in range(1, max_dim + 1):
-        if not boundaries[k - 1].mat_mul(boundaries[k]).is_zero():
+        inner, outer = boundaries[k], boundaries[k - 1]
+        if inner.n_cols and inner.n_rows and outer.n_rows and not outer.mat_mul(inner).is_zero():
             raise MatchingError("Morse boundary composition is nonzero in degree %d" % k)
     crit = {k: tuple(map(cells.__getitem__, group)) for k, group in by_degree.items()}
     return MorseComplexData(crit, boundaries)

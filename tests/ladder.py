@@ -24,8 +24,14 @@ kernel time and one record per rung, command and checkout.
 ``--checkout`` times another checkout's ``src`` (for the parent, ``git
 clone`` it into a directory); given twice, the two alternate on each
 rung, each going first in turn, and each record names its checkout's
-commit, ``+dirty`` when its tracked files differ from it.  Pytest does
-not collect this file, whose name does not start with ``test_``.
+commit, ``+dirty`` when its tracked files differ from it.  Each printed
+line starts with the rung, the command and the checkout's root as
+given, so two copies of one commit are told apart.  Given two checkouts,
+the first is the parent and the second the change: after each rung's
+two lines comes a ``change/parent`` line with the ratios of the medians
+of wall time, time in ref and peak RSS and whether the exit codes and
+stdout hashes agree, which the output file keeps under ``ratios``.  Pytest does not collect this file, whose name does
+not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -198,23 +204,39 @@ def commit_of(checkout: str) -> str:
     return head + "+dirty" if git("status", "--porcelain", "--untracked-files=no") else head
 
 
-def summarized(name, command, checkout, runs):
+MEDIANS = ("wall_s", "wall_ref", "peak_rss_mb")
+
+
+def summarized(name, command, checkout, root, runs):
     """One record per rung, command and checkout: the runs, and their
     medians when none failed."""
     record = {"rung": name, "command": command, "checkout": checkout, "past_limit": RUNGS[name], "runs": runs}
     record["failed"] = any("failed" in run for run in runs)
     if not record["failed"]:
-        for key in ("wall_s", "wall_ref", "peak_rss_mb"):
+        for key in MEDIANS:
             record[key] = statistics.median(run[key] for run in runs)
         for key in ("exit", "stdout_sha256", "faces"):
             values = {run[key] for run in runs}
             record[key] = values.pop() if len(values) == 1 else sorted(values)
     failures = "; ".join(run["failed"] for run in runs if "failed" in run)
-    print("%-14s %-8s %-12.12s %s" % (name, command, checkout, "FAILED: " + failures if failures else
-                                    "%.2f s  %.1f ref  %.0f MB  exit %s" % (
-                                        record["wall_s"], record["wall_ref"], record["peak_rss_mb"], record["exit"])),
+    print("%-14s %-8s %-20s %s" % (name, command, root, "FAILED: " + failures if failures else
+                                   "%.2f s  %.1f ref  %.0f MB  exit %s" % (
+                                       record["wall_s"], record["wall_ref"], record["peak_rss_mb"], record["exit"])),
           flush=True)
     return record
+
+
+def compared(parent, change):
+    """The change's medians over the parent's for one rung and command,
+    printed as one line; None when either failed."""
+    if parent["failed"] or change["failed"]:
+        return None
+    ratios = {"rung": parent["rung"], "command": parent["command"], **{key: change[key] / parent[key] for key in MEDIANS}}
+    ratios["same_answer"] = all(parent[key] == change[key] for key in ("exit", "stdout_sha256"))
+    print("%-14s %-8s %-20s wall %.3f  ref %.3f  peak %.3f  %s" % (
+        parent["rung"], parent["command"], "change/parent", *(ratios[key] for key in MEDIANS),
+        "same answer" if ratios["same_answer"] else "ANSWER DIFFERS"), flush=True)
+    return ratios
 
 
 def main(argv=None) -> int:
@@ -236,12 +258,12 @@ def main(argv=None) -> int:
         parser.error("the output file is required")
 
     reference = load_reference()
-    checkouts = {}
+    checkouts, roots = {}, {}  # commit -> its src, and the root as given
     for root in args.checkout or [ROOT]:
         commit = commit_of(root)
-        checkouts[commit if commit not in checkouts else "%s#%d" % (commit, len(checkouts) + 1)] = os.path.join(
-            os.path.abspath(root), "src")
-    records, kernel_times = [], []
+        commit = commit if commit not in checkouts else "%s#%d" % (commit, len(checkouts) + 1)
+        checkouts[commit], roots[commit] = os.path.join(os.path.abspath(root), "src"), root
+    records, ratios, kernel_times = [], [], []
     for name in args.rungs:
         for command in args.commands:
             runs = {commit: [] for commit in checkouts}
@@ -255,7 +277,10 @@ def main(argv=None) -> int:
                     if "wall_s" in run:
                         run["wall_ref"] = run["wall_s"] / run["ref_s"]
                     runs[commit].append(run)
-            records += [summarized(name, command, commit, commit_runs) for commit, commit_runs in runs.items()]
+            rung = [summarized(name, command, commit, roots[commit], commit_runs) for commit, commit_runs in runs.items()]
+            if len(rung) == 2 and (ratio := compared(*rung)) is not None:
+                ratios.append(ratio)
+            records += rung
     summary = {
         "commit": list(checkouts),
         "nproc": len(os.sched_getaffinity(0)),
@@ -263,6 +288,8 @@ def main(argv=None) -> int:
         "ref_s": statistics.median(kernel_times),
         "rungs": records,
     }
+    if len(checkouts) == 2:
+        summary["ratios"] = ratios
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=1)
         handle.write("\n")

@@ -36,18 +36,21 @@ from topsym import (
     betti,
     boundary_subcomplex,
     build_complex,
+    builtin_example,
     cone,
     cross_polytope_sphere,
 )
 from topsym import complexes
 from topsym.complexes import EMPTY_SIMPLEX, boundary_chain, check_strongly_connected
-from topsym.cli import EXIT_OK, main
+from topsym.cli import EXIT_OK, load_space, main
 from topsym.gf2 import Gf2Matrix
+from topsym.glued import TruncatedDouble
 from topsym.morse import build_matching, morse_betti
 from topsym.spaces import BoundarySplit, truncated_double
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPACES = Path(__file__).with_name("spaces")
 
 
 def table(pair, augmented=False):
@@ -555,6 +558,106 @@ class TestDerivedAbsoluteBasis:
         assert len(snapshots) == (0 if space == "disk_half_split" else 2)
         for shared in snapshots:
             assert all(state(reduction) == before for reduction, before in shared)
+
+
+def reduction_state(reduction):
+    """Everything a tracked reduction holds: its pivots and combinations,
+    with their row order and stored forms, and its counts and kernel."""
+    pivots, combos = reduction._pivots, reduction._combos
+    forms = [(row, type(pivots[row]), type(combos[row])) for row in pivots]
+    return forms, dict(pivots), dict(combos), reduction.n_cols, reduction.nullity, list(reduction.kernel)
+
+
+def closed_double(cx):
+    """The double of ``cx`` along an empty interface, with empty regions,
+    labeled as ``truncated_double`` labels a split with an empty
+    interface: copy A's vertices from 0, then copy B's."""
+    own = sorted(cx.vertices)
+    labels = dict(zip(own, range(len(own)))), dict(zip(own, range(len(own), 2 * len(own))))
+    return TruncatedDouble(cx, SimplicialComplex.empty(), SimplicialComplex.empty(), labels)
+
+
+def empty_interface_splits():
+    """Fresh copies of each catalog split and ``tests/spaces`` file whose
+    interface is empty."""
+    splits = {name: builtin_example(name) for name in catalog_splits()}
+    splits.update((path.name, load_space(str(path))[1]) for path in sorted(SPACES.glob("*.json")))
+    return {name: split for name, split in splits.items() if not split.interface}
+
+
+class TestDerivedDoubleBasis:
+    """The reduced basis of a double along an empty interface, derived
+    from its domain's (``_disjoint_double``), is the basis built from
+    scratch: the same cells, boundary matrices, reductions in stored
+    form, representatives, recorded table and class expressions,
+    witnesses included."""
+
+    def check(self, domain, total, label):
+        derived = HomologyBasis(ComplexPair.absolute(domain), augmented=True)._disjoint_double(total)
+        built = HomologyBasis(ComplexPair.absolute(complexes._trusted(total.faces)), augmented=True)
+        assert derived.pair.ambient is total and not derived.pair.sub and derived.augmented, label
+        assert derived.degrees() == built.degrees() and derived._index == {}, label
+        assert total._chain_table[2] == built.pair.ambient._chain_table[2] == {(frozenset(), True): built.betti()}
+        rng = random.Random(repr(label))
+        for k in built.degrees():
+            reps = built.representatives(k)
+            assert derived.cells(k) == built.cells(k) and derived.representatives(k) == reps, (label, k)
+            assert derived.boundary_matrix(k) == built.boundary_matrix(k), (label, k)
+            assert reduction_state(derived._classes[k]) == reduction_state(built._classes[k]), (label, k)
+            boundary = boundary_chain([s for s in built.cells(k + 1) if rng.random() < 0.5], frozenset(), True)
+            sums = [rep ^ other for rep, other in zip(reps, reps[1:])]
+            for cycle in [*reps, *sums, boundary, *(rep ^ boundary for rep in reps)]:
+                assert derived.express_class(k, cycle) == built.express_class(k, cycle), (label, k)
+        return built.betti()
+
+    def test_catalog_splits_and_space_files_with_an_empty_interface(self):
+        splits = empty_interface_splits()
+        assert sorted(splits) == [
+            "annulus_outer.json", "annulus_split", "brieskorn_2", "brieskorn_3", "disk_bare.json", "reeb_ball_1", "reeb_ball_2"
+        ]
+        tables = {name: self.check(split.domain, split.double.total, name) for name, split in splits.items()}
+        assert tables["brieskorn_3"].as_dict() == {0: 1, 3: 16} and tables["reeb_ball_2"].as_dict() == {0: 1}
+        assert tables["annulus_split"].as_dict() == {0: 1, 1: 2}
+
+    def test_seeded_random_complexes_as_closed_splits(self):
+        for i, cx in enumerate(seeded_complexes(11, 120)):
+            self.check(cx, closed_double(cx).total, (i, sorted(cx.faces)))
+
+    def test_a_closed_double_is_the_double_of_a_split_with_an_empty_interface(self):
+        for name, split in empty_interface_splits().items():
+            assert closed_double(split.domain).total.faces == split.double.total.faces, name
+
+    def test_a_double_along_a_nonempty_interface_is_refused(self):
+        split = builtin_example("disk_half_split")
+        reduced = HomologyBasis(ComplexPair.absolute(split.domain), augmented=True)
+        with pytest.raises(AssertionError, match="not two disjoint copies"):
+            reduced._disjoint_double(split.double.total)
+
+    @pytest.mark.parametrize("space", ["annulus_split", "reeb_ball_2", "brieskorn_3", "disk_bare.json"])
+    def test_verify_derives_it_and_leaves_the_domains_reductions_as_they_were(self, monkeypatch, capsys, space):
+        # ``verify`` derives the total's basis before it drops the domain's,
+        # whose reductions, shared with the positive pair's relative basis
+        # where that pair's region is empty, keep to the end what they held
+        # before the derivation.  The derived basis, as made, is the one
+        # built from scratch.
+        made, disjoint_double = [], HomologyBasis._disjoint_double
+
+        def states(basis):
+            return {k: reduction_state(reduction) for k, reduction in basis._classes.items()}
+
+        def recorded(self, total):
+            shared = [(reduction, reduction_state(reduction)) for reduction in self._classes.values()]
+            derived = disjoint_double(self, total)
+            built = HomologyBasis(ComplexPair.absolute(complexes._trusted(total.faces)), augmented=True)
+            made.append((shared, states(derived), states(built), derived._reps == built._reps))
+            return derived
+
+        monkeypatch.setattr(HomologyBasis, "_disjoint_double", recorded)
+        assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+        capsys.readouterr()
+        ((shared, derived, built, same_reps),) = made
+        assert derived == built and same_reps, space
+        assert all(reduction_state(reduction) == before for reduction, before in shared), space
 
 
 def composition_message(fn, *args):

@@ -525,8 +525,8 @@ class TestVerifyRunsTheExcisionCheck:
         split, runs, targets = builtin_example("reeb_ball_2"), [], []
         les, check = cli.les_exactness_check, cli.excision_check
 
-        def failing_first(pair, *args):
-            report = les(pair, *args)
+        def failing_first(pair, *args, **kwargs):
+            report = les(pair, *args, **kwargs)
             runs.append(pair)
             if len(runs) == 1:
                 return dataclasses.replace(report, slots=(dataclasses.replace(report.slots[0], composition_zero=False),))

@@ -433,6 +433,7 @@ class TestDerivedChainTable:
         cells, rows, memo = total._chain_table
         fresh = complexes._trusted(total.faces)
         assert (cells, rows) == complexes._build_chain_table(fresh) and memo == {}
+        assert vars(total)["dim"] == fresh.dim  # seeded with the table
         for k in range(-1, total.dim + 2):
             grouped = tuple(sorted(s for s in total.faces if len(s) == k + 1))
             assert total.simplices(k) == grouped, k
@@ -446,6 +447,16 @@ class TestDerivedChainTable:
         relabeled_a = [name for name, split in splits.items() if self.check(monkeypatch, split)]
         # Elsewhere copy A's labels, own vertices first, are the domain's.
         assert relabeled_a == ["disk_half_split", *(f"disk_{n}.json" for n in ("bare", "both", "negative", "positive"))]
+
+    def test_an_empty_interface_places_no_cell_one_at_a_time(self, monkeypatch):
+        # Both labelings keep the vertex order, so each copy keeps the
+        # domain's cell order and the position maps are counted out.
+        placed, place = [], glued._placed
+        monkeypatch.setattr(glued, "_placed", lambda *args: placed.append(args) or place(*args))
+        for name, split in {**catalog_splits(), **space_file_splits()}.items():
+            placed.clear()
+            self.check(monkeypatch, split)
+            assert bool(placed) == bool(split.interface), name
 
     def test_seeded_relabelings(self, monkeypatch):
         rng, interface, reordered, relabeled_a = random.Random(14), 0, 0, 0

@@ -176,12 +176,50 @@ def test_les_takes_a_rank_only_for_a_map_between_nonzero_groups(monkeypatch):
     assert counts == {"annulus_split_pos": 1, "disk_half_split_double": 1, "torus": 3, "disk_rel_boundary": 1}
 
 
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_each_map_of_the_sequence_holds_a_matrix_only_where_its_source_is_nonzero(monkeypatch, capsys, space):
+    # A degree with no source class maps nothing, so its matrix is not
+    # made; the slots read a missing degree as a zero map.  Only the
+    # excision check keeps every target degree, as a target class with no
+    # source must still fail it.
+    maps, map_on_homology = [], exactness._map_on_homology
+
+    def recorded_map(*args, **kwargs):
+        maps.append(map_on_homology(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(exactness, "_map_on_homology", recorded_map)
+    assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    assert len(maps) in (6, 9)  # three per sequence, on two or three pairs
+    for m in maps:
+        assert list(m.matrices) == list(m.witnesses) == [k for k in m.source.degrees() if m.source.betti_dim(k)], space
+        assert all(matrix.n_cols for matrix in m.matrices.values()), space
+
+
 def test_morse_betti_takes_each_boundarys_rank_once(monkeypatch):
-    pair = corpus_pairs()["annulus_split_pos"]
-    matching = build_matching(pair)
-    calls = count_ranks(monkeypatch)
-    morse_betti(matching)
-    assert len(calls) == pair.ambient.dim + 1 == 3
+    # A boundary out of or into no critical cell has rank 0 without a rank
+    # call, and a composition with such a boundary is zero without a
+    # product; every other boundary's rank is taken once.
+    calls, products, mat_mul = count_ranks(monkeypatch), [], gf2.Gf2Matrix.mat_mul
+
+    def counted_mat_mul(self, other):
+        products.append((self, other))
+        return mat_mul(self, other)
+
+    monkeypatch.setattr(gf2.Gf2Matrix, "mat_mul", counted_mat_mul)
+    counts = {}
+    for name, pair in corpus_pairs().items():
+        calls.clear()
+        products.clear()
+        data = morse.morse_complex(build_matching(pair))
+        assert data.betti() == morse_betti(build_matching(pair)) == betti(pair), name
+        full = [m for m in data.boundaries.values() if m.n_rows and m.n_cols]
+        assert calls[: len(full)] == full and len(calls) == 2 * len(full), name
+        assert all(a.n_rows and a.n_cols and b.n_cols for a, b in products), name
+        counts[name] = len(full), len(products) // 2
+    assert counts["torus"] == counts["klein_bottle"] == (2, 1)
+    assert counts["annulus_split_pos"] == counts["sphere_3"] == (0, 0)
 
 
 def test_a_matching_peels_its_v_path_digraph_once(monkeypatch):
@@ -349,11 +387,13 @@ def test_verify_on_a_space_file_takes_facets_only_for_chain_boundaries(monkeypat
 
 
 def record_bases(monkeypatch):
-    """Two lists: the bases ``HomologyBasis.__init__`` builds, and the
-    bases of pairs (X, empty) that ``_unreduced`` derives from X's
-    reduced basis, each in the order made."""
-    built, derived = [], []
-    init, unreduced = HomologyBasis.__init__, HomologyBasis._unreduced
+    """Three lists: the bases ``HomologyBasis.__init__`` builds, the bases
+    of pairs (X, empty) that ``_unreduced`` derives from X's reduced
+    basis, and the reduced bases of doubles along an empty interface that
+    ``_disjoint_double`` derives from their domain's, each in the order
+    made."""
+    built, derived, doubled = [], [], []
+    init, unreduced, disjoint_double = HomologyBasis.__init__, HomologyBasis._unreduced, HomologyBasis._disjoint_double
 
     def recorded_init(self, pair, *, augmented=False):
         init(self, pair, augmented=augmented)
@@ -363,9 +403,14 @@ def record_bases(monkeypatch):
         derived.append(unreduced(self, pair))
         return derived[-1]
 
+    def recorded_disjoint_double(self, total):
+        doubled.append(disjoint_double(self, total))
+        return doubled[-1]
+
     monkeypatch.setattr(HomologyBasis, "__init__", recorded_init)
     monkeypatch.setattr(HomologyBasis, "_unreduced", recorded_unreduced)
-    return built, derived
+    monkeypatch.setattr(HomologyBasis, "_disjoint_double", recorded_disjoint_double)
+    return built, derived, doubled
 
 
 def record_rank_only_runs(monkeypatch):
@@ -379,11 +424,11 @@ def record_rank_only_runs(monkeypatch):
         made[id(columns)] = columns, pair, augmented  # holding the columns keeps their id unique
         return cells, columns
 
-    def recorded_reductions(columns, track=True):
+    def recorded_reductions(columns, track=True, **kwargs):
         if not track:
             _, pair, augmented = made[id(columns)]
             runs.append((pair.ambient.faces, pair.sub.faces, augmented))
-        return reductions(columns, track)
+        return reductions(columns, track, **kwargs)
 
     monkeypatch.setattr(complexes, "_chain_columns", recorded_columns)
     monkeypatch.setattr(complexes, "_reductions", recorded_reductions)
@@ -407,7 +452,7 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
         return name, split
 
     monkeypatch.setattr(cli, "load_space", record)
-    bases, derived = record_bases(monkeypatch)
+    bases, derived, doubled = record_bases(monkeypatch)
     runs = record_rank_only_runs(monkeypatch)
     assert main(["verify", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
@@ -416,7 +461,8 @@ def test_verify_reduces_each_pair_once(monkeypatch, capsys, space):
     assert runs == []
     # Each recorded table is the one a fresh copy's rank-only pass gives.
     own = (split.positive_pair(), split.negative_pair(), double.exit_pair())
-    bases += derived
+    assert len(doubled) == (not split.interface)
+    bases += derived + doubled
     keys = {(basis.pair.ambient.faces, basis.pair.sub.faces, basis.augmented) for basis in bases}
     assert {(pair.ambient.faces, pair.sub.faces, False) for pair in own} <= keys
     assert len(derived) == len({(pair.ambient.faces, pair.sub.faces) for pair in own if not pair.sub})
@@ -437,11 +483,11 @@ def test_verify_indexes_only_the_degrees_in_which_a_class_is_expressed(monkeypat
         expressed[id(self), k] += 1
         return express(self, k, chain)
 
-    bases, derived = record_bases(monkeypatch)
+    bases, derived, doubled = record_bases(monkeypatch)
     monkeypatch.setattr(HomologyBasis, "express_class", recorded_express)
     assert main(["verify", space]) == EXIT_OK
     capsys.readouterr()
-    bases += derived
+    bases += derived + doubled
     for basis in bases:
         assert set(basis._index) == {k for k in basis.degrees() if expressed[id(basis), k]}, (space, basis.pair)
     # Most of the bases' degrees express no class, so they stay unindexed.
@@ -453,14 +499,16 @@ def test_verify_indexes_only_the_degrees_in_which_a_class_is_expressed(monkeypat
 def test_a_sequence_releases_the_ambient_basis_it_built_before_the_relative_one(monkeypatch, capsys, space):
     # When the relative basis of a pair with a nonempty subcomplex is
     # built, the reduced basis of the ambient that its sequence built
-    # holds no classes; the domain's, which the two domain sequences
-    # share, keeps them.
-    bases, _ = record_bases(monkeypatch)
+    # holds no classes, nor does the total's that ``verify`` derived from
+    # the domain's and handed to the exit pair's sequence (the annulus,
+    # whose interface is empty); the domain's, which the two domain
+    # sequences share, keeps them.
+    bases, _, doubled = record_bases(monkeypatch)
     recorded, held = HomologyBasis.__init__, []
 
     def checked_init(self, pair, *, augmented=False):
         if pair.sub and not augmented:
-            (ambient,) = [b for b in bases if b.pair.ambient is pair.ambient and b.augmented]
+            (ambient,) = [b for b in bases + doubled if b.pair.ambient is pair.ambient and b.augmented]
             held.append((ambient.pair.ambient, len(ambient._classes)))
         recorded(self, pair, augmented=augmented)
 
@@ -471,6 +519,7 @@ def test_a_sequence_releases_the_ambient_basis_it_built_before_the_relative_one(
     for ambient, classes in held:
         assert (classes > 0) is (ambient is domain), (space, classes)
     assert {ambient is domain for ambient, _ in held} == ({True, False} if space != "reeb_ball_2" else {True})
+    assert len(doubled) == (space in ("annulus_split", "reeb_ball_2"))
 
 
 @pytest.mark.parametrize("name", [*CORPUS_COMPLEX_NAMES, "wedge_2_40", "sphere_4"])
@@ -505,7 +554,7 @@ def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys
         matched.append(pair)
         return match(pair, *args)
 
-    bases, derived = record_bases(monkeypatch)
+    bases, derived, doubled = record_bases(monkeypatch)
     monkeypatch.setattr(cli, "build_matching", recorded_match)
     locator, code = str(SPACES / space) if space.endswith(".json") else space, EXIT_OK
     if space == "equal regions":
@@ -519,12 +568,16 @@ def test_verify_builds_each_distinct_basis_and_matching_once(monkeypatch, capsys
     # ``__init__`` runs once less for each: for the positive and the exit
     # pair of the reeb balls and of a file with an empty positive region,
     # and for the one domain pair and the exit pair of the closed domains.
+    # Where the interface is empty, the double's reduced basis is derived
+    # from the domain's, so ``__init__`` runs once less again.
     pairs = 2 if space.startswith("brieskorn") or space == "equal regions" else 3
-    keys = [(id(basis.pair.ambient), basis.pair.sub.faces, basis.augmented) for basis in bases + derived]
+    keys = [(id(basis.pair.ambient), basis.pair.sub.faces, basis.augmented) for basis in bases + derived + doubled]
     assert len(set(keys)) == len(keys) == 2 * pairs + 2
     empty = 2 if space.startswith(("reeb_ball", "brieskorn")) or space == "disk_bare.json" else 0
-    assert (len(bases), len(derived)) == (2 * pairs + 2 - empty, empty)
+    disjoint = 1 if space.startswith(("annulus", "reeb_ball", "brieskorn")) or space == "disk_bare.json" else 0
+    assert (len(bases), len(derived), len(doubled)) == (2 * pairs + 2 - empty - disjoint, empty, disjoint)
     assert all(not basis.pair.sub and basis.augmented is False for basis in derived)
+    assert all(not basis.pair.sub and basis.augmented is True for basis in doubled)
     assert len(matched) == pairs
 
 
