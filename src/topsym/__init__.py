@@ -32,7 +32,6 @@ from .symmetry import (
     RolledTable,
     SymmetryVerdict,
     analyze_action,
-    check_sphere_action,
     check_symmetry,
     check_symmetry_rolled,
     roll_up,
@@ -60,7 +59,6 @@ __all__ = [
     "build_complex",
     "build_matching",
     "builtin_example",
-    "check_sphere_action",
     "check_symmetry",
     "check_symmetry_rolled",
     "cone",

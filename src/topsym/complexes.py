@@ -16,18 +16,20 @@ homology (``augmented``) leaves degree -1 unmasked: the empty complex
 has reduced homology {-1: 1}.
 
 Passes over every face (closure, maximal simplices, purity, boundary
-extraction, strong connectivity, the chain table's facet rows) take the
-facets of one degree's sorted cells at once from ``_faces_of``, which
-runs ``combinations`` over the cells.  Each cell's facets come out from
-the one that drops its last vertex to the one that drops its first, so
-the facets that drop vertex i of every cell are a stride slice.  The
+extraction, the chain table's facet rows) take the facets of one
+degree's sorted cells at once from ``_faces_of``, which runs
+``combinations`` over the cells.  Each cell's facets come out from the
+one that drops its last vertex to the one that drops its first, so the
+facets that drop vertex i of every cell are a stride slice.  The
 validating constructor takes one simplex's facets from it, and a chain
 boundary (``boundary_chain``) adds each simplex's ``combinations`` to
 its sum in one call.  Purity and boundary extraction read the maximal
 simplices, which a closure of simplices of one size keeps, and sort no
-face.  The Morse diagram (``_build_hasse``) runs its own
-whole-degree ``combinations`` pass, so that Morse homology shares no
-facet code with the chain table it checks.
+face.  Strong connectivity takes no facet: it reads the top simplices'
+ridges as positions from the chain table's top facet rows.  The Morse
+diagram (``_build_hasse``) runs its own whole-degree ``combinations``
+pass, so that Morse homology shares no facet code with the chain table
+it checks.
 """
 
 from __future__ import annotations
@@ -651,6 +653,11 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
     """Dimension of a nonempty complex whose top simplices are connected
     through codimension-1 faces, else an error.
 
+    The ridges are read as positions from the top degree's facet rows in
+    the chain table, which ``betti`` has built for a split's domain by
+    the time the duality check asks (a complex with no table builds it):
+    each top simplex joins the last one listed with the same ridge, one
+    union-find pass that hashes no ridge tuple.
     On a complex whose boundary has been extracted (purity and ridge
     incidence at most two, as for the domain of a ``BoundarySplit``)
     this completes the pseudomanifold check.
@@ -658,8 +665,7 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
     if len(complex_) == 0:
         raise PseudomanifoldError("empty complex")
     d = complex_.dim
-    tops = complex_.simplices(d)
-    parent = list(range(len(tops)))
+    parent = list(range(len(complex_.simplices(d))))
 
     def root(a: int) -> int:
         while parent[a] != a:  # path halving
@@ -667,13 +673,11 @@ def check_strongly_connected(complex_: SimplicialComplex) -> int:
             a = parent[a]
         return a
 
-    # Each top simplex joins the first one that holds the same ridge.  A
-    # 0-dimensional complex has no ridges.
-    first: Dict[Simplex, int] = {}
-    owners = chain.from_iterable(map(repeat, range(len(tops)), repeat(d + 1)))
-    for ridge, i in zip(_faces_of(tops, d) if d >= 1 else (), owners):
-        j = first.setdefault(ridge, i)
-        if j != i:
+    if d >= 1:  # a 0-dimensional complex has no ridges
+        ridges = list(chain.from_iterable(complex_._chain_table[1][d]))  # facet i of every top, for each i
+        owners = list(range(len(parent))) * (d + 1)
+        anchors = list(map(dict(zip(ridges, owners)).__getitem__, ridges))
+        for i, j in compress(zip(owners, anchors), map(operator.ne, owners, anchors)):
             parent[root(i)] = root(j)
     if sum(map(operator.eq, parent, count())) != 1:
         raise PseudomanifoldError("complex is not strongly connected through codimension-1 faces")

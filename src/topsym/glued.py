@@ -5,12 +5,17 @@ The double glues two copies of the domain along the interface, in the
 integer labels 0..n-1: copy A's own vertices first (below ``n_own``),
 then the interface vertices both copies share, then copy B's own ones,
 each run in the order of the domain's labels.  Each copy is the domain
-relabeled: ``_relabeled_cells`` maps the vertices of every cell and
-sorts those of a cell the labeling reorders, and ``_relabeled`` orders
-each degree by one sort of the images, total since a labeling is
-injective.  Facet i of an image is the image of the domain facet that
-drops the vertex the sorted image holds at i, so only the facet rows of
-the sorted cells are permuted.
+relabeled.  The double decides once per labeling whether it is the
+identity and whether it reorders any two vertices (``_kind``), and
+every part reads that decision: ``_relabeled_cells`` maps the vertices
+of every cell and sorts those of a cell the labeling reorders.
+Neither labeling reorders exactly when the interface is empty, as copy
+A lists its own vertices before the shared ones and copy B after them;
+then each copy keeps the domain's cell order and nothing is sorted.
+Otherwise ``_relabeled`` orders each degree by one sort of the images,
+total since a labeling is injective.  Facet i of an image is the image
+of the domain facet that drops the vertex the sorted image holds at i,
+so only the facet rows of the sorted cells are permuted.
 
 The double keeps no copy, only the domain, the split's two regions and
 the two labelings, through which ``verify`` pushes the domain's chains.
@@ -23,8 +28,9 @@ the negative region.
 The interface is induced, so each degree of the total is copy A's cells
 that hold an own vertex, then copy B's: the total maps copy B's facets
 to copy B's positions moved up by copy A's part, and copy A's shared
-facets to their places in copy B.  ``_chain_table`` checks the
-identities on the rows.
+facets to their places in copy B; along an empty interface its rows are
+the domain's followed by the same moved up.  ``_chain_table`` checks
+the identities on the rows.
 """
 
 from __future__ import annotations
@@ -66,30 +72,41 @@ class TruncatedDouble:
     labels: Tuple[Dict[int, int], Dict[int, int]] = field(compare=False)  # dicts: kept out of eq and hash
 
     @cached_property
+    def _kinds(self) -> Tuple[Tuple[bool, bool], ...]:
+        """Per labeling, whether it is the identity and whether it
+        reorders any two vertices (``_kind``), decided once for every part."""
+        return tuple(map(_kind, self.labels))
+
+    @cached_property
     def tops(self) -> Tuple[Simplex, ...]:
         tops = [tuple(self.domain._maximal)]  # the domain is pure
-        return tuple(sorted(itertools.chain.from_iterable(_relabeled_cells(tops, label)[0][0] for label in self.labels)))
+        copies = map(_relabeled_cells, itertools.repeat(tops), self.labels, self._kinds)
+        return tuple(sorted(itertools.chain.from_iterable(images[0] for images, _ in copies)))
 
     @cached_property
     def exit_boundary(self) -> SimplicialComplex:
-        return _glued(self.positive, self.labels)
+        return _glued(self.positive, self.labels, self._kinds)
 
     @cached_property
     def entry_boundary(self) -> SimplicialComplex:
-        return _glued(self.negative, self.labels)
+        return _glued(self.negative, self.labels, self._kinds)
 
     @cached_property
     def total(self) -> SimplicialComplex:
         """Both copies' faces, holding the exit boundary's tuples; its
         chain table is derived from the domain's when asked for
         (``_total_table``)."""
-        domain, labels = self.domain, self.labels
-        held = {face: face for face in self.exit_boundary.faces}
-        copies = [_relabeled_cells([domain.simplices(k) for k in range(domain.dim + 1)], label) for label in labels]
-        for images, _ in copies:
-            images[:-1] = [list(map(held.get, cells, cells)) for cells in images[:-1]]  # no region has a top simplex
+        domain, labels, kinds = self.domain, self.labels, self._kinds
+        groups = [domain.simplices(k) for k in range(domain.dim + 1)]
+        copies = list(map(_relabeled_cells, itertools.repeat(groups), labels, kinds))
+        exit_faces = self.exit_boundary.faces
+        if exit_faces:
+            held = {face: face for face in exit_faces}
+            for images, _ in copies:
+                images[:-1] = [list(map(held.get, cells, cells)) for cells in images[:-1]]  # no region has a top simplex
         faces = frozenset(itertools.chain.from_iterable(copies[0][0])) | frozenset(itertools.chain.from_iterable(copies[1][0]))
-        return _trusted(faces, partial(_total_table, domain, labels, copies, min(labels[1].values(), default=0)))
+        ordered = not any(reorders for _, reorders in kinds)
+        return _trusted(faces, partial(_total_table, domain, labels, copies, min(labels[1].values(), default=0), ordered))
 
     def exit_pair(self) -> ComplexPair:
         return ComplexPair(self.total, self.exit_boundary)
@@ -118,30 +135,39 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
     return TruncatedDouble(domain, split.positive, split.negative, labels)
 
 
-def _glued(region: SimplicialComplex, labels) -> SimplicialComplex:
+def _glued(region: SimplicialComplex, labels, kinds) -> SimplicialComplex:
     """Both copies of a region: its faces, grouped by size, relabeled by
     each labeling.  A union of two sets is sized once; a set grown face
     by face may get twice the table."""
     groups = [list(group) for _, group in itertools.groupby(sorted(region.faces, key=len), len)]
-    copy_a, copy_b = (frozenset(itertools.chain.from_iterable(_relabeled_cells(groups, label)[0])) for label in labels)
+    copies = map(_relabeled_cells, itertools.repeat(groups), labels, kinds)
+    copy_a, copy_b = (frozenset(itertools.chain.from_iterable(images)) for images, _ in copies)
     return _trusted(copy_a | copy_b)
 
 
-def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int]) -> Tuple[List[list], list]:
-    """Each group's cells, all of one size, relabeled in order with sorted
-    vertices, and per group the positions of the cells sorted: the
-    vertices are mapped in one pass and, if the labeling reorders any,
-    only a cell whose image has one above the next is sorted."""
+def _kind(label: Dict[int, int]) -> Tuple[bool, bool]:
+    """Whether the labeling is the identity, and whether it reorders any
+    two vertices."""
     keys = sorted(label)
     values = list(map(label.__getitem__, keys))
-    if values == keys:
+    return values == keys, values != sorted(values)
+
+
+def _relabeled_cells(groups: List[Tuple[Simplex, ...]], label: Dict[int, int], kind: Tuple[bool, bool]) -> Tuple[List[list], list]:
+    """Each group's cells, all of one size, relabeled in order with sorted
+    vertices, and per group the positions of the cells sorted: the
+    vertices are mapped in one pass and, if the labeling reorders any
+    (``kind``, from ``_kind``), only a cell whose image has one above the
+    next is sorted."""
+    identity, reorders = kind
+    if identity:
         return list(groups), [()] * len(groups)
     relabeled, moved = [], []
     for group in groups:
         size = len(group[0]) if group else 1
         flat = list(map(label.__getitem__, itertools.chain.from_iterable(group)))
         cells, descents = list(zip(*[iter(flat)] * size)), set()
-        if values != sorted(values):
+        if reorders:
             columns = [flat[i::size] for i in range(size)]
             pairs = (itertools.compress(itertools.count(), map(operator.gt, a, b)) for a, b in zip(columns, columns[1:]))
             descents.update(itertools.chain.from_iterable(pairs))
@@ -167,12 +193,6 @@ def _relabeled(domain: SimplicialComplex, label: Dict[int, int], images, moved):
         yield sorted(range(len(images[k])), key=images[k].__getitem__), permuted
 
 
-def _keeps_order(label: Dict[int, int]) -> bool:
-    """Whether the labeling maps the vertices in ascending order."""
-    values = list(map(label.__getitem__, sorted(label)))
-    return values == sorted(values)
-
-
 def _placed(order, positions: List[int], start: int = 0) -> List[int]:
     """``positions`` with the cells of ``order`` at their places there,
     counted from ``start``."""
@@ -181,28 +201,33 @@ def _placed(order, positions: List[int], start: int = 0) -> List[int]:
     return positions
 
 
-def _total_table(domain: SimplicialComplex, labels, copies, n_own: int, complex_: SimplicialComplex):
+def _total_table(domain: SimplicialComplex, labels, copies, n_own: int, ordered: bool, complex_: SimplicialComplex):
     """Cells and facet rows of the total, from the domain, the copies'
-    labelings, images and sorted cells (``_relabeled_cells``) and the
-    number of copy A's own vertices; the cells seed ``_by_degree``, and
-    the domain's dimension the total's.
-    When both labelings keep the vertex order, as along an empty
-    interface, each copy keeps the domain's cell order: the position maps
-    are counted out, and each facet row is mapped whole."""
+    labelings, images and sorted cells (``_relabeled_cells``), the number
+    of copy A's own vertices and whether neither labeling reorders the
+    vertices; the cells seed ``_by_degree``, and the domain's dimension
+    the total's.
+    Neither labeling reorders exactly when the interface is empty: copy A
+    lists its own vertices before the shared ones and copy B after them.
+    Then each copy keeps the domain's cell order, with no cell shared, so
+    each degree is copy A's images then copy B's, and each facet row is
+    the domain's followed by the same moved up past copy A's cells one
+    degree down; nothing is sorted or placed."""
+    cells, rows = {-1: (EMPTY_SIMPLEX,)}, {}
     (label_a, label_b), ((images_a, moved_a), (images_b, moved_b)) = labels, copies
-    relabeled = zip(_relabeled(domain, label_a, images_a, moved_a), _relabeled(domain, label_b, images_b, moved_b))
-    ordered = _keeps_order(label_a) and _keeps_order(label_b)
-    cells, rows, below_a, below_b = {-1: (EMPTY_SIMPLEX,)}, {}, [0], [0]
-    for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(relabeled):
-        cells_a = tuple(map(images_a[k].__getitem__, order_a))
-        order_a = order_a[: bisect.bisect_left(cells_a, (n_own,))]  # copy A's shared cells come last
-        cells[k] = cells_a[: len(order_a)] + tuple(map(images_b[k].__getitem__, order_b))
-        if ordered:  # each order is the domain's, and so are the facet rows
-            m = len(order_a)
-            rows[k] = [list(map(below_a.__getitem__, r[:m])) + list(map(below_b.__getitem__, s)) for r, s in zip(rows_a, rows_b)]
-            below_b = list(range(m, m + len(order_b)))
-            below_a = [*range(m), *below_b[m:]]
-        else:
+    if ordered:
+        domain_rows, below_b = domain._chain_table[1], [0]  # the empty simplex is both copies' one (-1)-cell
+        for k in range(domain.dim + 1):
+            cells[k] = (*images_a[k], *images_b[k])
+            rows[k] = [r + list(map(below_b.__getitem__, r)) for r in domain_rows[k]]  # one int object per position
+            below_b = list(range(len(images_a[k]), 2 * len(images_a[k])))
+    else:
+        relabeled = zip(_relabeled(domain, label_a, images_a, moved_a), _relabeled(domain, label_b, images_b, moved_b))
+        below_a, below_b = [0], [0]
+        for k, ((order_a, rows_a), (order_b, rows_b)) in enumerate(relabeled):
+            cells_a = tuple(map(images_a[k].__getitem__, order_a))
+            order_a = order_a[: bisect.bisect_left(cells_a, (n_own,))]  # copy A's shared cells come last
+            cells[k] = cells_a[: len(order_a)] + tuple(map(images_b[k].__getitem__, order_b))
             rows[k] = [[below_a[r[c]] for c in order_a] + [below_b[s[c]] for c in order_b] for r, s in zip(rows_a, rows_b)]
             below_b = _placed(order_b, [0] * len(order_b), len(order_a))
             below_a = _placed(order_a, list(below_b))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .complexes import BettiTable, ComplexPair, SimplicialComplex, betti
+from .complexes import BettiTable, betti
 from .errors import InputError, PseudomanifoldError
 from .exactness import DualityReport, lefschetz_duality_check
 from .spaces import BoundarySplit
@@ -54,16 +54,6 @@ def check_symmetry(table: BettiTable) -> SymmetryVerdict:
         if left != right:
             return SymmetryVerdict((), Witness(candidate, k, left, right))
     return SymmetryVerdict((candidate,))
-
-
-def check_sphere_action(region: SimplicialComplex) -> SymmetryVerdict:
-    """Verdict from the reduced homology of the positively transverse region.
-
-    The empty region has reduced dimension one in degree -1, giving the
-    canonical symmetric verdict with shift -2; this keeps the shift of
-    the cone-pair formulation exactly two above the reduced shift.
-    """
-    return check_symmetry(betti(ComplexPair.absolute(region), augmented=True))
 
 
 @dataclass(frozen=True)

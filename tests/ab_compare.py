@@ -9,15 +9,19 @@ temporary directory under its own package name, ``topsym_parent`` and
 one interpreter, one heap and one host state.  The inputs are the
 seeded requests of ``bench/workloads.py`` from CHANGE, loaded by path.
 
-Each round writes ``REQUESTS`` new requests, then sends all of them
-to one side's ``cli.main`` and then to the other's, as the bench client
-does (``verify --json``, ``analyze --json --assert-symmetric``,
-``double -o``).  The side that goes first alternates from round to
-round.  Every answer is checked against the workload's closed form.  A
-round's ratio is the change's total time over the parent's, so a ratio
-below 1 means the change is faster.  One untimed round warms both sides
-up.  The script prints each round's ratio, then the median ratio, its
-quartiles and the number of rounds the change won.
+Each round writes ``REQUESTS`` new requests and sends each of them to
+both sides' ``cli.main`` back to back, as the bench client does
+(``verify --json``, ``analyze --json --assert-symmetric``, ``double
+-o``).  The side that goes first alternates from request to request, so
+a drift of the host within a round, which lasts seconds, falls on both
+sides alike; when a round gave all its requests to one side and then
+to the other, such a drift landed on one side only, and an A/A run read
+quartiles 0.97-1.11.  Every answer is checked against the workload's
+closed form.  A round's ratio is the change's total time over the
+parent's, so a ratio below 1 means the change is faster.  One untimed
+round warms both sides up.  The script prints each round's ratio, then
+the median ratio, its quartiles and the number of rounds the change
+won.
 
 It does not import ``bench/client.py``: that module puts its own
 checkout's ``src`` first on ``sys.path``, so a comparison that imported
@@ -64,21 +68,20 @@ def import_copy(checkout: str, name: str, into: str):
     return importlib.import_module(name + ".cli")
 
 
-def timed_side(main, workloads, workload, requests, out_dir) -> float:
-    """Seconds spent in ``main`` on the requests; a wrong answer stops the run."""
-    total = 0.0
-    for index, space, name, path in requests:
-        double_path = os.path.join(out_dir, name + "_double.json")
-        argv = ARGV[workloads.COMMANDS[workload]](path, double_path)
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        total += time.perf_counter() - start
-        reason = workloads.check_answer(workload, space, name, code, out.getvalue(), double_path)
-        if reason is not None:
-            raise SystemExit("request %d (%s): %s" % (index, name, reason))
-    return total
+def timed_request(main, workloads, workload, request, out_dir) -> float:
+    """Seconds spent in ``main`` on one request; a wrong answer stops the run."""
+    index, space, name, path = request
+    double_path = os.path.join(out_dir, name + "_double.json")
+    argv = ARGV[workloads.COMMANDS[workload]](path, double_path)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    reason = workloads.check_answer(workload, space, name, code, out.getvalue(), double_path)
+    if reason is not None:
+        raise SystemExit("request %d (%s): %s" % (index, name, reason))
+    return seconds
 
 
 def main(argv=None) -> int:
@@ -112,8 +115,10 @@ def main(argv=None) -> int:
                 with open(path, "w", encoding="utf-8") as handle:
                     json.dump(space.file_dict(name), handle)
                 requests.append((index, space, name, path))
-            order = SIDES if round_index % 2 == 0 else SIDES[::-1]
-            seconds = {side: timed_side(mains[side], workloads, args.workload, requests, workdir) for side in order}
+            seconds = dict.fromkeys(SIDES, 0.0)
+            for request in requests:
+                for side in SIDES if request[0] % 2 == 0 else SIDES[::-1]:
+                    seconds[side] += timed_request(mains[side], workloads, args.workload, request, workdir)
             for _, _, name, path in requests:
                 for leftover in (path, os.path.join(workdir, name + "_double.json")):
                     if os.path.exists(leftover):

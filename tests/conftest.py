@@ -13,9 +13,11 @@ from topsym import (
     ComplexPair,
     HomologyBasis,
     SimplicialComplex,
+    betti,
     boundary_subcomplex,
     build_complex,
     builtin_example,
+    check_symmetry,
     truncated_double,
 )
 from topsym import exactness
@@ -93,6 +95,15 @@ def linear_action_split(p, q):
         staircase(boundary_subcomplex(first), second, modulus),
         staircase(first, boundary_subcomplex(second), modulus),
     )
+
+
+def check_sphere_action(region):
+    """The paper's sphere case: the verdict on the reduced homology of the
+    positive region of a sphere.  For a ball W bounding it, H_k(W, P) is
+    the reduced H_{k-1}(P), so ``analyze``'s positive verdict on a split
+    of W has every shift two higher.  The empty region has reduced
+    dimension one in degree -1, so its verdict is the shift -2."""
+    return check_symmetry(betti(ComplexPair.absolute(region), augmented=True))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,14 @@ import sys
 import time
 from contextlib import contextmanager
 
-from conftest import catalog_splits, corpus_complexes, corpus_pairs, random_subcomplex, rank_by_subset_enumeration
+from conftest import (
+    catalog_splits,
+    check_sphere_action,
+    corpus_complexes,
+    corpus_pairs,
+    random_subcomplex,
+    rank_by_subset_enumeration,
+)
 from topsym import (
     ComplexPair,
     Gf2Matrix,
@@ -26,7 +33,6 @@ from topsym.morse import build_matching, morse_betti
 from topsym.symmetry import (
     RolledTable,
     analyze_action,
-    check_sphere_action,
     check_symmetry,
     check_symmetry_rolled,
     roll_up,

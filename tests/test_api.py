@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "build_complex",
     "build_matching",
     "builtin_example",
-    "check_sphere_action",
     "check_symmetry",
     "check_symmetry_rolled",
     "cone",
@@ -60,7 +59,6 @@ PUBLIC_NAMES = [
 # reason it stays; keyed ``name`` for a function, ``Class.name`` for a
 # method.
 LIBRARY_ONLY = {
-    "check_sphere_action": "the paper's sphere case: the action's verdict for a closed sphere's filling",
     "AcyclicMatching.from_simplices": "numbers and validates a matching given from outside as simplex pairs",
 }
 

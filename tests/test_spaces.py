@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from conftest import (
     annulus_domains,
+    band_annulus,
     boundary_star_split,
     catalog_splits,
     cell_counts,
@@ -469,6 +470,29 @@ class TestDerivedChainTable:
                 reordered += bool(reordered_degrees(relabeled))
                 relabeled_a += self.check(monkeypatch, relabeled)
         assert reordered == interface == 16 and relabeled_a == 44
+
+    def test_disjoint_splits_under_offset_relabelings(self, monkeypatch):
+        # As the bench relabels its requests: every vertex moved into a
+        # seeded range far above 0, so along an empty interface copy A's
+        # labeling is not the identity, yet neither labeling reorders.
+        # The cylinder has one end circle positive, so its exit boundary
+        # is not empty.
+        ring = build_complex((i, (i + 1) % 6) for i in range(6))
+        splits = {
+            "reeb_ball_2": builtin_example("reeb_ball_2"),
+            "brieskorn_3": builtin_example("brieskorn_3"),
+            "sphere_2": BoundarySplit(builtin_example("sphere_2")),
+            "wedge_2_4": BoundarySplit(builtin_example("wedge_2_4")),
+            "cylinder": BoundarySplit(band_annulus(6), ring),
+        }
+        rng = random.Random(17)
+        for name, split in splits.items():
+            vertices = sorted(split.domain.vertices)
+            base = rng.randrange(1, 1 << 20)
+            moved = relabeled_split(split, dict(zip(vertices, rng.sample(range(base, base + len(vertices)), len(vertices)))))
+            assert len(moved.interface) == 0 and not reordered_degrees(moved), name
+            assert self.check(monkeypatch, moved), name
+        assert len(splits["cylinder"].double.exit_boundary) == 24
 
     def test_boundary_star_splits(self, monkeypatch):
         # Most cells hold own and interface vertices, so each degree is

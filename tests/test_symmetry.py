@@ -2,13 +2,23 @@
 
 import json
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
 import ladder
-from conftest import boundary_star_split, catalog_splits, linear_action_split, relabeled_split
+from conftest import (
+    SPLIT_DOMAIN_NAMES,
+    boundary_star_split,
+    catalog_splits,
+    check_sphere_action,
+    linear_action_split,
+    relabeled_split,
+    seeded_grown_regions,
+    split_domains,
+)
 from topsym import (
+    BoundarySplit,
     ComplexPair,
     InputError,
     SimplicialComplex,
@@ -23,8 +33,8 @@ from topsym.complexes import BettiTable
 from topsym.symmetry import (
     MAX_MIN_CHERN,
     RolledTable,
+    SymmetryVerdict,
     analyze_action,
-    check_sphere_action,
     check_symmetry,
     check_symmetry_rolled,
     roll_up,
@@ -86,6 +96,27 @@ class TestCheckSymmetry:
             assert shifted.shifts == tuple(m + 2 * offset for m in base.shifts)
 
 
+def sphere_case(split):
+    """The paper's reduction from B^{2n} to S^{2n-1}, on a split whose
+    domain W is a ball, for its positive region P.  H_k(W, P) is the
+    reduced H_{k-1}(P), so the positive table (``analyze``'s, whose
+    verdict is ``check_symmetry`` of it) is P's reduced table moved up one
+    degree: each shift of the sphere's verdict is raised by 2, and an
+    asymmetric witness moves by 2 in shift and 1 in degree.  An acyclic P
+    is the exception: both tables are empty and both verdicts are the
+    vacuous shift 0.  Returns whether P is acyclic."""
+    reduced, table = betti(ComplexPair.absolute(split.positive), augmented=True), betti(split.positive_pair())
+    assert table.entries == tuple((k + 1, d) for k, d in reduced.entries)
+    verdict, sphere = check_symmetry(table), check_sphere_action(split.positive)
+    if not reduced.entries:
+        assert verdict == sphere == SymmetryVerdict((0,))
+        return True
+    assert verdict.shifts == tuple(m + 2 for m in sphere.shifts)
+    witness = sphere.witness
+    assert verdict.witness == (witness and replace(witness, shift=witness.shift + 2, degree=witness.degree + 1))
+    return False
+
+
 class TestCheckSphereAction:
     def test_empty_region(self):
         verdict = check_sphere_action(SimplicialComplex.empty())
@@ -128,6 +159,24 @@ class TestCheckSphereAction:
                 # Contractible region: both tables are empty and both
                 # verdicts carry the canonical shift.
                 assert reduced.shifts == relative.shifts == (0,), name
+
+    def test_splits_of_balls_have_the_sphere_cases_verdict(self):
+        # A Reeb ball's region is empty, whose reduced homology is one
+        # class in degree -1; the star of a vertex and the half circle are
+        # balls, so acyclic: their verdict is the vacuous shift 0, not 2.
+        splits = {name: builtin_example(name) for name in ("reeb_ball_1", "reeb_ball_2", "reeb_ball_3", "disk_half_split")}
+        splits["star_split_3"] = boundary_star_split(3)
+        acyclic = {name: sphere_case(split) for name, split in splits.items()}
+        assert acyclic == {"reeb_ball_1": False, "reeb_ball_2": False, "reeb_ball_3": False, "disk_half_split": True, "star_split_3": True}
+
+    def test_grown_regions_on_balls_have_the_sphere_cases_verdict(self):
+        # No double is made, so every draw counts, induced interface or not.
+        balls = tuple(domain for name, domain in zip(SPLIT_DOMAIN_NAMES, split_domains()) if name != "annulus_split")
+        acyclic = [
+            sphere_case(relabeled_split(BoundarySplit(domain, region), mapping))
+            for domain, region, mapping in seeded_grown_regions(61, 300, balls)
+        ]
+        assert acyclic.count(True) >= 200 and acyclic.count(False) >= 50, acyclic.count(True)
 
 
 class TestRollUp:
@@ -302,6 +351,8 @@ def test_linear_actions_have_their_closed_form(monkeypatch, capsys, p, q):
     }
     assert main(["verify", name]) == EXIT_OK
     assert capsys.readouterr().out.endswith("verify %s: pass\n" % name)
+    # The domain is a ball, and P, a sphere times a ball, is not acyclic.
+    assert not sphere_case(split)
 
 
 def test_the_ladder_builds_the_test_splits():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_COMPLEX_NAMES, catalog_splits, corpus_pairs, equal_regions_hexagon
+from conftest import CORPUS_COMPLEX_NAMES, catalog_splits, corpus_pairs, equal_regions_hexagon, reference_check_strongly_connected
 from topsym import (
     BoundarySplit,
     ComplexPair,
@@ -667,9 +667,9 @@ def record_glued_regions(monkeypatch):
     """The regions whose copies the double glues, in the order glued."""
     regions, glue = [], glued._glued
 
-    def recorded(region, labels):
+    def recorded(region, *args):
         regions.append(region)
-        return glue(region, labels)
+        return glue(region, *args)
 
     monkeypatch.setattr(glued, "_glued", recorded)
     return regions
@@ -709,3 +709,74 @@ def test_doubles_of_different_domains_with_equal_regions_differ():
         second.exit_boundary, second.entry_boundary, second.labels
     )
     assert first != second and first.total != second.total
+
+
+@pytest.mark.parametrize("parts", [("tops",), ("exit_boundary", "total"), ("entry_boundary", "tops", "exit_boundary", "total")])
+def test_each_labeling_is_classified_once_per_double(monkeypatch, parts):
+    # Whether a labeling is the identity and whether it reorders any two
+    # vertices is decided once per double, whichever parts are read.
+    kinds, kind = [], glued._kind
+    monkeypatch.setattr(glued, "_kind", lambda label: kinds.append(label) or kind(label))
+    splits = {**catalog_splits(), **{p.name: cli.load_space(str(p))[1] for p in sorted(SPACES.glob("*.json"))}}
+    for name, split in splits.items():
+        kinds.clear()
+        double = glued.truncated_double(split)
+        for part in parts:
+            getattr(double, part)
+        if "total" in parts:
+            double.total._chain_table
+        assert list(map(id, kinds)) == list(map(id, double.labels)), name
+
+
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_an_empty_interface_derives_the_total_without_sorting_a_copy(monkeypatch, space):
+    # Neither labeling reorders exactly when the interface is empty; then
+    # each copy keeps the domain's cell order, so the derivation sorts no
+    # copy's cells.  Along an interface it sorts each degree of each copy.
+    split = cli.load_space(str(SPACES / space) if space.endswith(".json") else space)[1]
+    total = glued.truncated_double(split).total
+    split.domain._chain_table
+    sorts = []
+    monkeypatch.setattr(glued, "sorted", lambda *args, **kwargs: sorts.append(args) or sorted(*args, **kwargs), raising=False)
+    total._chain_table
+    assert len(sorts) >= 2 * (split.domain.dim + 1) if len(split.interface) else sorts == []
+
+
+def test_strong_connectivity_takes_no_facet_from_a_built_table(monkeypatch, capsys):
+    # The ridges are positions in the top degree's facet rows, so on a
+    # complex whose table exists no facet is enumerated again; analyze and
+    # verify ask on a domain whose table betti has built.
+    def refuse(*args):
+        raise AssertionError("a facet was enumerated")
+
+    names = ["ball_3", "sphere_3", "torus", "wedge_2_4", "wedge_1_1", "point"]
+    complexes_ = [SimplicialComplex(builtin_example(name).faces) for name in names]
+    complexes_ += [SimplicialComplex(split.domain.faces) for split in catalog_splits().values()]
+    def outcome(check, cx):
+        try:
+            return check(cx)
+        except complexes.PseudomanifoldError:
+            return None
+
+    expected = [outcome(reference_check_strongly_connected, cx) for cx in complexes_]
+    assert expected == [3, 3, 2, None, 1, 0, 2, 2, 2, 4, None, None]
+    for cx in complexes_:
+        cx._chain_table
+    with monkeypatch.context() as patched:
+        patched.setattr(complexes, "_faces_of", refuse)
+        assert [outcome(complexes.check_strongly_connected, cx) for cx in complexes_] == expected
+
+    built, check = [], complexes.check_strongly_connected
+
+    def checked(cx):
+        built.append("_chain_table" in vars(cx))
+        with monkeypatch.context() as patched:
+            patched.setattr(complexes, "_faces_of", refuse)
+            return check(cx)
+
+    monkeypatch.setattr(exactness, "check_strongly_connected", checked)
+    for command in ("analyze", "verify"):
+        for space in ("annulus_split", "reeb_ball_2", str(SPACES / "disk_positive.json")):
+            assert main([command, space]) == EXIT_OK
+    capsys.readouterr()
+    assert built == [True] * 6
