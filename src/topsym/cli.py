@@ -118,18 +118,19 @@ def space_file_dict(name: str, obj: Union[SimplicialComplex, BoundarySplit, Trun
 
     A split's domain is pure, as extracting its boundary checked, so its
     maximal simplices are its top simplices; a double is the split of its
-    total by its exit and entry boundaries.  The regions may be impure.
+    total by both copies of each region (``TruncatedDouble._glued_tops``).
+    The regions may be impure.
     """
     if isinstance(obj, SimplicialComplex):
         return {"name": name, "maximal_simplices": list(map(list, obj.maximal_simplices()))}
     double = isinstance(obj, TruncatedDouble)
     tops = obj.tops if double else obj.domain.simplices(obj.domain.dim)
-    regions = (obj.exit_boundary, obj.entry_boundary) if double else (obj.positive, obj.negative)
+    positive, negative = (obj._glued_tops(r) if double else r.maximal_simplices() for r in (obj.positive, obj.negative))
     return {
         "name": name,
         "maximal_simplices": list(map(list, tops)),
-        "positive_region": list(map(list, regions[0].maximal_simplices())),
-        "negative_region": list(map(list, regions[1].maximal_simplices())),
+        "positive_region": list(map(list, positive)),
+        "negative_region": list(map(list, negative)),
     }
 
 
@@ -180,10 +181,7 @@ def load_space(locator: str) -> Tuple[str, BoundarySplit]:
 
 def _table_json(table) -> List[List[int]]:
     dims = table.as_dict()
-    if not dims:
-        return []
-    lo, hi = min(dims), max(dims)
-    return [[k, dims.get(k, 0)] for k in range(lo, hi + 1)]
+    return [[k, dims.get(k, 0)] for k in range(min(dims), max(dims) + 1)] if dims else []
 
 
 def _verdict_json(verdict: SymmetryVerdict) -> Dict:
@@ -205,11 +203,7 @@ def report_json(report: ActionReport) -> Dict:
     }
     if report.rolled is not None:
         table, verdict = report.rolled
-        out["rolled"] = {
-            "modulus": table.modulus,
-            "entries": list(table.entries),
-            "verdict": _verdict_json(verdict),
-        }
+        out["rolled"] = {"modulus": table.modulus, "entries": list(table.entries), "verdict": _verdict_json(verdict)}
     return out
 
 
@@ -291,10 +285,7 @@ def run_identity_suites(split: BoundarySplit) -> Dict[str, str]:
 def cmd_analyze(args) -> int:
     name, split = load_space(args.space)
     report = analyze_action(split, min_chern=args.mod, name=name)
-    if args.json:
-        sys.stdout.write(_dump(report_json(report)))
-    else:
-        sys.stdout.write(report_text(report))
+    sys.stdout.write(_dump(report_json(report)) if args.json else report_text(report))
     if args.assert_symmetric and not report.positive_verdict.symmetric:
         return EXIT_ASSERT_FAILED
     return EXIT_OK
@@ -339,7 +330,7 @@ def cmd_double(args) -> int:
     # Nothing checks the written split again; this refusal keeps it valid.
     # The load checked the domain and its regions and gluing checks the
     # interface, so with no ridge in the interface the double's boundary is
-    # its exit and entry boundaries (``TruncatedDouble``).
+    # both copies of each region (``TruncatedDouble``).
     if shared := split.interface.simplices(split.domain.dim - 1):
         message = "positive and negative regions share boundary simplex %r, which the double glues into its interior"
         raise InputError(message % (shared[0],))

@@ -19,11 +19,11 @@ so only the facet rows of the sorted cells are permuted.
 
 The double keeps no copy, only the domain, the split's two regions and
 the two labelings, through which ``verify`` pushes the domain's chains.
-Each part is made when first read, and each boundary relabels only its
-own region's faces: ``double`` writes the top simplices and both
-boundaries, and ``analyze`` and ``verify`` read the exit boundary and
-the total, which holds the exit boundary's tuples, so they never glue
-the negative region.
+Each part is made when first read.  ``double`` writes the images of
+the maximal simplices of the domain and of each region, so it glues no
+region face by face; ``analyze`` and ``verify`` read the exit boundary
+and the total, which holds the exit boundary's tuples, so they never
+relabel the negative region.
 
 The interface is induced, so each degree of the total is copy A's cells
 that hold an own vertex, then copy B's: the total maps copy B's facets
@@ -58,12 +58,15 @@ class TruncatedDouble:
     copies from the domain, copy A's first, and the image of a domain
     simplex under a labeling is its relabeled vertices, sorted.
     ``exit_boundary`` is the union of the two positive-region copies,
-    the part of the boundary a gradient flow would leave through;
-    ``entry_boundary`` comes from the negative regions.  The boundaries,
+    the part of the boundary a gradient flow would leave through; it,
     the total and its top simplices (``tops``) are made when first read.
-    When no ridge of the domain lies in the interface, each ridge of the
-    total lies in the top simplices of one copy only, so the exit and
-    entry boundaries split the total as their preimages split the domain.
+    ``_glued_tops`` gives a glued region's maximal simplices as the images
+    of the region's: copy A's own labels never occur in copy B and a
+    shared vertex has one label in both, so an image inside the other
+    copy lies in the interface, where both copies give it.  When no ridge
+    of the domain lies in the interface, each ridge of the total lies in
+    the top simplices of one copy only, so the glued regions split the
+    total's boundary as the regions split the domain's.
     """
 
     domain: SimplicialComplex
@@ -79,17 +82,19 @@ class TruncatedDouble:
 
     @cached_property
     def tops(self) -> Tuple[Simplex, ...]:
-        tops = [tuple(self.domain._maximal)]  # the domain is pure
-        copies = map(_relabeled_cells, itertools.repeat(tops), self.labels, self._kinds)
-        return tuple(sorted(itertools.chain.from_iterable(images[0] for images, _ in copies)))
+        return self._glued_tops(self.domain)
+
+    def _glued_tops(self, region: SimplicialComplex) -> Tuple[Simplex, ...]:
+        """The glued copies' maximal simplices: those of ``region`` relabeled,
+        sorted, less copy B's in the shared labels, which are copy A's."""
+        (images_a, _), (images_b, _) = _copies(region._maximal, self.labels, self._kinds)
+        cells_b = list(itertools.chain.from_iterable(images_b))
+        own_b = itertools.compress(cells_b, map(len(self.labels[0]).__le__, map(operator.itemgetter(-1), cells_b)))
+        return tuple(sorted(itertools.chain(itertools.chain.from_iterable(images_a), own_b)))
 
     @cached_property
     def exit_boundary(self) -> SimplicialComplex:
         return _glued(self.positive, self.labels, self._kinds)
-
-    @cached_property
-    def entry_boundary(self) -> SimplicialComplex:
-        return _glued(self.negative, self.labels, self._kinds)
 
     @cached_property
     def total(self) -> SimplicialComplex:
@@ -136,13 +141,16 @@ def truncated_double(split: BoundarySplit) -> TruncatedDouble:
 
 
 def _glued(region: SimplicialComplex, labels, kinds) -> SimplicialComplex:
-    """Both copies of a region: its faces, grouped by size, relabeled by
-    each labeling.  A union of two sets is sized once; a set grown face
-    by face may get twice the table."""
-    groups = [list(group) for _, group in itertools.groupby(sorted(region.faces, key=len), len)]
-    copies = map(_relabeled_cells, itertools.repeat(groups), labels, kinds)
-    copy_a, copy_b = (frozenset(itertools.chain.from_iterable(images)) for images, _ in copies)
+    """Both copies of a region, face by face; a union of two sets is sized once."""
+    copy_a, copy_b = (frozenset(itertools.chain.from_iterable(images)) for images, _ in _copies(region.faces, labels, kinds))
     return _trusted(copy_a | copy_b)
+
+
+def _copies(cells, labels, kinds):
+    """``_relabeled_cells`` of ``cells`` under each labeling, grouped by size:
+    a region may be impure, and a group's size is read off its first cell."""
+    groups = [list(group) for _, group in itertools.groupby(sorted(cells, key=len), len)]
+    return map(_relabeled_cells, itertools.repeat(groups), labels, kinds)
 
 
 def _kind(label: Dict[int, int]) -> Tuple[bool, bool]:

@@ -1,10 +1,14 @@
-"""Time ``topsym analyze`` and ``topsym verify`` on a fixed ladder of spaces.
+"""Time ``topsym analyze``, ``verify`` and ``double`` on a fixed ladder of spaces.
 
     python3 tests/ladder.py BENCH_<n>.json
     python3 tests/ladder.py out.json --checkout PARENT --checkout . --rungs reeb_ball_5 --repeat 3
+    python3 tests/ladder.py out.json --commands double
 
 Each rung runs in a fresh child process, one at a time, which builds the
-rung's split and calls ``cli.main([command, name, "--json"])`` on it.
+rung's split and calls ``cli.main([command, name, "--json"])`` on it, or
+``cli.main(["double", name])``, which writes the double to stdout; a
+double that ``double`` refuses records exit 2.  The default commands are
+``analyze`` and ``verify``.
 For each run the ladder records the child's wall time for that command,
 the child's own peak RSS (``os.wait4``), the domain's face count, the
 exit code, a SHA-256 of the command's stdout, and the time in *ref*: the
@@ -52,7 +56,8 @@ import time
 from contextlib import redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMANDS = ("analyze", "verify")
+COMMANDS = ("analyze", "verify", "double")
+DEFAULT_COMMANDS = ("analyze", "verify")
 # name -> past the face limit
 RUNGS = {
     "3000-gon": False,
@@ -144,7 +149,7 @@ def child(name: str, command: str, src: str) -> None:
     cli.load_space = lambda locator: loaded.append(load(locator)) or loaded[-1]
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main([command, name, "--json"])
+        code = cli.main([command, name] if command == "double" else [command, name, "--json"])
     wall = time.perf_counter() - start
     faces = len(loaded[0][1].domain) if loaded else 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
@@ -245,7 +250,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", action="append", metavar="ROOT",
                         help="root of a checkout whose src is timed; give it twice to alternate two (default: this one)")
     parser.add_argument("--rungs", nargs="*", default=list(RUNGS), choices=list(RUNGS), metavar="RUNG")
-    parser.add_argument("--commands", nargs="*", default=list(COMMANDS), choices=COMMANDS)
+    parser.add_argument("--commands", nargs="*", default=list(DEFAULT_COMMANDS), choices=COMMANDS)
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung, command and checkout")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per run")
     parser.add_argument("--child", nargs=2, metavar=("RUNG", "COMMAND"), help=argparse.SUPPRESS)

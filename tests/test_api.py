@@ -81,9 +81,11 @@ PUBLIC_FIELDS = {
     "SimplicialComplex": ("faces",),
     # A verdict is symmetric when it has a shift.
     "SymmetryVerdict": ("shifts", "witness"),
-    # The copies are the domain relabeled by ``labels``; the boundaries are
-    # the copies of the split's regions, and they, the total and its top
-    # simplices follow from them and are made when first read.
+    # The copies are the domain relabeled by ``labels``.  The exit boundary
+    # is the copies of the positive region; it, the total and its top
+    # simplices follow from the fields and are made when first read.  The
+    # glued regions that ``double`` writes are the images of the regions'
+    # maximal simplices, so no field or property holds them.
     "TruncatedDouble": ("domain", "positive", "negative", "labels"),
     "exactness.DualityReport": ("dimension", "negative_table", "positive_table"),
     "exactness.LesReport": ("relative", "slots"),

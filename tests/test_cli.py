@@ -4,17 +4,26 @@ import gc
 import json
 import sys
 import weakref
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import dump_outputs
-from conftest import boundary_star_split, catalog_splits, relabeled, seeded_grown_regions
+from conftest import (
+    boundary_star_split,
+    catalog_splits,
+    linear_action_split,
+    reference_double,
+    relabeled,
+    seeded_grown_regions,
+)
 from topsym import (
     InputError,
     SimplicialComplex,
     betti,
     boundary_subcomplex,
+    build_complex,
     builtin_example,
     cli,
     complexes,
@@ -332,31 +341,35 @@ class TestCommands:
         # label of the double.  Nothing checks a written split again, so
         # the refusal is what keeps such a file from being written.
         split = parse_space_file(json.dumps(HEXAGON_SHARING_AN_EDGE)).split()
-        double = split.double
-        glued = double.exit_boundary.union(double.entry_boundary)
-        assert boundary_subcomplex(double.total).faces < glued.faces
-        payload = {
+        parts = reference_double(split)
+        total, exit_boundary, entry_boundary = parts["total"], parts["exit_boundary"], parts["entry_boundary"]
+        assert boundary_subcomplex(total).faces < exit_boundary.union(entry_boundary).faces
+        payload = space_file_dict("hexagon_double", split.double)
+        assert payload == {
             "name": "hexagon_double",
-            "maximal_simplices": list(map(list, double.total.maximal_simplices())),
-            "positive_region": list(map(list, double.exit_boundary.maximal_simplices())),
-            "negative_region": list(map(list, double.entry_boundary.maximal_simplices())),
+            "maximal_simplices": list(map(list, total.maximal_simplices())),
+            "positive_region": list(map(list, exit_boundary.maximal_simplices())),
+            "negative_region": list(map(list, entry_boundary.maximal_simplices())),
         }
         with pytest.raises(InputError, match=r"positive region simplex \(5, 6\) is not on the boundary"):
             parse_space_file(json.dumps(payload)).split()
         with pytest.raises(InputError, match="is not on the boundary"):
-            BoundarySplit(double.total, double.exit_boundary, double.entry_boundary)
+            BoundarySplit(total, exit_boundary, entry_boundary)
 
 
 def check_written_double(locator, split, output):
-    """``double`` writes the split of the total by the exit and entry
-    boundaries without checking it; the boundary extracted from the
-    total's faces must be theirs, and the file must reload to them."""
-    double = split.double
-    glued = double.exit_boundary.union(double.entry_boundary)
-    assert boundary_subcomplex(double.total).faces == glued.faces
+    """``double`` writes the split of the total by both copies of each
+    region without checking it; the boundary extracted from the total's
+    faces must be the glued regions, as the oracle glues them, and the
+    file must reload to them."""
+    parts = reference_double(split)
+    glued = parts["exit_boundary"].union(parts["entry_boundary"])
+    assert boundary_subcomplex(parts["total"]).faces == glued.faces
     assert main(["double", str(locator), "-o", str(output)]) == EXIT_OK
     written = parse_space_file(output.read_bytes()).split()
-    assert (written.domain, written.positive, written.negative) == (double.total, double.exit_boundary, double.entry_boundary)
+    assert (written.domain, written.positive, written.negative) == (
+        parts["total"], parts["exit_boundary"], parts["entry_boundary"]
+    )
 
 
 class TestDoubleIsValidByConstruction:
@@ -392,6 +405,73 @@ class TestDoubleIsValidByConstruction:
             if seen["draws"] == 60:
                 break
         assert seen["draws"] >= 40 and seen["interface"] >= 20, seen
+
+
+def impure_grid_disk_split():
+    """A disk of 3-by-3 squares, vertex (i, j) numbered 4j + i, each square
+    cut by a diagonal.  The positive region is the bottom side, an arc,
+    and the vertex (2, 3) on the top side, which is maximal in the region
+    and lies in the interface: the region is impure, with a maximal simplex
+    that both copies of it share."""
+    squares = [(4 * j + i, 4 * j + i + 1, 4 * j + i + 4, 4 * j + i + 5) for j in range(3) for i in range(3)]
+    domain = build_complex(t for a, b, c, d in squares for t in ((a, b, d), (a, c, d)))
+    return BoundarySplit(domain, build_complex([(0, 1), (1, 2), (2, 3), (14,)]))
+
+
+@lru_cache(maxsize=None)
+def glued_tops_splits():
+    splits = {**catalog_splits(), **{path.name: cli.load_space(str(path))[1] for path in sorted(SPACES.glob("*.json"))}}
+    splits.update(("linear_%d_%d" % pq, linear_action_split(*pq)) for pq in ((1, 1), (1, 2), (2, 1)))
+    splits.update(star_split_3=boundary_star_split(3), impure_grid_disk=impure_grid_disk_split())
+    return splits
+
+
+def check_glued_tops(split):
+    """``double`` writes the maximal simplices of the total and of both
+    glued regions as the oracle glues them, face by face.  The payload is
+    the one ``double`` writes, taken here past the face limit too."""
+    written = space_file_dict("split_double", split.double)
+    parts = reference_double(split)
+    assert [written[key] for key in ("maximal_simplices", "positive_region", "negative_region")] == [
+        list(map(list, parts[part].maximal_simplices())) for part in ("total", "exit_boundary", "entry_boundary")
+    ]
+
+
+class TestDoubleWritesTheGluedTops:
+    """``double`` writes each region as the images of its maximal
+    simplices under both labelings, with no region glued face by face."""
+
+    @pytest.mark.parametrize("name", sorted(glued_tops_splits()))
+    def test_named_splits(self, name):
+        check_glued_tops(glued_tops_splits()[name])
+
+    def test_an_impure_region_with_a_maximal_simplex_in_the_interface(self, tmp_path):
+        # The vertex is written once, and each copy of the arc with the
+        # edges it has; relabeled as one group with the edges, by one size,
+        # the vertices would pair up into wrong edges.
+        split = impure_grid_disk_split()
+        assert split.positive.maximal_simplices() == ((0, 1), (1, 2), (2, 3), (14,))
+        assert split.interface.maximal_simplices() == ((0,), (3,), (14,))
+        label_a, label_b = split.double.labels
+        assert space_file_dict("grid", split.double)["positive_region"] == sorted(
+            [sorted([label[u], label[v]]) for label in (label_a, label_b) for u, v in ((0, 1), (1, 2), (2, 3))]
+            + [[label_a[14]]]
+        )
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(space_file_dict("grid", split)))
+        check_written_double(path, split, tmp_path / "double.json")
+
+    def test_grown_regions(self):
+        draws = 0
+        for domain, region, mapping in seeded_grown_regions(35, 200):
+            split = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
+            try:
+                split.double
+            except InputError:  # the interface is not an induced subcomplex
+                continue
+            check_glued_tops(split)
+            draws += 1
+        assert draws >= 60, draws
 
 
 def polygon_file(directory, n):

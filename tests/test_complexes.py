@@ -129,7 +129,7 @@ def derived_complexes():
         out[name + "/negative"] = split.negative
         out[name + "/interface"] = split.interface
         double = truncated_double(split)
-        for part in ("total", "exit_boundary", "entry_boundary"):
+        for part in ("total", "exit_boundary"):  # the package glues no other region
             out[name + "/double." + part] = getattr(double, part)
     return out
 

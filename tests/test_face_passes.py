@@ -24,13 +24,15 @@ from conftest import (
     reference_maximal_simplices,
     relabeled,
 )
-from topsym import InputError, boundary_subcomplex, build_complex, complexes
+from topsym import InputError, SimplicialComplex, boundary_subcomplex, build_complex, complexes
 from topsym.cli import EXIT_INPUT_ERROR, EXIT_OK, _dump, main, report_json, run_identity_suites, space_file_dict
 from topsym.errors import PseudomanifoldError
 from topsym.spaces import BoundarySplit
 from topsym.symmetry import analyze_action
 
-DOUBLE_PARTS = ("total", "exit_boundary", "entry_boundary")
+DOUBLE_PARTS = ("total", "exit_boundary")
+# The glued region that each of the split's regions writes.
+GLUED_REGIONS = (("positive", "exit_boundary"), ("negative", "entry_boundary"))
 
 
 def outcome(fn, *args):
@@ -78,6 +80,9 @@ def check_double(split):
     for part in DOUBLE_PARTS:
         assert getattr(double, part).faces == expected[part], part
         check_complex(getattr(double, part))
+    for region, part in GLUED_REGIONS:
+        glued_tops = double._glued_tops(getattr(split, region))
+        assert glued_tops == reference_maximal_simplices(SimplicialComplex(expected[part])), part
     return True
 
 

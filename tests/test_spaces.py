@@ -159,12 +159,11 @@ class TestTruncatedDouble:
             label_b = dict(zip(shared + own, range(len(own), 2 * len(own) + len(shared))))
             assert d.total.vertices == frozenset(range(2 * len(own) + len(shared))), name
             assert d.labels == (label_a, label_b), name
-            for cx, glued_cx in (
-                (split.domain, d.total),
-                (split.positive, d.exit_boundary),
-                (split.negative, d.entry_boundary),
-            ):
+            for cx, glued_cx in ((split.domain, d.total), (split.positive, d.exit_boundary)):
                 assert glued_cx == relabeled(cx, label_a).union(relabeled(cx, label_b)), name
+            for region in (split.positive, split.negative):
+                glued_region = relabeled(region, label_a).union(relabeled(region, label_b))
+                assert d._glued_tops(region) == glued_region.maximal_simplices(), name
             assert relabeled(split.interface, label_a) == relabeled(split.interface, label_b), name
 
     def test_tops_are_the_totals_top_simplices(self):
@@ -176,7 +175,7 @@ class TestTruncatedDouble:
     def test_region_faces_are_the_totals_own_tuples(self):
         # A face is stored once: the total holds the very tuples of the exit
         # boundary, which analyze and verify read with it, not equal copies.
-        # No command reads the entry boundary with the total.
+        # No command glues the negative region face by face.
         for name, split in catalog_splits().items():
             d = truncated_double(split)
             stored = {f: f for f in d.total.faces}

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_COMPLEX_NAMES, catalog_splits, corpus_pairs, equal_regions_hexagon, reference_check_strongly_connected
+from conftest import (
+    CORPUS_COMPLEX_NAMES,
+    catalog_splits,
+    corpus_pairs,
+    equal_regions_hexagon,
+    reference_check_strongly_connected,
+    reference_double,
+)
 from topsym import (
     BoundarySplit,
     ComplexPair,
@@ -628,9 +635,10 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
 def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp_path, space):
     # The load extracts the domain's boundary from its maximal simplices,
     # which the closure kept.  The glued split is written from the images
-    # of the domain's top simplices and regions, each region glued once, so
-    # the double's total is never made and no face of the domain or of a
-    # total is sorted by degree.
+    # of the maximal simplices of the domain and of each region, so no
+    # region is glued face by face, the double's total is never made, and
+    # the only complex sorted by degree is the interface, whose ridges the
+    # refusal of a shared boundary simplex reads.
     extracted, sorted_by_degree, splits = [], [], []
     extract, by_degree, load = spaces.boundary_subcomplex, SimplicialComplex._by_degree.func, cli.load_space
     regions = record_glued_regions(monkeypatch)
@@ -640,7 +648,7 @@ def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp
         return extract(complex_)
 
     def recorded_by_degree(self):
-        sorted_by_degree.append(self.faces)
+        sorted_by_degree.append(self)
         return by_degree(self)
 
     def recorded_load(locator):
@@ -657,10 +665,10 @@ def test_double_builds_no_total_and_sorts_no_face_of_the_domain(monkeypatch, tmp
     assert main(["double", locator, "-o", str(tmp_path / "double.json")]) == EXIT_OK
     (split,) = splits
     assert [id(c) for c in extracted] == [id(split.domain)]
-    assert list(map(id, regions)) == [id(split.positive), id(split.negative)]
-    assert "total" not in vars(split.double) and "_by_degree" not in vars(split.domain)
+    assert regions == [] and list(map(id, sorted_by_degree)) == [id(split.interface)]
+    assert "total" not in vars(split.double) and "exit_boundary" not in vars(split.double)
     # What analyze and verify read is made on first read, and only then.
-    assert split.double.total.faces not in sorted_by_degree and "total" in vars(split.double)
+    assert split.double.total not in sorted_by_degree and "total" in vars(split.double)
 
 
 def record_glued_regions(monkeypatch):
@@ -679,7 +687,7 @@ def record_glued_regions(monkeypatch):
 @pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
 def test_analyze_and_verify_glue_only_the_positive_region(monkeypatch, capsys, command, space):
     # Both read the double's total and exit boundary only, so the negative
-    # region is never relabeled and the double holds no entry boundary.
+    # region is never relabeled.
     splits, load = [], cli.load_space
 
     def recorded_load(locator):
@@ -692,8 +700,7 @@ def test_analyze_and_verify_glue_only_the_positive_region(monkeypatch, capsys, c
     assert main([command, str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
     (split,) = splits
-    assert list(map(id, regions)) == [id(split.positive)]
-    assert "total" in vars(split.double) and "entry_boundary" not in vars(split.double)
+    assert list(map(id, regions)) == [id(split.positive)] and "total" in vars(split.double)
 
 
 def test_doubles_of_different_domains_with_equal_regions_differ():
@@ -701,20 +708,22 @@ def test_doubles_of_different_domains_with_equal_regions_differ():
     # at vertices 2 and 4, which neither joins: the labelings and the
     # glued regions agree, and the domains tell the doubles apart.
     positive, negative = build_complex([(2, 3), (3, 4)]), build_complex([(4, 5), (0, 5), (0, 1), (1, 2)])
-    first, second = (
-        BoundarySplit(build_complex(tops), positive, negative).double
+    splits = [
+        BoundarySplit(build_complex(tops), positive, negative)
         for tops in ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)], [(0, 1, 5), (1, 2, 3), (1, 3, 4), (1, 4, 5)])
-    )
-    assert (first.exit_boundary, first.entry_boundary, first.labels) == (
-        second.exit_boundary, second.entry_boundary, second.labels
+    ]
+    (first, first_parts), (second, second_parts) = ((split.double, reference_double(split)) for split in splits)
+    assert (first.exit_boundary, first_parts["entry_boundary"], first.labels) == (
+        second.exit_boundary, second_parts["entry_boundary"], second.labels
     )
     assert first != second and first.total != second.total
 
 
-@pytest.mark.parametrize("parts", [("tops",), ("exit_boundary", "total"), ("entry_boundary", "tops", "exit_boundary", "total")])
+@pytest.mark.parametrize("parts", [("tops",), ("exit_boundary", "total"), ("payload", "tops", "exit_boundary", "total")])
 def test_each_labeling_is_classified_once_per_double(monkeypatch, parts):
     # Whether a labeling is the identity and whether it reorders any two
-    # vertices is decided once per double, whichever parts are read.
+    # vertices is decided once per double, whichever parts are read; the
+    # payload ``double`` writes reads the glued tops of both regions.
     kinds, kind = [], glued._kind
     monkeypatch.setattr(glued, "_kind", lambda label: kinds.append(label) or kind(label))
     splits = {**catalog_splits(), **{p.name: cli.load_space(str(p))[1] for p in sorted(SPACES.glob("*.json"))}}
@@ -722,7 +731,7 @@ def test_each_labeling_is_classified_once_per_double(monkeypatch, parts):
         kinds.clear()
         double = glued.truncated_double(split)
         for part in parts:
-            getattr(double, part)
+            space_file_dict(name, double) if part == "payload" else getattr(double, part)
         if "total" in parts:
             double.total._chain_table
         assert list(map(id, kinds)) == list(map(id, double.labels)), name
