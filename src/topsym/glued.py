@@ -82,14 +82,15 @@ class TruncatedDouble:
 
     @cached_property
     def tops(self) -> Tuple[Simplex, ...]:
-        return self._glued_tops(self.domain)
+        return self._glued_tops(self.domain, pure=True)
 
-    def _glued_tops(self, region: SimplicialComplex) -> Tuple[Simplex, ...]:
+    def _glued_tops(self, region: SimplicialComplex, pure: bool = False) -> Tuple[Simplex, ...]:
         """The glued copies' maximal simplices: those of ``region`` relabeled,
-        sorted, less copy B's in the shared labels, which are copy A's."""
-        (images_a, _), (images_b, _) = _copies(region._maximal, self.labels, self._kinds)
+        sorted, less copy B's in the shared labels, which are copy A's.  The
+        domain is ``pure``: of one size, and none lies in the interface."""
+        (images_a, _), (images_b, _) = _copies(region._maximal, self.labels, self._kinds, pure)
         cells_b = list(itertools.chain.from_iterable(images_b))
-        own_b = itertools.compress(cells_b, map(len(self.labels[0]).__le__, map(operator.itemgetter(-1), cells_b)))
+        own_b = cells_b if pure else itertools.compress(cells_b, map(len(self.labels[0]).__le__, map(operator.itemgetter(-1), cells_b)))
         return tuple(sorted(itertools.chain(itertools.chain.from_iterable(images_a), own_b)))
 
     @cached_property
@@ -146,10 +147,10 @@ def _glued(region: SimplicialComplex, labels, kinds) -> SimplicialComplex:
     return _trusted(copy_a | copy_b)
 
 
-def _copies(cells, labels, kinds):
-    """``_relabeled_cells`` of ``cells`` under each labeling, grouped by size:
-    a region may be impure, and a group's size is read off its first cell."""
-    groups = [list(group) for _, group in itertools.groupby(sorted(cells, key=len), len)]
+def _copies(cells, labels, kinds, pure: bool = False):
+    """``_relabeled_cells`` of ``cells`` under each labeling, grouped by size
+    unless ``pure``: a group's size is read off its first cell."""
+    groups = [list(cells)] if pure else [list(group) for _, group in itertools.groupby(sorted(cells, key=len), len)]
     return map(_relabeled_cells, itertools.repeat(groups), labels, kinds)
 
 
