@@ -19,11 +19,12 @@ so only the facet rows of the sorted cells are permuted.
 
 The double keeps no copy, only the domain, the split's two regions and
 the two labelings, through which ``verify`` pushes the domain's chains.
-Each part is made when first read.  ``double`` writes the images of
-the maximal simplices of the domain and of each region, so it glues no
-region face by face; ``analyze`` and ``verify`` read the exit boundary
-and the total, which holds the exit boundary's tuples, so they never
-relabel the negative region.
+Each part is made when first read; ``analyze`` reads none, as making
+the labelings checks that the interface is induced.  ``double`` writes
+the images of the maximal simplices of the domain and of each region,
+so it glues no region face by face; ``verify`` reads the exit boundary
+and the total, which holds the exit boundary's tuples, so it never
+relabels the negative region.
 
 The interface is induced, so each degree of the total is copy A's cells
 that hold an own vertex, then copy B's: the total maps copy B's facets

@@ -117,12 +117,7 @@ class ActionReport:
     positive_verdict: SymmetryVerdict
     negative_verdict: SymmetryVerdict
     duality: Optional[DualityReport]  # None when the domain fails the pseudomanifold check
-    factor2_total: BettiTable
     rolled: Optional[Tuple[RolledTable, SymmetryVerdict]]  # positive table rolled when asked
-
-    @property
-    def factor2_passed(self) -> bool:
-        return self.factor2_total == self.positive_table.scaled(2)
 
     @property
     def duality_status(self) -> str:
@@ -132,11 +127,14 @@ class ActionReport:
 
 
 def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: str = "") -> ActionReport:
-    """Compute both relative tables, verdicts, duality, and the factor-2 check.
+    """Compute both relative tables, verdicts and duality.
 
     ``min_chern`` switches on the cyclically rolled positive verdict as well.
     Duality is only asserted when the domain passes the full
-    pseudomanifold check; otherwise it is reported as skipped.
+    pseudomanifold check; otherwise it is reported as skipped.  The
+    factor-two identity holds by the double's construction once the
+    interface is induced, which ``split.double`` checks last, so nothing
+    of the double is built or reduced here (``verify`` reduces it).
     """
     positive_table = betti(split.positive_pair())
     rolled = None
@@ -148,7 +146,7 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
         duality = lefschetz_duality_check(split)
     except PseudomanifoldError:
         duality = None
-    factor2_total = betti(split.double.exit_pair())
+    split.double  # the induced-interface check: only the labelings are made
     return ActionReport(
         name=name,
         positive_table=positive_table,
@@ -156,6 +154,5 @@ def analyze_action(split: BoundarySplit, min_chern: Optional[int] = None, name: 
         positive_verdict=check_symmetry(positive_table),
         negative_verdict=check_symmetry(negative_table),
         duality=duality,
-        factor2_total=factor2_total,
         rolled=rolled,
     )

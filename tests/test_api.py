@@ -91,7 +91,8 @@ PUBLIC_FIELDS = {
     "exactness.LesReport": ("relative", "slots"),
     "exactness.MayerVietorisReport": ("overlap_table", "total_table", "parts_table"),
     "exactness.SlotCheck": ("degree", "at", "middle_dim", "incoming_rank", "outgoing_rank", "composition_zero"),
-    # The doubled positive table follows from the positive table.
+    # The factor-two identity holds by the double's construction, so the
+    # report holds no table of the double (``verify`` reduces it).
     "symmetry.ActionReport": (
         "name",
         "positive_table",
@@ -99,7 +100,6 @@ PUBLIC_FIELDS = {
         "positive_verdict",
         "negative_verdict",
         "duality",
-        "factor2_total",
         "rolled",
     ),
     "symmetry.Witness": ("shift", "degree", "dim_at_degree", "dim_at_mirror"),

@@ -93,8 +93,9 @@ def test_one_seeded_round_of_each_workload_gets_the_closed_form_answer(monkeypat
 @pytest.mark.parametrize("workload", ["analyze-mix", "verify-mix"])
 def test_one_seeded_round_derives_each_double_table_as_built(monkeypatch, workload):
     # The total's chain table is derived from the domain's on every
-    # request of these workloads, the only table of the double that is;
-    # on their inputs it must be the table built from the same faces.
+    # verify request, the only table of the double that is; on the
+    # inputs of both workloads it must be the table built from the same
+    # faces.
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     for index in range(len(workloads.SLOTS[workload])):

@@ -5,6 +5,7 @@ import json
 import sys
 import weakref
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from topsym.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
+    EXIT_SUITE_FAILED,
     main,
     parse_space_file,
     space_file_dict,
@@ -56,6 +58,25 @@ HEXAGON_SHARING_AN_EDGE = {
     "maximal_simplices": [[0, 1, 6], [1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [0, 5, 6]],
     "positive_region": [[0, 1], [1, 2], [2, 3]],
     "negative_region": [[2, 3], [3, 4], [4, 5], [0, 5]],
+}
+
+# The strip of ``test_spaces.py::test_non_induced_interface_rejected``:
+# the interface holds all three vertices of the triangle but not its
+# edge (0, 1), and the regions share the edge (1, 2).
+STRIP_NOT_INDUCED = {
+    "name": "strip",
+    "maximal_simplices": [[0, 1, 2]],
+    "positive_region": [[0, 1], [1, 2]],
+    "negative_region": [[0, 2], [1, 2]],
+}
+
+# A square cut by its diagonal (0, 2), whose ends alone make the
+# interface: not induced, with no shared boundary edge.
+SQUARE_NOT_INDUCED = {
+    "name": "square",
+    "maximal_simplices": [[0, 1, 2], [0, 2, 3]],
+    "positive_region": [[0, 1], [1, 2]],
+    "negative_region": [[2, 3], [0, 3]],
 }
 
 OCTAGON_SHARING_TWO_EDGES = {
@@ -151,6 +172,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "symmetric (shift 0)" in out
+
+    @pytest.mark.parametrize("space", ["annulus_split", "disk_half_split"])
+    def test_verify_fails_factor_two_when_the_exit_boundary_glues_copy_a_only(self, monkeypatch, capsys, space):
+        # verify reduces the exit pair, so a double that loses copy B of
+        # the positive region fails there; analyze reports the identity
+        # from the construction and never glues it.  (reeb_ball_2's
+        # positive region is empty, so its exit boundary is the same.)
+        def copy_a_only(region, labels, kinds):
+            (images_a, _), _ = glued._copies(region.faces, labels, kinds)
+            return complexes._trusted(frozenset(chain.from_iterable(images_a)))
+
+        monkeypatch.setattr(glued, "_glued", copy_a_only)
+        assert main(["verify", space, "--json"]) == EXIT_SUITE_FAILED
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and out["suites"]["factor2"] == "fail"
+        assert main(["analyze", space, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["factor2"] == "pass"
 
     def test_verify_disk_half_split_passes(self, capsys):
         code = main(["verify", "disk_half_split"])
@@ -332,6 +370,28 @@ class TestCommands:
             "error: positive and negative regions share boundary simplex %s, "
             "which the double glues into its interior\n" % shared
         )
+        assert not output.exists()
+
+    @pytest.mark.parametrize("payload, spanned", [(STRIP_NOT_INDUCED, "(0, 1)"), (SQUARE_NOT_INDUCED, "(0, 2)")])
+    def test_every_command_refuses_a_non_induced_interface(self, tmp_path, capsys, payload, spanned):
+        # analyze reduces nothing of the double, but still checks that it
+        # glues, at the same point: after a bad modulus.  double refuses
+        # a shared boundary edge first.
+        path, output = tmp_path / "split.json", tmp_path / "double.json"
+        path.write_text(json.dumps(payload))
+        refusal = (
+            "error: gluing locus is not an induced subcomplex: %s is spanned by its vertices "
+            "but lies outside it; retriangulate the domain\n" % spanned
+        )
+        shared = "error: positive and negative regions share boundary simplex (1, 2), which the double glues into its interior\n"
+        for argv, err in (
+            (["analyze", str(path)], refusal),
+            (["verify", str(path)], refusal),
+            (["double", str(path), "-o", str(output)], shared if payload is STRIP_NOT_INDUCED else refusal),
+            (["analyze", str(path), "--mod", "0"], "error: minimal Chern number must be at least 1\n"),
+        ):
+            assert main(argv) == EXIT_INPUT_ERROR, argv
+            assert capsys.readouterr() == ("", err), argv
         assert not output.exists()
 
     def test_glued_regions_of_a_shared_boundary_simplex_would_not_load(self):
@@ -595,12 +655,14 @@ class TestRequestLifetime:
         capsys.readouterr()
         split, = splits
         double = split.double
-        # Only the double's total derives a table, from the domain's;
-        # Mayer-Vietoris pushes chains through the copies' labels.
-        assert list(map(id, derived)) == [id(double.total)]
         expected = [split.domain]
         if command == "verify":
+            # Only the double's total derives a table, from the domain's;
+            # Mayer-Vietoris pushes chains through the copies' labels.
+            assert list(map(id, derived)) == [id(double.total)]
             expected += [split.positive, split.negative, double.exit_boundary]
+        else:  # the factor-two identity holds by construction: no total
+            assert derived == [] and "total" not in vars(double)
         made = built + derived
         assert len({id(cx) for cx in made}) == len(made)
         assert sorted(map(id, expected)) == sorted(id(cx) for cx in built if any(cx is e for e in expected))

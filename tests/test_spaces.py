@@ -17,6 +17,7 @@ from conftest import (
     grown_regions,
     hollow_triangle,
     is_orientable_surfacelike,
+    linear_action_split,
     reference_composition_check,
     reference_fill,
     relabeled,
@@ -129,11 +130,28 @@ class TestTruncatedDouble:
             # copies meet in exactly its image.
             assert exit_a.intersection(exit_b) == interface_image, name
 
+    # analyze reports the factor-two identity from the construction: the
+    # interface is induced, so C(double, exit) is C(W, P) twice, cell for
+    # cell.  These reduce the exit pair, as verify does, and so test the
+    # code that builds the double: the labelings, the total's derived
+    # table, the gluing of the exit boundary and the masking.
     def test_factor_two_identity_across_catalog(self):
-        for name, split in catalog_splits().items():
+        for name, split in factor_two_splits().items():
             d = truncated_double(split)
             doubled = betti(split.positive_pair()).scaled(2)
             assert betti(d.exit_pair()) == doubled, name
+
+    def test_factor_two_identity_on_grown_regions(self):
+        draws = 0
+        for domain, region, mapping in seeded_grown_regions(36, 200):
+            split = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
+            try:
+                d = truncated_double(split)
+            except InputError:  # the interface is not an induced subcomplex
+                continue
+            assert betti(d.exit_pair()) == betti(split.positive_pair()).scaled(2), sorted(region.faces)
+            draws += 1
+        assert draws >= 60, draws
 
     def test_doubles_of_one_split_are_equal_and_hash_alike(self):
         # The labelings are dicts, so they stay out of equality and hashing.
@@ -174,7 +192,7 @@ class TestTruncatedDouble:
 
     def test_region_faces_are_the_totals_own_tuples(self):
         # A face is stored once: the total holds the very tuples of the exit
-        # boundary, which analyze and verify read with it, not equal copies.
+        # boundary, which verify reads with it, not equal copies.
         # No command glues the negative region face by face.
         for name, split in catalog_splits().items():
             d = truncated_double(split)
@@ -182,7 +200,8 @@ class TestTruncatedDouble:
             assert all(stored[f] is f for f in d.exit_boundary.faces), name
 
     def test_each_request_builds_one_double(self, monkeypatch, capsys):
-        # verify runs analyze and then the suites; both read the same double.
+        # verify runs the suites and then analyze; both read the same double,
+        # whose labelings analyze makes to check that the interface is induced.
         calls = []
         original = spaces.truncated_double
 
@@ -371,7 +390,7 @@ class TestRandomSplits:
         except InputError:  # the interface is not an induced subcomplex
             assume(False)
         report = analyze_action(split, name="grown")
-        assert report.factor2_passed and report.duality_status == "pass"
+        assert report.duality_status == "pass"
         mv = mayer_vietoris_check(double.total, *images(double, split.domain), *images(double, split.positive))
         assert mv.passed is True
         permuted = BoundarySplit(relabeled(domain, mapping), relabeled(region, mapping))
@@ -394,6 +413,15 @@ class TestRelabelingInvariance:
 
 def space_file_splits():
     return {path.name: cli.load_space(str(path))[1] for path in sorted(SPACES.glob("*.json"))}
+
+
+def factor_two_splits():
+    """The catalog splits, the space files, L(1,1), L(1,2), L(2,1) and
+    ``boundary_star_split(3)``."""
+    splits = {**catalog_splits(), **space_file_splits()}
+    splits.update(("linear_%d_%d" % pq, linear_action_split(*pq)) for pq in ((1, 1), (1, 2), (2, 1)))
+    splits["star_split_3"] = boundary_star_split(3)
+    return splits
 
 
 def reordered_degrees(split):

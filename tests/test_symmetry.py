@@ -291,7 +291,6 @@ class TestAnalyzeAction:
         assert report.positive_verdict.symmetric
         assert report.positive_verdict.shifts == (0,)
         assert report.duality_status == "pass"
-        assert report.factor2_passed
         assert report.positive_verdict.symmetric == report.negative_verdict.symmetric
 
     def test_disk_half_split_all_vacuous(self):
@@ -300,13 +299,11 @@ class TestAnalyzeAction:
         assert report.negative_table.total() == 0
         assert report.positive_verdict.symmetric
         assert report.duality_status == "pass"
-        assert report.factor2_passed
 
     def test_brieskorn_asymmetric(self):
         report = analyze_action(builtin_example("brieskorn_2"))
         assert not report.positive_verdict.symmetric
         assert report.duality_status == "skipped"
-        assert report.factor2_passed
 
     def test_rolled_block(self):
         report = analyze_action(builtin_example("reeb_ball_1"), min_chern=2)

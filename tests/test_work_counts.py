@@ -76,7 +76,7 @@ def test_wedge_of_spheres_needs_less_than_one_pivot_step_per_column(monkeypatch,
     # Every sphere of the wedge meets vertex 0, so with the pivot on the
     # lowest row each edge at vertex 0 would walk all earlier pivots.
     counts = count_reduction_work(monkeypatch)
-    assert main(["analyze", "wedge_2_400"]) == EXIT_OK
+    assert main(["analyze", "wedge_2_1200"]) == EXIT_OK
     capsys.readouterr()
     assert counts["columns"] > 8000
     assert counts["steps"] < counts["columns"]
@@ -626,7 +626,7 @@ def test_double_builds_and_derives_no_chain_table(monkeypatch, tmp_path):
     for space in ["annulus_split", "disk_half_split", "reeb_ball_2", *sorted(SPACES.glob("*.json"))]:
         assert main(["double", str(space), "-o", str(tmp_path / "double.json")]) == EXIT_OK
         assert made == [], space
-    # The refusals guard the derivation that analyze and verify run.
+    # The refusals guard the derivation that verify runs.
     with pytest.raises(AssertionError, match="a chain table was made"):
         builtin_example("annulus_split").double.total._chain_table
 
@@ -686,8 +686,9 @@ def record_glued_regions(monkeypatch):
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 @pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
 def test_analyze_and_verify_glue_only_the_positive_region(monkeypatch, capsys, command, space):
-    # Both read the double's total and exit boundary only, so the negative
-    # region is never relabeled.
+    # verify reads the double's total and exit boundary only, so the
+    # negative region is never relabeled; analyze reads neither, so it
+    # glues no region.
     splits, load = [], cli.load_space
 
     def recorded_load(locator):
@@ -700,7 +701,33 @@ def test_analyze_and_verify_glue_only_the_positive_region(monkeypatch, capsys, c
     assert main([command, str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
     capsys.readouterr()
     (split,) = splits
-    assert list(map(id, regions)) == [id(split.positive)] and "total" in vars(split.double)
+    verify = command == "verify"
+    assert list(map(id, regions)) == [id(split.positive)] * verify and ("total" in vars(split.double)) is verify
+
+
+@pytest.mark.parametrize("space", [*catalog_splits(), *sorted(p.name for p in SPACES.glob("*.json"))])
+def test_analyze_builds_no_total_and_no_exit_boundary(monkeypatch, capsys, space):
+    # The factor-two identity holds by the double's construction, so
+    # analyze only checks that the interface is induced: the double makes
+    # its labelings and no part, derives no table and reduces no exit pair.
+    splits, derived, load, derive = [], [], cli.load_space, glued._total_table
+
+    def recorded_load(locator):
+        name, split = load(locator)
+        splits.append(split)
+        return name, split
+
+    def counted_derive(*args):
+        derived.append(args[-1])
+        return derive(*args)
+
+    monkeypatch.setattr(cli, "load_space", recorded_load)
+    monkeypatch.setattr(glued, "_total_table", counted_derive)
+    assert main(["analyze", str(SPACES / space) if space.endswith(".json") else space]) == EXIT_OK
+    capsys.readouterr()
+    (split,) = splits
+    assert derived == [] and "double" in vars(split)
+    assert sorted(vars(split.double)) == ["domain", "labels", "negative", "positive"]
 
 
 def test_doubles_of_different_domains_with_equal_regions_differ():
